@@ -4,6 +4,12 @@ The matrix entry W(i, j) is the weight agent j carries in agent i's view of
 the population. Rows must sum to 1 for the views to be distributions;
 columns must also sum to 1 for the population-average cancellation that the
 mean-field comparison relies on.
+
+A matrix is stored in one of two forms, chosen by its builder: dense (an
+N x N array; `uniform`, `sinkhorn_random`, `load_csv` and the constructor)
+or as its nonzeros (`ring_k_neighbor`, `ring_symmetric` and
+`InteractionMatrix.from_nonzeros`), which costs O(nnz) memory and view work
+instead of O(N^2).
 """
 
 from __future__ import annotations
@@ -37,24 +43,112 @@ class ValidationReport:
 
 
 class InteractionMatrix:
-    """An immutable N x N doubly stochastic weight matrix."""
+    """An immutable N x N doubly stochastic weight matrix.
 
-    __slots__ = ("n_agents", "weights")
+    `weights` is always the dense read-only array; for a matrix stored as its
+    nonzeros it is built on first access and cached (N^2 * 8 bytes).
+    """
+
+    __slots__ = ("n_agents", "_dense", "_rows", "_cols", "_data")
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
+        self._set_dense(np.array(weights, dtype=np.float64))
+
+    def _set_dense(self, w: np.ndarray) -> None:
+        """Validate `w` and take it over as the dense form, without copying."""
         report = validate_doubly_stochastic(w, VALIDATION_TOL)
-        if not report.passed:
-            raise ValueError(f"matrix is not doubly stochastic: {report}")
-        if w.max() > 1.0 + VALIDATION_TOL:
-            raise ValueError("matrix entries must lie in [0, 1]")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "n_agents", w.shape[0])
+        _require_valid(report, float(w.max()))
+        self._store(w.shape[0], w, None, None, None)
+
+    def _store(self, n_agents: int, dense, rows, cols, data) -> None:
+        for name, value in zip(self.__slots__, (n_agents, dense, rows, cols, data)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_dense(cls, w: np.ndarray) -> "InteractionMatrix":
+        """Wrap a float64 array that no one else holds (a builder's own)."""
+        m = cls.__new__(cls)
+        m._set_dense(w)
+        return m
+
+    @classmethod
+    def from_nonzeros(cls, n: int, rows, cols, data) -> "InteractionMatrix":
+        """The matrix with entries W(rows[e], cols[e]) = data[e] and zeros
+        elsewhere (repeated positions add up). Validated in O(nnz) with the
+        same checks and tolerance as a dense matrix, plus the index range."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        arrays = [np.asarray(a) for a in (rows, cols)]
+        if any(a.dtype.kind not in "iu" for a in arrays):
+            raise ValueError("rows and cols must be integer arrays")
+        rows, cols = (a.astype(np.int64) for a in arrays)
+        data = np.array(data, dtype=np.float64)
+        if not rows.ndim == cols.ndim == data.ndim == 1 or not rows.size == cols.size == data.size:
+            raise ValueError("rows, cols and data must be 1-d arrays of one length")
+        if data.size == 0:
+            raise ValueError("matrix is not doubly stochastic: no nonzeros")
+        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
+            raise ValueError(f"nonzero index out of range [0, {n})")
+        min_entry = float(data.min())
+        if data.size < n * n:
+            min_entry = min(min_entry, 0.0)
+        report = _report(
+            np.bincount(rows, weights=data, minlength=n),
+            np.bincount(cols, weights=data, minlength=n),
+            min_entry,
+            VALIDATION_TOL,
+        )
+        _require_valid(report, float(data.max()))
+        # Row-major order: each agent's entries are one contiguous slice.
+        key = rows * n + cols
+        if np.any(key[1:] < key[:-1]):
+            order = np.argsort(key, kind="stable")
+            rows, cols, data = rows[order], cols[order], data[order]
+        m = cls.__new__(cls)
+        m._store(n, None, rows, cols, data)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("InteractionMatrix is immutable")
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._dense is None:
+            w = np.zeros((self.n_agents, self.n_agents))
+            np.add.at(w, (self._rows, self._cols), self._data)
+            w.flags.writeable = False
+            object.__setattr__(self, "_dense", w)
+        return self._dense
+
+    @property
+    def nonzeros(self):
+        """(rows, cols, data) in row-major order for a matrix stored as its
+        nonzeros; None for a dense one."""
+        if self._data is None:
+            return None
+        return self._rows, self._cols, self._data
+
+    def views(self, items: np.ndarray, set_size: int) -> np.ndarray:
+        """Every agent's weighted view as an (N, set_size) matrix: row i is
+        sum_j W(i, j) e_{items[j]}. `items` is not validated."""
+        n = self.n_agents
+        if self._data is None:
+            indicator = np.zeros((n, set_size))
+            indicator[np.arange(n), items] = 1.0
+            return self._dense @ indicator
+        flat = np.bincount(
+            self._rows * set_size + items[self._cols], weights=self._data, minlength=n * set_size
+        )
+        return flat.reshape(n, set_size)
+
+    def view(self, agent: int, items: np.ndarray, set_size: int) -> np.ndarray:
+        """One agent's weighted view; reads only that agent's row of W."""
+        if self._data is None:
+            return np.bincount(items, weights=self._dense[agent], minlength=set_size)
+        lo, hi = np.searchsorted(self._rows, (agent, agent + 1))
+        return np.bincount(items[self._cols[lo:hi]], weights=self._data[lo:hi], minlength=set_size)
 
     def save_csv(self, path) -> None:
         np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
@@ -68,31 +162,36 @@ def uniform(n: int) -> InteractionMatrix:
     """All-pairs interaction with weight 1/n, the exchangeable special case."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return InteractionMatrix(np.full((n, n), 1.0 / n))
+    return InteractionMatrix._from_dense(np.full((n, n), 1.0 / n))
+
+
+def _circulant(n: int, offsets) -> InteractionMatrix:
+    """Weight 1/k on W(i, (i + off) % n) for each of the k offsets; they must
+    be distinct mod n, so every nonzero is exactly 1/k."""
+    k = len(offsets)
+    rows = np.repeat(np.arange(n), k)
+    cols = np.sort((np.arange(n)[:, None] + np.asarray(offsets)) % n, axis=1).ravel()
+    return InteractionMatrix.from_nonzeros(n, rows, cols, np.full(rows.size, 1.0 / k))
 
 
 def ring_k_neighbor(n: int, k: int) -> InteractionMatrix:
     """Circulant matrix with weight 1/k on offsets {1, ..., k} (self excluded
-    unless k = n, where offset n wraps onto the diagonal)."""
+    unless k = n, where offset n wraps onto the diagonal). Stored as its
+    n * k nonzeros."""
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    w = np.zeros((n, n))
-    for off in range(1, k + 1):
-        w[np.arange(n), (np.arange(n) + off) % n] += 1.0 / k
-    return InteractionMatrix(w)
+    return _circulant(n, range(1, k + 1))
 
 
 def ring_symmetric(n: int, k: int) -> InteractionMatrix:
-    """Symmetric circulant with weight 1/k on offsets +-1..+-k/2 (k even)."""
+    """Symmetric circulant with weight 1/k on offsets +-1..+-k/2 (k even).
+    Stored as its n * k nonzeros."""
     if k % 2 != 0:
         raise ValueError("symmetric window needs an even neighbor count")
     if not 2 <= k < n:
         raise ValueError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
-    w = np.zeros((n, n))
-    for off in range(1, k // 2 + 1):
-        w[np.arange(n), (np.arange(n) + off) % n] += 1.0 / k
-        w[np.arange(n), (np.arange(n) - off) % n] += 1.0 / k
-    return InteractionMatrix(w)
+    half = range(1, k // 2 + 1)
+    return _circulant(n, [*half, *(-off for off in half)])
 
 
 def sinkhorn_random(
@@ -106,15 +205,18 @@ def sinkhorn_random(
     if n < 1:
         raise ValueError("n must be >= 1")
     w = rng.uniform(0.1, 1.1, size=(n, n))
+    # The row sums of the convergence check are the next normalizer.
+    row_sums = w.sum(axis=1, keepdims=True)
     for _ in range(max_iters):
-        w /= w.sum(axis=1, keepdims=True)
+        w /= row_sums
         w /= w.sum(axis=0, keepdims=True)
+        row_sums = w.sum(axis=1, keepdims=True)
         dev = max(
-            np.abs(w.sum(axis=1) - 1.0).max(),
+            np.abs(row_sums - 1.0).max(),
             np.abs(w.sum(axis=0) - 1.0).max(),
         )
         if dev < tol:
-            return InteractionMatrix(w)
+            return InteractionMatrix._from_dense(w)
     raise RuntimeError(f"sinkhorn normalization did not reach {tol:g} in {max_iters} iterations")
 
 
@@ -122,11 +224,30 @@ def validate_doubly_stochastic(w, tol: float) -> ValidationReport:
     m = np.asarray(w, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    row_dev = np.abs(m.sum(axis=1) - 1.0)
-    col_dev = np.abs(m.sum(axis=0) - 1.0)
-    min_entry = float(m.min())
+    return _report(m.sum(axis=1), m.sum(axis=0), float(m.min()), tol)
+
+
+def _report(row_sums, col_sums, min_entry: float, tol: float) -> ValidationReport:
+    row_dev = np.abs(row_sums - 1.0)
+    col_dev = np.abs(col_sums - 1.0)
     passed = bool(row_dev.max() <= tol and col_dev.max() <= tol and min_entry >= -tol)
     return ValidationReport(row_dev, col_dev, min_entry, tol, passed)
+
+
+def _require_valid(report: ValidationReport, max_entry: float) -> None:
+    if not report.passed:
+        raise ValueError(f"matrix is not doubly stochastic: {report}")
+    if max_entry > 1.0 + VALIDATION_TOL:
+        raise ValueError("matrix entries must lie in [0, 1]")
+
+
+def _check_items(w: InteractionMatrix, items, set_size: int) -> np.ndarray:
+    idx = np.asarray(items, dtype=np.int64)
+    if idx.size != w.n_agents:
+        raise ValueError(f"need one item per agent: {idx.size} vs {w.n_agents}")
+    if idx.min() < 0 or idx.max() >= set_size:
+        raise ValueError(f"item index out of range [0, {set_size})")
+    return idx
 
 
 def weighted_view(
@@ -136,21 +257,9 @@ def weighted_view(
     entry k is the total W(agent, j) weight of agents j holding item k."""
     if not 0 <= agent < w.n_agents:
         raise ValueError(f"agent {agent} out of range [0, {w.n_agents})")
-    idx = np.asarray(items, dtype=np.int64)
-    if idx.size != w.n_agents:
-        raise ValueError(f"need one item per agent: {idx.size} vs {w.n_agents}")
-    if idx.min() < 0 or idx.max() >= set_size:
-        raise ValueError(f"item index out of range [0, {set_size})")
-    return Simplex(np.bincount(idx, weights=w.weights[agent], minlength=set_size))
+    return Simplex(w.view(agent, _check_items(w, items, set_size), set_size))
 
 
 def weighted_views_all(w: InteractionMatrix, items, set_size: int) -> np.ndarray:
     """All agents' weighted views at once, as an (N, set_size) matrix."""
-    idx = np.asarray(items, dtype=np.int64)
-    if idx.size != w.n_agents:
-        raise ValueError(f"need one item per agent: {idx.size} vs {w.n_agents}")
-    if idx.min() < 0 or idx.max() >= set_size:
-        raise ValueError(f"item index out of range [0, {set_size})")
-    indicator = np.zeros((w.n_agents, set_size))
-    indicator[np.arange(w.n_agents), idx] = 1.0
-    return w.weights @ indicator
+    return w.views(_check_items(w, items, set_size), set_size)

@@ -10,6 +10,7 @@ of the policy.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,16 +42,27 @@ class AgentSystemState:
 
 @dataclass(frozen=True)
 class RolloutRecord:
-    """One episode: per-step per-agent states, actions, rewards, the
-    empirical distributions, and the discounted population-average return."""
+    """One episode: per-step per-agent states, actions, rewards, and the
+    discounted population-average return. The per-step empirical
+    distributions `mus` and `nus` are derived from them on first access."""
 
     states: np.ndarray  # (T+1, N)
     actions: np.ndarray  # (T+1, N)
     rewards: np.ndarray  # (T+1, N)
-    mus: list  # empirical state distribution per step
-    nus: list  # empirical action distribution per step
+    n_states: int
+    n_actions: int
     gamma: float
     discounted_return: float
+
+    @functools.cached_property
+    def mus(self) -> list:
+        """Empirical state distribution per step, as `Simplex` values."""
+        return _empirical_per_step(self.states, self.n_states)
+
+    @functools.cached_property
+    def nus(self) -> list:
+        """Empirical action distribution per step, as `Simplex` values."""
+        return _empirical_per_step(self.actions, self.n_actions)
 
     def recompute_return(self) -> float:
         mean_r = self.rewards.mean(axis=1)
@@ -68,10 +80,15 @@ class RolloutRecord:
                     )
 
 
+def _empirical_per_step(items: np.ndarray, set_size: int) -> list:
+    steps, n = items.shape
+    flat = (np.arange(steps)[:, None] * set_size + items).ravel()
+    counts = np.bincount(flat, minlength=steps * set_size).reshape(steps, set_size)
+    return [Simplex(row) for row in counts / n]
+
+
 def _views(w: InteractionMatrix, items: np.ndarray, set_size: int) -> np.ndarray:
-    indicator = np.zeros((items.size, set_size))
-    indicator[np.arange(items.size), items] = 1.0
-    return w.weights @ indicator
+    return w.views(items, set_size)
 
 
 def step(
@@ -139,24 +156,21 @@ def rollout(
     states = np.empty((horizon + 1, n), dtype=np.int64)
     actions = np.empty((horizon + 1, n), dtype=np.int64)
     rewards = np.empty((horizon + 1, n))
-    mus, nus = [], []
     value = 0.0
     discount = 1.0
     for t in range(horizon + 1):
         states[t] = sys.states
-        mus.append(Simplex(np.bincount(sys.states, minlength=env.n_states) / n))
         sys, step_rewards = step(env, w, policy, sys, rng)
         actions[t] = sys.actions
         rewards[t] = step_rewards
-        nus.append(Simplex(np.bincount(sys.actions, minlength=env.n_actions) / n))
         value += discount * step_rewards.mean()
         discount *= env.gamma
     return RolloutRecord(
         states=states,
         actions=actions,
         rewards=rewards,
-        mus=mus,
-        nus=nus,
+        n_states=env.n_states,
+        n_actions=env.n_actions,
         gamma=env.gamma,
         discounted_return=value,
     )

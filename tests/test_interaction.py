@@ -14,6 +14,32 @@ from mfmarl.interaction import (
 from mfmarl.simplex import empirical_distribution, l1_distance
 
 
+def dense_ring(n, k):
+    """The dense construction ring_k_neighbor used before it stored nonzeros."""
+    w = np.zeros((n, n))
+    for off in range(1, k + 1):
+        w[np.arange(n), (np.arange(n) + off) % n] += 1.0 / k
+    return w
+
+
+def dense_ring_symmetric(n, k):
+    w = np.zeros((n, n))
+    for off in range(1, k // 2 + 1):
+        w[np.arange(n), (np.arange(n) + off) % n] += 1.0 / k
+        w[np.arange(n), (np.arange(n) - off) % n] += 1.0 / k
+    return w
+
+
+def sinkhorn_four_sums(n, rng, tol=1e-10):
+    """Reference Sinkhorn loop: normalize, then recompute both sums to check."""
+    w = rng.uniform(0.1, 1.1, size=(n, n))
+    while True:
+        w /= w.sum(axis=1, keepdims=True)
+        w /= w.sum(axis=0, keepdims=True)
+        if max(np.abs(w.sum(axis=1) - 1.0).max(), np.abs(w.sum(axis=0) - 1.0).max()) < tol:
+            return w
+
+
 class TestConstructors:
     def test_uniform(self):
         assert uniform(2).weights.tolist() == [[0.5, 0.5], [0.5, 0.5]]
@@ -59,6 +85,88 @@ class TestConstructors:
     def test_constructor_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             InteractionMatrix([[0.9, 0.0], [0.0, 0.9]])
+
+
+class TestNonzeroStorage:
+    def test_ring_weights_equal_dense_construction(self):
+        for n in (1, 2, 3, 5, 8, 31):
+            for k in range(1, n + 1):
+                w = ring_k_neighbor(n, k)
+                assert w.nonzeros is not None and w.nonzeros[0].size == n * k
+                assert np.array_equal(w.weights, dense_ring(n, k))
+            for k in range(2, n, 2):
+                assert np.array_equal(ring_symmetric(n, k).weights, dense_ring_symmetric(n, k))
+
+    def test_full_ring_wraps_onto_diagonal(self):
+        w = ring_k_neighbor(4, 4).weights
+        assert np.array_equal(np.diag(w), np.full(4, 0.25))
+
+    def test_weights_are_cached_and_read_only(self):
+        w = ring_k_neighbor(6, 2)
+        dense = w.weights
+        assert w.weights is dense
+        assert not dense.flags.writeable
+        assert not any(a.flags.writeable for a in w.nonzeros)
+
+    def test_dense_builders_have_no_nonzeros(self):
+        for w in (uniform(4), sinkhorn_random(4, np.random.default_rng(0)), InteractionMatrix(np.eye(3))):
+            assert w.nonzeros is None
+
+    def test_views_equal_dense_views(self):
+        # Each nonzero is 1/k, and for k <= 5 a sum of up to k copies of
+        # 1/k rounds the same in every order, so the sparse views equal the
+        # BLAS product bit for bit whatever its summation order.
+        rng = np.random.default_rng(21)
+        mats = [ring_k_neighbor(n, k) for n in (5, 40, 700) for k in range(1, 6)]
+        mats += [ring_symmetric(n, 4) for n in (5, 40, 700)]
+        for w in mats:
+            dense = InteractionMatrix(w.weights)
+            assert dense.nonzeros is None
+            for size in (2, 10):
+                items = rng.integers(0, size, size=w.n_agents)
+                assert np.array_equal(weighted_views_all(w, items, size), weighted_views_all(dense, items, size))
+
+    def test_single_view_equals_dense_view(self):
+        # One row is summed in column order either way, for any k.
+        rng = np.random.default_rng(22)
+        for w in (ring_k_neighbor(50, 7), ring_symmetric(50, 6)):
+            dense = InteractionMatrix(w.weights)
+            items = rng.integers(0, 4, size=50)
+            for i in range(50):
+                assert np.array_equal(weighted_view(w, i, items, 4).weights, weighted_view(dense, i, items, 4).weights)
+
+    def test_from_nonzeros_sorts_and_sums_repeats(self):
+        w = InteractionMatrix.from_nonzeros(2, [1, 0, 1, 0], [0, 1, 0, 1], [0.5, 1.0, 0.5, 0.0])
+        assert w.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert w.nonzeros[0].tolist() == [0, 0, 1, 1]
+        assert weighted_view(w, 1, [0, 1], 2).weights.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "rows, cols, data",
+        [
+            ([0, 1], [0, 1], [0.9, 1.0]),  # row and column 0 sum to 0.9
+            ([0, 0, 1], [0, 1, 1], [0.5, 0.5, 1.0]),  # column sums 0.5 and 1.5
+            ([0, 0, 1, 1], [0, 1, 0, 1], [1.5, -0.5, -0.5, 1.5]),  # negative and > 1
+            ([0, 0, 1, 1], [0, 1, 0, 1], [1.0 + 2e-9, -2e-9, -2e-9, 1.0 + 2e-9]),
+            ([0, 2], [1, 0], [1.0, 1.0]),  # row index out of range
+            ([0, 1], [1, -1], [1.0, 1.0]),  # negative column index
+            ([0.0, 1.0], [1, 0], [1.0, 1.0]),  # non-integer indices
+            ([0, 1], [1], [1.0, 1.0]),  # length mismatch
+            ([], [], []),
+        ],
+    )
+    def test_from_nonzeros_rejects(self, rows, cols, data):
+        with pytest.raises(ValueError):
+            InteractionMatrix.from_nonzeros(2, np.array(rows), np.array(cols), data)
+
+    def test_from_nonzeros_accepts_within_tolerance(self):
+        w = InteractionMatrix.from_nonzeros(2, [0, 1], [1, 0], [1.0 + 5e-10, 1.0 - 5e-10])
+        assert w.n_agents == 2
+
+    def test_sinkhorn_equals_four_sum_loop(self):
+        for n, seed in ((1, 0), (9, 1), (60, 2)):
+            w = sinkhorn_random(n, np.random.default_rng(seed))
+            assert np.array_equal(w.weights, sinkhorn_four_sums(n, np.random.default_rng(seed)))
 
 
 class TestValidation:

@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import exact_population_value
-from mfmarl.interaction import InteractionMatrix, ring_k_neighbor, sinkhorn_random, uniform
+from mfmarl.interaction import (
+    InteractionMatrix,
+    ring_k_neighbor,
+    ring_symmetric,
+    sinkhorn_random,
+    uniform,
+    weighted_view,
+)
 from mfmarl.meanfield import mf_action_distribution, mf_reward, mf_transition
 from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
 from mfmarl.nagent import AgentSystemState, estimate_v_marl, rollout, step
@@ -134,6 +143,62 @@ class TestRollout:
         mean = np.mean(returns)
         stderr = np.std(returns, ddof=1) / np.sqrt(len(returns))
         assert abs(mean - exact) <= 3 * stderr
+
+
+    def test_distributions_derived_from_states_and_actions(self):
+        env = firm_env(q=4, k=2)
+        pol = softmax_policy(4, seed=12)
+        rec = rollout(env, ring_k_neighbor(7, 2), pol, [0, 1, 2, 3, 0, 1, 2], 6, np.random.default_rng(15))
+        assert rec.mus is rec.mus and rec.nus is rec.nus
+        for t in range(7):
+            assert np.array_equal(rec.mus[t].weights, empirical_distribution(rec.states[t], 4).weights)
+            assert np.array_equal(rec.nus[t].weights, empirical_distribution(rec.actions[t], 2).weights)
+
+
+class TestSparseInteraction:
+    # Ring views equal the dense product exactly for k <= 5 (see
+    # test_interaction.py), so whole episodes must match bit for bit.
+    @pytest.mark.parametrize(
+        "builder, n, k",
+        [(ring_k_neighbor, 2, 1), (ring_k_neighbor, 9, 3), (ring_k_neighbor, 60, 5),
+         (ring_symmetric, 60, 4), (ring_k_neighbor, 400, 5)],
+    )
+    def test_rollout_identical_to_dense_matrix(self, builder, n, k):
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        pol = softmax_policy(10, seed=13, hidden=16)
+        init = np.random.default_rng(n).integers(0, 10, size=n)
+        w = builder(n, k)
+        dense = InteractionMatrix(w.weights)
+        a = rollout(env, w, pol, init, 12, np.random.default_rng(16))
+        b = rollout(env, dense, pol, init, 12, np.random.default_rng(16))
+        assert a.discounted_return == b.discounted_return
+        for field in ("states", "actions", "rewards"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        sparse_est = estimate_v_marl(env, w, pol, init, 8, 3, np.random.default_rng(17))
+        assert sparse_est == estimate_v_marl(env, dense, pol, init, 8, 3, np.random.default_rng(17))
+
+    def test_ring_at_hundred_thousand_agents_stays_sparse(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("the N x N matrix was built")
+
+        monkeypatch.setattr(InteractionMatrix, "weights", property(no_dense))
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        pol = softmax_policy(10, seed=14, hidden=32)
+        n = 100_000
+        tracemalloc.start()
+        try:
+            w = ring_k_neighbor(n, 5)
+            rng = np.random.default_rng(18)
+            rec = rollout(env, w, pol, rng.integers(0, 10, size=n), 3, rng)
+            view = weighted_view(w, n - 1, rec.states[-1], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+        assert rec.states.shape == (4, n)
+        # the last agent's neighbors are agents 0..4
+        expected = np.bincount(rec.states[-1][:5], minlength=10) / 5
+        assert np.abs(view.weights - expected).max() <= 1e-15
 
 
 class TestEstimateVMarl:
