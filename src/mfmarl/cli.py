@@ -23,13 +23,13 @@ def _load(args) -> harness.ExperimentConfig:
         raw = json.load(fh)
     cfg = harness.parse_config(raw)
     overrides = {}
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         overrides["out"] = args.out
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = args.seeds
-    if getattr(args, "n", None):
+    if getattr(args, "n", None) is not None:
         overrides["n_list"] = tuple(int(v) for v in args.n.split(","))
-    if getattr(args, "threads", None):
+    if getattr(args, "threads", None) is not None:
         overrides["threads"] = args.threads
     if getattr(args, "sigma", None) is not None:
         overrides["model"] = dataclasses.replace(cfg.model, sigma=args.sigma)

@@ -28,14 +28,14 @@ from .meanfield import (
     BoundInputs,
     approximation_bound,
     bound_inputs,
-    mf_value,
+    mf_values,
     truncation_horizon,
 )
 from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_firm_env
 from .nagent import estimate_v_marl
 from .npg import NPGConfig, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
-from .simplex import Simplex, empirical_distribution, sample_many
+from .simplex import Simplex, sample_many
 
 log = logging.getLogger(__name__)
 
@@ -256,15 +256,23 @@ def train_policy(cfg: ExperimentConfig, env: EnvModel) -> tuple[SoftmaxPolicy, d
     return SoftmaxPolicy(policy_cfg, best_phi), info
 
 
-def _run_cell(cfg: ExperimentConfig, env: EnvModel, policy, horizon: int, n: int, seed: int):
-    rng = np.random.default_rng([cfg.npg.seed, 2, n, seed])
-    initial_states = sample_many(cfg.initial_distribution(), n, rng)
+def _run_cell(
+    cfg: ExperimentConfig,
+    env: EnvModel,
+    policy,
+    horizon: int,
+    n: int,
+    seed: int,
+    rng: np.random.Generator,
+    initial_states: np.ndarray,
+    v_mf: float,
+):
+    """Simulate one cell from its drawn initial states, continuing its
+    substream `rng`, and compare with its mean-field value `v_mf`."""
     w = build_interaction(cfg, n, seed)
     v_marl, stderr = estimate_v_marl(
         env, w, policy, initial_states, horizon, cfg.episodes_per_seed, rng
     )
-    mu0_hat = empirical_distribution(initial_states, env.n_states)
-    v_mf, _ = mf_value(env, policy, mu0_hat, cfg.horizon_tol, horizon=horizon)
     if abs(v_mf) < V_MF_GUARD:
         return None, (n, seed, f"|v_mf| = {abs(v_mf):.3e} below division guard")
     return ResultRow(n, seed, v_marl, stderr, v_mf, percentage_error(v_marl, v_mf)), None
@@ -274,24 +282,33 @@ def run_error_vs_n(
     cfg: ExperimentConfig, env: EnvModel = None, policy: SoftmaxPolicy = None
 ) -> ExperimentResult:
     """Full sweep: train once (unless a policy is supplied), then one row per
-    (N, seed) cell. Cells are independent with their own substreams, so the
-    thread count does not affect the results."""
+    (N, seed) cell. Each cell draws its initial states from its own
+    substream; one stacked mean-field recursion evaluates every cell's value
+    from its empirical initial distribution, and the rollouts continue each
+    substream, so the thread count does not affect the results."""
     if env is None:
         env = build_firm_env(cfg.model, cfg.gamma)
     if policy is None:
         policy, _ = train_policy(cfg, env)
     horizon = truncation_horizon(env, cfg.horizon_tol)
-    cells = [(n, seed) for n in cfg.n_list for seed in range(cfg.seeds)]
+    mu0 = cfg.initial_distribution()
+    cells = []
+    for n in cfg.n_list:
+        for seed in range(cfg.seeds):
+            rng = np.random.default_rng([cfg.npg.seed, 2, n, seed])
+            cells.append((n, seed, rng, sample_many(mu0, n, rng)))
+    mu0_hats = np.stack([np.bincount(states, minlength=env.n_states) / n for n, _, _, states in cells])
+    v_mfs = mf_values(env, policy, mu0_hats, horizon)
     result = ExperimentResult()
 
-    def work(cell):
-        return _run_cell(cfg, env, policy, horizon, *cell)
+    def work(i):
+        return _run_cell(cfg, env, policy, horizon, *cells[i], float(v_mfs[i]))
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, cells))
+            outcomes = list(pool.map(work, range(len(cells))))
     else:
-        outcomes = [work(c) for c in cells]
+        outcomes = [work(i) for i in range(len(cells))]
 
     for row, skip in outcomes:
         if skip is not None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffineRewardRequiredError, EnvModel, reward_constants
-from .simplex import Simplex
+from .simplex import Simplex, normalized_rows
 
 _SP_LIMIT_TOL = 1e-9
 
@@ -63,24 +63,23 @@ class MFTrajectory:
 def mf_action_distribution(env: EnvModel, policy, mu: Simplex) -> Simplex:
     """Population action distribution: the mu-weighted mixture of the
     per-state action distributions."""
-    return Simplex(mu.weights @ policy.probs_matrix(mu))
+    _, nus = _step(policy, mu.weights[None, :])
+    return Simplex(nus[0])
 
 
 def mf_transition(env: EnvModel, policy, mu: Simplex) -> Simplex:
     """Next state distribution: transition rows averaged over (x, u) with
     weights pi(u | x, mu) * mu(x)."""
-    probs = policy.probs_matrix(mu)
-    nu = Simplex(mu.weights @ probs)
-    kernel = _kernel(env, mu, nu)
-    return Simplex(np.einsum("xus,xu,x->s", kernel, probs, mu.weights))
+    mus = mu.weights[None, :]
+    probs, nus = _step(policy, mus)
+    return Simplex(_next_laws(_kernels(env, mus, nus), probs, mus)[0])
 
 
 def mf_reward(env: EnvModel, policy, mu: Simplex) -> float:
     """Population-average reward under mu and the policy."""
-    probs = policy.probs_matrix(mu)
-    nu = Simplex(mu.weights @ probs)
-    rewards = _reward_matrix(env, mu, nu)
-    return float(np.einsum("xu,xu,x->", rewards, probs, mu.weights))
+    mus = mu.weights[None, :]
+    probs, nus = _step(policy, mus)
+    return float(_mean_rewards(_reward_matrices(env, mus, nus), probs, mus)[0])
 
 
 def truncation_horizon(env: EnvModel, tol: float) -> int:
@@ -96,6 +95,24 @@ def truncation_horizon(env: EnvModel, tol: float) -> int:
     return max(0, math.ceil(math.log(ratio) / math.log(env.gamma)))
 
 
+def mf_values(env: EnvModel, policy, mu0s, horizon: int) -> np.ndarray:
+    """Discounted mean-field values, t = 0..horizon, of one policy from each
+    row of `mu0s` (B, |X|), computed by one recursion over the stacked laws.
+
+    Every row of `mu0s` and of each later state and action law must pass the
+    `Simplex` checks; a row that fails raises ValueError.
+    """
+    mus = np.asarray(mu0s, dtype=np.float64)
+    if mus.ndim != 2 or mus.shape[1] != env.n_states:
+        raise ValueError(f"mu0s must have shape (B, {env.n_states}), got {mus.shape}")
+    values = np.zeros(mus.shape[0])
+    discount = 1.0
+    for _, _, _, rewards in _recursion(env, policy, normalized_rows(mus), horizon):
+        values += discount * rewards
+        discount *= env.gamma
+    return values
+
+
 def mf_value(
     env: EnvModel, policy, mu0: Simplex, tol: float, horizon: int | None = None
 ) -> tuple[float, MFTrajectory]:
@@ -103,42 +120,77 @@ def mf_value(
     so the tail is below tol; returns the value and the trajectory."""
     t_star = truncation_horizon(env, tol) if horizon is None else horizon
     mus, nus, rewards = [], [], np.zeros(t_star + 1)
-    mu = mu0
     value = 0.0
     discount = 1.0
-    for t in range(t_star + 1):
-        probs = policy.probs_matrix(mu)
-        nu = Simplex(mu.weights @ probs)
-        r = float(np.einsum("xu,xu,x->", _reward_matrix(env, mu, nu), probs, mu.weights))
-        mus.append(mu)
-        nus.append(nu)
-        rewards[t] = r
-        value += discount * r
+    for t, mu_t, nu_t, r_t in _recursion(env, policy, mu0.weights[None, :], t_star):
+        mus.append(mu0 if t == 0 else Simplex(mu_t[0]))
+        nus.append(Simplex(nu_t[0]))
+        rewards[t] = r_t[0]
+        value += discount * r_t[0]
         discount *= env.gamma
-        if t < t_star:
-            kernel = _kernel(env, mu, nu)
-            mu = Simplex(np.einsum("xus,xu,x->s", kernel, probs, mu.weights))
-    return value, MFTrajectory(mus=mus, nus=nus, rewards=rewards)
+    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=rewards)
 
 
-def _kernel(env: EnvModel, mu: Simplex, nu: Simplex) -> np.ndarray:
+def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
+    """Yield (t, mus, nus, mean rewards) for t = 0..horizon of the stacked
+    mean-field recursion started from the (already checked) rows `mus`."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    for t in range(horizon + 1):
+        probs, nus = _step(policy, mus)
+        yield t, mus, nus, _mean_rewards(_reward_matrices(env, mus, nus), probs, mus)
+        if t < horizon:
+            mus = _next_laws(_kernels(env, mus, nus), probs, mus)
+
+
+def _step(policy, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state action distributions (B, |X|, |U|), evaluated as B * |X|
+    `probs_batch` rows, and the checked action laws nu (B, |U|)."""
+    b, n_x = mus.shape
+    probs = policy.probs_batch(np.arange(b * n_x) % n_x, np.repeat(mus, n_x, axis=0))
+    probs = probs.reshape(b, n_x, -1)
+    return probs, normalized_rows((mus[:, None, :] @ probs)[:, 0])
+
+
+def _next_laws(kernels: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Checked next state laws (B, |X|): kernel rows averaged with weights
+    pi(u | x, mu) * mu(x)."""
+    b, n_x = mus.shape
+    joint = (probs * mus[:, :, None]).reshape(b, 1, -1)
+    return normalized_rows((joint @ kernels.reshape(b, -1, n_x))[:, 0])
+
+
+def _mean_rewards(rewards: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    return np.einsum("bxu,bxu,bx->b", rewards, probs, mus)
+
+
+def _kernels(env: EnvModel, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """Transition kernels (B, |X|, |U|, |X|) at each stacked (mu, nu)."""
     if env.kernel is not None:
-        return env.kernel(mu, nu)
-    k = np.empty((env.n_states, env.n_actions, env.n_states))
-    for x in range(env.n_states):
-        for u in range(env.n_actions):
-            k[x, u] = env.transition(x, u, mu, nu).weights
-    return k
+        return env.kernel(mus, nus)
+    def row(x, u, mu, nu):
+        return env.transition(x, u, mu, nu).weights
+
+    return _per_row(env, mus, nus, row, (env.n_states,))
 
 
-def _reward_matrix(env: EnvModel, mu: Simplex, nu: Simplex) -> np.ndarray:
+def _reward_matrices(env: EnvModel, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """Reward tables (B, |X|, |U|) at each stacked (mu, nu)."""
     if env.reward_matrix is not None:
-        return env.reward_matrix(mu, nu)
-    r = np.empty((env.n_states, env.n_actions))
-    for x in range(env.n_states):
-        for u in range(env.n_actions):
-            r[x, u] = env.reward(x, u, mu, nu)
-    return r
+        return env.reward_matrix(mus, nus)
+    return _per_row(env, mus, nus, env.reward, ())
+
+
+def _per_row(env: EnvModel, mus, nus, fn, entry_shape: tuple) -> np.ndarray:
+    """Hook fallback: the scalar contract `fn(x, u, mu, nu)` at every (x, u)
+    of every stacked row."""
+    out = np.empty((mus.shape[0], env.n_states, env.n_actions) + entry_shape)
+    for b in range(mus.shape[0]):
+        mu, nu = Simplex(mus[b]), Simplex(nus[b])
+        for x in range(env.n_states):
+            for u in range(env.n_actions):
+                out[b, x, u] = fn(x, u, mu, nu)
+    return out
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,17 @@ class EnvModel:
 
     `reward` and `transition` take 0-based state/action indices plus the
     state/action distributions seen by the agent. Optional vectorized hooks
-    (`reward_batch`, `transition_sample_batch`, `kernel`, `reward_matrix`)
     let concrete models accelerate the population simulator and the
     mean-field recursion; callers fall back to the scalar contract when a
-    hook is absent.
+    hook is absent:
+
+    - `reward_batch(states, actions, mu_views, nu_views)` -> (n,) rewards
+      and `transition_sample_batch(states, actions, mu_views, nu_views, rng)`
+      -> (n,) next states, one entry per agent of the simulator;
+    - `kernel(mus, nus)` -> (B, |X|, |U|, |X|) transition rows and
+      `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
+      mean-field laws given as float arrays `mus` (B, |X|) and `nus`
+      (B, |U|) whose rows are already checked probability vectors.
     """
 
     def __init__(
@@ -148,6 +155,13 @@ class FirmModelConfig:
             raise ValueError("sigma must be >= 1")
 
 
+def _increment_cdf(c, m):
+    """P(floor(chi * c) < m) = min(m / c, 1) for chi ~ Uniform[0, 1] and
+    integers m >= 0, broadcast over c and m. For c <= 1 the increment is 0
+    almost surely, so c is raised to 1, which also covers c <= 0."""
+    return np.minimum(m / np.maximum(c, 1.0), 1.0)
+
+
 def _increment_pmf(c: np.ndarray, max_m: int) -> np.ndarray:
     """Law of floor(chi * c) for chi ~ Uniform[0, 1], one row per entry of c.
 
@@ -155,16 +169,8 @@ def _increment_pmf(c: np.ndarray, max_m: int) -> np.ndarray:
     c = 0 rows are a point mass at m = 0.
     """
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
-    m = np.arange(max_m + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = np.minimum((m + 1.0) / c[:, None], 1.0)
-        lo = np.minimum(m / c[:, None], 1.0)
-    pmf = np.clip(hi - lo, 0.0, 1.0)
-    zero = c <= 0.0
-    if zero.any():
-        pmf[zero] = 0.0
-        pmf[zero, 0] = 1.0
-    return pmf
+    cdf = _increment_cdf(c[:, None], np.arange(max_m + 2))
+    return cdf[:, 1:] - cdf[:, :-1]
 
 
 def firm_transition_distribution(
@@ -240,20 +246,24 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         m = np.minimum(m, q - 1 - states)
         return np.where(actions == 1, states + m, states)
 
-    def kernel(mu, nu):
-        mu_bar = min(max(float(labels @ mu.weights), 0.0), float(q))
-        k = np.zeros((q, 2, q))
-        k[np.arange(q), 0, np.arange(q)] = 1.0
-        c = (1.0 - mu_bar / q) * (q - labels)
-        pmf = _increment_pmf(c, q - 1)
-        for xi in range(q):
-            k[xi, 1, xi:] = pmf[xi, : q - xi]
+    # Invest rows: P(x -> s) = cdf(s + 1 - x) - cdf(s - x) with the cdf of the
+    # increment; steps[x, s] = max(s - x, 0) for s = 0..q makes it 0 for s < x.
+    steps = np.maximum(np.arange(q + 1)[None, :] - np.arange(q)[:, None], 0)
+    hold = np.eye(q)
+
+    def kernel(mus, nus):
+        mu_bar = np.minimum(np.maximum(mus @ labels, 0.0), float(q))
+        c = (1.0 - mu_bar / q)[:, None] * (q - labels)
+        cdf = _increment_cdf(c[:, :, None], steps)
+        k = np.empty((len(mus), q, 2, q))
+        k[:, :, 0] = hold
+        k[:, :, 1] = cdf[..., 1:] - cdf[..., :-1]
         return k
 
-    def reward_matrix(mu, nu):
-        mu_bar = float(labels @ mu.weights)
-        pay = cfg.alpha_r * labels - cfg.beta_r * mu_bar**cfg.sigma
-        return pay[:, None] - cfg.lambda_r * np.array([0.0, 1.0])[None, :]
+    def reward_matrix(mus, nus):
+        mu_bar = mus @ labels
+        pay = cfg.alpha_r * labels[None, :] - cfg.beta_r * mu_bar[:, None] ** cfg.sigma
+        return pay[:, :, None] - cfg.lambda_r * np.array([0.0, 1.0])
 
     affine = firm_affine_spec(cfg) if cfg.sigma == 1 else None
     bound = None if affine is not None else _estimate_reward_bound(cfg)

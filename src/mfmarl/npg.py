@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .meanfield import mf_value
+from .meanfield import _kernels, _next_laws, _reward_matrices, _step, mf_value
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy
 from .simplex import Simplex, sample
@@ -64,44 +64,41 @@ class _MeanFieldPath:
     """Lazily grown deterministic mean-field trajectory under a fixed policy:
     mu_t, nu_t, the per-state action distributions, the transition kernel,
     and the reward table at each t. Shared by every occupancy sample of one
-    inner-regression pass, since none of it depends on the sampled chain."""
+    inner-regression pass, since none of it depends on the sampled chain.
+    Each step is the stacked mean-field step with a single row (B = 1)."""
 
     def __init__(self, env: EnvModel, policy, mu0: Simplex):
         self.env = env
         self.policy = policy
-        probs = policy.probs_matrix(mu0)
-        self.mus = [mu0]
-        self.nus = [Simplex(mu0.weights @ probs)]
-        self._probs = [probs]
-        self._probs_cum = [np.cumsum(probs, axis=1)]
-        self._kernels_cum = [None]
-        self._rewards = [None]
+        self.mus = []
+        self._laws = []  # (mus, nus, probs) stacked arrays with B = 1
+        self._probs_cum, self._kernel_cache, self._kernels_cum, self._rewards = [], [], [], []
+        self._push(mu0.weights[None, :], mu0)
+
+    def _push(self, mus: np.ndarray, mu: Simplex) -> None:
+        probs, nus = _step(self.policy, mus)
+        self._laws.append((mus, nus, probs))
+        self.mus.append(mu)
+        self._probs_cum.append(np.cumsum(probs[0], axis=1))
+        self._kernel_cache.append(None)
+        self._kernels_cum.append(None)
+        self._rewards.append(None)
 
     def _extend(self) -> None:
         t = len(self.mus) - 1
-        kernel = self._kernel(t)
-        mu = Simplex(np.einsum("xus,xu,x->s", kernel, self._probs[t], self.mus[t].weights))
-        probs = self.policy.probs_matrix(mu)
-        self.mus.append(mu)
-        self.nus.append(Simplex(mu.weights @ probs))
-        self._probs.append(probs)
-        self._probs_cum.append(np.cumsum(probs, axis=1))
-        self._kernels_cum.append(None)
-        self._rewards.append(None)
+        mus, _, probs = self._laws[t]
+        mus = _next_laws(self._kernel(t)[None], probs, mus)
+        self._push(mus, Simplex(mus[0]))
 
     def ensure(self, t: int) -> None:
         while len(self.mus) <= t:
             self._extend()
 
     def _kernel(self, t: int) -> np.ndarray:
-        env, mu, nu = self.env, self.mus[t], self.nus[t]
-        if env.kernel is not None:
-            return env.kernel(mu, nu)
-        k = np.empty((env.n_states, env.n_actions, env.n_states))
-        for xi in range(env.n_states):
-            for ui in range(env.n_actions):
-                k[xi, ui] = env.transition(xi, ui, mu, nu).weights
-        return k
+        if self._kernel_cache[t] is None:
+            mus, nus, _ = self._laws[t]
+            self._kernel_cache[t] = _kernels(self.env, mus, nus)[0]
+        return self._kernel_cache[t]
 
     def kernel_cum(self, t: int) -> np.ndarray:
         self.ensure(t)
@@ -116,16 +113,8 @@ class _MeanFieldPath:
     def reward(self, t: int, x: int, u: int) -> float:
         self.ensure(t)
         if self._rewards[t] is None:
-            env, mu, nu = self.env, self.mus[t], self.nus[t]
-            if env.reward_matrix is not None:
-                self._rewards[t] = np.asarray(env.reward_matrix(mu, nu), dtype=np.float64)
-            else:
-                self._rewards[t] = np.array(
-                    [
-                        [env.reward(xi, ui, mu, nu) for ui in range(env.n_actions)]
-                        for xi in range(env.n_states)
-                    ]
-                )
+            mus, nus, _ = self._laws[t]
+            self._rewards[t] = np.asarray(_reward_matrices(self.env, mus, nus)[0], dtype=np.float64)
         return float(self._rewards[t][x, u])
 
 

@@ -28,14 +28,7 @@ class Simplex:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("simplex weights must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("simplex weights must be finite")
-        if np.any(w < 0.0):
-            raise ValueError(f"simplex weights must be nonnegative, got min {w.min()}")
-        s = w.sum()
-        if abs(s - 1.0) > SUM_TOLERANCE:
-            raise ValueError(f"simplex weights sum to {s!r}, expected 1 within {SUM_TOLERANCE}")
-        w = w / s
+        w = normalized_rows(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -64,6 +57,33 @@ class Simplex:
         w = np.zeros(n)
         w[k] = 1.0
         return cls(w)
+
+
+def normalized_rows(weights: np.ndarray) -> np.ndarray:
+    """Check every row (the last axis) of a float64 array as a probability
+    vector and return a renormalized copy.
+
+    A row must be finite, nonnegative and sum to 1 within ``SUM_TOLERANCE``;
+    the first failing check raises ``ValueError``. `Simplex` applies exactly
+    these checks to its single row.
+    """
+    # One pass each for sign and sum; NaN fails `>= 0` and an infinite entry
+    # fails the sum test, and either is then reported as non-finite.
+    if not (weights >= 0.0).all():
+        _require_finite(weights)
+        raise ValueError(f"simplex weights must be nonnegative, got min {weights.min()}")
+    s = weights.sum(axis=-1)
+    drift = np.abs(s - 1.0) > SUM_TOLERANCE
+    if drift.any():
+        _require_finite(weights)
+        bad = np.ravel(s)[np.ravel(drift)][0]
+        raise ValueError(f"simplex weights sum to {bad!r}, expected 1 within {SUM_TOLERANCE}")
+    return weights / (s[..., None] if weights.ndim > 1 else s)
+
+
+def _require_finite(weights: np.ndarray) -> None:
+    if not np.isfinite(weights).all():
+        raise ValueError("simplex weights must be finite")
 
 
 def empirical_distribution(samples, set_size: int) -> Simplex:

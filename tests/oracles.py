@@ -113,8 +113,8 @@ def toy_mdp(gamma=0.9):
         transition=lambda x, u, mu, nu: Simplex(kernel_tab[x, u]),
         lipschitz_p=0.0,
         affine=spec,
-        kernel=lambda mu, nu: kernel_tab,
-        reward_matrix=lambda mu, nu: reward_tab,
+        kernel=lambda mus, nus: np.broadcast_to(kernel_tab, (len(mus),) + kernel_tab.shape),
+        reward_matrix=lambda mus, nus: np.broadcast_to(reward_tab, (len(mus),) + reward_tab.shape),
     )
     return env, TabularPolicy(policy_tab), kernel_tab, reward_tab, policy_tab
 
@@ -172,7 +172,7 @@ def contraction_env(gamma=0.5, rho=0.05):
         affine=spec,
         reward_batch=reward_batch,
         transition_sample_batch=transition_sample_batch,
-        kernel=lambda mu, nu: (1 - rho) * base + rho * mu.weights[None, None, :],
-        reward_matrix=lambda mu, nu: float(a @ mu.weights + b @ nu.weights) + f,
+        kernel=lambda mus, nus: (1 - rho) * base + rho * mus[:, None, None, :],
+        reward_matrix=lambda mus, nus: (mus @ a + nus @ b)[:, None, None] + f,
     )
     return env, TabularPolicy([[0.6, 0.4], [0.25, 0.75]])

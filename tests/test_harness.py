@@ -27,9 +27,11 @@ from mfmarl.model import (
     FirmModelConfig,
     build_firm_env,
 )
+from mfmarl.meanfield import mf_value, truncation_horizon
+from mfmarl.nagent import estimate_v_marl
 from mfmarl.npg import NPGConfig
-from mfmarl.policy import PolicyConfig, SoftmaxPolicy
-from mfmarl.simplex import Simplex
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
+from mfmarl.simplex import Simplex, empirical_distribution, sample_many
 
 
 def tiny_config(**overrides):
@@ -182,6 +184,48 @@ class TestRunErrorVsN:
         threaded = run_error_vs_n(tiny_config(threads=3))
         assert base.rows == threaded.rows
 
+    @staticmethod
+    def _fixed_policy(cfg):
+        pcfg = PolicyConfig(n_states=cfg.model.q, n_actions=2, hidden=cfg.hidden)
+        return SoftmaxPolicy(pcfg, init_params(pcfg, np.random.default_rng(5)))
+
+    def test_rows_match_direct_cell_computation(self):
+        cfg = tiny_config(model={"q": 4, "k": 2, "sigma": 1.2}, n_list=[3, 7], seeds=3)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        horizon = truncation_horizon(env, cfg.horizon_tol)
+        result = run_error_vs_n(cfg, env=env, policy=policy)
+        assert len(result.rows) == 6
+        for r in result.rows:
+            rng = np.random.default_rng([cfg.npg.seed, 2, r.n, r.seed])
+            states = sample_many(cfg.initial_distribution(), r.n, rng)
+            v_marl, stderr = estimate_v_marl(
+                env, build_interaction(cfg, r.n, r.seed), policy, states, horizon,
+                cfg.episodes_per_seed, rng,
+            )
+            assert (r.v_marl_mean, r.v_marl_stderr) == (v_marl, stderr)
+            v_mf, _ = mf_value(
+                env, policy, empirical_distribution(states, env.n_states), cfg.horizon_tol,
+                horizon=horizon,
+            )
+            assert r.v_mf == pytest.approx(v_mf, rel=1e-12, abs=0.0)
+
+    def test_per_n_calls_match_one_call(self):
+        cfg = tiny_config(n_list=[3, 5, 9], seeds=3)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        whole = run_error_vs_n(cfg, env=env, policy=policy).rows
+        parts = [
+            row
+            for n in cfg.n_list
+            for row in run_error_vs_n(dataclasses.replace(cfg, n_list=(n,)), env=env, policy=policy).rows
+        ]
+        assert len(whole) == len(parts) == 9
+        for a, b in zip(whole, parts):
+            assert (a.n, a.seed, a.v_marl_mean, a.v_marl_stderr) == (b.n, b.seed, b.v_marl_mean, b.v_marl_stderr)
+            assert a.v_mf == pytest.approx(b.v_mf, rel=1e-12, abs=0.0)
+            assert a.error_pct == pytest.approx(b.error_pct, rel=1e-9, abs=0.0)
+
 
 class TestPersistence:
     def test_outputs_and_reproducibility(self, tmp_path):
@@ -287,6 +331,15 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + one row per N
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--threads"])
+    def test_zero_overrides_are_rejected(self, tmp_path, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"q": 3, "k": 2}, "hidden": 4,
+                                        "npg": {"j_steps": 1, "l_steps": 1}}))
+        with pytest.raises(ValueError, match=flag.lstrip("-")):
+            cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), flag, "0"])
+        assert not (tmp_path / "r.csv").exists()
 
     def test_train_and_bound_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_mf
+from oracles import brute_force_mf, contraction_env, toy_mdp
 from mfmarl.meanfield import (
     BoundInapplicableError,
     BoundInputs,
@@ -11,6 +11,7 @@ from mfmarl.meanfield import (
     mf_reward,
     mf_transition,
     mf_value,
+    mf_values,
     truncation_horizon,
 )
 from mfmarl.model import (
@@ -20,7 +21,7 @@ from mfmarl.model import (
     FirmModelConfig,
     build_firm_env,
 )
-from mfmarl.policy import FunctionPolicy, PolicyConfig, SoftmaxPolicy, init_params
+from mfmarl.policy import FunctionPolicy, PolicyConfig, SoftmaxPolicy, TabularPolicy, init_params
 from mfmarl.simplex import Simplex, l1_distance
 
 
@@ -208,6 +209,90 @@ class TestValue:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,mu_0,mu_1,mu_2,nu_0,nu_1,r_mf"
         assert len(lines) == traj.horizon + 2
+
+
+def _hookless(env):
+    """The same environment through its scalar reward and transition only."""
+    return EnvModel(
+        env.n_states,
+        env.n_actions,
+        env.gamma,
+        env.reward,
+        env.transition,
+        lipschitz_p=env.lipschitz_p,
+        reward_bound=env.reward_bound,
+    )
+
+
+def _initial_laws(n, rng):
+    rows = [np.full(n, 1.0 / n), np.eye(n)[n - 1]] + list(rng.dirichlet(np.ones(n), size=4))
+    return np.stack(rows)
+
+
+class TestStackedValues:
+    def _assert_rows_match(self, env, policy, horizon, seed=0):
+        mu0s = _initial_laws(env.n_states, np.random.default_rng(seed))
+        values = mf_values(env, policy, mu0s, horizon)
+        assert values.shape == (len(mu0s),)
+        for row, v in zip(mu0s, values):
+            expected, _ = mf_value(env, policy, Simplex(row), 1.0, horizon=horizon)
+            assert v == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_firm_softmax(self, sigma):
+        env, _ = _firm(6, sigma=sigma)
+        self._assert_rows_match(env, _softmax(6, seed=20), horizon=40)
+
+    def test_oracle_envs(self):
+        env, policy, *_ = toy_mdp(gamma=0.9)
+        self._assert_rows_match(env, policy, horizon=30)
+        env, policy = contraction_env()
+        self._assert_rows_match(env, policy, horizon=30)
+
+    def test_hookless_env_matches_hooks(self):
+        env, _ = _firm(4, sigma=1.2)
+        pol = _softmax(4, seed=21)
+        bare = _hookless(env)
+        self._assert_rows_match(bare, pol, horizon=20)
+        mu0s = _initial_laws(4, np.random.default_rng(1))
+        assert np.allclose(mf_values(bare, pol, mu0s, 20), mf_values(env, pol, mu0s, 20), rtol=1e-12, atol=0)
+
+    def test_tabular_and_function_policies(self):
+        env, _ = _firm(3)
+        table = np.array([[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]])
+        self._assert_rows_match(env, TabularPolicy(table), horizon=25)
+        mean_field_rule = FunctionPolicy(
+            lambda x, mu: np.array([mu.weights[x], 1.0 - mu.weights[x]]), 3, 2
+        )
+        self._assert_rows_match(env, mean_field_rule, horizon=25)
+
+    def test_single_row_and_zero_horizon(self):
+        env, _ = _firm(3)
+        pol = _softmax(3, seed=22)
+        mu0 = Simplex([0.2, 0.3, 0.5])
+        expected, _ = mf_value(env, pol, mu0, 1.0, horizon=0)
+        assert mf_values(env, pol, mu0.weights[None, :], 0)[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_rejects_bad_initial_laws(self):
+        env, _ = _firm(3)
+        pol = _softmax(3, seed=23)
+        with pytest.raises(ValueError, match="sum"):
+            mf_values(env, pol, np.array([[1 / 3] * 3, [0.5, 0.5, 0.5]]), 5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            mf_values(env, pol, np.array([[1.2, -0.2, 0.0]]), 5)
+        with pytest.raises(ValueError, match="shape"):
+            mf_values(env, pol, np.array([1 / 3] * 3), 5)
+
+    def test_non_stochastic_kernel_hook_raises(self):
+        env, _ = _firm(3)
+        leaky = EnvModel(
+            3, 2, 0.9, env.reward, env.transition,
+            reward_bound=env.reward_bound,
+            kernel=lambda mus, nus: 0.5 * env.kernel(mus, nus),
+            reward_matrix=env.reward_matrix,
+        )
+        with pytest.raises(ValueError, match="sum"):
+            mf_values(leaky, _softmax(3, seed=24), np.full((2, 3), 1 / 3), 5)
 
 
 class TestApproximationBound:

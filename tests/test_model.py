@@ -223,7 +223,7 @@ class TestBuildFirmEnv:
         for _ in range(20):
             mu = random_simplex(rng, 6)
             nu = random_simplex(rng, 2)
-            kernel = env.kernel(mu, nu)
+            kernel = env.kernel(mu.weights[None, :], nu.weights[None, :])[0]
             for x in range(6):
                 for u in range(2):
                     assert np.allclose(kernel[x, u], env.transition(x, u, mu, nu).weights, atol=1e-14)

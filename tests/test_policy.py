@@ -111,7 +111,31 @@ class TestLogGradient:
             assert np.all(np.isfinite(g))
 
 
+def lipschitz_lq_loop(cfg, phi, trials, rng):
+    """Reference: one (x, mu1, mu2) probe and two forward passes per trial."""
+    best = 0.0
+    for _ in range(trials):
+        x = int(rng.integers(cfg.n_states))
+        mu1 = rng.dirichlet(np.ones(cfg.n_states))
+        mu2 = rng.dirichlet(np.ones(cfg.n_states))
+        d = np.abs(mu1 - mu2).sum()
+        if d <= 1e-12:
+            continue
+        p1 = action_distribution(cfg, phi, x, Simplex(mu1)).weights
+        p2 = action_distribution(cfg, phi, x, Simplex(mu2)).weights
+        best = max(best, float(np.abs(p1 - p2).sum()) / d)
+    return best
+
+
 class TestLipschitzEstimate:
+    @pytest.mark.parametrize("n_states, hidden, trials", [(3, 4, 200), (10, 32, 500), (1, 2, 20)])
+    def test_matches_loop_reference(self, n_states, hidden, trials):
+        cfg = PolicyConfig(n_states=n_states, n_actions=2, hidden=hidden)
+        phi = np.random.default_rng(3).normal(0.0, 0.5, cfg.n_params)
+        fast = estimate_lipschitz_lq(cfg, phi, trials, np.random.default_rng(9))
+        ref = lipschitz_lq_loop(cfg, phi, trials, np.random.default_rng(9))
+        assert fast == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_zero_parameters_give_zero(self):
         cfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
         est = estimate_lipschitz_lq(cfg, np.zeros(cfg.n_params), 100, np.random.default_rng(0))
