@@ -57,7 +57,7 @@ def _cmd_bound(args) -> int:
     cfg = _load(args)
     env = build_firm_env(cfg.model, cfg.gamma)
     policy = None
-    if args.checkpoint:
+    if args.checkpoint is not None:
         pcfg, phi = load_policy(args.checkpoint)
         policy = SoftmaxPolicy(pcfg, phi)
     report = harness.bound_report(cfg, env=env, policy=policy)

@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ValueError(f"interaction kind must be one of {_INTERACTION_KINDS}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.mu0 is not None:
+            if len(self.mu0) != self.model.q:
+                raise ValueError(f"mu0 must have model.q = {self.model.q} entries, got {len(self.mu0)}")
+            if not all(p >= 0 for p in self.mu0):
+                raise ValueError(f"mu0 entries must be >= 0, got {list(self.mu0)}")
 
     def initial_distribution(self) -> Simplex:
         if self.mu0 is None:

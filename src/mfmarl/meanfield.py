@@ -12,6 +12,7 @@ between the finite-population value and the mean-field value.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,8 +108,8 @@ def mf_values(env: EnvModel, policy, mu0s, horizon: int) -> np.ndarray:
         raise ValueError(f"mu0s must have shape (B, {env.n_states}), got {mus.shape}")
     values = np.zeros(mus.shape[0])
     discount = 1.0
-    for _, _, _, rewards in _recursion(env, policy, normalized_rows(mus), horizon):
-        values += discount * rewards
+    for mus, _, probs, tables, _ in _recursion(env, policy, normalized_rows(mus), horizon):
+        values += discount * _mean_rewards(tables, probs, mus)
         discount *= env.gamma
     return values
 
@@ -119,28 +120,33 @@ def mf_value(
     """Discounted mean-field value of a stationary policy from mu0, truncated
     so the tail is below tol; returns the value and the trajectory."""
     t_star = truncation_horizon(env, tol) if horizon is None else horizon
-    mus, nus, rewards = [], [], np.zeros(t_star + 1)
+    mus, nus, rewards = [], [], []
     value = 0.0
     discount = 1.0
-    for t, mu_t, nu_t, r_t in _recursion(env, policy, mu0.weights[None, :], t_star):
-        mus.append(mu0 if t == 0 else Simplex(mu_t[0]))
+    for mu_t, nu_t, probs, tables, _ in _recursion(env, policy, mu0.weights[None, :], t_star):
+        r_t = _mean_rewards(tables, probs, mu_t)[0]
+        mus.append(Simplex(mu_t[0]) if mus else mu0)
         nus.append(Simplex(nu_t[0]))
-        rewards[t] = r_t[0]
-        value += discount * r_t[0]
+        rewards.append(r_t)
+        value += discount * r_t
         discount *= env.gamma
-    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=rewards)
+    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=np.array(rewards))
 
 
-def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
-    """Yield (t, mus, nus, mean rewards) for t = 0..horizon of the stacked
-    mean-field recursion started from the (already checked) rows `mus`."""
-    if horizon < 0:
+def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = None):
+    """Yield (mus, nus, probs, reward tables, kernels) at t = 0..horizon, or
+    without end when horizon is None, of the stacked mean-field recursion
+    started from the (already checked) rows `mus`. Step t's kernels are the
+    ones that advance it to step t + 1."""
+    if horizon is not None and horizon < 0:
         raise ValueError("horizon must be >= 0")
-    for t in range(horizon + 1):
+    for t in itertools.count():
         probs, nus = _step(policy, mus)
-        yield t, mus, nus, _mean_rewards(_reward_matrices(env, mus, nus), probs, mus)
-        if t < horizon:
-            mus = _next_laws(_kernels(env, mus, nus), probs, mus)
+        kernels = _kernels(env, mus, nus)
+        yield mus, nus, probs, _reward_matrices(env, mus, nus), kernels
+        if t == horizon:
+            return
+        mus = _next_laws(kernels, probs, mus)
 
 
 def _step(policy, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

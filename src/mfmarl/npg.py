@@ -3,8 +3,10 @@
 The outer loop ascends the policy parameters along a direction solved by an
 inner stochastic regression: each inner step consumes one sample from the
 policy's discounted occupancy over (state, state-distribution, action)
-triples together with an unbiased advantage estimate, and nudges the
-direction toward the least-squares fit of advantage against the score.
+triples together with an unbiased advantage estimate (one estimator: a fair
+coin either keeps or redraws the accepted action), and nudges the direction
+toward the least-squares fit of advantage against the score. Each iterate's
+mean-field path gives its logged value and the next pass's samples.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .meanfield import _kernels, _next_laws, _reward_matrices, _step, mf_value
+from .meanfield import _mean_rewards, _recursion, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy
 from .simplex import Simplex, sample
@@ -61,49 +63,32 @@ class OccupancySample:
 
 
 class _MeanFieldPath:
-    """Lazily grown deterministic mean-field trajectory under a fixed policy:
-    mu_t, nu_t, the per-state action distributions, the transition kernel,
-    and the reward table at each t. Shared by every occupancy sample of one
-    inner-regression pass, since none of it depends on the sampled chain.
-    Each step is the stacked mean-field step with a single row (B = 1)."""
+    """Deterministic mean-field trajectory of a fixed policy from mu0, grown
+    lazily from the stacked recursion with a single row (B = 1). Each step
+    keeps mu_t, the cumulative action and kernel rows the chain draws from,
+    the reward table, and the mean reward. Shared by every occupancy sample
+    of one inner-regression pass, since none of it depends on the sampled
+    chain, and by the discounted value of the policy."""
 
     def __init__(self, env: EnvModel, policy, mu0: Simplex):
-        self.env = env
-        self.policy = policy
         self.mus = []
-        self._laws = []  # (mus, nus, probs) stacked arrays with B = 1
-        self._probs_cum, self._kernel_cache, self._kernels_cum, self._rewards = [], [], [], []
-        self._push(mu0.weights[None, :], mu0)
-
-    def _push(self, mus: np.ndarray, mu: Simplex) -> None:
-        probs, nus = _step(self.policy, mus)
-        self._laws.append((mus, nus, probs))
-        self.mus.append(mu)
-        self._probs_cum.append(np.cumsum(probs[0], axis=1))
-        self._kernel_cache.append(None)
-        self._kernels_cum.append(None)
-        self._rewards.append(None)
-
-    def _extend(self) -> None:
-        t = len(self.mus) - 1
-        mus, _, probs = self._laws[t]
-        mus = _next_laws(self._kernel(t)[None], probs, mus)
-        self._push(mus, Simplex(mus[0]))
+        self._probs_cum, self._kernels_cum, self._rewards, self._mean_rewards = [], [], [], []
+        self._gamma = env.gamma
+        self._mu0 = mu0
+        self._steps = _recursion(env, policy, mu0.weights[None, :])
+        self.ensure(0)
 
     def ensure(self, t: int) -> None:
         while len(self.mus) <= t:
-            self._extend()
-
-    def _kernel(self, t: int) -> np.ndarray:
-        if self._kernel_cache[t] is None:
-            mus, nus, _ = self._laws[t]
-            self._kernel_cache[t] = _kernels(self.env, mus, nus)[0]
-        return self._kernel_cache[t]
+            mus, _, probs, rewards, kernels = next(self._steps)
+            self.mus.append(Simplex(mus[0]) if self.mus else self._mu0)
+            self._probs_cum.append(np.cumsum(probs[0], axis=1))
+            self._kernels_cum.append(np.cumsum(kernels[0], axis=2))
+            self._rewards.append(np.asarray(rewards[0], dtype=np.float64))
+            self._mean_rewards.append(_mean_rewards(rewards, probs, mus)[0])
 
     def kernel_cum(self, t: int) -> np.ndarray:
         self.ensure(t)
-        if self._kernels_cum[t] is None:
-            self._kernels_cum[t] = np.cumsum(self._kernel(t), axis=2)
         return self._kernels_cum[t]
 
     def probs_cum(self, t: int) -> np.ndarray:
@@ -112,10 +97,18 @@ class _MeanFieldPath:
 
     def reward(self, t: int, x: int, u: int) -> float:
         self.ensure(t)
-        if self._rewards[t] is None:
-            mus, nus, _ = self._laws[t]
-            self._rewards[t] = np.asarray(_reward_matrices(self.env, mus, nus)[0], dtype=np.float64)
         return float(self._rewards[t][x, u])
+
+    def value(self, horizon: int) -> float:
+        """Discounted sum of the mean rewards at t = 0..horizon, accumulated
+        in the same order as `mf_value`."""
+        self.ensure(horizon)
+        value = 0.0
+        discount = 1.0
+        for r_t in self._mean_rewards[: horizon + 1]:
+            value += discount * r_t
+            discount *= self._gamma
+        return float(value)
 
 
 class _Chain:
@@ -165,24 +158,19 @@ def sample_occupancy(
     phi: np.ndarray,
     mu0: Simplex,
     rng: np.random.Generator,
-    estimator: str = "resampled",
     path: _MeanFieldPath | None = None,
 ) -> OccupancySample:
     """Draw one occupancy sample and its advantage estimate.
 
     The chain runs a geometric number of steps and the triple there is the
-    sample. `resampled` (default) then flips a fair coin: heads continues
-    from the accepted action, tails redraws the action first; the signed
-    (+2/-2) sum of rewards over a second geometric-length suffix, including
-    the reward at the accepted time, is the advantage estimate. `literal`
-    runs a single shared continuation from the accepted action, accumulating
-    rewards only after each advance, and applies the sign afterwards.
+    sample. A fair coin then picks the branch: heads continues from the
+    accepted action, tails redraws the action first; the signed (+2/-2) sum
+    of rewards over a second geometric-length suffix, including the reward
+    at the accepted time, is the advantage estimate.
 
     `path` optionally shares the deterministic mean-field trajectory across
     samples drawn under the same parameters.
     """
-    if estimator not in ("resampled", "literal"):
-        raise ValueError(f"unknown estimator {estimator!r}")
     if path is None:
         path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
     chain = _Chain(path, rng)
@@ -190,50 +178,32 @@ def sample_occupancy(
         chain.advance()
     accepted = (chain.x, chain.mu, chain.u)
 
-    if estimator == "resampled":
-        q_branch = rng.random() < 0.5
-        if not q_branch:
-            chain.resample_action()
-        total = chain.reward()
-        for _ in range(_geometric_steps(env.gamma, rng)):
-            chain.advance()
-            total += chain.reward()
-        a_hat = 2.0 * total if q_branch else -2.0 * total
-    else:
-        total = 0.0
-        steps = int(rng.geometric(1.0 - env.gamma)) if env.gamma > 0.0 else 1
-        for _ in range(steps):
-            chain.advance()
-            total += chain.reward()
-        q_branch = rng.random() < 0.5
-        a_hat = 2.0 * total if q_branch else -2.0 * total
-
+    q_branch = rng.random() < 0.5
+    if not q_branch:
+        chain.resample_action()
+    total = chain.reward()
+    for _ in range(_geometric_steps(env.gamma, rng)):
+        chain.advance()
+        total += chain.reward()
+    a_hat = 2.0 * total if q_branch else -2.0 * total
     return OccupancySample(x=accepted[0], mu=accepted[1], u=accepted[2], a_hat=a_hat)
 
 
 def inner_sgd(
-    env: EnvModel,
     policy_cfg: PolicyConfig,
     phi: np.ndarray,
-    mu0: Simplex,
     cfg: NPGConfig,
     rng: np.random.Generator,
-    sampler=None,
+    sampler,
 ) -> np.ndarray:
     """Solve the direction-finding regression by SGD and return the average
     of the post-update iterates.
 
-    Each iteration draws a fresh occupancy sample (x, mu, u, a_hat), forms
-    the residual of w . score against a_hat / (1 - gamma), and steps w down
-    the residual-weighted score.
+    Each iteration draws a fresh occupancy sample (x, mu, u, a_hat) from
+    `sampler(rng)`, forms the residual of w . score against
+    a_hat / (1 - gamma), and steps w down the residual-weighted score.
     """
     policy = SoftmaxPolicy(policy_cfg, phi)
-    if sampler is None:
-        path = _MeanFieldPath(env, policy, mu0)
-
-        def sampler(r):
-            return sample_occupancy(env, policy_cfg, phi, mu0, r, path=path)
-
     w = np.zeros(policy_cfg.n_params) if cfg.w0 is None else np.asarray(cfg.w0, dtype=np.float64).copy()
     total = np.zeros_like(w)
     scale = 1.0 / (1.0 - cfg.gamma)
@@ -281,31 +251,34 @@ def npg_train(
     cfg: NPGConfig,
     rng: np.random.Generator,
     value_tol: float = 1e-3,
-    estimator: str = "resampled",
 ) -> TrainingResult:
     """Run the outer natural-gradient loop and evaluate each iterate's
-    mean-field value from mu0."""
+    mean-field value from mu0, truncated so the tail is below value_tol.
+
+    Each iterate's mean-field path is built once: it gives the iterate's
+    value and then feeds the next inner regression's samples."""
     if cfg.gamma != env.gamma:
         raise ValueError(f"config gamma {cfg.gamma} differs from environment gamma {env.gamma}")
+    horizon = truncation_horizon(env, value_tol)
     result = TrainingResult()
     phi = np.asarray(phi0, dtype=np.float64).copy()
+    path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
     for j in range(cfg.j_steps):
         start = time.perf_counter()
-        path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
 
         def sampler(r, _phi=phi, _path=path):
-            return sample_occupancy(env, policy_cfg, _phi, mu0, r, estimator=estimator, path=_path)
+            return sample_occupancy(env, policy_cfg, _phi, mu0, r, path=_path)
 
         try:
-            w = inner_sgd(env, policy_cfg, phi, mu0, cfg, rng, sampler=sampler)
+            w = inner_sgd(policy_cfg, phi, cfg, rng, sampler)
         except TrainingDivergenceError as err:
             raise TrainingDivergenceError(f"outer iteration {j}: {err}") from err
         phi = phi + cfg.eta * w
         if not np.all(np.isfinite(phi)):
             raise TrainingDivergenceError(f"non-finite parameters after outer iteration {j}")
-        value, _ = mf_value(env, SoftmaxPolicy(policy_cfg, phi), mu0, value_tol)
+        path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
         result.iterates.append(phi.copy())
-        result.values.append(value)
+        result.values.append(path.value(horizon))
         result.w_norms.append(float(np.linalg.norm(w)))
         result.wall_ms.append((time.perf_counter() - start) * 1e3)
     return result

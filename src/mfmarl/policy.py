@@ -142,8 +142,8 @@ def estimate_lipschitz_lq(
 
 
 class SoftmaxPolicy:
-    """Parameter-bound policy exposing scalar, batched, and per-state-matrix
-    evaluation plus the analytic log-gradient."""
+    """Parameter-bound policy exposing scalar and batched evaluation plus the
+    analytic log-gradient."""
 
     def __init__(self, cfg: PolicyConfig, phi):
         self.config = cfg
@@ -161,11 +161,6 @@ class SoftmaxPolicy:
 
     def probs(self, x: int, mu: Simplex) -> np.ndarray:
         return self.action_distribution(x, mu).weights
-
-    def probs_matrix(self, mu: Simplex) -> np.ndarray:
-        """pi(. | x, mu) for every state x, as an (|X|, |U|) matrix."""
-        feats = np.hstack([self._eye, np.broadcast_to(mu.weights, self._eye.shape)])
-        return self._forward(feats)
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         """One action distribution per (state, view) row."""
@@ -186,9 +181,6 @@ class SoftmaxPolicy:
     def lipschitz_estimate(self, trials: int, rng: np.random.Generator) -> float:
         return estimate_lipschitz_lq(self.config, self.params, trials, rng)
 
-    def with_params(self, phi) -> "SoftmaxPolicy":
-        return SoftmaxPolicy(self.config, phi)
-
 
 class TabularPolicy:
     """Fixed per-state action distributions, independent of the state
@@ -208,9 +200,6 @@ class TabularPolicy:
 
     def probs(self, x: int, mu: Simplex) -> np.ndarray:
         return self.table[x]
-
-    def probs_matrix(self, mu: Simplex) -> np.ndarray:
-        return self.table
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         return self.table[states]
@@ -242,9 +231,6 @@ class FunctionPolicy:
         if p.shape != (self.n_actions,):
             raise ValueError(f"policy function returned shape {p.shape}")
         return p
-
-    def probs_matrix(self, mu: Simplex) -> np.ndarray:
-        return np.stack([self.probs(x, mu) for x in range(self.n_states)])
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         return np.stack(

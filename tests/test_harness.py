@@ -86,6 +86,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config({"model": {"q": 2, "k": 1}, "mu0": "gaussian"})
 
+    @pytest.mark.parametrize("mu0", [[0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [1.5, -0.5, 0.0]])
+    def test_bad_mu0_rejected(self, mu0):
+        # q = 3: a law over the wrong number of states, or with a negative entry
+        with pytest.raises(ValueError, match="mu0"):
+            parse_config({"model": {"q": 3, "k": 2}, "mu0": mu0})
+
     def test_load_config_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"q": 4, "k": 2}, "seeds": 3}))
@@ -360,3 +366,15 @@ class TestCli:
         assert cli.main(["bound", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
         captured = capsys.readouterr().out
         assert "inapplicable" in captured or "bound" in captured
+
+    def test_empty_checkpoint_is_not_ignored(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"q": 3, "k": 2}, "hidden": 4,
+                                        "npg": {"j_steps": 1, "l_steps": 1}}))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("bound trained a policy instead of loading the checkpoint")
+
+        monkeypatch.setattr("mfmarl.harness.train_policy", no_training)
+        with pytest.raises(OSError):
+            cli.main(["bound", "--config", str(cfg_path), "--checkpoint", ""])

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import dp_q_and_v, occupancy_by_enumeration, toy_mdp
 from mfmarl.model import FirmModelConfig, build_firm_env
-from mfmarl.meanfield import mf_value
+from mfmarl.meanfield import mf_value, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
     OccupancySample,
@@ -44,13 +44,6 @@ class TestSampleOccupancy:
             assert s.x == 1
             assert np.array_equal(s.mu.weights, mu0.weights)
 
-    def test_unknown_estimator_rejected(self):
-        env, _, _, _, _ = toy_mdp()
-        pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
-        with pytest.raises(ValueError):
-            sample_occupancy(env, pcfg, np.zeros(pcfg.n_params), Simplex.uniform(2),
-                             np.random.default_rng(0), estimator="bogus")
-
     def test_advantage_estimate_is_unbiased_on_exact_dp(self):
         env, policy, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
         q, v = dp_q_and_v(kernel, rewards, pi_tab, 0.9)
@@ -83,20 +76,56 @@ class TestSampleOccupancy:
             counts[s.x, s.u] += 1
         assert np.abs(counts / n - zeta).sum() <= 0.02
 
-    def test_literal_estimator_centers_on_zero(self):
-        # the printed shared-continuation variant has zero-mean estimates
-        env, policy, _, _, _ = toy_mdp(gamma=0.9)
-        mu0 = Simplex([0.5, 0.5])
+
+class TestMeanFieldPath:
+    def _setup(self, sigma=1.2, q=4, seed=0):
+        env = build_firm_env(FirmModelConfig(q=q, k=2, sigma=sigma), 0.9)
+        pcfg = PolicyConfig(n_states=q, n_actions=2, hidden=8)
+        rng = np.random.default_rng(seed)
+        policy = SoftmaxPolicy(pcfg, init_params(pcfg, rng))
+        return env, policy, Simplex(rng.dirichlet(np.ones(q)))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_matches_mf_value_past_the_value_horizon(self, sigma):
+        env, policy, mu0 = self._setup(sigma)
+        horizon = truncation_horizon(env, 1e-3)
+        value, traj = mf_value(env, policy, mu0, 1e-3, horizon=horizon + 5)
         path = _MeanFieldPath(env, policy, mu0)
-        rng = np.random.default_rng(4)
-        vals = np.array(
-            [
-                sample_occupancy(env, None, None, mu0, rng, estimator="literal", path=path).a_hat
-                for _ in range(30_000)
-            ]
-        )
-        stderr = vals.std(ddof=1) / np.sqrt(vals.size)
-        assert abs(vals.mean()) <= 3 * stderr
+        assert path.value(horizon) == mf_value(env, policy, mu0, 1e-3)[0]
+        path.ensure(horizon + 5)
+        assert path.mus[0] is mu0
+        for t in range(horizon + 6):
+            assert np.array_equal(path.mus[t].weights, traj.mus[t].weights), t
+        assert path.value(horizon + 5) == value
+
+    def test_kernel_cum_is_cumulative_kernel(self):
+        env, policy, mu0 = self._setup()
+        _, traj = mf_value(env, policy, mu0, 1e-3, horizon=12)
+        path = _MeanFieldPath(env, policy, mu0)
+        for t in (0, 1, 12):
+            kernel = env.kernel(traj.mus[t].weights[None, :], traj.nus[t].weights[None, :])[0]
+            np.testing.assert_allclose(path.kernel_cum(t), np.cumsum(kernel, axis=2), rtol=0, atol=1e-12)
+
+    def test_kernel_hook_calls_are_bounded(self):
+        env, policy, mu0 = self._setup()
+        calls = []
+        hook = env.kernel
+
+        def counting(mus, nus):
+            calls.append(mus.shape[0])
+            return hook(mus, nus)
+
+        env.kernel = counting
+        path = _MeanFieldPath(env, policy, mu0)
+        for t in (0, 3, 40):
+            path.ensure(t)
+            path.kernel_cum(t)
+            path.reward(t, 0, 1)
+            assert len(calls) <= t + 1, t
+        calls.clear()
+        horizon = truncation_horizon(env, 1e-3)
+        mf_value(env, policy, mu0, 1e-3, horizon=horizon)
+        assert len(calls) <= horizon + 1
 
 
 class TestInnerSgd:
@@ -117,7 +146,7 @@ class TestInnerSgd:
         along = {}
         for l_steps in (400, 1600):
             cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps, gamma=0.9, w0=w0)
-            w = inner_sgd(env, pcfg, phi, mu0, cfg, np.random.default_rng(1), sampler=lambda r: fixed)
+            w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(1), sampler=lambda r: fixed)
             along[l_steps] = abs(w @ g) / np.linalg.norm(g)
         along0 = abs(w0 @ g) / np.linalg.norm(g)
         assert along[400] < 0.15 * along0
@@ -133,7 +162,7 @@ class TestInnerSgd:
         errors = {}
         for l_steps in (1000, 8000):
             cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps, gamma=0.9, w0=None)
-            w = inner_sgd(env, pcfg, phi, mu0, cfg, np.random.default_rng(2), sampler=lambda r: fixed)
+            w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(2), sampler=lambda r: fixed)
             errors[l_steps] = np.abs(w - target).max() / np.abs(target).max()
         # the averaged iterate approaches the fixed point like 1/L
         assert errors[8000] < 0.005
@@ -144,7 +173,7 @@ class TestInnerSgd:
         mu0 = Simplex.uniform(3)
         fixed = OccupancySample(x=0, mu=mu0, u=1, a_hat=1.5)
         cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=1, gamma=0.9)
-        w = inner_sgd(env, pcfg, phi, mu0, cfg, np.random.default_rng(3), sampler=lambda r: fixed)
+        w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(3), sampler=lambda r: fixed)
         g = SoftmaxPolicy(pcfg, phi).log_gradient(0, mu0, 1)
         expected = -0.1 * (0.0 - 1.5 / 0.1) * g
         assert np.allclose(w, expected, atol=1e-14)
@@ -155,7 +184,7 @@ class TestInnerSgd:
         huge = OccupancySample(x=0, mu=mu0, u=1, a_hat=1e308)
         cfg = NPGConfig(eta=1.0, alpha=10.0, j_steps=1, l_steps=5, gamma=0.9)
         with pytest.raises(TrainingDivergenceError, match="iteration"):
-            inner_sgd(env, pcfg, phi, mu0, cfg, np.random.default_rng(4), sampler=lambda r: huge)
+            inner_sgd(pcfg, phi, cfg, np.random.default_rng(4), sampler=lambda r: huge)
 
 
 class TestNpgTrain:
@@ -185,6 +214,18 @@ class TestNpgTrain:
         cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=1, l_steps=1, gamma=0.5)
         with pytest.raises(ValueError, match="gamma"):
             npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(7))
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_values_equal_mf_value_of_iterates(self, sigma):
+        env = build_firm_env(FirmModelConfig(q=3, k=2, sigma=sigma), 0.9)
+        pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=8)
+        phi = init_params(pcfg, np.random.default_rng(9))
+        mu0 = Simplex([0.2, 0.5, 0.3])
+        cfg = NPGConfig(eta=1e-2, alpha=1e-3, j_steps=4, l_steps=20, gamma=0.9)
+        res = npg_train(env, pcfg, phi, mu0, cfg, np.random.default_rng(10), value_tol=1e-4)
+        for it, value in zip(res.iterates, res.values):
+            assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, 1e-4)[0]
+        assert not np.array_equal(res.iterates[0], res.iterates[-1])
 
     def test_training_improves_value_across_seeds(self):
         env, pcfg, _ = self._setup(q=3, hidden=32)

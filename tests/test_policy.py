@@ -161,10 +161,6 @@ class TestPolicyObjects:
         cfg = PolicyConfig(n_states=4, n_actions=3, hidden=8)
         rng = np.random.default_rng(6)
         pol = SoftmaxPolicy(cfg, init_params(cfg, rng))
-        mu = random_simplex(rng, 4)
-        mat = pol.probs_matrix(mu)
-        for x in range(4):
-            assert np.allclose(mat[x], pol.probs(x, mu), atol=1e-14)
         states = rng.integers(0, 4, size=10)
         mu_rows = rng.dirichlet(np.ones(4), size=10)
         batch = pol.probs_batch(states, mu_rows)
@@ -174,7 +170,8 @@ class TestPolicyObjects:
     def test_function_policy(self):
         table = np.array([[0.2, 0.8], [0.9, 0.1]])
         pol = FunctionPolicy(lambda x, mu: table[x], n_states=2, n_actions=2)
-        assert np.array_equal(pol.probs_matrix(Simplex.uniform(2)), table)
+        mu_rows = np.tile(Simplex.uniform(2).weights, (2, 1))
+        assert np.array_equal(pol.probs_batch(np.arange(2), mu_rows), table)
 
     def test_rejects_bad_params(self):
         cfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
