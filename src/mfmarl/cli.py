@@ -35,7 +35,6 @@ def _load(args) -> harness.ExperimentConfig:
         overrides["model"] = dataclasses.replace(cfg.model, sigma=args.sigma)
     if getattr(args, "gamma", None) is not None:
         overrides["gamma"] = args.gamma
-        overrides["npg"] = dataclasses.replace(cfg.npg, gamma=args.gamma)
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

@@ -135,10 +135,18 @@ def _config_items(raw: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
+def _integer(value, key: str):
+    """A JSON integer count (bool, float and string are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-shaped dict; unknown keys are
-    rejected at every level. `gamma` may live at the top level, inside the
-    model section, or both (they must then agree)."""
+    rejected at every level, and counts must be JSON integers. `gamma` may
+    live at the top level, inside the model section, or both (they must then
+    agree)."""
     _config_items(
         raw,
         {
@@ -161,6 +169,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _config_items(
         model_raw, {"q", "k", "alpha_r", "beta_r", "lambda_r", "sigma", "gamma"}, "model"
     )
+    for key in ("q", "k"):
+        if key in model_raw:
+            _integer(model_raw[key], f"model.{key}")
     model_gamma = model_raw.pop("gamma", None)
     gamma = raw.get("gamma", model_gamma if model_gamma is not None else 0.9)
     if model_gamma is not None and "gamma" in raw and model_gamma != raw["gamma"]:
@@ -168,14 +179,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     model = FirmModelConfig(**model_raw)
 
     npg_raw = dict(raw.get("npg") or {})
-    _config_items(npg_raw, {"eta", "alpha", "j_steps", "l_steps", "gamma", "seed"}, "npg")
+    _config_items(npg_raw, {"eta", "alpha", "j_steps", "l_steps", "seed"}, "npg")
+    for key in ("j_steps", "l_steps", "seed"):
+        if key in npg_raw:
+            _integer(npg_raw[key], f"npg.{key}")
     npg_raw.setdefault("eta", 1e-3)
     npg_raw.setdefault("alpha", 1e-3)
     npg_raw.setdefault("j_steps", 100)
     npg_raw.setdefault("l_steps", 100)
-    npg_raw.setdefault("gamma", gamma)
-    if npg_raw["gamma"] != gamma:
-        raise ValueError(f"npg gamma {npg_raw['gamma']} conflicts with experiment gamma {gamma}")
     npg = NPGConfig(**npg_raw)
 
     mu0 = raw.get("mu0")
@@ -187,14 +198,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         model=model,
         npg=npg,
         gamma=float(gamma),
-        n_list=tuple(raw.get("n_list", (10, 20, 50, 100, 200))),
-        seeds=int(raw.get("seeds", 25)),
-        episodes_per_seed=int(raw.get("episodes_per_seed", 10)),
+        n_list=tuple(_integer(n, "n_list") for n in raw.get("n_list", (10, 20, 50, 100, 200))),
+        seeds=_integer(raw.get("seeds", 25), "seeds"),
+        episodes_per_seed=_integer(raw.get("episodes_per_seed", 10), "episodes_per_seed"),
         horizon_tol=float(raw.get("horizon_tol", 1e-3)),
         mu0=tuple(mu0) if mu0 is not None else None,
-        hidden=int(raw.get("hidden", 32)),
+        hidden=_integer(raw.get("hidden", 32), "hidden"),
         interaction_kind=str(raw.get("interaction", "ring")),
-        threads=int(raw.get("threads", 1)),
+        threads=_integer(raw.get("threads", 1), "threads"),
         out=raw.get("out"),
     )
 
@@ -228,7 +239,6 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
             "alpha": cfg.npg.alpha,
             "j_steps": cfg.npg.j_steps,
             "l_steps": cfg.npg.l_steps,
-            "gamma": cfg.npg.gamma,
             "seed": cfg.npg.seed,
         },
     }

@@ -120,17 +120,71 @@ def mf_value(
     """Discounted mean-field value of a stationary policy from mu0, truncated
     so the tail is below tol; returns the value and the trajectory."""
     t_star = truncation_horizon(env, tol) if horizon is None else horizon
-    mus, nus, rewards = [], [], []
-    value = 0.0
-    discount = 1.0
-    for mu_t, nu_t, probs, tables, _ in _recursion(env, policy, mu0.weights[None, :], t_star):
-        r_t = _mean_rewards(tables, probs, mu_t)[0]
-        mus.append(Simplex(mu_t[0]) if mus else mu0)
-        nus.append(Simplex(nu_t[0]))
-        rewards.append(r_t)
-        value += discount * r_t
-        discount *= env.gamma
-    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=np.array(rewards))
+    path = _MeanFieldPath(env, policy, mu0)
+    return path.value(t_star), path.trajectory(t_star)
+
+
+class _MeanFieldPath:
+    """Deterministic mean-field trajectory of a fixed policy from mu0, grown
+    lazily from the stacked recursion with a single row (B = 1). Each step
+    keeps mu_t, the action law row nu_t, the cumulative action and kernel
+    rows the NPG occupancy chain draws from, the reward table, and the mean
+    reward. `mf_value` reads its value and trajectory; NPG shares one path
+    between every occupancy sample of an inner-regression pass and the
+    iterate's logged value."""
+
+    def __init__(self, env: EnvModel, policy, mu0: Simplex):
+        if len(mu0) != env.n_states:
+            raise ValueError(f"mu0 has {len(mu0)} entries, expected {env.n_states}")
+        self.gamma = env.gamma
+        self.mus, self._nus = [], []
+        self._probs_cum, self._kernels_cum, self._rewards, self._mean_rewards = [], [], [], []
+        self._mu0 = mu0
+        self._steps = _recursion(env, policy, mu0.weights[None, :])
+        self.ensure(0)
+
+    def ensure(self, t: int) -> None:
+        while len(self.mus) <= t:
+            mus, nus, probs, rewards, kernels = next(self._steps)
+            self.mus.append(Simplex(mus[0]) if self.mus else self._mu0)
+            self._nus.append(nus[0])
+            self._probs_cum.append(np.cumsum(probs[0], axis=1))
+            self._kernels_cum.append(np.cumsum(kernels[0], axis=2))
+            self._rewards.append(np.asarray(rewards[0], dtype=np.float64))
+            self._mean_rewards.append(_mean_rewards(rewards, probs, mus)[0])
+
+    def kernel_cum(self, t: int) -> np.ndarray:
+        self.ensure(t)
+        return self._kernels_cum[t]
+
+    def probs_cum(self, t: int) -> np.ndarray:
+        self.ensure(t)
+        return self._probs_cum[t]
+
+    def reward(self, t: int, x: int, u: int) -> float:
+        self.ensure(t)
+        return float(self._rewards[t][x, u])
+
+    def value(self, horizon: int) -> float:
+        """Discounted sum of the mean rewards at t = 0..horizon."""
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        self.ensure(horizon)
+        value = 0.0
+        discount = 1.0
+        for r_t in self._mean_rewards[: horizon + 1]:
+            value += discount * r_t
+            discount *= self.gamma
+        return float(value)
+
+    def trajectory(self, horizon: int) -> MFTrajectory:
+        """The laws and mean rewards at t = 0..horizon."""
+        self.ensure(horizon)
+        return MFTrajectory(
+            mus=self.mus[: horizon + 1],
+            nus=[Simplex(nu) for nu in self._nus[: horizon + 1]],
+            rewards=np.array(self._mean_rewards[: horizon + 1]),
+        )
 
 
 def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = None):

@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .meanfield import _mean_rewards, _recursion, truncation_horizon
+from .meanfield import _MeanFieldPath, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy
 from .simplex import Simplex, sample
@@ -34,8 +33,6 @@ class NPGConfig:
     alpha: float
     j_steps: int
     l_steps: int
-    gamma: float
-    w0: Optional[np.ndarray] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +40,6 @@ class NPGConfig:
             raise ValueError("learning rates must be positive (eta may be 0)")
         if self.j_steps < 1 or self.l_steps < 1:
             raise ValueError("j_steps and l_steps must be >= 1")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -60,55 +55,6 @@ class OccupancySample:
     def __post_init__(self):
         if not np.isfinite(self.a_hat):
             raise ValueError("advantage estimate must be finite")
-
-
-class _MeanFieldPath:
-    """Deterministic mean-field trajectory of a fixed policy from mu0, grown
-    lazily from the stacked recursion with a single row (B = 1). Each step
-    keeps mu_t, the cumulative action and kernel rows the chain draws from,
-    the reward table, and the mean reward. Shared by every occupancy sample
-    of one inner-regression pass, since none of it depends on the sampled
-    chain, and by the discounted value of the policy."""
-
-    def __init__(self, env: EnvModel, policy, mu0: Simplex):
-        self.mus = []
-        self._probs_cum, self._kernels_cum, self._rewards, self._mean_rewards = [], [], [], []
-        self._gamma = env.gamma
-        self._mu0 = mu0
-        self._steps = _recursion(env, policy, mu0.weights[None, :])
-        self.ensure(0)
-
-    def ensure(self, t: int) -> None:
-        while len(self.mus) <= t:
-            mus, _, probs, rewards, kernels = next(self._steps)
-            self.mus.append(Simplex(mus[0]) if self.mus else self._mu0)
-            self._probs_cum.append(np.cumsum(probs[0], axis=1))
-            self._kernels_cum.append(np.cumsum(kernels[0], axis=2))
-            self._rewards.append(np.asarray(rewards[0], dtype=np.float64))
-            self._mean_rewards.append(_mean_rewards(rewards, probs, mus)[0])
-
-    def kernel_cum(self, t: int) -> np.ndarray:
-        self.ensure(t)
-        return self._kernels_cum[t]
-
-    def probs_cum(self, t: int) -> np.ndarray:
-        self.ensure(t)
-        return self._probs_cum[t]
-
-    def reward(self, t: int, x: int, u: int) -> float:
-        self.ensure(t)
-        return float(self._rewards[t][x, u])
-
-    def value(self, horizon: int) -> float:
-        """Discounted sum of the mean rewards at t = 0..horizon, accumulated
-        in the same order as `mf_value`."""
-        self.ensure(horizon)
-        value = 0.0
-        discount = 1.0
-        for r_t in self._mean_rewards[: horizon + 1]:
-            value += discount * r_t
-            discount *= self._gamma
-        return float(value)
 
 
 class _Chain:
@@ -152,29 +98,18 @@ def _geometric_steps(gamma: float, rng: np.random.Generator) -> int:
     return int(rng.geometric(1.0 - gamma)) - 1
 
 
-def sample_occupancy(
-    env: EnvModel,
-    policy_cfg: PolicyConfig,
-    phi: np.ndarray,
-    mu0: Simplex,
-    rng: np.random.Generator,
-    path: _MeanFieldPath | None = None,
-) -> OccupancySample:
-    """Draw one occupancy sample and its advantage estimate.
+def sample_occupancy(path: _MeanFieldPath, rng: np.random.Generator) -> OccupancySample:
+    """Draw one occupancy sample and its advantage estimate along the
+    mean-field path of the current policy (discount `path.gamma`).
 
     The chain runs a geometric number of steps and the triple there is the
     sample. A fair coin then picks the branch: heads continues from the
     accepted action, tails redraws the action first; the signed (+2/-2) sum
     of rewards over a second geometric-length suffix, including the reward
     at the accepted time, is the advantage estimate.
-
-    `path` optionally shares the deterministic mean-field trajectory across
-    samples drawn under the same parameters.
     """
-    if path is None:
-        path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
     chain = _Chain(path, rng)
-    for _ in range(_geometric_steps(env.gamma, rng)):
+    for _ in range(_geometric_steps(path.gamma, rng)):
         chain.advance()
     accepted = (chain.x, chain.mu, chain.u)
 
@@ -182,7 +117,7 @@ def sample_occupancy(
     if not q_branch:
         chain.resample_action()
     total = chain.reward()
-    for _ in range(_geometric_steps(env.gamma, rng)):
+    for _ in range(_geometric_steps(path.gamma, rng)):
         chain.advance()
         total += chain.reward()
     a_hat = 2.0 * total if q_branch else -2.0 * total
@@ -190,23 +125,22 @@ def sample_occupancy(
 
 
 def inner_sgd(
-    policy_cfg: PolicyConfig,
-    phi: np.ndarray,
+    policy: SoftmaxPolicy,
     cfg: NPGConfig,
+    gamma: float,
     rng: np.random.Generator,
     sampler,
 ) -> np.ndarray:
-    """Solve the direction-finding regression by SGD and return the average
-    of the post-update iterates.
+    """Solve the direction-finding regression by SGD from w = 0 and return
+    the average of the post-update iterates.
 
     Each iteration draws a fresh occupancy sample (x, mu, u, a_hat) from
-    `sampler(rng)`, forms the residual of w . score against
+    `sampler(rng)`, forms the residual of w . score of `policy` against
     a_hat / (1 - gamma), and steps w down the residual-weighted score.
     """
-    policy = SoftmaxPolicy(policy_cfg, phi)
-    w = np.zeros(policy_cfg.n_params) if cfg.w0 is None else np.asarray(cfg.w0, dtype=np.float64).copy()
+    w = np.zeros(policy.config.n_params)
     total = np.zeros_like(w)
-    scale = 1.0 / (1.0 - cfg.gamma)
+    scale = 1.0 / (1.0 - gamma)
     for l in range(cfg.l_steps):
         s = sampler(rng)
         g = policy.log_gradient(s.x, s.mu, s.u)
@@ -252,31 +186,29 @@ def npg_train(
     rng: np.random.Generator,
     value_tol: float = 1e-3,
 ) -> TrainingResult:
-    """Run the outer natural-gradient loop and evaluate each iterate's
-    mean-field value from mu0, truncated so the tail is below value_tol.
+    """Run the outer natural-gradient loop, discounting with `env.gamma`,
+    and evaluate each iterate's mean-field value from mu0, truncated so the
+    tail is below value_tol.
 
-    Each iterate's mean-field path is built once: it gives the iterate's
-    value and then feeds the next inner regression's samples."""
-    if cfg.gamma != env.gamma:
-        raise ValueError(f"config gamma {cfg.gamma} differs from environment gamma {env.gamma}")
+    Each iterate builds one policy and one mean-field path: the path gives
+    the iterate's value, then feeds the next inner regression's samples,
+    whose scores come from the same policy."""
     horizon = truncation_horizon(env, value_tol)
     result = TrainingResult()
     phi = np.asarray(phi0, dtype=np.float64).copy()
-    path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
+    policy = SoftmaxPolicy(policy_cfg, phi)
+    path = _MeanFieldPath(env, policy, mu0)
     for j in range(cfg.j_steps):
         start = time.perf_counter()
-
-        def sampler(r, _phi=phi, _path=path):
-            return sample_occupancy(env, policy_cfg, _phi, mu0, r, path=_path)
-
         try:
-            w = inner_sgd(policy_cfg, phi, cfg, rng, sampler)
+            w = inner_sgd(policy, cfg, env.gamma, rng, lambda r: sample_occupancy(path, r))
         except TrainingDivergenceError as err:
             raise TrainingDivergenceError(f"outer iteration {j}: {err}") from err
         phi = phi + cfg.eta * w
         if not np.all(np.isfinite(phi)):
             raise TrainingDivergenceError(f"non-finite parameters after outer iteration {j}")
-        path = _MeanFieldPath(env, SoftmaxPolicy(policy_cfg, phi), mu0)
+        policy = SoftmaxPolicy(policy_cfg, phi)
+        path = _MeanFieldPath(env, policy, mu0)
         result.iterates.append(phi.copy())
         result.values.append(path.value(horizon))
         result.w_norms.append(float(np.linalg.norm(w)))

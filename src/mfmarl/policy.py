@@ -65,22 +65,29 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _features(cfg: PolicyConfig, x: int, mu_weights: np.ndarray) -> np.ndarray:
+def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows):
+    """The network over (state, view) rows: features [one-hot(x), mu] (B, 2|X|),
+    tanh hidden layer (B, H) and softmax action probabilities (B, |U|)."""
+    w1, b1, w2, b2 = _unpack(cfg, phi)
+    feats = np.zeros((len(states), cfg.n_features))
+    feats[np.arange(len(states)), states] = 1.0
+    feats[:, cfg.n_states :] = mu_rows
+    hidden = np.tanh(feats @ w1.T + b1)
+    return feats, hidden, _softmax(hidden @ w2.T + b2)
+
+
+def _forward_one(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex):
+    """`_forward` at the single checked pair (x, mu), as 1-d rows."""
     if not 0 <= x < cfg.n_states:
         raise ValueError(f"state {x} out of range [0, {cfg.n_states})")
-    feat = np.zeros(cfg.n_features)
-    feat[x] = 1.0
-    feat[cfg.n_states :] = mu_weights
-    return feat
+    if len(mu) != cfg.n_states:
+        raise ValueError(f"mu has {len(mu)} entries, expected {cfg.n_states}")
+    return [a[0] for a in _forward(cfg, phi, [x], mu.weights[None, :])]
 
 
 def action_distribution(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex) -> Simplex:
     """Softmax action probabilities at (x, mu); always strictly positive."""
-    if len(mu) != cfg.n_states:
-        raise ValueError(f"mu has {len(mu)} entries, expected {cfg.n_states}")
-    w1, b1, w2, b2 = _unpack(cfg, phi)
-    hdn = np.tanh(w1 @ _features(cfg, x, mu.weights) + b1)
-    return Simplex(_softmax(w2 @ hdn + b2))
+    return Simplex(_forward_one(cfg, phi, x, mu)[2])
 
 
 def log_policy_gradient(
@@ -89,10 +96,8 @@ def log_policy_gradient(
     """Gradient of log pi(u | x, mu) with respect to the flat parameters."""
     if not 0 <= u < cfg.n_actions:
         raise ValueError(f"action {u} out of range [0, {cfg.n_actions})")
-    w1, b1, w2, b2 = _unpack(cfg, phi)
-    feat = _features(cfg, x, mu.weights)
-    hdn = np.tanh(w1 @ feat + b1)
-    probs = _softmax(w2 @ hdn + b2)
+    feat, hdn, probs = _forward_one(cfg, phi, x, mu)
+    _, _, w2, _ = _unpack(cfg, phi)
 
     dlogits = -probs
     dlogits[u] += 1.0
@@ -120,7 +125,6 @@ def estimate_lipschitz_lq(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    w1, b1, w2, b2 = _unpack(cfg, phi)
     alpha = np.ones(cfg.n_states)
     x = np.empty(trials, dtype=np.int64)
     mu1 = np.empty((trials, cfg.n_states))
@@ -131,13 +135,9 @@ def estimate_lipschitz_lq(
         mu2[i] = rng.dirichlet(alpha)
     d = np.abs(mu1 - mu2).sum(axis=1)
     keep = d > 1e-12
-    onehot = np.eye(cfg.n_states)[x[keep]]
-
-    def forward(mu):
-        feats = np.hstack([onehot, mu[keep]])
-        return _softmax(np.tanh(feats @ w1.T + b1) @ w2.T + b2)
-
-    ratios = np.abs(forward(mu1) - forward(mu2)).sum(axis=1) / d[keep]
+    pi1 = _forward(cfg, phi, x[keep], mu1[keep])[2]
+    pi2 = _forward(cfg, phi, x[keep], mu2[keep])[2]
+    ratios = np.abs(pi1 - pi2).sum(axis=1) / d[keep]
     return float(ratios.max(initial=0.0))
 
 
@@ -154,7 +154,6 @@ class SoftmaxPolicy:
             raise ValueError("policy parameters must be finite")
         self.params = phi.copy()
         self.params.flags.writeable = False
-        self._eye = np.eye(cfg.n_states)
 
     def action_distribution(self, x: int, mu: Simplex) -> Simplex:
         return action_distribution(self.config, self.params, x, mu)
@@ -164,13 +163,7 @@ class SoftmaxPolicy:
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         """One action distribution per (state, view) row."""
-        feats = np.hstack([self._eye[states], mu_rows])
-        return self._forward(feats)
-
-    def _forward(self, feats: np.ndarray) -> np.ndarray:
-        w1, b1, w2, b2 = _unpack(self.config, self.params)
-        hdn = np.tanh(feats @ w1.T + b1)
-        return _softmax(hdn @ w2.T + b2)
+        return _forward(self.config, self.params, states, mu_rows)[2]
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
         return sample_rows(self.probs_batch(states, mu_rows), rng)

@@ -18,6 +18,7 @@ from oracles import (
 from mfmarl.harness import parse_config, run_and_persist, run_error_vs_n, summarize
 from mfmarl.interaction import ring_k_neighbor, sinkhorn_random, uniform
 from mfmarl.meanfield import (
+    _MeanFieldPath,
     approximation_bound,
     bound_inputs,
     mf_action_distribution,
@@ -28,7 +29,7 @@ from mfmarl.meanfield import (
 )
 from mfmarl.model import FirmModelConfig, build_firm_env, reward_constants
 from mfmarl.nagent import _views, estimate_v_marl, rollout
-from mfmarl.npg import _MeanFieldPath, sample_occupancy
+from mfmarl.npg import sample_occupancy
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
@@ -217,7 +218,7 @@ def test_advantage_estimator_is_unbiased():
     start = time.perf_counter()
     buckets = {(x, u): [] for x in range(2) for u in range(2)}
     for _ in range(100_000):
-        s = sample_occupancy(env, None, None, mu0, rng, path=path)
+        s = sample_occupancy(path, rng)
         buckets[(s.x, s.u)].append(s.a_hat)
     elapsed = time.perf_counter() - start
     ok = True

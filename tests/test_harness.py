@@ -57,7 +57,6 @@ class TestConfigParsing:
         assert cfg.seeds == 25
         assert cfg.episodes_per_seed == 10
         assert cfg.npg.j_steps == 100 and cfg.npg.l_steps == 100
-        assert cfg.npg.gamma == 0.9
         assert cfg.initial_distribution().weights.tolist() == [0.1] * 10
 
     def test_unknown_keys_rejected(self):
@@ -74,9 +73,41 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="conflicts"):
             parse_config({"model": {"q": 3, "k": 2, "gamma": 0.8}, "gamma": 0.9})
 
-    def test_npg_gamma_conflict(self):
-        with pytest.raises(ValueError, match="conflicts"):
-            parse_config({"model": {"q": 3, "k": 2}, "gamma": 0.9, "npg": {"gamma": 0.5}})
+    def test_npg_gamma_rejected(self):
+        with pytest.raises(ValueError, match="unknown npg"):
+            parse_config({"model": {"q": 3, "k": 2}, "npg": {"gamma": 0.9}})
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("seeds", {"seeds": 2.5}),
+            ("seeds", {"seeds": "3"}),
+            ("seeds", {"seeds": True}),
+            ("episodes_per_seed", {"episodes_per_seed": 1.9}),
+            ("threads", {"threads": 1.5}),
+            ("hidden", {"hidden": 4.7}),
+            ("n_list", {"n_list": [10, 10.5]}),
+            ("npg.j_steps", {"npg": {"j_steps": 2.5}}),
+            ("npg.l_steps", {"npg": {"l_steps": False}}),
+            ("npg.seed", {"npg": {"seed": 1.0}}),
+            ("model.q", {"model": {"q": 3.5, "k": 2}}),
+            ("model.k", {"model": {"q": 3, "k": "2"}}),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, key, overrides):
+        raw = {"model": {"q": 3, "k": 2}}
+        raw.update(overrides)
+        with pytest.raises(ValueError, match=key):
+            parse_config(raw)
+
+    def test_integer_counts_accepted(self):
+        cfg = parse_config(
+            {"model": {"q": 3, "k": 2}, "seeds": 3, "episodes_per_seed": 2, "threads": 2,
+             "hidden": 4, "n_list": [5, 10], "npg": {"j_steps": 2, "l_steps": 3, "seed": 7}}
+        )
+        assert (cfg.seeds, cfg.episodes_per_seed, cfg.threads, cfg.hidden) == (3, 2, 2, 4)
+        assert cfg.n_list == (5, 10)
+        assert (cfg.npg.j_steps, cfg.npg.l_steps, cfg.npg.seed) == (2, 3, 7)
 
     def test_mu0_forms(self):
         cfg = parse_config({"model": {"q": 2, "k": 1}, "mu0": [0.25, 0.75]})
@@ -295,7 +326,7 @@ class TestBoundReport:
 
     def test_applicable_on_contraction_env(self):
         env, policy = contraction_env()
-        cfg = tiny_config(gamma=0.5, n_list=[10, 100], npg={"gamma": 0.5})
+        cfg = tiny_config(gamma=0.5, n_list=[10, 100])
         report = bound_report(cfg, env=env, policy=policy)
         assert report.applicable
         assert report.bounds[100] == pytest.approx(report.bounds[10] / np.sqrt(10), rel=1e-12)

@@ -21,6 +21,7 @@ from mfmarl.model import (
     FirmModelConfig,
     build_firm_env,
 )
+from mfmarl.npg import NPGConfig, npg_train
 from mfmarl.policy import FunctionPolicy, PolicyConfig, SoftmaxPolicy, TabularPolicy, init_params
 from mfmarl.simplex import Simplex, l1_distance
 
@@ -282,6 +283,27 @@ class TestStackedValues:
             mf_values(env, pol, np.array([[1.2, -0.2, 0.0]]), 5)
         with pytest.raises(ValueError, match="shape"):
             mf_values(env, pol, np.array([1 / 3] * 3), 5)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_mf_value_rejects_wrong_length_mu0(self, n):
+        env, _ = _firm(3)
+        with pytest.raises(ValueError, match="mu0"):
+            mf_value(env, _softmax(3, seed=23), Simplex.uniform(n), 1e-3)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_npg_train_rejects_wrong_length_mu0(self, n):
+        env, _ = _firm(3)
+        pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=1, l_steps=1)
+        phi = init_params(pcfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mu0"):
+            npg_train(env, pcfg, phi, Simplex.uniform(n), cfg, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("horizon", [-1, -2])
+    def test_mf_value_rejects_negative_horizon(self, horizon):
+        env, _ = _firm(3)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            mf_value(env, _softmax(3, seed=23), Simplex.uniform(3), 1e-3, horizon=horizon)
 
     def test_non_stochastic_kernel_hook_raises(self):
         env, _ = _firm(3)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import dp_q_and_v, occupancy_by_enumeration, toy_mdp
 from mfmarl.model import FirmModelConfig, build_firm_env
-from mfmarl.meanfield import mf_value, truncation_horizon
+from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
     OccupancySample,
@@ -14,7 +14,6 @@ from mfmarl.npg import (
     sample_occupancy,
     select_policy,
 )
-from mfmarl.npg import _MeanFieldPath
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
 
@@ -39,8 +38,9 @@ class TestSampleOccupancy:
         pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
         phi = np.zeros(pcfg.n_params)
         mu0 = Simplex.point_mass(1, 2)
+        path = _MeanFieldPath(env, SoftmaxPolicy(pcfg, phi), mu0)
         for seed in range(20):
-            s = sample_occupancy(env, pcfg, phi, mu0, np.random.default_rng(seed))
+            s = sample_occupancy(path, np.random.default_rng(seed))
             assert s.x == 1
             assert np.array_equal(s.mu.weights, mu0.weights)
 
@@ -56,7 +56,7 @@ class TestSampleOccupancy:
         for _ in range(n):
             # distribution-free toy: the network parameters never matter, so
             # drive the sampler directly through the shared path
-            s = sample_occupancy(env, None, None, mu0, rng, path=path)
+            s = sample_occupancy(path, rng)
             buckets[(s.x, s.u)].append(s.a_hat)
         for (x, u), vals in buckets.items():
             vals = np.asarray(vals)
@@ -72,7 +72,7 @@ class TestSampleOccupancy:
         counts = np.zeros((2, 2))
         n = 100_000
         for _ in range(n):
-            s = sample_occupancy(env, None, None, Simplex(mu0), rng, path=path)
+            s = sample_occupancy(path, rng)
             counts[s.x, s.u] += 1
         assert np.abs(counts / n - zeta).sum() <= 0.02
 
@@ -135,23 +135,6 @@ class TestInnerSgd:
         phi = init_params(pcfg, np.random.default_rng(seed))
         return env, pcfg, phi
 
-    def test_zero_advantage_decays_w(self):
-        env, pcfg, phi = self._setup()
-        mu0 = Simplex.uniform(3)
-        fixed = OccupancySample(x=1, mu=mu0, u=0, a_hat=0.0)
-        w0 = np.ones(pcfg.n_params)
-        g = SoftmaxPolicy(pcfg, phi).log_gradient(1, mu0, 0)
-        # each iterate's component along g shrinks by (1 - alpha |g|^2);
-        # the returned average therefore decays like 1/L
-        along = {}
-        for l_steps in (400, 1600):
-            cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps, gamma=0.9, w0=w0)
-            w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(1), sampler=lambda r: fixed)
-            along[l_steps] = abs(w @ g) / np.linalg.norm(g)
-        along0 = abs(w0 @ g) / np.linalg.norm(g)
-        assert along[400] < 0.15 * along0
-        assert along[1600] < 0.3 * along[400]
-
     def test_converges_to_least_squares_solution(self):
         env, pcfg, phi = self._setup(seed=1)
         mu0 = Simplex.uniform(3)
@@ -161,8 +144,8 @@ class TestInnerSgd:
         target = (a_hat / (1 - 0.9)) * g / (g @ g)
         errors = {}
         for l_steps in (1000, 8000):
-            cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps, gamma=0.9, w0=None)
-            w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(2), sampler=lambda r: fixed)
+            cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps)
+            w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(2), sampler=lambda r: fixed)
             errors[l_steps] = np.abs(w - target).max() / np.abs(target).max()
         # the averaged iterate approaches the fixed point like 1/L
         assert errors[8000] < 0.005
@@ -172,8 +155,8 @@ class TestInnerSgd:
         env, pcfg, phi = self._setup(seed=2)
         mu0 = Simplex.uniform(3)
         fixed = OccupancySample(x=0, mu=mu0, u=1, a_hat=1.5)
-        cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=1, gamma=0.9)
-        w = inner_sgd(pcfg, phi, cfg, np.random.default_rng(3), sampler=lambda r: fixed)
+        cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=1)
+        w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(3), sampler=lambda r: fixed)
         g = SoftmaxPolicy(pcfg, phi).log_gradient(0, mu0, 1)
         expected = -0.1 * (0.0 - 1.5 / 0.1) * g
         assert np.allclose(w, expected, atol=1e-14)
@@ -182,9 +165,9 @@ class TestInnerSgd:
         env, pcfg, phi = self._setup(seed=3)
         mu0 = Simplex.uniform(3)
         huge = OccupancySample(x=0, mu=mu0, u=1, a_hat=1e308)
-        cfg = NPGConfig(eta=1.0, alpha=10.0, j_steps=1, l_steps=5, gamma=0.9)
+        cfg = NPGConfig(eta=1.0, alpha=10.0, j_steps=1, l_steps=5)
         with pytest.raises(TrainingDivergenceError, match="iteration"):
-            inner_sgd(pcfg, phi, cfg, np.random.default_rng(4), sampler=lambda r: huge)
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(4), sampler=lambda r: huge)
 
 
 class TestNpgTrain:
@@ -196,24 +179,18 @@ class TestNpgTrain:
 
     def test_zero_eta_freezes_parameters(self):
         env, pcfg, phi = self._setup()
-        cfg = NPGConfig(eta=0.0, alpha=1e-3, j_steps=3, l_steps=5, gamma=0.9)
+        cfg = NPGConfig(eta=0.0, alpha=1e-3, j_steps=3, l_steps=5)
         res = npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(5))
         for it in res.iterates:
             assert np.array_equal(it, phi)
 
     def test_bit_exact_reproducibility(self):
         env, pcfg, phi = self._setup(seed=4)
-        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=1, l_steps=1, gamma=0.9)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=1, l_steps=1)
         r1 = npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(6))
         r2 = npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(6))
         assert np.array_equal(r1.iterates[0], r2.iterates[0])
         assert r1.values == r2.values
-
-    def test_gamma_mismatch_rejected(self):
-        env, pcfg, phi = self._setup()
-        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=1, l_steps=1, gamma=0.5)
-        with pytest.raises(ValueError, match="gamma"):
-            npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(7))
 
     @pytest.mark.parametrize("sigma", [1.0, 1.2])
     def test_values_equal_mf_value_of_iterates(self, sigma):
@@ -221,7 +198,7 @@ class TestNpgTrain:
         pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=8)
         phi = init_params(pcfg, np.random.default_rng(9))
         mu0 = Simplex([0.2, 0.5, 0.3])
-        cfg = NPGConfig(eta=1e-2, alpha=1e-3, j_steps=4, l_steps=20, gamma=0.9)
+        cfg = NPGConfig(eta=1e-2, alpha=1e-3, j_steps=4, l_steps=20)
         res = npg_train(env, pcfg, phi, mu0, cfg, np.random.default_rng(10), value_tol=1e-4)
         for it, value in zip(res.iterates, res.values):
             assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, 1e-4)[0]
@@ -230,7 +207,7 @@ class TestNpgTrain:
     def test_training_improves_value_across_seeds(self):
         env, pcfg, _ = self._setup(q=3, hidden=32)
         mu0 = Simplex.uniform(3)
-        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=100, l_steps=100, gamma=0.9)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=100, l_steps=100)
         wins = 0
         margins = []
         for seed in range(10):
@@ -243,9 +220,24 @@ class TestNpgTrain:
             wins += margin > 0
         assert wins >= 8, margins
 
+    def test_one_policy_per_iterate(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(SoftmaxPolicy(*args))
+            return built[-1]
+
+        monkeypatch.setattr("mfmarl.npg.SoftmaxPolicy", counting)
+        env, pcfg, phi = self._setup(seed=6)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=4, l_steps=3)
+        res = npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(11))
+        assert len(built) == cfg.j_steps + 1
+        for policy, it in zip(built[1:], res.iterates):
+            assert np.array_equal(policy.params, it)
+
     def test_parameters_stay_finite_and_log_written(self, tmp_path):
         env, pcfg, phi = self._setup(seed=5)
-        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=4, l_steps=20, gamma=0.9)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=4, l_steps=20)
         res = npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(8))
         for it in res.iterates:
             assert np.all(np.isfinite(it))
