@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,7 +36,7 @@ from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_f
 from .nagent import estimate_v_marl
 from .npg import NPGConfig, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
-from .simplex import Simplex, sample_many
+from .simplex import Simplex, normalized_rows, sample_many
 
 log = logging.getLogger(__name__)
 
@@ -76,8 +77,10 @@ class ExperimentConfig:
         if self.mu0 is not None:
             if len(self.mu0) != self.model.q:
                 raise ValueError(f"mu0 must have model.q = {self.model.q} entries, got {len(self.mu0)}")
-            if not all(p >= 0 for p in self.mu0):
-                raise ValueError(f"mu0 entries must be >= 0, got {list(self.mu0)}")
+            try:
+                normalized_rows(np.asarray(self.mu0, dtype=np.float64))
+            except ValueError as err:
+                raise ValueError(f"mu0 must be a probability vector: {err}") from None
 
     def initial_distribution(self) -> Simplex:
         if self.mu0 is None:
@@ -142,9 +145,17 @@ def _integer(value, key: str):
     return value
 
 
+def _real(value, key: str):
+    """A finite JSON number (bool, string, inf and NaN are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-shaped dict; unknown keys are
-    rejected at every level, and counts must be JSON integers. `gamma` may
+    rejected at every level, counts must be JSON integers and real values
+    finite JSON numbers, and `model.q`, `model.k` are required. `gamma` may
     live at the top level, inside the model section, or both (they must then
     agree)."""
     _config_items(
@@ -165,15 +176,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         },
         "top-level",
     )
-    model_raw = dict(raw.get("model") or {})
+    if not isinstance(raw.get("model"), dict):
+        raise ValueError("config needs a model section with q and k")
+    model_raw = dict(raw["model"])
     _config_items(
         model_raw, {"q", "k", "alpha_r", "beta_r", "lambda_r", "sigma", "gamma"}, "model"
     )
     for key in ("q", "k"):
+        if key not in model_raw:
+            raise ValueError(f"config needs model.{key}")
+        _integer(model_raw[key], f"model.{key}")
+    for key in ("alpha_r", "beta_r", "lambda_r", "sigma", "gamma"):
         if key in model_raw:
-            _integer(model_raw[key], f"model.{key}")
+            _real(model_raw[key], f"model.{key}")
     model_gamma = model_raw.pop("gamma", None)
-    gamma = raw.get("gamma", model_gamma if model_gamma is not None else 0.9)
+    gamma = _real(raw.get("gamma", model_gamma if model_gamma is not None else 0.9), "gamma")
     if model_gamma is not None and "gamma" in raw and model_gamma != raw["gamma"]:
         raise ValueError(f"model gamma {model_gamma} conflicts with top-level gamma {raw['gamma']}")
     model = FirmModelConfig(**model_raw)
@@ -183,6 +200,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key in ("j_steps", "l_steps", "seed"):
         if key in npg_raw:
             _integer(npg_raw[key], f"npg.{key}")
+    for key in ("eta", "alpha"):
+        if key in npg_raw:
+            _real(npg_raw[key], f"npg.{key}")
     npg_raw.setdefault("eta", 1e-3)
     npg_raw.setdefault("alpha", 1e-3)
     npg_raw.setdefault("j_steps", 100)
@@ -190,10 +210,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     npg = NPGConfig(**npg_raw)
 
     mu0 = raw.get("mu0")
-    if isinstance(mu0, str):
-        if mu0 != "uniform":
-            raise ValueError(f"mu0 must be 'uniform' or a probability vector, got {mu0!r}")
+    if mu0 == "uniform":
         mu0 = None
+    elif mu0 is not None:
+        if not isinstance(mu0, list):
+            raise ValueError(f"mu0 must be 'uniform' or a probability vector, got {mu0!r}")
+        mu0 = [_real(p, "mu0") for p in mu0]
     return ExperimentConfig(
         model=model,
         npg=npg,
@@ -201,7 +223,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         n_list=tuple(_integer(n, "n_list") for n in raw.get("n_list", (10, 20, 50, 100, 200))),
         seeds=_integer(raw.get("seeds", 25), "seeds"),
         episodes_per_seed=_integer(raw.get("episodes_per_seed", 10), "episodes_per_seed"),
-        horizon_tol=float(raw.get("horizon_tol", 1e-3)),
+        horizon_tol=float(_real(raw.get("horizon_tol", 1e-3), "horizon_tol")),
         mu0=tuple(mu0) if mu0 is not None else None,
         hidden=_integer(raw.get("hidden", 32), "hidden"),
         interaction_kind=str(raw.get("interaction", "ring")),

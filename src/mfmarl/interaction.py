@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Simplex
-
 VALIDATION_TOL = 1e-9
 
 
@@ -143,13 +141,6 @@ class InteractionMatrix:
         )
         return flat.reshape(n, set_size)
 
-    def view(self, agent: int, items: np.ndarray, set_size: int) -> np.ndarray:
-        """One agent's weighted view; reads only that agent's row of W."""
-        if self._data is None:
-            return np.bincount(items, weights=self._dense[agent], minlength=set_size)
-        lo, hi = np.searchsorted(self._rows, (agent, agent + 1))
-        return np.bincount(items[self._cols[lo:hi]], weights=self._data[lo:hi], minlength=set_size)
-
     def save_csv(self, path) -> None:
         np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
 
@@ -239,27 +230,3 @@ def _require_valid(report: ValidationReport, max_entry: float) -> None:
         raise ValueError(f"matrix is not doubly stochastic: {report}")
     if max_entry > 1.0 + VALIDATION_TOL:
         raise ValueError("matrix entries must lie in [0, 1]")
-
-
-def _check_items(w: InteractionMatrix, items, set_size: int) -> np.ndarray:
-    idx = np.asarray(items, dtype=np.int64)
-    if idx.size != w.n_agents:
-        raise ValueError(f"need one item per agent: {idx.size} vs {w.n_agents}")
-    if idx.min() < 0 or idx.max() >= set_size:
-        raise ValueError(f"item index out of range [0, {set_size})")
-    return idx
-
-
-def weighted_view(
-    w: InteractionMatrix, agent: int, items, set_size: int
-) -> Simplex:
-    """Agent's weighted distribution over the items held by the population:
-    entry k is the total W(agent, j) weight of agents j holding item k."""
-    if not 0 <= agent < w.n_agents:
-        raise ValueError(f"agent {agent} out of range [0, {w.n_agents})")
-    return Simplex(w.view(agent, _check_items(w, items, set_size), set_size))
-
-
-def weighted_views_all(w: InteractionMatrix, items, set_size: int) -> np.ndarray:
-    """All agents' weighted views at once, as an (N, set_size) matrix."""
-    return w.views(_check_items(w, items, set_size), set_size)

@@ -61,28 +61,6 @@ class MFTrajectory:
                 )
 
 
-def mf_action_distribution(env: EnvModel, policy, mu: Simplex) -> Simplex:
-    """Population action distribution: the mu-weighted mixture of the
-    per-state action distributions."""
-    _, nus = _step(policy, mu.weights[None, :])
-    return Simplex(nus[0])
-
-
-def mf_transition(env: EnvModel, policy, mu: Simplex) -> Simplex:
-    """Next state distribution: transition rows averaged over (x, u) with
-    weights pi(u | x, mu) * mu(x)."""
-    mus = mu.weights[None, :]
-    probs, nus = _step(policy, mus)
-    return Simplex(_next_laws(_kernels(env, mus, nus), probs, mus)[0])
-
-
-def mf_reward(env: EnvModel, policy, mu: Simplex) -> float:
-    """Population-average reward under mu and the policy."""
-    mus = mu.weights[None, :]
-    probs, nus = _step(policy, mus)
-    return float(_mean_rewards(_reward_matrices(env, mus, nus), probs, mus)[0])
-
-
 def truncation_horizon(env: EnvModel, tol: float) -> int:
     """Smallest T with discounted tail sum below tol, using the declared
     reward bound: gamma^(T+1) * M_R / (1 - gamma) <= tol."""
@@ -196,8 +174,8 @@ def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = Non
         raise ValueError("horizon must be >= 0")
     for t in itertools.count():
         probs, nus = _step(policy, mus)
-        kernels = _kernels(env, mus, nus)
-        yield mus, nus, probs, _reward_matrices(env, mus, nus), kernels
+        kernels = env.kernel(mus, nus)
+        yield mus, nus, probs, env.reward_matrix(mus, nus), kernels
         if t == horizon:
             return
         mus = _next_laws(kernels, probs, mus)
@@ -224,35 +202,6 @@ def _mean_rewards(rewards: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np
     return np.einsum("bxu,bxu,bx->b", rewards, probs, mus)
 
 
-def _kernels(env: EnvModel, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """Transition kernels (B, |X|, |U|, |X|) at each stacked (mu, nu)."""
-    if env.kernel is not None:
-        return env.kernel(mus, nus)
-    def row(x, u, mu, nu):
-        return env.transition(x, u, mu, nu).weights
-
-    return _per_row(env, mus, nus, row, (env.n_states,))
-
-
-def _reward_matrices(env: EnvModel, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
-    """Reward tables (B, |X|, |U|) at each stacked (mu, nu)."""
-    if env.reward_matrix is not None:
-        return env.reward_matrix(mus, nus)
-    return _per_row(env, mus, nus, env.reward, ())
-
-
-def _per_row(env: EnvModel, mus, nus, fn, entry_shape: tuple) -> np.ndarray:
-    """Hook fallback: the scalar contract `fn(x, u, mu, nu)` at every (x, u)
-    of every stacked row."""
-    out = np.empty((mus.shape[0], env.n_states, env.n_actions) + entry_shape)
-    for b in range(mus.shape[0]):
-        mu, nu = Simplex(mus[b]), Simplex(nus[b])
-        for x in range(env.n_states):
-            for u in range(env.n_actions):
-                out[b, x, u] = fn(x, u, mu, nu)
-    return out
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Constants feeding the finite-population approximation bound."""
@@ -277,7 +226,7 @@ class BoundInputs:
             "table_bound",
             "action_weight_l1",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")

@@ -13,12 +13,14 @@ States are 0-based indices internally; the firm model's quality levels
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex import Simplex, expectation
+from .simplex import Simplex, expectation, sample
 
 
 class AffineRewardRequiredError(ValueError):
@@ -59,14 +61,6 @@ class RewardConstants:
     m_f: float
 
 
-def affine_reward_eval(spec: AffineRewardSpec, x: int, u: int, mu: Simplex, nu: Simplex) -> float:
-    if len(mu) != spec.a.size or len(nu) != spec.b.size:
-        raise ValueError("distribution lengths do not match the affine coefficients")
-    if not (0 <= x < spec.f.shape[0] and 0 <= u < spec.f.shape[1]):
-        raise ValueError(f"state/action index ({x}, {u}) out of range")
-    return float(spec.a @ mu.weights + spec.b @ nu.weights + spec.f[x, u])
-
-
 def reward_constants(spec: AffineRewardSpec) -> RewardConstants:
     a1 = float(np.abs(spec.a).sum())
     b1 = float(np.abs(spec.b).sum())
@@ -77,11 +71,11 @@ def reward_constants(spec: AffineRewardSpec) -> RewardConstants:
 class EnvModel:
     """Finite-space environment with distribution-dependent dynamics.
 
-    `reward` and `transition` take 0-based state/action indices plus the
-    state/action distributions seen by the agent. Optional vectorized hooks
-    let concrete models accelerate the population simulator and the
-    mean-field recursion; callers fall back to the scalar contract when a
-    hook is absent:
+    The scalar contract is required: `reward(x, u, mu, nu)` -> float and
+    `transition(x, u, mu, nu)` -> `Simplex` over next states, on 0-based
+    indices and the `Simplex` laws seen by the agent. The population
+    simulator and the mean-field recursion call only four batched hooks,
+    which are always set after construction:
 
     - `reward_batch(states, actions, mu_views, nu_views)` -> (n,) rewards
       and `transition_sample_batch(states, actions, mu_views, nu_views, rng)`
@@ -90,6 +84,10 @@ class EnvModel:
       `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`
       (B, |U|) whose rows are already checked probability vectors.
+
+    A hook that is not passed is built from the scalar contract: one call
+    per agent, or per (b, x, u). The built sampler draws one uniform per
+    agent, in agent order, through `sample`.
     """
 
     def __init__(
@@ -108,10 +106,18 @@ class EnvModel:
         kernel=None,
         reward_matrix=None,
     ):
-        if n_states < 1 or n_actions < 1:
-            raise ValueError("state and action spaces must be nonempty")
+        for name, size in (("n_states", n_states), ("n_actions", n_actions)):
+            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        if reward_bound is None and affine is not None:
+            reward_bound = reward_constants(affine).m_r
+        if reward_bound is None:
+            raise ValueError("non-affine environments must declare a reward bound")
+        for name, value in (("reward_bound", reward_bound), ("lipschitz_p", lipschitz_p)):
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
@@ -119,15 +125,63 @@ class EnvModel:
         self.transition = transition
         self.lipschitz_p = lipschitz_p
         self.affine = affine
+        self.reward_bound = float(reward_bound)
+        if reward_batch is None:
+            reward_batch = _scalar_rewards(reward)
+        if transition_sample_batch is None:
+            transition_sample_batch = _scalar_sampler(transition)
+        if kernel is None:
+            kernel = _scalar_table(lambda *a: transition(*a).weights, n_states, n_actions, (n_states,))
+        if reward_matrix is None:
+            reward_matrix = _scalar_table(reward, n_states, n_actions, ())
         self.reward_batch = reward_batch
         self.transition_sample_batch = transition_sample_batch
         self.kernel = kernel
         self.reward_matrix = reward_matrix
-        if reward_bound is None and affine is not None:
-            reward_bound = reward_constants(affine).m_r
-        if reward_bound is None:
-            raise ValueError("non-affine environments must declare a reward bound")
-        self.reward_bound = float(reward_bound)
+
+
+def _agent_args(states, actions, mu_views, nu_views):
+    """Each agent's scalar-contract arguments (x, u, mu, nu), in agent order."""
+    for i in range(len(states)):
+        yield int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])
+
+
+def _scalar_rewards(reward):
+    """`reward_batch` built from the scalar reward, one call per agent."""
+
+    def reward_batch(states, actions, mu_views, nu_views):
+        return np.array([reward(*args) for args in _agent_args(states, actions, mu_views, nu_views)])
+
+    return reward_batch
+
+
+def _scalar_sampler(transition):
+    """`transition_sample_batch` built from the scalar transition: one
+    `sample` draw, so one uniform, per agent in agent order."""
+
+    def transition_sample_batch(states, actions, mu_views, nu_views, rng):
+        return np.array(
+            [sample(transition(*args), rng) for args in _agent_args(states, actions, mu_views, nu_views)],
+            dtype=np.int64,
+        )
+
+    return transition_sample_batch
+
+
+def _scalar_table(fn, n_states: int, n_actions: int, entry_shape: tuple):
+    """A stacked hook built from the scalar `fn(x, u, mu, nu)`, called at
+    every (x, u) of every row of `mus`, `nus`."""
+
+    def table(mus, nus):
+        out = np.empty((len(mus), n_states, n_actions) + entry_shape)
+        for b in range(len(mus)):
+            mu, nu = Simplex(mus[b]), Simplex(nus[b])
+            for x in range(n_states):
+                for u in range(n_actions):
+                    out[b, x, u] = fn(x, u, mu, nu)
+        return out
+
+    return table
 
 
 @dataclass(frozen=True)

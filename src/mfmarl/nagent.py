@@ -18,7 +18,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix
 from .model import EnvModel
-from .simplex import Simplex, sample
+from .simplex import Simplex
 
 
 @dataclass(frozen=True)
@@ -87,10 +87,6 @@ def _empirical_per_step(items: np.ndarray, set_size: int) -> list:
     return [Simplex(row) for row in counts / n]
 
 
-def _views(w: InteractionMatrix, items: np.ndarray, set_size: int) -> np.ndarray:
-    return w.views(items, set_size)
-
-
 def step(
     env: EnvModel,
     w: InteractionMatrix,
@@ -107,35 +103,13 @@ def step(
     if states.min() < 0 or states.max() >= env.n_states:
         raise ValueError("agent state index out of range")
 
-    mu_views = _views(w, states, env.n_states)
+    mu_views = w.views(states, env.n_states)
     actions = policy.sample_actions(states, mu_views, rng)
-    nu_views = _views(w, actions, env.n_actions)
-
-    if env.reward_batch is not None:
-        rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
-    else:
-        rewards = np.array(
-            [
-                env.reward(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i]))
-                for i in range(n)
-            ]
-        )
-
-    if env.transition_sample_batch is not None:
-        next_states = np.asarray(
-            env.transition_sample_batch(states, actions, mu_views, nu_views, rng), dtype=np.int64
-        )
-    else:
-        next_states = np.array(
-            [
-                sample(
-                    env.transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])),
-                    rng,
-                )
-                for i in range(n)
-            ],
-            dtype=np.int64,
-        )
+    nu_views = w.views(actions, env.n_actions)
+    rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
+    next_states = np.asarray(
+        env.transition_sample_batch(states, actions, mu_views, nu_views, rng), dtype=np.int64
+    )
     return AgentSystemState(states=next_states, actions=actions), rewards
 
 

@@ -175,65 +175,6 @@ class SoftmaxPolicy:
         return estimate_lipschitz_lq(self.config, self.params, trials, rng)
 
 
-class TabularPolicy:
-    """Fixed per-state action distributions, independent of the state
-    distribution (so its Lipschitz constant in mu is exactly zero)."""
-
-    def __init__(self, table):
-        table = np.asarray(table, dtype=np.float64)
-        if table.ndim != 2:
-            raise ValueError("table must be |X| x |U|")
-        if np.any(table < 0) or not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("table rows must be probability vectors")
-        self.table = table
-        self.n_states, self.n_actions = table.shape
-
-    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
-        return Simplex(self.table[x])
-
-    def probs(self, x: int, mu: Simplex) -> np.ndarray:
-        return self.table[x]
-
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        return self.table[states]
-
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
-        return sample_rows(self.table[states], rng)
-
-    def lipschitz_estimate(self, trials: int, rng) -> float:
-        return 0.0
-
-
-class FunctionPolicy:
-    """Policy defined by an explicit map (x, mu) -> action probability vector.
-
-    Used for environments and tests where the action rule is fixed rather
-    than learned; has no parameters and hence no log-gradient.
-    """
-
-    def __init__(self, fn, n_states: int, n_actions: int):
-        self._fn = fn
-        self.n_states = n_states
-        self.n_actions = n_actions
-
-    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
-        return Simplex(self.probs(x, mu))
-
-    def probs(self, x: int, mu: Simplex) -> np.ndarray:
-        p = np.asarray(self._fn(x, mu), dtype=np.float64)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"policy function returned shape {p.shape}")
-        return p
-
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self.probs(int(x), Simplex(row)) for x, row in zip(states, mu_rows)]
-        )
-
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
-        return sample_rows(self.probs_batch(states, mu_rows), rng)
-
-
 def save_policy(path, cfg: PolicyConfig, phi: np.ndarray) -> None:
     """Checkpoint: one JSON header line, then the flat parameters as CSV."""
     header = {

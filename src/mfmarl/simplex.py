@@ -1,5 +1,5 @@
-"""Probability vectors over finite index sets: empirical distributions,
-sampling, expectations, and L1 geometry.
+"""Probability vectors over finite index sets: checked construction,
+sampling and expectations.
 
 All distributions in the system (population state/action distributions,
 per-agent weighted views, policy outputs, transition rows) are `Simplex`
@@ -84,25 +84,6 @@ def normalized_rows(weights: np.ndarray) -> np.ndarray:
 def _require_finite(weights: np.ndarray) -> None:
     if not np.isfinite(weights).all():
         raise ValueError("simplex weights must be finite")
-
-
-def empirical_distribution(samples, set_size: int) -> Simplex:
-    """Fraction of occurrences of each index among `samples`."""
-    if set_size < 1:
-        raise ValueError("set size must be >= 1")
-    idx = np.asarray(samples, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("samples must be nonempty")
-    if idx.min() < 0 or idx.max() >= set_size:
-        raise ValueError(f"sample index out of range [0, {set_size})")
-    counts = np.bincount(idx, minlength=set_size)
-    return Simplex(counts / idx.size)
-
-
-def l1_distance(p: Simplex, q: Simplex) -> float:
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return float(np.abs(p.weights - q.weights).sum())
 
 
 def sample(p: Simplex, rng: np.random.Generator) -> int:

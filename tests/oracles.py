@@ -1,18 +1,144 @@
-"""Independent reference computations shared by the test modules.
+"""Independent reference computations and fixed test policies shared by the
+test modules.
 
-Everything here deliberately avoids the library's own composition paths:
-mean-field maps are explicit double sums, values come from linear solves or
-exhaustive branch enumeration, and occupancies from truncated enumeration.
+The references deliberately avoid the library's own composition paths:
+mean-field maps are explicit double sums, views are read from the dense row
+of W, values come from linear solves or exhaustive branch enumeration, and
+occupancies from truncated enumeration. The single-law maps
+`mf_action_distribution`, `mf_transition` and `mf_reward` are the opposite:
+one step of the library's own recursion, so that comparing them with the
+references checks that recursion.
 """
 
 import itertools
 
 import numpy as np
 
-from mfmarl.interaction import weighted_view
+from mfmarl.meanfield import _mean_rewards, _recursion
 from mfmarl.model import AffineRewardSpec, EnvModel
-from mfmarl.policy import TabularPolicy, action_distribution
+from mfmarl.policy import action_distribution
 from mfmarl.simplex import Simplex, sample_rows
+
+
+class TabularPolicy:
+    """Fixed per-state action distributions, independent of the state
+    distribution (so its Lipschitz constant in mu is exactly zero)."""
+
+    def __init__(self, table):
+        table = np.asarray(table, dtype=np.float64)
+        if table.ndim != 2:
+            raise ValueError("table must be |X| x |U|")
+        if np.any(table < 0) or not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
+            raise ValueError("table rows must be probability vectors")
+        self.table = table
+        self.n_states, self.n_actions = table.shape
+
+    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
+        return Simplex(self.table[x])
+
+    def probs(self, x: int, mu: Simplex) -> np.ndarray:
+        return self.table[x]
+
+    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
+        return self.table[states]
+
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
+        return sample_rows(self.table[states], rng)
+
+    def lipschitz_estimate(self, trials: int, rng) -> float:
+        return 0.0
+
+
+class FunctionPolicy:
+    """Policy defined by an explicit map (x, mu) -> action probability vector,
+    for fixed action rules; it has no parameters and hence no log-gradient."""
+
+    def __init__(self, fn, n_states: int, n_actions: int):
+        self._fn = fn
+        self.n_states = n_states
+        self.n_actions = n_actions
+
+    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
+        return Simplex(self.probs(x, mu))
+
+    def probs(self, x: int, mu: Simplex) -> np.ndarray:
+        p = np.asarray(self._fn(x, mu), dtype=np.float64)
+        if p.shape != (self.n_actions,):
+            raise ValueError(f"policy function returned shape {p.shape}")
+        return p
+
+    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [self.probs(int(x), Simplex(row)) for x, row in zip(states, mu_rows)]
+        )
+
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
+        return sample_rows(self.probs_batch(states, mu_rows), rng)
+
+
+def empirical_distribution(samples, set_size: int) -> Simplex:
+    """Fraction of occurrences of each index among `samples`."""
+    if set_size < 1:
+        raise ValueError("set size must be >= 1")
+    idx = np.asarray(samples, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("samples must be nonempty")
+    if idx.min() < 0 or idx.max() >= set_size:
+        raise ValueError(f"sample index out of range [0, {set_size})")
+    counts = np.bincount(idx, minlength=set_size)
+    return Simplex(counts / idx.size)
+
+
+def l1_distance(p: Simplex, q: Simplex) -> float:
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    return float(np.abs(p.weights - q.weights).sum())
+
+
+def affine_reward_eval(spec: AffineRewardSpec, x: int, u: int, mu: Simplex, nu: Simplex) -> float:
+    """r(x, u, mu, nu) = a . mu + b . nu + f[x, u] from the decomposition."""
+    if len(mu) != spec.a.size or len(nu) != spec.b.size:
+        raise ValueError("distribution lengths do not match the affine coefficients")
+    if not (0 <= x < spec.f.shape[0] and 0 <= u < spec.f.shape[1]):
+        raise ValueError(f"state/action index ({x}, {u}) out of range")
+    return float(spec.a @ mu.weights + spec.b @ nu.weights + spec.f[x, u])
+
+
+def weighted_view(w, agent, items, set_size):
+    """Agent's weighted distribution over the items held by the population,
+    summed in column order from the dense row W(agent, .): entry k is the
+    total weight of the agents j holding item k."""
+    if not 0 <= agent < w.n_agents:
+        raise ValueError(f"agent {agent} out of range [0, {w.n_agents})")
+    idx = np.asarray(items, dtype=np.int64)
+    if idx.size != w.n_agents:
+        raise ValueError(f"need one item per agent: {idx.size} vs {w.n_agents}")
+    if idx.min() < 0 or idx.max() >= set_size:
+        raise ValueError(f"item index out of range [0, {set_size})")
+    return Simplex(np.bincount(idx, weights=w.weights[agent], minlength=set_size))
+
+
+def _steps(env, policy, mu):
+    """The library's mean-field recursion from the single law mu."""
+    return _recursion(env, policy, mu.weights[None, :])
+
+
+def mf_action_distribution(env, policy, mu):
+    """Population action law under mu: step 0 of the library's recursion."""
+    return Simplex(next(_steps(env, policy, mu))[1][0])
+
+
+def mf_transition(env, policy, mu):
+    """Next state law under mu: step 1 of the library's recursion."""
+    steps = _steps(env, policy, mu)
+    next(steps)
+    return Simplex(next(steps)[0][0])
+
+
+def mf_reward(env, policy, mu):
+    """Population-average reward under mu: step 0 of the library's recursion."""
+    mus, _, probs, rewards, _ = next(_steps(env, policy, mu))
+    return float(_mean_rewards(rewards, probs, mus)[0])
 
 
 def finite_difference_log_gradient(cfg, phi, x, mu, u, step=1e-5):

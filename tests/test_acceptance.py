@@ -12,7 +12,12 @@ from oracles import (
     contraction_env,
     dp_q_and_v,
     exact_population_value,
+    empirical_distribution,
     finite_difference_log_gradient,
+    l1_distance,
+    mf_action_distribution,
+    mf_reward,
+    mf_transition,
     toy_mdp,
 )
 from mfmarl.harness import parse_config, run_and_persist, run_error_vs_n, summarize
@@ -21,14 +26,11 @@ from mfmarl.meanfield import (
     _MeanFieldPath,
     approximation_bound,
     bound_inputs,
-    mf_action_distribution,
-    mf_reward,
-    mf_transition,
     mf_value,
     truncation_horizon,
 )
 from mfmarl.model import FirmModelConfig, build_firm_env, reward_constants
-from mfmarl.nagent import _views, estimate_v_marl, rollout
+from mfmarl.nagent import estimate_v_marl, rollout
 from mfmarl.npg import sample_occupancy
 from mfmarl.policy import (
     PolicyConfig,
@@ -37,7 +39,7 @@ from mfmarl.policy import (
     init_params,
     log_policy_gradient,
 )
-from mfmarl.simplex import Simplex, empirical_distribution, l1_distance, sample_many
+from mfmarl.simplex import Simplex, sample_many
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -164,7 +166,7 @@ def test_doubly_stochastic_cancellation():
     for w in (ring_k_neighbor(n, 5), uniform(n), sinkhorn_random(n, rng)):
         rec = rollout(env, w, pol, rng.integers(0, 10, size=n), 25, rng)
         for t in range(rec.states.shape[0]):
-            views = _views(w, rec.states[t], 10)
+            views = w.views(rec.states[t], 10)
             lhs = float((views @ a).mean())
             rhs = float(a @ rec.mus[t].weights)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import contraction_env
+from oracles import contraction_env, empirical_distribution
 from mfmarl import cli
 from mfmarl.harness import (
     ExperimentConfig,
@@ -31,7 +31,7 @@ from mfmarl.meanfield import mf_value, truncation_horizon
 from mfmarl.nagent import estimate_v_marl
 from mfmarl.npg import NPGConfig
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
-from mfmarl.simplex import Simplex, empirical_distribution, sample_many
+from mfmarl.simplex import Simplex, sample_many
 
 
 def tiny_config(**overrides):
@@ -109,6 +109,52 @@ class TestConfigParsing:
         assert cfg.n_list == (5, 10)
         assert (cfg.npg.j_steps, cfg.npg.l_steps, cfg.npg.seed) == (2, 3, 7)
 
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("gamma", {"gamma": "0.5"}),
+            ("gamma", {"gamma": True}),
+            ("model.gamma", {"model": {"q": 3, "k": 2, "gamma": "0.5"}}),
+            ("horizon_tol", {"horizon_tol": "0.01"}),
+            ("horizon_tol", {"horizon_tol": float("inf")}),
+            ("npg.eta", {"npg": {"eta": "0.1"}}),
+            ("npg.alpha", {"npg": {"alpha": float("inf")}}),
+            ("npg.alpha", {"npg": {"alpha": float("nan")}}),
+            ("model.alpha_r", {"model": {"q": 3, "k": 2, "alpha_r": "1"}}),
+            ("model.beta_r", {"model": {"q": 3, "k": 2, "beta_r": float("nan")}}),
+            ("model.lambda_r", {"model": {"q": 3, "k": 2, "lambda_r": False}}),
+            ("model.sigma", {"model": {"q": 3, "k": 2, "sigma": "1.2"}}),
+            ("model.sigma", {"model": {"q": 3, "k": 2, "sigma": float("-inf")}}),
+            ("mu0", {"mu0": ["0.5", 0.25, 0.25]}),
+        ],
+    )
+    def test_non_finite_reals_rejected(self, key, overrides):
+        raw = {"model": {"q": 3, "k": 2}}
+        raw.update(overrides)
+        with pytest.raises(ValueError, match=key):
+            parse_config(raw)
+
+    def test_real_values_accepted(self):
+        cfg = parse_config(
+            {"model": {"q": 3, "k": 2, "alpha_r": 2, "beta_r": 0.25, "lambda_r": 0, "sigma": 1.5},
+             "gamma": 0.8, "horizon_tol": 0.01, "npg": {"eta": 0, "alpha": 0.5}}
+        )
+        assert (cfg.model.alpha_r, cfg.model.beta_r, cfg.model.lambda_r, cfg.model.sigma) == (2, 0.25, 0, 1.5)
+        assert (cfg.gamma, cfg.horizon_tol, cfg.npg.eta, cfg.npg.alpha) == (0.8, 0.01, 0, 0.5)
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("model", {"seeds": 2}),
+            ("model", {"model": None}),
+            ("model.q", {"model": {"k": 2}}),
+            ("model.k", {"model": {"q": 3}}),
+        ],
+    )
+    def test_missing_model_keys_rejected(self, key, raw):
+        with pytest.raises(ValueError, match=key):
+            parse_config(raw)
+
     def test_mu0_forms(self):
         cfg = parse_config({"model": {"q": 2, "k": 1}, "mu0": [0.25, 0.75]})
         assert cfg.initial_distribution().weights.tolist() == [0.25, 0.75]
@@ -117,9 +163,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config({"model": {"q": 2, "k": 1}, "mu0": "gaussian"})
 
-    @pytest.mark.parametrize("mu0", [[0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [1.5, -0.5, 0.0]])
+    @pytest.mark.parametrize(
+        "mu0", [[0.5, 0.5], [0.5, 0.25, 0.25, 0.0], [1.5, -0.5, 0.0], [1, 1, 3], [0.5, 0.25, 0.2], 0.5]
+    )
     def test_bad_mu0_rejected(self, mu0):
-        # q = 3: a law over the wrong number of states, or with a negative entry
+        # q = 3: a law over the wrong number of states, with a negative entry
+        # or a sum off 1, or not a list
         with pytest.raises(ValueError, match="mu0"):
             parse_config({"model": {"q": 3, "k": 2}, "mu0": mu0})
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import empirical_distribution, l1_distance, weighted_view
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
@@ -8,10 +9,8 @@ from mfmarl.interaction import (
     sinkhorn_random,
     uniform,
     validate_doubly_stochastic,
-    weighted_view,
-    weighted_views_all,
 )
-from mfmarl.simplex import empirical_distribution, l1_distance
+from mfmarl.simplex import Simplex
 
 
 def dense_ring(n, k):
@@ -124,22 +123,24 @@ class TestNonzeroStorage:
             assert dense.nonzeros is None
             for size in (2, 10):
                 items = rng.integers(0, size, size=w.n_agents)
-                assert np.array_equal(weighted_views_all(w, items, size), weighted_views_all(dense, items, size))
+                assert np.array_equal(w.views(items, size), dense.views(items, size))
 
     def test_single_view_equals_dense_view(self):
-        # One row is summed in column order either way, for any k.
+        # The sparse views sum each row in column order, as the reference
+        # does over the dense row, so they agree bit for bit for any k.
         rng = np.random.default_rng(22)
         for w in (ring_k_neighbor(50, 7), ring_symmetric(50, 6)):
             dense = InteractionMatrix(w.weights)
             items = rng.integers(0, 4, size=50)
+            views = w.views(items, 4)
             for i in range(50):
-                assert np.array_equal(weighted_view(w, i, items, 4).weights, weighted_view(dense, i, items, 4).weights)
+                assert np.array_equal(Simplex(views[i]).weights, weighted_view(dense, i, items, 4).weights)
 
     def test_from_nonzeros_sorts_and_sums_repeats(self):
         w = InteractionMatrix.from_nonzeros(2, [1, 0, 1, 0], [0, 1, 0, 1], [0.5, 1.0, 0.5, 0.0])
         assert w.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert w.nonzeros[0].tolist() == [0, 0, 1, 1]
-        assert weighted_view(w, 1, [0, 1], 2).weights.tolist() == [1.0, 0.0]
+        assert w.views(np.array([0, 1]), 2)[1].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize(
         "rows, cols, data",
@@ -196,19 +197,21 @@ class TestWeightedView:
             items = rng.integers(0, size, size=n)
             w = uniform(n)
             emp = empirical_distribution(items, size)
+            views = w.views(items, size)
             for i in range(n):
-                assert l1_distance(weighted_view(w, i, items, size), emp) <= 1e-12
+                assert l1_distance(Simplex(views[i]), emp) <= 1e-12
 
     def test_identity_rows_give_point_mass(self):
         w = InteractionMatrix(np.eye(4))
         items = np.array([2, 0, 1, 2])
+        views = w.views(items, 3)
         for i in range(4):
-            assert weighted_view(w, i, items, 3).weights[items[i]] == 1.0
+            assert views[i][items[i]] == 1.0
 
     def test_ring_example(self):
         w = ring_k_neighbor(4, 2)
-        view = weighted_view(w, 0, [0, 1, 1, 0], 2)
-        assert view.weights.tolist() == [0.0, 1.0]
+        view = w.views(np.array([0, 1, 1, 0]), 2)[0]
+        assert view.tolist() == [0.0, 1.0]
 
     def test_errors(self):
         w = uniform(3)
@@ -227,7 +230,7 @@ class TestWeightedView:
         for w in mats:
             for _ in range(25):
                 items = rng.integers(0, 4, size=9)
-                views = weighted_views_all(w, items, 4)
+                views = w.views(items, 4)
                 emp = empirical_distribution(items, 4).weights
                 assert np.abs(views.mean(axis=0) - emp).sum() <= 1e-12
 
@@ -235,7 +238,7 @@ class TestWeightedView:
         rng = np.random.default_rng(4)
         w = sinkhorn_random(7, rng)
         items = rng.integers(0, 3, size=7)
-        views = weighted_views_all(w, items, 3)
+        views = w.views(items, 3)
         for i in range(7):
             assert np.allclose(views[i], weighted_view(w, i, items, 3).weights, atol=1e-15)
 

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
-from oracles import brute_force_mf, contraction_env, toy_mdp
+from oracles import (
+    FunctionPolicy,
+    TabularPolicy,
+    brute_force_mf,
+    contraction_env,
+    l1_distance,
+    mf_action_distribution,
+    mf_reward,
+    mf_transition,
+    toy_mdp,
+)
 from mfmarl.meanfield import (
     BoundInapplicableError,
     BoundInputs,
     approximation_bound,
     bound_inputs,
-    mf_action_distribution,
-    mf_reward,
-    mf_transition,
     mf_value,
     mf_values,
     truncation_horizon,
@@ -22,8 +29,8 @@ from mfmarl.model import (
     build_firm_env,
 )
 from mfmarl.npg import NPGConfig, npg_train
-from mfmarl.policy import FunctionPolicy, PolicyConfig, SoftmaxPolicy, TabularPolicy, init_params
-from mfmarl.simplex import Simplex, l1_distance
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
+from mfmarl.simplex import Simplex
 
 
 def identity_env(gamma=0.9, rewards=None):
@@ -366,6 +373,13 @@ class TestApproximationBound:
         inp = BoundInputs(5.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.9, 100, 2, 2)
         with pytest.raises(BoundInapplicableError):
             approximation_bound(inp)
+
+    @pytest.mark.parametrize("field", [0, 1, 5])
+    def test_nan_constants_rejected(self, field):
+        values = [0.05, 0.1, 1.0, 1.0, 0.5, 0.2]
+        values[field] = float("nan")
+        with pytest.raises(ValueError, match="must be >= 0"):
+            BoundInputs(*values, 0.5, 100, 2, 2)
 
     def test_bound_inputs_require_affine(self):
         env, _ = _firm(3, sigma=1.2)

@@ -1,12 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
+from oracles import affine_reward_eval, l1_distance
 from mfmarl.model import (
     AffineRewardRequiredError,
     AffineRewardSpec,
     EnvModel,
     FirmModelConfig,
-    affine_reward_eval,
     build_firm_env,
     estimate_firm_lipschitz_p,
     firm_affine_spec,
@@ -14,7 +16,7 @@ from mfmarl.model import (
     firm_transition_distribution,
     reward_constants,
 )
-from mfmarl.simplex import Simplex, l1_distance
+from mfmarl.simplex import Simplex, sample
 
 
 def example_cfg(sigma=1.0, q=10, k=5):
@@ -254,3 +256,69 @@ class TestConfigValidation:
             EnvModel(2, 2, 1.0, lambda *a: 0.0, lambda *a: None, reward_bound=1.0)
         with pytest.raises(ValueError, match="reward bound"):
             EnvModel(2, 2, 0.9, lambda *a: 0.0, lambda *a: None)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("n_states", {"n_states": 2.5}),
+            ("n_states", {"n_states": 0}),
+            ("n_actions", {"n_actions": True}),
+            ("reward_bound", {"reward_bound": float("inf")}),
+            ("reward_bound", {"reward_bound": float("nan")}),
+            ("reward_bound", {"reward_bound": -1.0}),
+            ("lipschitz_p", {"lipschitz_p": float("nan")}),
+            ("lipschitz_p", {"lipschitz_p": float("inf")}),
+            ("lipschitz_p", {"lipschitz_p": -0.5}),
+        ],
+    )
+    def test_env_model_rejects_bad_inputs(self, name, kwargs):
+        args = {"n_states": 2, "n_actions": 2, "reward_bound": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            EnvModel(gamma=0.9, reward=lambda *a: 0.0, transition=lambda *a: None, **args)
+
+
+def scalar_firm_env(q=4, sigma=1.2):
+    """The firm model through its scalar reward and transition only."""
+    env = build_firm_env(example_cfg(sigma=sigma, q=q, k=2), 0.9)
+    bare = EnvModel(q, 2, 0.9, env.reward, env.transition, reward_bound=env.reward_bound)
+    return env, bare
+
+
+class TestEnvContract:
+    def test_scalar_only_env_has_all_hooks(self):
+        _, bare = scalar_firm_env()
+        for hook in ("reward_batch", "transition_sample_batch", "kernel", "reward_matrix"):
+            assert callable(getattr(bare, hook))
+
+    def test_built_sampler_draws_one_uniform_per_agent_in_order(self):
+        _, bare = scalar_firm_env(q=5)
+        rng = np.random.default_rng(30)
+        n = 25
+        states = rng.integers(0, 5, size=n)
+        actions = rng.integers(0, 2, size=n)
+        mu_views = rng.dirichlet(np.ones(5), size=n)
+        nu_views = rng.dirichlet(np.ones(2), size=n)
+        ref_rng, uniforms = copy.deepcopy(rng), copy.deepcopy(rng)
+        drawn = bare.transition_sample_batch(states, actions, mu_views, nu_views, rng)
+        expected = [
+            sample(bare.transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])), ref_rng)
+            for i in range(n)
+        ]
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == expected
+        uniforms.random(n)
+        assert rng.random() == ref_rng.random() == uniforms.random()
+
+    def test_built_hooks_match_firm_hooks(self):
+        env, bare = scalar_firm_env()
+        rng = np.random.default_rng(31)
+        states = rng.integers(0, 4, size=30)
+        actions = rng.integers(0, 2, size=30)
+        mu_views = rng.dirichlet(np.ones(4), size=30)
+        nu_views = rng.dirichlet(np.ones(2), size=30)
+        rewards = bare.reward_batch(states, actions, mu_views, nu_views)
+        assert np.allclose(rewards, env.reward_batch(states, actions, mu_views, nu_views), rtol=1e-12, atol=1e-12)
+        mus = rng.dirichlet(np.ones(4), size=3)
+        nus = rng.dirichlet(np.ones(2), size=3)
+        assert np.allclose(bare.kernel(mus, nus), env.kernel(mus, nus), atol=1e-14)
+        assert np.allclose(bare.reward_matrix(mus, nus), env.reward_matrix(mus, nus), rtol=1e-12, atol=1e-12)

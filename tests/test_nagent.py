@@ -3,20 +3,26 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import exact_population_value
+from oracles import (
+    FunctionPolicy,
+    empirical_distribution,
+    exact_population_value,
+    l1_distance,
+    mf_action_distribution,
+    mf_reward,
+    mf_transition,
+)
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
     ring_symmetric,
     sinkhorn_random,
     uniform,
-    weighted_view,
 )
-from mfmarl.meanfield import mf_action_distribution, mf_reward, mf_transition
 from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
 from mfmarl.nagent import AgentSystemState, estimate_v_marl, rollout, step
-from mfmarl.policy import FunctionPolicy, PolicyConfig, SoftmaxPolicy, init_params
-from mfmarl.simplex import Simplex, empirical_distribution, l1_distance
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
+from mfmarl.simplex import Simplex
 
 
 def firm_env(q=3, k=2, gamma=0.9, sigma=1.0):
@@ -68,9 +74,7 @@ class TestStep:
         pol = softmax_policy(5, seed=1)
         rng = np.random.default_rng(2)
         states = rng.integers(0, 5, size=30)
-        from mfmarl.nagent import _views
-
-        views = _views(uniform(30), states, 5)
+        views = uniform(30).views(states, 5)
         emp = empirical_distribution(states, 5).weights
         assert np.abs(views - emp).max() <= 1e-12
 
@@ -190,7 +194,7 @@ class TestSparseInteraction:
             w = ring_k_neighbor(n, 5)
             rng = np.random.default_rng(18)
             rec = rollout(env, w, pol, rng.integers(0, 10, size=n), 3, rng)
-            view = weighted_view(w, n - 1, rec.states[-1], 10)
+            view = w.views(rec.states[-1], 10)[n - 1]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -198,7 +202,7 @@ class TestSparseInteraction:
         assert rec.states.shape == (4, n)
         # the last agent's neighbors are agents 0..4
         expected = np.bincount(rec.states[-1][:5], minlength=10) / 5
-        assert np.abs(view.weights - expected).max() <= 1e-15
+        assert np.abs(view - expected).max() <= 1e-15
 
 
 class TestEstimateVMarl:
@@ -292,10 +296,8 @@ class TestConcentration:
         rng = np.random.default_rng(14)
         for w in (uniform(12), ring_k_neighbor(12, 3), sinkhorn_random(12, rng)):
             rec = rollout(env, w, pol, rng.integers(0, 5, size=12), 10, rng)
-            from mfmarl.nagent import _views
-
             for t in range(rec.states.shape[0]):
-                views = _views(w, rec.states[t], 5)
+                views = w.views(rec.states[t], 5)
                 lhs = (views @ a).mean()
                 rhs = a @ rec.mus[t].weights
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

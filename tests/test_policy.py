@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import FunctionPolicy
 from mfmarl.policy import (
-    FunctionPolicy,
     PolicyConfig,
     SoftmaxPolicy,
     action_distribution,

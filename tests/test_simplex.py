@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import empirical_distribution, l1_distance
 from mfmarl.simplex import (
     Simplex,
-    empirical_distribution,
     expectation,
-    l1_distance,
     sample,
     sample_many,
     sample_rows,
