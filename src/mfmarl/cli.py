@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -18,30 +17,36 @@ from .model import build_firm_env
 from .policy import SoftmaxPolicy, load_policy, save_policy
 
 
+def _size(text: str):
+    """One `--n` entry as an integer, or as text for parse_config to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _load(args) -> harness.ExperimentConfig:
+    """The config file with the command's overrides written into it, read
+    by parse_config, so that an override is checked like the file."""
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    cfg = harness.parse_config(raw)
-    overrides = {}
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if getattr(args, "seeds", None) is not None:
-        overrides["seeds"] = args.seeds
-    if getattr(args, "n", None) is not None:
-        overrides["n_list"] = tuple(int(v) for v in args.n.split(","))
-    if getattr(args, "threads", None) is not None:
-        overrides["threads"] = args.threads
-    if getattr(args, "sigma", None) is not None:
-        overrides["model"] = dataclasses.replace(cfg.model, sigma=args.sigma)
-    if getattr(args, "gamma", None) is not None:
-        overrides["gamma"] = args.gamma
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    if not isinstance(raw, dict):
+        return harness.parse_config(raw)  # rejects it, naming the config
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    for key in ("out", "seeds", "n_list", "threads", "gamma"):
+        if key in flags:
+            raw[key] = flags[key]
+    model = raw.get("model")
+    if isinstance(model, dict):
+        if "gamma" in flags:  # --gamma replaces a model.gamma
+            model.pop("gamma", None)
+        if "sigma" in flags:
+            model["sigma"] = flags["sigma"]
+    return harness.parse_config(raw)
 
 
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    if cfg.out is None:
-        cfg = dataclasses.replace(cfg, out="results.csv")
     result = harness.run_and_persist(cfg)
     print(f"wrote {len(result.rows)} rows to {cfg.out} ({len(result.skipped)} cells skipped)")
     for row in harness.summarize(result):
@@ -91,7 +96,8 @@ def main(argv=None) -> int:
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=None)
     run.add_argument("--seeds", type=int, default=None)
-    run.add_argument("--n", default=None, help="comma-separated population sizes")
+    run.add_argument("--n", dest="n_list", help="comma-separated population sizes",
+                     type=lambda text: [_size(entry) for entry in text.split(",")])
     run.add_argument("--sigma", type=float, default=None)
     run.add_argument("--gamma", type=float, default=None)
     run.add_argument("--threads", type=int, default=None)

@@ -17,9 +17,10 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from functools import cache
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -46,18 +47,20 @@ _INTERACTION_KINDS = ("ring", "uniform", "sinkhorn")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment's config; its fields are the config file's schema."""
+
     model: FirmModelConfig
-    npg: NPGConfig
+    npg: NPGConfig = NPGConfig()
     gamma: float = 0.9
-    n_list: tuple = (10, 20, 50, 100, 200)
+    n_list: tuple[int, ...] = (10, 20, 50, 100, 200)
     seeds: int = 25
     episodes_per_seed: int = 10
     horizon_tol: float = 1e-3
-    mu0: Optional[tuple] = None  # None = uniform over states
+    mu0: Optional[tuple[float, ...]] = None  # None = uniform over states
     hidden: int = 32
-    interaction_kind: str = "ring"
+    interaction_kind: str = field(default="ring", metadata={"key": "interaction"})
     threads: int = 1
-    out: Optional[str] = None
+    out: str = "results.csv"
 
     def __post_init__(self):
         if len(self.n_list) == 0 or any(n < 1 for n in self.n_list):
@@ -70,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("horizon_tol must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if self.interaction_kind not in _INTERACTION_KINDS:
             raise ValueError(f"interaction kind must be one of {_INTERACTION_KINDS}")
         if self.threads < 1:
@@ -132,104 +137,97 @@ def percentage_error(v_marl: float, v_mf: float) -> float:
     return abs(v_marl - v_mf) / abs(v_mf) * 100.0
 
 
-def _config_items(raw: dict, allowed: set, where: str) -> None:
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} config keys: {sorted(unknown)}")
-
-
-def _integer(value, key: str):
+def _integer(value, key: str) -> int:
     """A JSON integer count (bool, float and string are rejected)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _real(value, key: str):
+def _real(value, key: str) -> float:
     """A finite JSON number (bool, string, inf and NaN are rejected)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
+def _counts(value, key: str) -> tuple:
+    """A JSON array of integer counts."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(_integer(n, key) for n in value)
+
+
+def _law(value, key: str) -> Optional[tuple]:
+    """`"uniform"` (None) or an explicit JSON array of probabilities."""
+    if value == "uniform":
+        return None
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be 'uniform' or a probability vector, got {value!r}")
+    return tuple(_real(p, key) for p in value)
+
+
+# The reader of a config value, by the type of the field it fills.
+_READERS = {
+    int: _integer,
+    float: _real,
+    str: _string,
+    tuple[int, ...]: _counts,
+    Optional[tuple[float, ...]]: _law,
+}
+
+
+# Resolving a class's annotations evaluates their text; do it once per class.
+_field_types = cache(get_type_hints)
+
+
+def _section(cls, raw, where: str = ""):
+    """Read the config dataclass `cls` from the JSON object `raw` at path
+    `where`. Its fields are the allowed keys, a field without a default is
+    required, and the field's type picks the value's reader; a dataclass
+    field is a nested section."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where or 'config'} must be a JSON object, got {raw!r}")
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = set(raw) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {where or 'top-level'} config keys: {sorted(unknown)}")
+    types = _field_types(cls)
+    values = {}
+    for key, f in keys.items():
+        path = f"{where}.{key}" if where else key
+        if key in raw:
+            kind = types[f.name]
+            if is_dataclass(kind):
+                values[f.name] = _section(kind, raw[key], path)
+            else:
+                values[f.name] = _READERS[kind](raw[key], path)
+        elif f.default is MISSING:
+            raise ValueError(f"config needs {path}")
+    return cls(**values)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-shaped dict; unknown keys are
-    rejected at every level, counts must be JSON integers and real values
-    finite JSON numbers, and `model.q`, `model.k` are required. `gamma` may
-    live at the top level, inside the model section, or both (they must then
-    agree)."""
-    _config_items(
-        raw,
-        {
-            "model",
-            "npg",
-            "gamma",
-            "n_list",
-            "seeds",
-            "episodes_per_seed",
-            "horizon_tol",
-            "mu0",
-            "hidden",
-            "interaction",
-            "threads",
-            "out",
-        },
-        "top-level",
-    )
-    if not isinstance(raw.get("model"), dict):
-        raise ValueError("config needs a model section with q and k")
-    model_raw = dict(raw["model"])
-    _config_items(
-        model_raw, {"q", "k", "alpha_r", "beta_r", "lambda_r", "sigma", "gamma"}, "model"
-    )
-    for key in ("q", "k"):
-        if key not in model_raw:
-            raise ValueError(f"config needs model.{key}")
-        _integer(model_raw[key], f"model.{key}")
-    for key in ("alpha_r", "beta_r", "lambda_r", "sigma", "gamma"):
-        if key in model_raw:
-            _real(model_raw[key], f"model.{key}")
-    model_gamma = model_raw.pop("gamma", None)
-    gamma = _real(raw.get("gamma", model_gamma if model_gamma is not None else 0.9), "gamma")
-    if model_gamma is not None and "gamma" in raw and model_gamma != raw["gamma"]:
-        raise ValueError(f"model gamma {model_gamma} conflicts with top-level gamma {raw['gamma']}")
-    model = FirmModelConfig(**model_raw)
-
-    npg_raw = dict(raw.get("npg") or {})
-    _config_items(npg_raw, {"eta", "alpha", "j_steps", "l_steps", "seed"}, "npg")
-    for key in ("j_steps", "l_steps", "seed"):
-        if key in npg_raw:
-            _integer(npg_raw[key], f"npg.{key}")
-    for key in ("eta", "alpha"):
-        if key in npg_raw:
-            _real(npg_raw[key], f"npg.{key}")
-    npg_raw.setdefault("eta", 1e-3)
-    npg_raw.setdefault("alpha", 1e-3)
-    npg_raw.setdefault("j_steps", 100)
-    npg_raw.setdefault("l_steps", 100)
-    npg = NPGConfig(**npg_raw)
-
-    mu0 = raw.get("mu0")
-    if mu0 == "uniform":
-        mu0 = None
-    elif mu0 is not None:
-        if not isinstance(mu0, list):
-            raise ValueError(f"mu0 must be 'uniform' or a probability vector, got {mu0!r}")
-        mu0 = [_real(p, "mu0") for p in mu0]
-    return ExperimentConfig(
-        model=model,
-        npg=npg,
-        gamma=float(gamma),
-        n_list=tuple(_integer(n, "n_list") for n in raw.get("n_list", (10, 20, 50, 100, 200))),
-        seeds=_integer(raw.get("seeds", 25), "seeds"),
-        episodes_per_seed=_integer(raw.get("episodes_per_seed", 10), "episodes_per_seed"),
-        horizon_tol=float(_real(raw.get("horizon_tol", 1e-3), "horizon_tol")),
-        mu0=tuple(mu0) if mu0 is not None else None,
-        hidden=_integer(raw.get("hidden", 32), "hidden"),
-        interaction_kind=str(raw.get("interaction", "ring")),
-        threads=_integer(raw.get("threads", 1), "threads"),
-        out=raw.get("out"),
-    )
+    """Build an ExperimentConfig from a JSON-shaped dict (see `_section`):
+    unknown keys are rejected at every level, counts must be JSON integers,
+    real values finite JSON numbers, and `model.q`, `model.k` are required.
+    The JSON key `interaction` fills `interaction_kind`, and `mu0` is
+    `"uniform"` or a list. `gamma` may live at the top level, inside the
+    model section, or both (they must then agree)."""
+    model = raw.get("model") if isinstance(raw, dict) else None
+    if isinstance(model, dict) and "gamma" in model:
+        model = dict(model)
+        gamma = _real(model.pop("gamma"), "model.gamma")
+        if "gamma" in raw and raw["gamma"] != gamma:
+            raise ValueError(f"model gamma {gamma} conflicts with top-level gamma {raw['gamma']}")
+        raw = {**raw, "model": model, "gamma": gamma}
+    return _section(ExperimentConfig, raw)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -238,32 +236,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "model": {
-            "q": cfg.model.q,
-            "k": cfg.model.k,
-            "alpha_r": cfg.model.alpha_r,
-            "beta_r": cfg.model.beta_r,
-            "lambda_r": cfg.model.lambda_r,
-            "sigma": cfg.model.sigma,
-        },
-        "gamma": cfg.gamma,
-        "n_list": list(cfg.n_list),
-        "seeds": cfg.seeds,
-        "episodes_per_seed": cfg.episodes_per_seed,
-        "horizon_tol": cfg.horizon_tol,
-        "mu0": list(cfg.mu0) if cfg.mu0 is not None else "uniform",
-        "hidden": cfg.hidden,
-        "interaction": cfg.interaction_kind,
-        "threads": cfg.threads,
-        "npg": {
-            "eta": cfg.npg.eta,
-            "alpha": cfg.npg.alpha,
-            "j_steps": cfg.npg.j_steps,
-            "l_steps": cfg.npg.l_steps,
-            "seed": cfg.npg.seed,
-        },
-    }
+    """The config as JSON that `parse_config` reads back to `cfg`, less
+    `out`: the dict is written next to the output."""
+    resolved = asdict(
+        cfg, dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items}
+    )
+    resolved["interaction"] = resolved.pop("interaction_kind")
+    if cfg.mu0 is None:
+        resolved["mu0"] = "uniform"
+    del resolved["out"]
+    return resolved
 
 
 def build_interaction(cfg: ExperimentConfig, n: int, seed: int) -> interaction.InteractionMatrix:
@@ -438,8 +420,6 @@ def bound_report(
 def run_and_persist(cfg: ExperimentConfig) -> ExperimentResult:
     """Train, sweep, and write results CSV + summary CSV + policy checkpoint
     + metadata sidecar next to the configured output path."""
-    if cfg.out is None:
-        raise ValueError("config has no output path")
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     env = build_firm_env(cfg.model, cfg.gamma)

@@ -205,7 +205,7 @@ class FirmModelConfig:
             raise ValueError("q must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.sigma < 1:
+        if not self.sigma >= 1:
             raise ValueError("sigma must be >= 1")
 
 

@@ -29,10 +29,10 @@ class TrainingDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NPGConfig:
-    eta: float
-    alpha: float
-    j_steps: int
-    l_steps: int
+    eta: float = 1e-3
+    alpha: float = 1e-3
+    j_steps: int = 100
+    l_steps: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -40,6 +40,8 @@ class NPGConfig:
             raise ValueError("learning rates must be positive (eta may be 0)")
         if self.j_steps < 1 or self.l_steps < 1:
             raise ValueError("j_steps and l_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from mfmarl.harness import (
     load_config,
     parse_config,
     percentage_error,
+    resolved_config_dict,
     run_and_persist,
     run_error_vs_n,
     summarize,
@@ -177,6 +178,49 @@ class TestConfigParsing:
         path.write_text(json.dumps({"model": {"q": 4, "k": 2}, "seeds": 3}))
         cfg = load_config(path)
         assert cfg.model.q == 4 and cfg.seeds == 3
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [
+            ("npg", {"npg": "x"}),
+            ("npg", {"npg": [1]}),
+            ("npg", {"npg": None}),
+            ("n_list", {"n_list": 5}),
+            ("out", {"out": 5}),
+            ("out", {"out": None}),
+            ("mu0", {"mu0": None}),
+            ("interaction", {"interaction": 5}),
+        ],
+    )
+    def test_wrong_shapes_rejected(self, key, overrides):
+        raw = {"model": {"q": 3, "k": 2}}
+        raw.update(overrides)
+        with pytest.raises(ValueError, match=key):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "key, overrides",
+        [("hidden", {"hidden": 0}), ("hidden", {"hidden": -1}), ("seed", {"npg": {"seed": -1}})],
+    )
+    def test_out_of_range_counts_rejected(self, key, overrides):
+        raw = {"model": {"q": 3, "k": 2}}
+        raw.update(overrides)
+        with pytest.raises(ValueError, match=key):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": {"q": 10, "k": 5}},
+            {"model": {"q": 3, "k": 2, "gamma": 0.8, "sigma": 1.2}, "interaction": "sinkhorn",
+             "mu0": [0.5, 0.25, 0.25]},
+            {"model": {"q": 4, "k": 2}, "threads": 2},
+        ],
+    )
+    def test_resolved_dict_reads_back(self, raw):
+        # the resolved dict leaves out `out`, which then takes its default
+        cfg = parse_config({**raw, "out": "elsewhere.csv"})
+        assert parse_config(resolved_config_dict(cfg)) == dataclasses.replace(cfg, out="results.csv")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -426,6 +470,42 @@ class TestCli:
         with pytest.raises(ValueError, match=flag.lstrip("-")):
             cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), flag, "0"])
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, flag, value",
+        [
+            ("model.sigma", "--sigma", "nan"),
+            ("model.sigma", "--sigma", "inf"),
+            ("n_list", "--n", "10,2.5"),
+            ("n_list", "--n", ",5"),
+            ("gamma", "--gamma", "nan"),
+        ],
+    )
+    def test_bad_overrides_are_rejected(self, tmp_path, key, flag, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"q": 3, "k": 2}, "hidden": 4,
+                                        "npg": {"j_steps": 1, "l_steps": 1}}))
+        with pytest.raises(ValueError, match=key):
+            cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), flag, value])
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--seeds", "1"]])
+    def test_non_object_config_file_rejected(self, tmp_path, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([{"model": {"q": 3, "k": 2}}]))
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), *flags])
+
+    def test_gamma_override_replaces_model_gamma(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"q": 3, "k": 2, "gamma": 0.8}, "gamma": 0.8,
+                                        "hidden": 4, "n_list": [3], "seeds": 1,
+                                        "episodes_per_seed": 1, "horizon_tol": 0.5,
+                                        "npg": {"j_steps": 1, "l_steps": 1}}))
+        out = tmp_path / "res.csv"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--gamma", "0.7"]) == 0
+        meta = json.loads((tmp_path / "res.meta.json").read_text())
+        assert meta["config"]["gamma"] == 0.7
 
     def test_train_and_bound_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

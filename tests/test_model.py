@@ -250,6 +250,8 @@ class TestConfigValidation:
             FirmModelConfig(q=3, k=0)
         with pytest.raises(ValueError):
             FirmModelConfig(q=3, k=1, sigma=0.5)
+        with pytest.raises(ValueError, match="sigma"):
+            FirmModelConfig(q=3, k=1, sigma=float("nan"))
 
     def test_env_model_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
-"""The README's library sketch runs as written."""
+"""The README's library sketch runs as written, and its config block is
+the resolved default config."""
 
+import json
 import math
 import re
 from pathlib import Path
+
+from mfmarl.harness import ExperimentConfig, parse_config, resolved_config_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +19,11 @@ def test_library_sketch_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 3
     assert all(math.isfinite(float(v)) for v in printed)
+
+
+def test_config_block_is_the_default_config():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Config JSON", 1)[1]
+    block = json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    assert block.pop("out") == ExperimentConfig.out
+    assert block == resolved_config_dict(parse_config({"model": {"q": 10, "k": 5}}))
