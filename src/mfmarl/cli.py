@@ -63,6 +63,11 @@ def _cmd_bound(args) -> int:
     policy = None
     if args.checkpoint is not None:
         pcfg, phi = load_policy(args.checkpoint)
+        if (pcfg.n_states, pcfg.n_actions) != (env.n_states, env.n_actions):
+            raise ValueError(
+                f"checkpoint {args.checkpoint} has {pcfg.n_states} states and {pcfg.n_actions} "
+                f"actions, the config's environment {env.n_states} and {env.n_actions}"
+            )
         policy = SoftmaxPolicy(pcfg, phi)
     report = harness.bound_report(cfg, env=env, policy=policy)
     inp = report.inputs

@@ -1,12 +1,13 @@
 """Natural policy gradient training of the mean-field control problem.
 
 The outer loop ascends the policy parameters along a direction solved by an
-inner stochastic regression: each inner step consumes one sample from the
-policy's discounted occupancy over (state, state-distribution, action)
-triples together with an unbiased advantage estimate (one estimator: a fair
-coin either keeps or redraws the accepted action), and nudges the direction
-toward the least-squares fit of advantage against the score. Each iterate's
-mean-field path gives its logged value and the next pass's samples.
+inner stochastic regression. A pass draws its samples from the policy's
+discounted occupancy over (state, state-distribution, action) triples, each
+with an unbiased advantage estimate (one estimator: a fair coin either keeps
+or redraws the accepted action), scores them all in one backward pass, and
+then each SGD step nudges the direction toward the least-squares fit of
+advantage against the score. Each iterate's mean-field path gives its logged
+value and the next pass's samples.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .meanfield import _MeanFieldPath, truncation_horizon
 from .model import EnvModel
-from .policy import PolicyConfig, SoftmaxPolicy
+from .policy import PolicyConfig, SoftmaxPolicy, log_policy_gradient
 from .simplex import Simplex, sample
 
 
@@ -59,38 +60,10 @@ class OccupancySample:
             raise ValueError("advantage estimate must be finite")
 
 
-class _Chain:
-    """Representative-agent chain over a shared mean-field path: the state
-    and action are stochastic, the population distribution is not."""
-
-    def __init__(self, path: _MeanFieldPath, rng: np.random.Generator):
-        self.path = path
-        self.rng = rng
-        self.t = 0
-        self.x = sample(path.mus[0], rng)
-        self.u = self._draw_action()
-
-    def _draw(self, cum_row: np.ndarray) -> int:
-        idx = int(np.searchsorted(cum_row, self.rng.random() * cum_row[-1], side="right"))
-        return min(idx, cum_row.size - 1)
-
-    def _draw_action(self) -> int:
-        return self._draw(self.path.probs_cum(self.t)[self.x])
-
-    def resample_action(self) -> None:
-        self.u = self._draw_action()
-
-    def reward(self) -> float:
-        return self.path.reward(self.t, self.x, self.u)
-
-    @property
-    def mu(self) -> Simplex:
-        return self.path.mus[self.t]
-
-    def advance(self) -> None:
-        self.x = self._draw(self.path.kernel_cum(self.t)[self.x, self.u])
-        self.t += 1
-        self.u = self._draw_action()
+def _draw(cum_row: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from an unnormalized cumulative row."""
+    idx = int(np.searchsorted(cum_row, rng.random() * cum_row[-1], side="right"))
+    return min(idx, cum_row.size - 1)
 
 
 def _geometric_steps(gamma: float, rng: np.random.Generator) -> int:
@@ -110,44 +83,48 @@ def sample_occupancy(path: _MeanFieldPath, rng: np.random.Generator) -> Occupanc
     of rewards over a second geometric-length suffix, including the reward
     at the accepted time, is the advantage estimate.
     """
-    chain = _Chain(path, rng)
+    t, x = 0, sample(path.mus[0], rng)
+    u = _draw(path.probs_cum(0)[x], rng)
     for _ in range(_geometric_steps(path.gamma, rng)):
-        chain.advance()
-    accepted = (chain.x, chain.mu, chain.u)
+        x = _draw(path.kernel_cum(t)[x, u], rng)
+        t += 1
+        u = _draw(path.probs_cum(t)[x], rng)
+    accepted = (x, path.mus[t], u)
 
     q_branch = rng.random() < 0.5
     if not q_branch:
-        chain.resample_action()
-    total = chain.reward()
+        u = _draw(path.probs_cum(t)[x], rng)
+    total = path.reward(t, x, u)
     for _ in range(_geometric_steps(path.gamma, rng)):
-        chain.advance()
-        total += chain.reward()
+        x = _draw(path.kernel_cum(t)[x, u], rng)
+        t += 1
+        u = _draw(path.probs_cum(t)[x], rng)
+        total += path.reward(t, x, u)
     a_hat = 2.0 * total if q_branch else -2.0 * total
     return OccupancySample(x=accepted[0], mu=accepted[1], u=accepted[2], a_hat=a_hat)
 
 
-def inner_sgd(
-    policy: SoftmaxPolicy,
-    cfg: NPGConfig,
-    gamma: float,
-    rng: np.random.Generator,
-    sampler,
-) -> np.ndarray:
-    """Solve the direction-finding regression by SGD from w = 0 and return
-    the average of the post-update iterates.
+def inner_sgd(policy: SoftmaxPolicy, cfg: NPGConfig, gamma: float, samples) -> np.ndarray:
+    """Solve the direction-finding regression by SGD from w = 0 over the
+    pass's `cfg.l_steps` occupancy samples and return the average of the
+    post-update iterates.
 
-    Each iteration draws a fresh occupancy sample (x, mu, u, a_hat) from
-    `sampler(rng)`, forms the residual of w . score of `policy` against
-    a_hat / (1 - gamma), and steps w down the residual-weighted score.
+    The scores of `policy` at every sample come from one backward pass;
+    step l then forms the residual of w . score_l against a_hat_l / (1 - gamma)
+    and steps w down the residual-weighted score.
     """
+    if len(samples) != cfg.l_steps:
+        raise ValueError(f"inner_sgd needs cfg.l_steps = {cfg.l_steps} samples, got {len(samples)}")
+    states, actions = np.array([s.x for s in samples]), np.array([s.u for s in samples])
+    mu_rows = np.array([s.mu.weights for s in samples])
+    scores = log_policy_gradient(policy.config, policy.params, states, mu_rows, actions)
+    with np.errstate(over="ignore"):
+        targets = np.array([s.a_hat for s in samples]) * (1.0 / (1.0 - gamma))
     w = np.zeros(policy.config.n_params)
     total = np.zeros_like(w)
-    scale = 1.0 / (1.0 - gamma)
-    for l in range(cfg.l_steps):
-        s = sampler(rng)
-        g = policy.log_gradient(s.x, s.mu, s.u)
+    for l, (g, target) in enumerate(zip(scores, targets)):
         with np.errstate(invalid="ignore", over="ignore"):
-            h = (float(w @ g) - s.a_hat * scale) * g
+            h = (float(w @ g) - target) * g
         if not np.all(np.isfinite(h)):
             raise TrainingDivergenceError(f"non-finite update direction at inner iteration {l}")
         w = w - cfg.alpha * h
@@ -202,8 +179,9 @@ def npg_train(
     path = _MeanFieldPath(env, policy, mu0)
     for j in range(cfg.j_steps):
         start = time.perf_counter()
+        samples = [sample_occupancy(path, rng) for _ in range(cfg.l_steps)]
         try:
-            w = inner_sgd(policy, cfg, env.gamma, rng, lambda r: sample_occupancy(path, r))
+            w = inner_sgd(policy, cfg, env.gamma, samples)
         except TrainingDivergenceError as err:
             raise TrainingDivergenceError(f"outer iteration {j}: {err}") from err
         phi = phi + cfg.eta * w

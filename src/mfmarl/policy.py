@@ -76,41 +76,37 @@ def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows):
     return feats, hidden, _softmax(hidden @ w2.T + b2)
 
 
-def _forward_one(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex):
-    """`_forward` at the single checked pair (x, mu), as 1-d rows."""
+def action_distribution(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex) -> Simplex:
+    """Softmax action probabilities at (x, mu); always strictly positive."""
     if not 0 <= x < cfg.n_states:
         raise ValueError(f"state {x} out of range [0, {cfg.n_states})")
     if len(mu) != cfg.n_states:
         raise ValueError(f"mu has {len(mu)} entries, expected {cfg.n_states}")
-    return [a[0] for a in _forward(cfg, phi, [x], mu.weights[None, :])]
+    return Simplex(_forward(cfg, phi, [x], mu.weights[None, :])[2][0])
 
 
-def action_distribution(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex) -> Simplex:
-    """Softmax action probabilities at (x, mu); always strictly positive."""
-    return Simplex(_forward_one(cfg, phi, x, mu)[2])
-
-
-def log_policy_gradient(
-    cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex, u: int
-) -> np.ndarray:
-    """Gradient of log pi(u | x, mu) with respect to the flat parameters."""
-    if not 0 <= u < cfg.n_actions:
-        raise ValueError(f"action {u} out of range [0, {cfg.n_actions})")
-    feat, hdn, probs = _forward_one(cfg, phi, x, mu)
-    _, _, w2, _ = _unpack(cfg, phi)
-
+def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, actions) -> np.ndarray:
+    """Gradients of log pi(u_i | x_i, mu_i) with respect to the flat
+    parameters, one row per (state, view, action) triple: (B, d), from one
+    forward and one backward pass over all B rows."""
+    states, actions = np.asarray(states), np.asarray(actions)
+    mu_rows = np.asarray(mu_rows, dtype=np.float64)
+    b = states.size
+    for name, index, size in (("states", states, cfg.n_states), ("actions", actions, cfg.n_actions)):
+        if index.shape != (b,) or index.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be {b} integers in a 1-d array, got {index.dtype} {index.shape}")
+        if np.any((index < 0) | (index >= size)):
+            raise ValueError(f"{name} must lie in [0, {size}), got {index.min()}..{index.max()}")
+    if mu_rows.shape != (b, cfg.n_states):
+        raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
+    feats, hidden, probs = _forward(cfg, phi, states, mu_rows)
+    w2 = _unpack(cfg, phi)[2]
     dlogits = -probs
-    dlogits[u] += 1.0
-    dhdn = w2.T @ dlogits
-    dpre = dhdn * (1.0 - hdn * hdn)
-
-    grad = np.empty(cfg.n_params)
-    h, f = cfg.hidden, cfg.n_features
-    grad[: h * f] = np.outer(dpre, feat).ravel()
-    grad[h * f : h * f + h] = dpre
-    grad[h * f + h : h * f + h + cfg.n_actions * h] = np.outer(dlogits, hdn).ravel()
-    grad[h * f + h + cfg.n_actions * h :] = dlogits
-    return grad
+    dlogits[np.arange(b), actions] += 1.0
+    dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
+    # the parameter blocks in `_unpack`'s order: w1, b1, w2, b2
+    blocks = (dpre[:, :, None] * feats[:, None, :], dpre, dlogits[:, :, None] * hidden[:, None, :], dlogits)
+    return np.concatenate([block.reshape(b, -1) for block in blocks], axis=1)
 
 
 def estimate_lipschitz_lq(
@@ -142,8 +138,7 @@ def estimate_lipschitz_lq(
 
 
 class SoftmaxPolicy:
-    """Parameter-bound policy exposing scalar and batched evaluation plus the
-    analytic log-gradient."""
+    """Parameter-bound policy exposing scalar and batched evaluation."""
 
     def __init__(self, cfg: PolicyConfig, phi):
         self.config = cfg
@@ -168,9 +163,6 @@ class SoftmaxPolicy:
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
         return sample_rows(self.probs_batch(states, mu_rows), rng)
 
-    def log_gradient(self, x: int, mu: Simplex, u: int) -> np.ndarray:
-        return log_policy_gradient(self.config, self.params, x, mu, u)
-
     def lipschitz_estimate(self, trials: int, rng: np.random.Generator) -> float:
         return estimate_lipschitz_lq(self.config, self.params, trials, rng)
 
@@ -189,13 +181,22 @@ def save_policy(path, cfg: PolicyConfig, phi: np.ndarray) -> None:
 
 
 def load_policy(path) -> tuple[PolicyConfig, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        values = fh.readline().strip()
-    cfg = PolicyConfig(
-        n_states=header["n_states"], n_actions=header["n_actions"], hidden=header["hidden"]
-    )
-    phi = np.array([float(v) for v in values.split(",")])
-    if phi.size != header["d"] or phi.size != cfg.n_params:
-        raise ValueError(f"checkpoint holds {phi.size} parameters, header says {header['d']}")
+    """Read a `save_policy` checkpoint; a malformed one raises a ValueError
+    that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header, values = json.loads(fh.readline()), fh.readline()
+        sizes = [header[key] for key in ("n_states", "n_actions", "hidden", "d")]
+        phi = np.array([float(v) for v in values.split(",")])
+    except (ValueError, TypeError, KeyError) as err:
+        raise ValueError(
+            f"checkpoint {path}: need a JSON object header with n_states, n_actions, hidden "
+            f"and d, then a line of comma-separated floats ({type(err).__name__}: {err})"
+        ) from None
+    if not all(type(size) is int and size >= 1 for size in sizes):
+        raise ValueError(f"checkpoint {path}: header sizes must be integers >= 1, got {sizes}")
+    n_states, n_actions, hidden, d = sizes
+    cfg = PolicyConfig(n_states, n_actions, hidden)
+    if phi.size != d or phi.size != cfg.n_params:
+        raise ValueError(f"checkpoint {path} holds {phi.size} parameters, header says {d}")
     return cfg, phi

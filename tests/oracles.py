@@ -16,7 +16,7 @@ import numpy as np
 
 from mfmarl.meanfield import _mean_rewards, _recursion
 from mfmarl.model import AffineRewardSpec, EnvModel
-from mfmarl.policy import action_distribution
+from mfmarl.policy import action_distribution, log_policy_gradient
 from mfmarl.simplex import Simplex, sample_rows
 
 
@@ -155,6 +155,26 @@ def finite_difference_log_gradient(cfg, phi, x, mu, u, step=1e-5):
         lo[i] -= step
         grad[i] = (log_prob(hi) - log_prob(lo)) / (2 * step)
     return grad
+
+
+def log_gradient_row(cfg, phi, x, mu, u):
+    """The score at the single triple (x, mu, u): the library's gradient on
+    a batch of one row."""
+    return log_policy_gradient(cfg, phi, [x], mu.weights[None, :], [u])[0]
+
+
+def inner_sgd_per_row(policy, cfg, gamma, samples):
+    """Reference for `npg.inner_sgd`: the per-sample SGD loop, scoring one
+    row at a time."""
+    w = np.zeros(policy.config.n_params)
+    total = np.zeros_like(w)
+    scale = 1.0 / (1.0 - gamma)
+    for s in samples:
+        g = log_gradient_row(policy.config, policy.params, s.x, s.mu, s.u)
+        h = (float(w @ g) - s.a_hat * scale) * g
+        w = w - cfg.alpha * h
+        total += w
+    return total / len(samples)
 
 
 def brute_force_mf(env, policy, mu):

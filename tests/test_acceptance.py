@@ -61,7 +61,7 @@ def test_gradient_matches_finite_differences():
         x = int(rng.integers(cfg.n_states))
         u = int(rng.integers(cfg.n_actions))
         mu = Simplex(rng.dirichlet(np.ones(cfg.n_states)))
-        analytic = log_policy_gradient(cfg, phi, x, mu, u)
+        analytic = log_policy_gradient(cfg, phi, [x], mu.weights[None, :], [u])[0]
         fd = finite_difference_log_gradient(cfg, phi, x, mu, u)
         worst = max(worst, np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8))
     elapsed = time.perf_counter() - start

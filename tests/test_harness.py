@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from mfmarl.model import (
 from mfmarl.meanfield import mf_value, truncation_horizon
 from mfmarl.nagent import estimate_v_marl
 from mfmarl.npg import NPGConfig
-from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
 from mfmarl.simplex import Simplex, sample_many
 
 
@@ -526,6 +527,17 @@ class TestCli:
         assert cli.main(["bound", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
         captured = capsys.readouterr().out
         assert "inapplicable" in captured or "bound" in captured
+
+    def test_bound_rejects_checkpoint_of_another_environment(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"model": {"q": 5, "k": 2}, "hidden": 4,
+                                        "npg": {"j_steps": 1, "l_steps": 1}}))
+        pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+        ckpt = tmp_path / "policy.txt"
+        save_policy(ckpt, pcfg, init_params(pcfg, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match=re.escape(str(ckpt)) + r" has 3 states .* environment 5 "):
+            cli.main(["bound", "--config", str(cfg_path), "--checkpoint", str(ckpt)])
+        assert capsys.readouterr().out == ""
 
     def test_empty_checkpoint_is_not_ignored(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "cfg.json"

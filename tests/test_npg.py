@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import dp_q_and_v, occupancy_by_enumeration, toy_mdp
+from oracles import dp_q_and_v, inner_sgd_per_row, log_gradient_row, occupancy_by_enumeration, toy_mdp
 from mfmarl.model import FirmModelConfig, build_firm_env
 from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
@@ -140,12 +140,12 @@ class TestInnerSgd:
         mu0 = Simplex.uniform(3)
         a_hat = 2.0
         fixed = OccupancySample(x=2, mu=mu0, u=1, a_hat=a_hat)
-        g = SoftmaxPolicy(pcfg, phi).log_gradient(2, mu0, 1)
+        g = log_gradient_row(pcfg, phi, 2, mu0, 1)
         target = (a_hat / (1 - 0.9)) * g / (g @ g)
         errors = {}
         for l_steps in (1000, 8000):
             cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps)
-            w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(2), sampler=lambda r: fixed)
+            w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed] * l_steps)
             errors[l_steps] = np.abs(w - target).max() / np.abs(target).max()
         # the averaged iterate approaches the fixed point like 1/L
         assert errors[8000] < 0.005
@@ -156,8 +156,8 @@ class TestInnerSgd:
         mu0 = Simplex.uniform(3)
         fixed = OccupancySample(x=0, mu=mu0, u=1, a_hat=1.5)
         cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=1)
-        w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(3), sampler=lambda r: fixed)
-        g = SoftmaxPolicy(pcfg, phi).log_gradient(0, mu0, 1)
+        w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed])
+        g = log_gradient_row(pcfg, phi, 0, mu0, 1)
         expected = -0.1 * (0.0 - 1.5 / 0.1) * g
         assert np.allclose(w, expected, atol=1e-14)
 
@@ -167,7 +167,35 @@ class TestInnerSgd:
         huge = OccupancySample(x=0, mu=mu0, u=1, a_hat=1e308)
         cfg = NPGConfig(eta=1.0, alpha=10.0, j_steps=1, l_steps=5)
         with pytest.raises(TrainingDivergenceError, match="iteration"):
-            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, np.random.default_rng(4), sampler=lambda r: huge)
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [huge] * 5)
+
+    def test_matches_per_row_reference_on_distinct_samples(self):
+        env, pcfg, phi = self._setup(q=5, hidden=8, seed=7)
+        rng = np.random.default_rng(8)
+        samples = [
+            OccupancySample(
+                x=int(rng.integers(5)),
+                mu=Simplex(rng.dirichlet(np.ones(5))),
+                u=int(rng.integers(2)),
+                a_hat=float(rng.normal(0.0, 3.0)),
+            )
+            for _ in range(200)
+        ]
+        cfg = NPGConfig(eta=1.0, alpha=0.01, j_steps=1, l_steps=200)
+        policy = SoftmaxPolicy(pcfg, phi)
+        w = inner_sgd(policy, cfg, 0.9, samples)
+        ref = inner_sgd_per_row(policy, cfg, 0.9, samples)
+        assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+        # a reordered pass is a different regression
+        assert not np.allclose(inner_sgd(policy, cfg, 0.9, samples[::-1]), ref, rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("count", [0, 4, 6])
+    def test_wrong_sample_count_rejected(self, count):
+        env, pcfg, phi = self._setup()
+        fixed = OccupancySample(x=0, mu=Simplex.uniform(3), u=1, a_hat=1.0)
+        cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=5)
+        with pytest.raises(ValueError, match="l_steps"):
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed] * count)
 
 
 class TestNpgTrain:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestLogGradient:
             x = int(rng.integers(3))
             u = int(rng.integers(2))
             mu = random_simplex(rng, 3)
-            analytic = log_policy_gradient(cfg, phi, x, mu, u)
+            analytic = log_policy_gradient(cfg, phi, [x], mu.weights[None, :], [u])[0]
             fd = finite_difference_gradient(cfg, phi, x, mu, u)
             rel = np.abs(analytic - fd).max() / max(np.abs(fd).max(), 1e-8)
             assert rel <= 1e-4
@@ -89,15 +91,14 @@ class TestLogGradient:
             x = int(rng.integers(4))
             mu = random_simplex(rng, 4)
             probs = action_distribution(cfg, phi, x, mu).weights
-            total = sum(
-                probs[u] * log_policy_gradient(cfg, phi, x, mu, u) for u in range(3)
-            )
+            scores = log_policy_gradient(cfg, phi, [x] * 3, np.tile(mu.weights, (3, 1)), np.arange(3))
+            total = probs @ scores
             assert np.abs(total).max() <= 1e-8
 
     def test_zero_parameter_bias_block(self):
         cfg = PolicyConfig(n_states=2, n_actions=2, hidden=4)
         phi = np.zeros(cfg.n_params)
-        grad = log_policy_gradient(cfg, phi, 0, Simplex.uniform(2), 1)
+        grad = log_policy_gradient(cfg, phi, [0], Simplex.uniform(2).weights[None, :], [1])[0]
         bias_block = grad[-2:]
         assert bias_block[1] == pytest.approx(0.5)
         assert bias_block[0] == pytest.approx(-0.5)
@@ -107,8 +108,42 @@ class TestLogGradient:
         rng = np.random.default_rng(5)
         for _ in range(10_000):
             phi = rng.uniform(-2, 2, size=cfg.n_params)
-            g = log_policy_gradient(cfg, phi, int(rng.integers(4)), random_simplex(rng, 4), int(rng.integers(3)))
+            g = log_policy_gradient(
+                cfg, phi, [int(rng.integers(4))], random_simplex(rng, 4).weights[None, :], [int(rng.integers(3))]
+            )
             assert np.all(np.isfinite(g))
+
+    def test_batched_rows_match_one_row_calls(self):
+        cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+        rng = np.random.default_rng(12)
+        phi = rng.uniform(-0.5, 0.5, size=cfg.n_params)
+        states = rng.integers(0, 10, size=64)
+        mu_rows = rng.dirichlet(np.ones(10), size=64)
+        actions = rng.integers(0, 2, size=64)
+        batch = log_policy_gradient(cfg, phi, states, mu_rows, actions)
+        assert batch.shape == (64, cfg.n_params)
+        for i in range(64):
+            row = log_policy_gradient(cfg, phi, states[i : i + 1], mu_rows[i : i + 1], actions[i : i + 1])[0]
+            assert np.abs(batch[i] - row).max() <= 1e-15, i
+
+    @pytest.mark.parametrize(
+        "states, width, actions, name",
+        [
+            ([0, 3], 3, [0, 1], "states"),
+            ([-1, 0], 3, [0, 1], "states"),
+            ([0, 1], 3, [0, 2], "actions"),
+            ([0, 1], 3, [-1, 0], "actions"),
+            ([0, 1], 2, [0, 1], "mu_rows"),
+            ([0, 1], 3, [0], "actions"),
+            ([0, 1, 2], 3, [0, 1, 1], "mu_rows"),
+            ([0.0, 1.0], 3, [0, 1], "states"),
+        ],
+    )
+    def test_bad_arguments_are_rejected(self, states, width, actions, name):
+        cfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+        mu_rows = np.full((2, width), 1.0 / width)
+        with pytest.raises(ValueError, match=name):
+            log_policy_gradient(cfg, np.zeros(cfg.n_params), states, mu_rows, actions)
 
 
 def lipschitz_lq_loop(cfg, phi, trials, rng):
@@ -201,4 +236,25 @@ class TestSerialization:
         text = path.read_text().splitlines()
         path.write_text(text[0] + "\n" + ",".join(text[1].split(",")[:-1]) + "\n")
         with pytest.raises(ValueError):
+            load_policy(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            '{"d": 9, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
+            '{"d": 9, "hidden": "x", "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
+            '[3, 2, 1, 9]\n' + ",".join(["0.0"] * 9) + "\n",
+            '{"d": 9, "hidden": 1.5, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
+            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n',
+            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,x,0.0,0.0\n',
+            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 0}\n0.0,0.0,0.0,0.0\n',
+        ],
+        ids=["empty", "no-hidden", "string-hidden", "list-header", "float-hidden", "no-values",
+             "bad-value", "zero-states"],
+    )
+    def test_malformed_checkpoint_rejected_naming_file(self, tmp_path, text):
+        path = tmp_path / "policy.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_policy(path)
