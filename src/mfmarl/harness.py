@@ -34,7 +34,7 @@ from .meanfield import (
     truncation_horizon,
 )
 from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_firm_env
-from .nagent import estimate_v_marl
+from .nagent import _block_returns, _group_size, _mean_stderr
 from .npg import NPGConfig, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
 from .simplex import Simplex, normalized_rows, sample_many
@@ -275,23 +275,10 @@ def train_policy(cfg: ExperimentConfig, env: EnvModel) -> tuple[SoftmaxPolicy, d
     return SoftmaxPolicy(policy_cfg, best_phi), info
 
 
-def _run_cell(
-    cfg: ExperimentConfig,
-    env: EnvModel,
-    policy,
-    horizon: int,
-    n: int,
-    seed: int,
-    rng: np.random.Generator,
-    initial_states: np.ndarray,
-    v_mf: float,
-):
-    """Simulate one cell from its drawn initial states, continuing its
-    substream `rng`, and compare with its mean-field value `v_mf`."""
-    w = build_interaction(cfg, n, seed)
-    v_marl, stderr = estimate_v_marl(
-        env, w, policy, initial_states, horizon, cfg.episodes_per_seed, rng
-    )
+def _run_cell(n: int, seed: int, returns: np.ndarray, v_mf: float):
+    """One cell's row from its episode returns and its mean-field value
+    `v_mf`, or the reason the cell is skipped."""
+    v_marl, stderr = _mean_stderr(returns)
     if abs(v_mf) < V_MF_GUARD:
         return None, (n, seed, f"|v_mf| = {abs(v_mf):.3e} below division guard")
     return ResultRow(n, seed, v_marl, stderr, v_mf, percentage_error(v_marl, v_mf)), None
@@ -301,14 +288,27 @@ def run_error_vs_n(
     cfg: ExperimentConfig, env: EnvModel = None, policy: SoftmaxPolicy = None
 ) -> ExperimentResult:
     """Full sweep: train once (unless a policy is supplied), then one row per
-    (N, seed) cell. Each cell draws its initial states from its own
-    substream; one stacked mean-field recursion evaluates every cell's value
-    from its empirical initial distribution, and the rollouts continue each
-    substream, so the thread count does not affect the results."""
+    (N, seed) cell (see `_sweep`)."""
     if env is None:
         env = build_firm_env(cfg.model, cfg.gamma)
     if policy is None:
         policy, _ = train_policy(cfg, env)
+    return _sweep(cfg, env, policy)[0]
+
+
+def _sweep(cfg: ExperimentConfig, env: EnvModel, policy) -> tuple[ExperimentResult, dict]:
+    """The rows of `run_error_vs_n`, and the wall seconds of its two phases.
+
+    Each cell draws its initial states from its own substream, and one
+    stacked mean-field recursion evaluates every cell's value from its
+    empirical initial distribution. The rollouts then continue each
+    substream: a cell's episodes are blocks, each with a spawned substream.
+    A ring W is stored as its nonzeros, so a unit of work holds as many
+    cells of one N as fill one step loop (`nagent._group_size`), or one cell
+    whose episodes fill several; a dense W is built in its cell's own unit,
+    whose blocks run one at a time. The units depend only on the cells, and
+    `threads` only runs them in parallel, so it does not affect the results."""
+    start = time.perf_counter()
     horizon = truncation_horizon(env, cfg.horizon_tol)
     mu0 = cfg.initial_distribution()
     cells = []
@@ -318,25 +318,45 @@ def run_error_vs_n(
             cells.append((n, seed, rng, sample_many(mu0, n, rng)))
     mu0_hats = np.stack([np.bincount(states, minlength=env.n_states) / n for n, _, _, states in cells])
     v_mfs = mf_values(env, policy, mu0_hats, horizon)
-    result = ExperimentResult()
+    mean_field_end = time.perf_counter()
 
-    def work(i):
-        return _run_cell(cfg, env, policy, horizon, *cells[i], float(v_mfs[i]))
+    if cfg.interaction_kind == "ring":
+        units = []
+        for n in dict.fromkeys(cfg.n_list):
+            same_n = [i for i, cell in enumerate(cells) if cell[0] == n]
+            per_unit = max(1, _group_size(n) // cfg.episodes_per_seed)
+            units += [same_n[j : j + per_unit] for j in range(0, len(same_n), per_unit)]
+    else:
+        units = [[i] for i in range(len(cells))]
+
+    def work(unit):
+        blocks = []
+        for i in unit:
+            n, seed, rng, states = cells[i]
+            w = build_interaction(cfg, n, seed)
+            blocks += [(w, states, stream) for stream in rng.spawn(cfg.episodes_per_seed)]
+        return _block_returns(env, policy, blocks, horizon).reshape(len(unit), -1)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(work, range(len(cells))))
+            outcomes = list(pool.map(work, units))
     else:
-        outcomes = [work(i) for i in range(len(cells))]
+        outcomes = [work(unit) for unit in units]
+    returns = {}
+    for unit, unit_returns in zip(units, outcomes):
+        returns.update(zip(unit, unit_returns))
 
-    for row, skip in outcomes:
+    result = ExperimentResult()
+    for i, (n, seed, _, _) in enumerate(cells):
+        row, skip = _run_cell(n, seed, returns[i], float(v_mfs[i]))
         if skip is not None:
             log.warning("skipping cell N=%d seed=%d: %s", skip[0], skip[1], skip[2])
             result.skipped.append(skip)
         else:
             result.rows.append(row)
     result.rows.sort(key=lambda r: (r.n, r.seed))
-    return result
+    end = time.perf_counter()
+    return result, {"mean_field": mean_field_end - start, "rollouts": end - mean_field_end}
 
 
 def summarize(result: ExperimentResult) -> list[SummaryRow]:
@@ -429,7 +449,7 @@ def run_and_persist(cfg: ExperimentConfig) -> ExperimentResult:
     save_policy(checkpoint, policy.config, policy.params)
 
     start = time.perf_counter()
-    result = run_error_vs_n(cfg, env=env, policy=policy)
+    result, phase_seconds = _sweep(cfg, env, policy)
     sweep_seconds = time.perf_counter() - start
 
     result.write_csv(out)
@@ -440,6 +460,8 @@ def run_and_persist(cfg: ExperimentConfig) -> ExperimentResult:
         "policy_checkpoint_hash": git_blob_hash(checkpoint),
         "train": train_info,
         "sweep_seconds": sweep_seconds,
+        "mean_field_seconds": phase_seconds["mean_field"],
+        "rollout_seconds": phase_seconds["rollouts"],
         "horizon": truncation_horizon(env, cfg.horizon_tol),
         "skipped_cells": [list(s) for s in result.skipped],
     }

@@ -149,6 +149,18 @@ class InteractionMatrix:
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
+def _block_diagonal(blocks) -> InteractionMatrix:
+    """The matrix with the nonzeros-form matrices `blocks` on its diagonal,
+    in order: agent j of block b is agent j + (agents of blocks before b).
+    Each agent's row keeps its block's entries in their order."""
+    offsets = np.cumsum([0] + [m.n_agents for m in blocks])
+    nonzeros = [m.nonzeros for m in blocks]
+    rows = np.concatenate([r + off for (r, _, _), off in zip(nonzeros, offsets)])
+    cols = np.concatenate([c + off for (_, c, _), off in zip(nonzeros, offsets)])
+    data = np.concatenate([d for _, _, d in nonzeros])
+    return InteractionMatrix.from_nonzeros(int(offsets[-1]), rows, cols, data)
+
+
 def uniform(n: int) -> InteractionMatrix:
     """All-pairs interaction with weight 1/n, the exchangeable special case."""
     if n < 1:

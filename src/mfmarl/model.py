@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .simplex import Simplex, expectation, sample
+from .simplex import Simplex, _draw, expectation
 
 
 class AffineRewardRequiredError(ValueError):
@@ -78,16 +78,18 @@ class EnvModel:
     which are always set after construction:
 
     - `reward_batch(states, actions, mu_views, nu_views)` -> (n,) rewards
-      and `transition_sample_batch(states, actions, mu_views, nu_views, rng)`
-      -> (n,) next states, one entry per agent of the simulator;
+      and `transition_sample_batch(states, actions, mu_views, nu_views, u)`
+      -> (n,) next states, one entry per agent of the simulator, where the
+      simulator passes each agent's uniform draw `u[i]` on [0, 1);
     - `kernel(mus, nus)` -> (B, |X|, |U|, |X|) transition rows and
       `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`
       (B, |U|) whose rows are already checked probability vectors.
 
     A hook that is not passed is built from the scalar contract: one call
-    per agent, or per (b, x, u). The built sampler draws one uniform per
-    agent, in agent order, through `sample`.
+    per agent, or per (b, x, u). The built sampler looks agent i's uniform
+    `u[i]` up in its transition law, giving the draw `sample` makes from a
+    generator whose next uniform is `u[i]`.
     """
 
     def __init__(
@@ -156,14 +158,12 @@ def _scalar_rewards(reward):
 
 
 def _scalar_sampler(transition):
-    """`transition_sample_batch` built from the scalar transition: one
-    `sample` draw, so one uniform, per agent in agent order."""
+    """`transition_sample_batch` built from the scalar transition: agent i's
+    next state is the inverse-CDF lookup of `u[i]` in its transition law."""
 
-    def transition_sample_batch(states, actions, mu_views, nu_views, rng):
-        return np.array(
-            [sample(transition(*args), rng) for args in _agent_args(states, actions, mu_views, nu_views)],
-            dtype=np.int64,
-        )
+    def transition_sample_batch(states, actions, mu_views, nu_views, u):
+        args = _agent_args(states, actions, mu_views, nu_views)
+        return np.array([_draw(transition(*a).weights, u_i) for a, u_i in zip(args, u)], dtype=np.int64)
 
     return transition_sample_batch
 
@@ -293,10 +293,10 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         mu_bar = mu_views @ labels
         return cfg.alpha_r * labels[states] - cfg.beta_r * mu_bar**cfg.sigma - cfg.lambda_r * actions
 
-    def transition_sample_batch(states, actions, mu_views, nu_views, rng):
+    def transition_sample_batch(states, actions, mu_views, nu_views, u):
         mu_bar = np.clip(mu_views @ labels, 0.0, float(q))
         c = (1.0 - mu_bar / q) * (q - labels[states])
-        m = np.floor(rng.random(states.size) * c).astype(np.int64)
+        m = np.floor(u * c).astype(np.int64)
         m = np.minimum(m, q - 1 - states)
         return np.where(actions == 1, states + m, states)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Simplex, sample_rows
+from .simplex import Simplex, _check_indices, sample_rows
 
 
 @dataclass(frozen=True)
@@ -89,14 +89,10 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     """Gradients of log pi(u_i | x_i, mu_i) with respect to the flat
     parameters, one row per (state, view, action) triple: (B, d), from one
     forward and one backward pass over all B rows."""
-    states, actions = np.asarray(states), np.asarray(actions)
+    b = np.size(states)
+    states = _check_indices("states", states, b, cfg.n_states)
+    actions = _check_indices("actions", actions, b, cfg.n_actions)
     mu_rows = np.asarray(mu_rows, dtype=np.float64)
-    b = states.size
-    for name, index, size in (("states", states, cfg.n_states), ("actions", actions, cfg.n_actions)):
-        if index.shape != (b,) or index.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be {b} integers in a 1-d array, got {index.dtype} {index.shape}")
-        if np.any((index < 0) | (index >= size)):
-            raise ValueError(f"{name} must lie in [0, {size}), got {index.min()}..{index.max()}")
     if mu_rows.shape != (b, cfg.n_states):
         raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
     feats, hidden, probs = _forward(cfg, phi, states, mu_rows)
@@ -104,9 +100,17 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     dlogits = -probs
     dlogits[np.arange(b), actions] += 1.0
     dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
-    # the parameter blocks in `_unpack`'s order: w1, b1, w2, b2
-    blocks = (dpre[:, :, None] * feats[:, None, :], dpre, dlogits[:, :, None] * hidden[:, None, :], dlogits)
-    return np.concatenate([block.reshape(b, -1) for block in blocks], axis=1)
+    # The parameter blocks in `_unpack`'s order (w1, b1, w2, b2), each
+    # written in place into its columns of the (B, d) result.
+    h, f = cfg.hidden, cfg.n_features
+    ends = np.cumsum([h * f, h, cfg.n_actions * h])
+    grad = np.empty((b, cfg.n_params))
+    np.multiply(dpre[:, :, None], feats[:, None, :], out=grad[:, : ends[0]].reshape(b, h, f))
+    grad[:, ends[0] : ends[1]] = dpre
+    out_w2 = grad[:, ends[1] : ends[2]].reshape(b, cfg.n_actions, h)
+    np.multiply(dlogits[:, :, None], hidden[:, None, :], out=out_w2)
+    grad[:, ends[2] :] = dlogits
+    return grad
 
 
 def estimate_lipschitz_lq(
@@ -160,8 +164,9 @@ class SoftmaxPolicy:
         """One action distribution per (state, view) row."""
         return _forward(self.config, self.params, states, mu_rows)[2]
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
-        return sample_rows(self.probs_batch(states, mu_rows), rng)
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One action per (state, view) row, drawn by the row's uniform `u[i]`."""
+        return sample_rows(self.probs_batch(states, mu_rows), u)
 
     def lipschitz_estimate(self, trials: int, rng: np.random.Generator) -> float:
         return estimate_lipschitz_lq(self.config, self.params, trials, rng)

@@ -112,9 +112,20 @@ def _draw(weights: np.ndarray, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), weights.size - 1)
 
 
-def sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One categorical draw per row of a (n, k) matrix of probabilities."""
+def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One categorical draw per row of a (n, k) matrix of probabilities, by
+    inverse CDF at the row's uniform `u[i]`."""
     cdf = np.cumsum(probs, axis=1)
-    u = rng.random(probs.shape[0])
     idx = (cdf < u[:, None]).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
+
+
+def _check_indices(name: str, index, length: int, size: int) -> np.ndarray:
+    """`index` as a 1-d integer array of `length` entries in [0, size); a
+    ValueError that names it otherwise."""
+    index = np.asarray(index)
+    if index.shape != (length,) or index.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be {length} integers in a 1-d array, got {index.dtype} {index.shape}")
+    if np.any((index < 0) | (index >= size)):
+        raise ValueError(f"{name} must lie in [0, {size}), got {index.min()}..{index.max()}")
+    return index

@@ -16,7 +16,7 @@ import numpy as np
 
 from mfmarl.meanfield import _mean_rewards, _recursion
 from mfmarl.model import AffineRewardSpec, EnvModel
-from mfmarl.policy import action_distribution, log_policy_gradient
+from mfmarl.policy import _forward, log_policy_gradient
 from mfmarl.simplex import Simplex, sample_rows
 
 
@@ -42,8 +42,8 @@ class TabularPolicy:
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         return self.table[states]
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
-        return sample_rows(self.table[states], rng)
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return sample_rows(self.table[states], u)
 
     def lipschitz_estimate(self, trials: int, rng) -> float:
         return 0.0
@@ -72,8 +72,8 @@ class FunctionPolicy:
             [self.probs(int(x), Simplex(row)) for x, row in zip(states, mu_rows)]
         )
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, rng) -> np.ndarray:
-        return sample_rows(self.probs_batch(states, mu_rows), rng)
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return sample_rows(self.probs_batch(states, mu_rows), u)
 
 
 def empirical_distribution(samples, set_size: int) -> Simplex:
@@ -142,10 +142,11 @@ def mf_reward(env, policy, mu):
 
 
 def finite_difference_log_gradient(cfg, phi, x, mu, u, step=1e-5):
-    """Central-difference gradient of log pi(u | x, mu) in the parameters."""
+    """Central-difference gradient of log pi(u | x, mu) in the parameters;
+    pi comes from the network pass `_forward` on one row."""
 
     def log_prob(params):
-        return float(np.log(action_distribution(cfg, params, x, mu).weights[u]))
+        return float(np.log(_forward(cfg, params, [x], mu.weights[None, :])[2][0, u]))
 
     grad = np.empty(cfg.n_params)
     for i in range(cfg.n_params):
@@ -305,8 +306,8 @@ def contraction_env(gamma=0.5, rho=0.05):
     def reward_batch(states, actions, mu_views, nu_views):
         return mu_views @ a + nu_views @ b + f[states, actions]
 
-    def transition_sample_batch(states, actions, mu_views, nu_views, rng):
-        return sample_rows((1 - rho) * base[states, actions] + rho * mu_views, rng)
+    def transition_sample_batch(states, actions, mu_views, nu_views, u):
+        return sample_rows((1 - rho) * base[states, actions] + rho * mu_views, u)
 
     env = EnvModel(
         n_states=2,

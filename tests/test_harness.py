@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import contraction_env, empirical_distribution
-from mfmarl import cli
+from mfmarl import cli, nagent
 from mfmarl.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -30,7 +30,7 @@ from mfmarl.model import (
     build_firm_env,
 )
 from mfmarl.meanfield import mf_value, truncation_horizon
-from mfmarl.nagent import estimate_v_marl
+from mfmarl.nagent import estimate_v_marl, rollout
 from mfmarl.npg import NPGConfig
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
 from mfmarl.simplex import Simplex, sample_many
@@ -341,6 +341,51 @@ class TestRunErrorVsN:
             )
             assert r.v_mf == pytest.approx(v_mf, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("kind", ["ring", "sinkhorn"])
+    def test_rows_match_separate_rollouts(self, kind):
+        # Every episode of every cell rolled out alone, on its own substream.
+        cfg = tiny_config(model={"q": 4, "k": 3}, n_list=[5, 8, 3], seeds=3, interaction=kind)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        horizon = truncation_horizon(env, cfg.horizon_tol)
+        result = run_error_vs_n(cfg, env=env, policy=policy)
+        assert len(result.rows) == 9
+        for r in result.rows:
+            rng = np.random.default_rng([cfg.npg.seed, 2, r.n, r.seed])
+            states = sample_many(cfg.initial_distribution(), r.n, rng)
+            w = build_interaction(cfg, r.n, r.seed)
+            returns = [
+                rollout(env, w, policy, states, horizon, stream).discounted_return
+                for stream in rng.spawn(cfg.episodes_per_seed)
+            ]
+            assert r.v_marl_mean == pytest.approx(np.mean(returns), rel=1e-12, abs=0.0)
+            assert r.v_marl_stderr == pytest.approx(
+                np.std(returns, ddof=1) / np.sqrt(len(returns)), rel=1e-9, abs=1e-15
+            )
+
+    def test_ring_units_fill_one_group(self, monkeypatch):
+        # With room for 16 agents per step loop, two N = 2 cells of 3
+        # episodes share one loop, and an N = 8 cell's episodes run 2 + 1.
+        cfg = tiny_config(n_list=[2, 8], seeds=3, episodes_per_seed=3)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        one_loop = run_error_vs_n(cfg, env=env, policy=policy)
+        monkeypatch.setattr(nagent, "_GROUP_AGENTS", 16)
+        sizes = []
+        simulate = nagent._simulate
+
+        def spy(env, policy, blocks, horizon, record=False):
+            sizes.append(sum(w.n_agents for w, _, _ in blocks))
+            return simulate(env, policy, blocks, horizon, record)
+
+        monkeypatch.setattr(nagent, "_simulate", spy)
+        capped = run_error_vs_n(cfg, env=env, policy=policy)
+        assert sizes == [12, 6] + [16, 8] * 3
+        assert run_error_vs_n(dataclasses.replace(cfg, threads=2), env=env, policy=policy).rows == capped.rows
+        for a, b in zip(capped.rows, one_loop.rows):
+            assert (a.n, a.seed, a.v_mf) == (b.n, b.seed, b.v_mf)
+            assert a.v_marl_mean == pytest.approx(b.v_marl_mean, rel=1e-12, abs=0.0)
+
     def test_per_n_calls_match_one_call(self):
         cfg = tiny_config(n_list=[3, 5, 9], seeds=3)
         env = build_firm_env(cfg.model, cfg.gamma)
@@ -371,6 +416,7 @@ class TestPersistence:
         meta = json.loads((tmp_path / "results.meta.json").read_text())
         assert meta["config"]["gamma"] == 0.9
         assert len(meta["policy_checkpoint_hash"]) == 40
+        assert meta["mean_field_seconds"] > 0 and meta["rollout_seconds"] > 0
         assert (tmp_path / "results.policy.txt").exists()
 
         run_and_persist(cfg)

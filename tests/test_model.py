@@ -300,16 +300,18 @@ class TestEnvContract:
         actions = rng.integers(0, 2, size=n)
         mu_views = rng.dirichlet(np.ones(5), size=n)
         nu_views = rng.dirichlet(np.ones(2), size=n)
-        ref_rng, uniforms = copy.deepcopy(rng), copy.deepcopy(rng)
-        drawn = bare.transition_sample_batch(states, actions, mu_views, nu_views, rng)
+        # A per-agent `sample` loop on a copy of the generator reads the same
+        # uniforms one at a time, agent i taking u[i].
+        ref_rng = copy.deepcopy(rng)
+        u = rng.random(n)
+        drawn = bare.transition_sample_batch(states, actions, mu_views, nu_views, u)
         expected = [
             sample(bare.transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])), ref_rng)
             for i in range(n)
         ]
         assert drawn.dtype == np.int64
         assert drawn.tolist() == expected
-        uniforms.random(n)
-        assert rng.random() == ref_rng.random() == uniforms.random()
+        assert rng.random() == ref_rng.random()
 
     def test_built_hooks_match_firm_hooks(self):
         env, bare = scalar_firm_env()

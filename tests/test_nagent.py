@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import (
     mf_reward,
     mf_transition,
 )
+from mfmarl import nagent
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
@@ -20,7 +22,7 @@ from mfmarl.interaction import (
     uniform,
 )
 from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
-from mfmarl.nagent import AgentSystemState, estimate_v_marl, rollout, step
+from mfmarl.nagent import AgentSystemState, _block_returns, _simulate, estimate_v_marl, rollout, step
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
 
@@ -203,6 +205,118 @@ class TestSparseInteraction:
         # the last agent's neighbors are agents 0..4
         expected = np.bincount(rec.states[-1][:5], minlength=10) / 5
         assert np.abs(view - expected).max() <= 1e-15
+
+
+def scalar_env(q=4, k=2):
+    """The firm model through its scalar reward and transition only, so the
+    simulator runs the hooks built from them."""
+    full = firm_env(q=q, k=k)
+    return EnvModel(q, 2, 0.9, full.reward, full.transition, affine=full.affine)
+
+
+def blocks_of(ws, q, seed):
+    """One block (w, initial_states, rng) per matrix, each with its own
+    initial states and generator."""
+    rng = np.random.default_rng(seed)
+    return [
+        (w, rng.integers(0, q, size=w.n_agents), np.random.default_rng([seed, b])) for b, w in enumerate(ws)
+    ]
+
+
+def separate_rollouts(env, pol, blocks, horizon):
+    """Each block rolled out alone, on a copy of its generator."""
+    return [rollout(env, w, pol, init, horizon, copy.deepcopy(g)) for w, init, g in blocks]
+
+
+def spy_group_sizes(monkeypatch) -> list:
+    """Record the agents of every step loop `_simulate` runs."""
+    sizes = []
+    simulate = nagent._simulate
+
+    def spy(env, policy, blocks, horizon, record=False):
+        sizes.append(sum(w.n_agents for w, _, _ in blocks))
+        return simulate(env, policy, blocks, horizon, record)
+
+    monkeypatch.setattr(nagent, "_simulate", spy)
+    return sizes
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("make_env", [firm_env, scalar_env], ids=["batched-hooks", "scalar-only"])
+    def test_group_matches_separate_rollouts(self, make_env):
+        env = make_env(q=4, k=2)
+        pol = softmax_policy(4, seed=20)
+        ws = [ring_k_neighbor(6, 2), ring_symmetric(6, 2), ring_k_neighbor(6, 3), ring_k_neighbor(6, 2)]
+        blocks = blocks_of(ws, 4, 21)
+        separate = separate_rollouts(env, pol, blocks, 9)
+        returns, (states, actions, rewards) = _simulate(env, pol, blocks, 9, record=True)
+        assert states.shape == (10, 24)
+        for b, rec in enumerate(separate):
+            agents = slice(6 * b, 6 * b + 6)
+            assert np.array_equal(states[:, agents], rec.states)
+            assert np.array_equal(actions[:, agents], rec.actions)
+            assert returns[b] == pytest.approx(rec.discounted_return, rel=1e-12, abs=0.0)
+
+    def test_dense_blocks_run_one_at_a_time(self, monkeypatch):
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        pol = softmax_policy(10, seed=22, hidden=16)
+        rng = np.random.default_rng(23)
+        blocks = blocks_of([sinkhorn_random(12, rng), uniform(12), sinkhorn_random(12, rng)], 10, 24)
+        expected = [rec.discounted_return for rec in separate_rollouts(env, pol, blocks, 15)]
+        sizes = spy_group_sizes(monkeypatch)
+        np.testing.assert_allclose(_block_returns(env, pol, blocks, 15), expected, rtol=1e-12, atol=0.0)
+        assert sizes == [12, 12, 12]
+
+    def test_groups_hold_at_most_group_agents(self, monkeypatch):
+        # Blocks of half the cap stack two at a time; blocks of the cap run
+        # one at a time, as a rollout of each alone would.
+        env = firm_env(q=3, k=2)
+        pol = softmax_policy(3, seed=28)
+        half = ring_k_neighbor(nagent._GROUP_AGENTS // 2, 2)
+        blocks = blocks_of([half] * 5, 3, 29)
+        expected = [rec.discounted_return for rec in separate_rollouts(env, pol, blocks, 1)]
+        sizes = spy_group_sizes(monkeypatch)
+        np.testing.assert_allclose(_block_returns(env, pol, blocks, 1), expected, rtol=1e-12, atol=0.0)
+        assert sizes == [nagent._GROUP_AGENTS] * 2 + [nagent._GROUP_AGENTS // 2]
+        sizes.clear()
+        full = ring_k_neighbor(nagent._GROUP_AGENTS, 2)
+        estimate_v_marl(env, full, pol, np.zeros(full.n_agents, dtype=int), 1, 3, np.random.default_rng(30))
+        assert sizes == [nagent._GROUP_AGENTS] * 3
+
+    def test_blocks_need_one_n_and_storage_form(self):
+        env = firm_env(q=3, k=2)
+        for ws in ([ring_k_neighbor(4, 2), ring_k_neighbor(5, 2)], [ring_k_neighbor(4, 2), uniform(4)]):
+            with pytest.raises(ValueError, match="one N and one storage form"):
+                _block_returns(env, softmax_policy(3), blocks_of(ws, 3, 31), 2)
+
+    def test_group_needs_one_n(self):
+        env = firm_env(q=3, k=2)
+        blocks = blocks_of([ring_k_neighbor(4, 2), ring_k_neighbor(5, 2)], 3, 25)
+        with pytest.raises(ValueError, match="one N"):
+            _simulate(env, softmax_policy(3), blocks, 2)
+
+    def test_step_needs_equal_blocks(self):
+        env = firm_env(q=3, k=2)
+        sys = AgentSystemState(states=[0, 1, 2])
+        with pytest.raises(ValueError, match="equal blocks"):
+            step(env, uniform(3), softmax_policy(3), sys, np.random.default_rng(26).spawn(2))
+
+
+class TestInitialStates:
+    @pytest.mark.parametrize(
+        "initial_states",
+        [[0.5, 1, 2, 0], np.array([0.0, 1.0, 2.0, 0.0]), [[0, 1], [2, 0]], [0, 1, 2], [0, 1, 2, 0, 1],
+         [0, 1, 3, 0], [-1, 0, 1, 2], [True, False, True, False]],
+        ids=["fraction", "float-dtype", "2-d", "too-short", "too-long", "above-range", "negative", "bool"],
+    )
+    def test_bad_initial_states_rejected(self, initial_states):
+        env = firm_env(q=3, k=2)
+        pol = softmax_policy(3)
+        w = ring_k_neighbor(4, 2)
+        with pytest.raises(ValueError, match="initial_states"):
+            rollout(env, w, pol, initial_states, 2, np.random.default_rng(27))
+        with pytest.raises(ValueError, match="initial_states"):
+            estimate_v_marl(env, w, pol, initial_states, 2, 3, np.random.default_rng(27))
 
 
 class TestEstimateVMarl:

@@ -123,8 +123,10 @@ class TestSample:
     def test_sample_rows(self):
         rng = np.random.default_rng(2)
         probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-        draws = sample_rows(probs, rng)
+        draws = sample_rows(probs, rng.random(3))
         assert draws[0] == 0 and draws[1] == 1 and draws[2] in (0, 1)
+        # inverse CDF: row i's draw is the first index whose CDF reaches u[i]
+        assert sample_rows(probs[[2, 2, 2]], np.array([0.25, 0.5, 0.75])).tolist() == [0, 0, 1]
 
 
 class TestExpectation:
