@@ -74,7 +74,7 @@ def _cmd_bound(args) -> int:
     print(
         f"constants: L_P={inp.lipschitz_p:.6g} L_pi={inp.lipschitz_pi:.6g} "
         f"L_R={inp.lipschitz_r:.6g} M_R={inp.reward_bound:.6g} M_F={inp.table_bound:.6g} "
-        f"|b|_1={inp.action_weight_l1:.6g} S_P={inp.s_p:.6g} gamma*S_P={cfg.gamma * inp.s_p:.6g}"
+        f"|b|_1={inp.action_weight_l1:.6g} S_P={inp.s_p:.6g} gamma*S_P={inp.gamma * inp.s_p:.6g}"
     )
     print(report)
     return 0

@@ -65,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.n_list) == 0 or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be nonempty with all entries >= 1")
+        if len(set(self.n_list)) < len(self.n_list):
+            raise ValueError(f"n_list must not repeat an entry, got {list(self.n_list)}")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if self.episodes_per_seed < 1:
@@ -405,7 +407,7 @@ class BoundReport:
 
     def __str__(self) -> str:
         if not self.applicable:
-            return f"bound inapplicable ({self.reason})"
+            return self.reason
         lines = [f"N={n}: bound {b:.6g}" for n, b in sorted(self.bounds.items())]
         return "\n".join(lines)
 
@@ -414,8 +416,9 @@ def bound_report(
     cfg: ExperimentConfig, env: EnvModel = None, policy: SoftmaxPolicy = None
 ) -> BoundReport:
     """Evaluate the approximation bound for each population size using the
-    environment's declared constants and the trained policy's sampled
-    Lipschitz constant."""
+    environment's declared constants and gamma and the trained policy's
+    sampled Lipschitz constant; inapplicable where `approximation_bound`
+    says so."""
     if env is None:
         env = build_firm_env(cfg.model, cfg.gamma)
     if env.affine is None:
@@ -424,16 +427,10 @@ def bound_report(
         policy, _ = train_policy(cfg, env)
     lipschitz_pi = policy.lipschitz_estimate(trials=5000, rng=np.random.default_rng([cfg.npg.seed, 3]))
     inputs = bound_inputs(env, lipschitz_pi, n_agents=int(cfg.n_list[0]))
-    if cfg.gamma * inputs.s_p >= 1.0:
-        return BoundReport(
-            inputs=inputs,
-            applicable=False,
-            reason=f"gamma * S_P = {cfg.gamma * inputs.s_p:.6g} >= 1",
-            bounds={},
-        )
-    bounds = {}
-    for n in cfg.n_list:
-        bounds[int(n)] = approximation_bound(replace(inputs, n_agents=int(n)))
+    try:
+        bounds = {int(n): approximation_bound(replace(inputs, n_agents=int(n))) for n in cfg.n_list}
+    except BoundInapplicableError as err:
+        return BoundReport(inputs=inputs, applicable=False, reason=str(err), bounds={})
     return BoundReport(inputs=inputs, applicable=True, reason="", bounds=bounds)
 
 

@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 VALIDATION_TOL = 1e-9
+# `sinkhorn_random` stops once every row and column sum is within
+# SINKHORN_TOL of 1, and fails after SINKHORN_MAX_ITERS rounds.
+SINKHORN_TOL = 1e-10
+SINKHORN_MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -197,20 +201,16 @@ def ring_symmetric(n: int, k: int) -> InteractionMatrix:
     return _circulant(n, [*half, *(-off for off in half)])
 
 
-def sinkhorn_random(
-    n: int,
-    rng: np.random.Generator,
-    tol: float = 1e-10,
-    max_iters: int = 10_000,
-) -> InteractionMatrix:
+def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
     """Random doubly stochastic matrix by alternating row/column normalization
-    of a strictly positive random start."""
+    of a strictly positive random start, to `SINKHORN_TOL` in at most
+    `SINKHORN_MAX_ITERS` rounds."""
     if n < 1:
         raise ValueError("n must be >= 1")
     w = rng.uniform(0.1, 1.1, size=(n, n))
     # The row sums of the convergence check are the next normalizer.
     row_sums = w.sum(axis=1, keepdims=True)
-    for _ in range(max_iters):
+    for _ in range(SINKHORN_MAX_ITERS):
         w /= row_sums
         w /= w.sum(axis=0, keepdims=True)
         row_sums = w.sum(axis=1, keepdims=True)
@@ -218,9 +218,11 @@ def sinkhorn_random(
             np.abs(row_sums - 1.0).max(),
             np.abs(w.sum(axis=0) - 1.0).max(),
         )
-        if dev < tol:
+        if dev < SINKHORN_TOL:
             return InteractionMatrix._from_dense(w)
-    raise RuntimeError(f"sinkhorn normalization did not reach {tol:g} in {max_iters} iterations")
+    raise RuntimeError(
+        f"sinkhorn normalization did not reach {SINKHORN_TOL:g} in {SINKHORN_MAX_ITERS} iterations"
+    )
 
 
 def validate_doubly_stochastic(w, tol: float) -> ValidationReport:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,25 +27,6 @@ from .simplex import Simplex, _check_indices
 # hidden = 32: 0.5-0.8 us per agent-step from 2000 to 8000 agents, rising
 # above that), and the step's arrays stay small.
 _GROUP_AGENTS = 4096
-
-
-@dataclass(frozen=True)
-class AgentSystemState:
-    """Joint configuration: per-agent states, plus the most recently decided
-    per-agent actions (None before the first decision phase)."""
-
-    states: np.ndarray
-    actions: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
-        object.__setattr__(self, "states", states)
-        if self.actions is not None:
-            object.__setattr__(self, "actions", np.asarray(self.actions, dtype=np.int64))
-
-    @property
-    def n_agents(self) -> int:
-        return self.states.size
 
 
 @dataclass(frozen=True)
@@ -97,75 +77,55 @@ def _empirical_per_step(items: np.ndarray, set_size: int) -> list:
 
 
 def step(
-    env: EnvModel,
-    w: InteractionMatrix,
-    policy,
-    sys: AgentSystemState,
-    rng,
-) -> tuple[AgentSystemState, np.ndarray]:
-    """Advance the population one step; returns the post-transition system
-    (with the actions just taken) and the per-agent rewards.
+    env: EnvModel, w: InteractionMatrix, policy, states: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the population one step; returns the actions taken, the
+    per-agent rewards and the next states.
 
-    `rng` is a Generator, or one Generator per block when `w` holds equal
-    blocks of agents on its diagonal. Each block draws `random(n)` uniforms
-    for its actions, then `random(n)` for its transitions, so its draws do
-    not depend on the other blocks."""
-    states = sys.states
-    n = states.size
-    if w.n_agents != n:
-        raise ValueError(f"interaction matrix is {w.n_agents}x{w.n_agents} but there are {n} agents")
-    if states.min() < 0 or states.max() >= env.n_states:
-        raise ValueError("agent state index out of range")
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
-    if not rngs or n % len(rngs):
-        raise ValueError(f"{n} agents do not split into {len(rngs)} equal blocks")
-    block = n // len(rngs)
-
+    `u` holds the step's uniforms, (2, N): row 0 draws the actions through
+    `policy.sample_actions`, row 1 the transitions through
+    `env.transition_sample_batch`, one uniform per agent each."""
+    n = w.n_agents
+    states = _check_indices("states", states, n, env.n_states)
+    if np.shape(u) != (2, n):
+        raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
     mu_views = w.views(states, env.n_states)
-    actions = policy.sample_actions(states, mu_views, _uniforms(rngs, block))
+    actions = policy.sample_actions(states, mu_views, u[0])
     nu_views = w.views(actions, env.n_actions)
     rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
     next_states = np.asarray(
-        env.transition_sample_batch(states, actions, mu_views, nu_views, _uniforms(rngs, block)),
-        dtype=np.int64,
+        env.transition_sample_batch(states, actions, mu_views, nu_views, u[1]), dtype=np.int64
     )
-    return AgentSystemState(states=next_states, actions=actions), rewards
-
-
-def _uniforms(rngs: list, block: int) -> np.ndarray:
-    """The next `block` uniforms of each generator, in block order."""
-    return np.concatenate([g.random(block) for g in rngs])
+    return actions, rewards, next_states
 
 
 def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = False):
     """Simulate steps t = 0..horizon of every block (w, initial_states, rng)
     in `blocks`, which must share one N, in one step loop on the
-    block-diagonal W: each step is one `step` call over all agents, in which
-    every block draws from its own `rng` exactly as a rollout of it alone
-    would. Returns each block's discounted population-average return and,
-    with `record`, the (T+1, B*N) states, actions and rewards (else None)."""
+    block-diagonal W: each step is one `step` call over all agents, whose
+    uniforms are `rng.random((2, N))` of each block in turn, so every block
+    draws exactly as a rollout of it alone would. Returns each block's
+    discounted population-average return and, with `record`, the (T+1, B*N)
+    states, actions and rewards (else None)."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     ws, inits, rngs = zip(*blocks)
-    if len({m.n_agents for m in ws}) > 1:
-        raise ValueError("the blocks of one step loop must have one N")
-    for m, states in zip(ws, inits):
-        _check_indices("initial_states", states, m.n_agents, env.n_states)
+    n = ws[0].n_agents
+    inits = [_check_indices("initial_states", states, n, env.n_states) for states in inits]
+    states = np.concatenate(inits, dtype=np.int64)
     w = ws[0] if len(ws) == 1 else _block_diagonal(ws)
-    sys = AgentSystemState(states=np.concatenate(inits))
-    shape = (horizon + 1, sys.n_agents)
+    shape = (horizon + 1, states.size)
     history = None
     if record:
         history = (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64), np.empty(shape))
     returns = np.zeros(len(blocks))
     discount = 1.0
     for t in range(horizon + 1):
+        u = np.concatenate([g.random((2, n)) for g in rngs], axis=1)
+        actions, step_rewards, next_states = step(env, w, policy, states, u)
         if record:
-            history[0][t] = sys.states
-        sys, step_rewards = step(env, w, policy, sys, rngs)
-        if record:
-            history[1][t] = sys.actions
-            history[2][t] = step_rewards
+            history[0][t], history[1][t], history[2][t] = states, actions, step_rewards
+        states = next_states
         returns += discount * step_rewards.reshape(len(blocks), -1).mean(axis=1)
         discount *= env.gamma
     return returns, history

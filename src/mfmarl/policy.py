@@ -41,22 +41,27 @@ class PolicyConfig:
 def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     """Weights i.i.d. uniform on [-0.1, 0.1], biases zero: a near-uniform
     initial policy."""
-    h, f, u = cfg.hidden, cfg.n_features, cfg.n_actions
     phi = np.zeros(cfg.n_params)
-    phi[: h * f] = rng.uniform(-0.1, 0.1, size=h * f)
-    phi[h * f + h : h * f + h + u * h] = rng.uniform(-0.1, 0.1, size=u * h)
+    w1, _, w2, _ = _unpack(cfg, phi)
+    w1[...] = rng.uniform(-0.1, 0.1, size=w1.shape)
+    w2[...] = rng.uniform(-0.1, 0.1, size=w2.shape)
     return phi
 
 
-def _unpack(cfg: PolicyConfig, phi: np.ndarray):
+def _unpack(cfg: PolicyConfig, phi: np.ndarray, rows: tuple = ()):
+    """The parameter blocks (w1, b1, w2, b2) of `phi`, of shape rows + (d,),
+    as views on its last axis: the one place the flat layout is written."""
     h, f, u = cfg.hidden, cfg.n_features, cfg.n_actions
-    if phi.shape != (cfg.n_params,):
-        raise ValueError(f"parameter vector must have shape ({cfg.n_params},), got {phi.shape}")
-    w1 = phi[: h * f].reshape(h, f)
-    b1 = phi[h * f : h * f + h]
-    w2 = phi[h * f + h : h * f + h + u * h].reshape(u, h)
-    b2 = phi[h * f + h + u * h :]
-    return w1, b1, w2, b2
+    shape = (*rows, cfg.n_params)
+    if phi.shape != shape:
+        raise ValueError(f"parameter vector must have shape {shape}, got {phi.shape}")
+    ends = (h * f, h * f + h, h * f + h + u * h)
+    return (
+        phi[..., : ends[0]].reshape(*rows, h, f),
+        phi[..., ends[0] : ends[1]],
+        phi[..., ends[1] : ends[2]].reshape(*rows, u, h),
+        phi[..., ends[2] :],
+    )
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -100,16 +105,14 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     dlogits = -probs
     dlogits[np.arange(b), actions] += 1.0
     dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
-    # The parameter blocks in `_unpack`'s order (w1, b1, w2, b2), each
-    # written in place into its columns of the (B, d) result.
-    h, f = cfg.hidden, cfg.n_features
-    ends = np.cumsum([h * f, h, cfg.n_actions * h])
+    # Each parameter block is written in place into its columns of the
+    # (B, d) result.
     grad = np.empty((b, cfg.n_params))
-    np.multiply(dpre[:, :, None], feats[:, None, :], out=grad[:, : ends[0]].reshape(b, h, f))
-    grad[:, ends[0] : ends[1]] = dpre
-    out_w2 = grad[:, ends[1] : ends[2]].reshape(b, cfg.n_actions, h)
-    np.multiply(dlogits[:, :, None], hidden[:, None, :], out=out_w2)
-    grad[:, ends[2] :] = dlogits
+    g_w1, g_b1, g_w2, g_b2 = _unpack(cfg, grad, (b,))
+    np.multiply(dpre[:, :, None], feats[:, None, :], out=g_w1)
+    g_b1[...] = dpre
+    np.multiply(dlogits[:, :, None], hidden[:, None, :], out=g_w2)
+    g_b2[...] = dlogits
     return grad
 
 

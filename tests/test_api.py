@@ -5,7 +5,6 @@ import mfmarl
 EXPORTS = [
     "AffineRewardRequiredError",
     "AffineRewardSpec",
-    "AgentSystemState",
     "BoundInapplicableError",
     "BoundInputs",
     "EnvModel",

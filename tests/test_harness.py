@@ -223,6 +223,12 @@ class TestConfigParsing:
         cfg = parse_config({**raw, "out": "elsewhere.csv"})
         assert parse_config(resolved_config_dict(cfg)) == dataclasses.replace(cfg, out="results.csv")
 
+    @pytest.mark.parametrize("n_list", [[4, 4], [4, 8, 4]])
+    def test_repeated_n_rejected(self, n_list):
+        # a repeated N would sweep the same (N, seed) cells twice
+        with pytest.raises(ValueError, match="n_list must not repeat"):
+            parse_config({"model": {"q": 3, "k": 2}, "n_list": n_list})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             parse_config({"model": {"q": 3, "k": 2}, "n_list": []})
@@ -403,6 +409,23 @@ class TestRunErrorVsN:
             assert a.error_pct == pytest.approx(b.error_pct, rel=1e-9, abs=0.0)
 
 
+    def test_rows_match_recorded_values(self):
+        # Rows recorded before the simulator's step took uniforms: a change
+        # to how a cell's episodes read their substreams moves them.
+        cfg = tiny_config()
+        env = build_firm_env(cfg.model, cfg.gamma)
+        rows = run_error_vs_n(cfg, env=env, policy=self._fixed_policy(cfg)).rows
+        expected = [
+            (4, 0, 8.650401706077538, 0.1496764398479797, 8.656616628930808),
+            (4, 1, 7.3894058790334505, 0.30142900575877757, 7.422967243063753),
+            (8, 0, 7.994932370997148, 0.15647192801953347, 8.040672710432954),
+            (8, 1, 5.676484110534823, 0.16844333858810764, 4.95634809242701),
+        ]
+        assert [(r.n, r.seed) for r in rows] == [row[:2] for row in expected]
+        got = [(r.v_marl_mean, r.v_marl_stderr, r.v_mf) for r in rows]
+        np.testing.assert_allclose(got, [row[2:] for row in expected], rtol=1e-9, atol=0.0)
+
+
 class TestPersistence:
     def test_outputs_and_reproducibility(self, tmp_path):
         cfg = tiny_config(out=str(tmp_path / "results.csv"))
@@ -471,6 +494,19 @@ class TestBoundReport:
         assert report.applicable
         assert report.bounds[100] == pytest.approx(report.bounds[10] / np.sqrt(10), rel=1e-12)
 
+    @pytest.mark.parametrize("env_gamma, cfg_gamma, applicable", [(0.5, 0.99, True), (0.97, 0.1, False)])
+    def test_applicability_follows_the_environment_gamma(self, env_gamma, cfg_gamma, applicable):
+        # The bound discounts with the environment's gamma, so that gamma
+        # decides gamma * S_P < 1, whatever the config says.
+        env, policy = contraction_env(gamma=env_gamma)
+        report = bound_report(tiny_config(gamma=cfg_gamma, n_list=[10]), env=env, policy=policy)
+        gamma_s_p = env_gamma * report.inputs.s_p
+        assert (gamma_s_p < 1.0) == applicable == report.applicable
+        if applicable:
+            assert report.bounds[10] > 0.0
+        else:
+            assert str(report) == f"bound inapplicable: gamma * S_P = {gamma_s_p:.6g} >= 1"
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -525,6 +561,7 @@ class TestCli:
             ("model.sigma", "--sigma", "inf"),
             ("n_list", "--n", "10,2.5"),
             ("n_list", "--n", ",5"),
+            ("n_list", "--n", "4,4"),
             ("gamma", "--gamma", "nan"),
         ],
     )

@@ -22,7 +22,7 @@ from mfmarl.interaction import (
     uniform,
 )
 from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
-from mfmarl.nagent import AgentSystemState, _block_returns, _simulate, estimate_v_marl, rollout, step
+from mfmarl.nagent import _block_returns, _simulate, estimate_v_marl, rollout, step
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
 
@@ -53,23 +53,41 @@ class TestStep:
         env = firm_env(q=4, k=1)
         w = InteractionMatrix([[1.0]])
         pol = softmax_policy(4)
-        sys = AgentSystemState(states=[2])
-        nxt, rewards = step(env, w, pol, sys, np.random.default_rng(0))
+        actions, rewards, _ = step(env, w, pol, np.array([2]), np.random.default_rng(0).random((2, 1)))
         # with W = [[1]], the view is a point mass at the agent's own state,
         # so the reward must equal the single-agent evaluation
         mu = Simplex.point_mass(2, 4)
-        nu = Simplex.point_mass(int(nxt.actions[0]), 2)
-        assert rewards[0] == pytest.approx(env.reward(2, int(nxt.actions[0]), mu, nu), abs=1e-12)
+        nu = Simplex.point_mass(int(actions[0]), 2)
+        assert rewards[0] == pytest.approx(env.reward(2, int(actions[0]), mu, nu), abs=1e-12)
 
     def test_deterministic_dynamics(self):
         env = constant_env()
         always_zero = FunctionPolicy(lambda x, mu: np.array([1.0, 0.0]), 3, 2)
-        sys = AgentSystemState(states=[0, 1, 2])
+        states = np.array([0, 1, 2])
         w = uniform(3)
-        a, _ = step(env, w, always_zero, sys, np.random.default_rng(1))
-        b, _ = step(env, w, always_zero, sys, np.random.default_rng(99))
-        assert np.array_equal(a.states, b.states) and np.array_equal(a.states, [0, 1, 2])
-        assert np.array_equal(a.actions, [0, 0, 0])
+        a = step(env, w, always_zero, states, np.random.default_rng(1).random((2, 3)))
+        b = step(env, w, always_zero, states, np.random.default_rng(99).random((2, 3)))
+        assert np.array_equal(a[2], b[2]) and np.array_equal(a[2], [0, 1, 2])
+        assert np.array_equal(a[0], [0, 0, 0])
+
+    def test_uniforms_draw_actions_then_transitions(self):
+        # Row 0 of u draws the actions and row 1 the transitions, each by
+        # the inverse CDF of its agent's distribution.
+        env = firm_env(q=4, k=2)
+        pol = softmax_policy(4, seed=2)
+        w = ring_k_neighbor(5, 2)
+        states = np.array([0, 3, 1, 2, 1])
+        u = np.random.default_rng(3).random((2, 5))
+        actions, rewards, next_states = step(env, w, pol, states, u)
+        mu_views = w.views(states, 4)
+        nu_views = w.views(actions, 2)
+        for i in range(5):
+            mu, nu = Simplex(mu_views[i]), Simplex(nu_views[i])
+            probs = pol.action_distribution(int(states[i]), mu).weights
+            assert actions[i] == np.searchsorted(np.cumsum(probs), u[0, i], side="right")
+            kernel = env.transition(int(states[i]), int(actions[i]), mu, nu).weights
+            assert next_states[i] == np.searchsorted(np.cumsum(kernel), u[1, i], side="right")
+            assert rewards[i] == pytest.approx(env.reward(int(states[i]), int(actions[i]), mu, nu), abs=1e-12)
 
     def test_uniform_views_collapse_to_empirical(self):
         env = firm_env(q=5, k=3)
@@ -82,8 +100,14 @@ class TestStep:
 
     def test_mismatched_sizes_error(self):
         env = firm_env()
-        with pytest.raises(ValueError):
-            step(env, uniform(3), softmax_policy(3), AgentSystemState(states=[0, 1]), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="states"):
+            step(env, uniform(3), softmax_policy(3), np.array([0, 1]), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 2), (3, 2), (2, 3, 1)])
+    def test_uniforms_of_wrong_shape_rejected(self, shape):
+        env = firm_env()
+        with pytest.raises(ValueError, match=r"u must have shape \(2, 3\)"):
+            step(env, uniform(3), softmax_policy(3), np.array([0, 1, 2]), np.full(shape, 0.5))
 
 
 class TestRollout:
@@ -289,18 +313,6 @@ class TestLockstep:
             with pytest.raises(ValueError, match="one N and one storage form"):
                 _block_returns(env, softmax_policy(3), blocks_of(ws, 3, 31), 2)
 
-    def test_group_needs_one_n(self):
-        env = firm_env(q=3, k=2)
-        blocks = blocks_of([ring_k_neighbor(4, 2), ring_k_neighbor(5, 2)], 3, 25)
-        with pytest.raises(ValueError, match="one N"):
-            _simulate(env, softmax_policy(3), blocks, 2)
-
-    def test_step_needs_equal_blocks(self):
-        env = firm_env(q=3, k=2)
-        sys = AgentSystemState(states=[0, 1, 2])
-        with pytest.raises(ValueError, match="equal blocks"):
-            step(env, uniform(3), softmax_policy(3), sys, np.random.default_rng(26).spawn(2))
-
 
 class TestInitialStates:
     @pytest.mark.parametrize(
@@ -346,6 +358,25 @@ class TestEstimateVMarl:
         exact = exact_population_value(env, w, pol, init, horizon=2)
         mean, stderr = estimate_v_marl(env, w, pol, init, 2, 4000, np.random.default_rng(11))
         assert abs(mean - exact) <= 3 * max(stderr, 1e-12)
+
+
+class TestRecordedStream:
+    # Values recorded from the simulator before its step took uniforms: a
+    # change to how the blocks read their random streams moves them.
+    @pytest.mark.parametrize(
+        "make_w, expected",
+        [
+            (lambda: ring_k_neighbor(12, 2), (10.661893592979892, 0.06403151460880699)),
+            (lambda: sinkhorn_random(12, np.random.default_rng(42)), (10.542965096200055, 0.08408823485263715)),
+        ],
+        ids=["ring", "sinkhorn"],
+    )
+    def test_estimate_matches_recorded_values(self, make_w, expected):
+        env = firm_env(q=4, k=2)
+        pol = softmax_policy(4, seed=40)
+        init = np.random.default_rng(41).integers(0, 4, size=12)
+        got = estimate_v_marl(env, make_w(), pol, init, 20, 4, np.random.default_rng(43))
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
 
 class TestConcentration:
