@@ -26,8 +26,6 @@ from .model import (
     FirmModelConfig,
     RewardConstants,
     build_firm_env,
-    firm_reward,
-    firm_transition_distribution,
     reward_constants,
 )
 from .nagent import RolloutRecord, estimate_v_marl, rollout, step
@@ -43,14 +41,13 @@ from .npg import (
 from .policy import (
     PolicyConfig,
     SoftmaxPolicy,
-    action_distribution,
     estimate_lipschitz_lq,
     init_params,
     load_policy,
     log_policy_gradient,
     save_policy,
 )
-from .simplex import Simplex, expectation, sample
+from .simplex import Simplex, sample
 
 __all__ = [
     "AffineRewardRequiredError",
@@ -69,15 +66,11 @@ __all__ = [
     "Simplex",
     "SoftmaxPolicy",
     "TrainingDivergenceError",
-    "action_distribution",
     "approximation_bound",
     "bound_inputs",
     "build_firm_env",
     "estimate_lipschitz_lq",
     "estimate_v_marl",
-    "expectation",
-    "firm_reward",
-    "firm_transition_distribution",
     "init_params",
     "inner_sgd",
     "load_policy",

@@ -37,7 +37,7 @@ from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_f
 from .nagent import _block_returns, _group_size, _mean_stderr
 from .npg import NPGConfig, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
-from .simplex import Simplex, normalized_rows, sample_many
+from .simplex import Simplex, _check_size, normalized_rows, sample_many
 
 log = logging.getLogger(__name__)
 
@@ -63,24 +63,20 @@ class ExperimentConfig:
     out: str = "results.csv"
 
     def __post_init__(self):
-        if len(self.n_list) == 0 or any(n < 1 for n in self.n_list):
-            raise ValueError("n_list must be nonempty with all entries >= 1")
+        if len(self.n_list) == 0:
+            raise ValueError("n_list must be nonempty")
+        for n in self.n_list:
+            _check_size("n_list entry", n)
         if len(set(self.n_list)) < len(self.n_list):
             raise ValueError(f"n_list must not repeat an entry, got {list(self.n_list)}")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        if self.episodes_per_seed < 1:
-            raise ValueError("episodes_per_seed must be >= 1")
-        if self.horizon_tol <= 0:
+        for name in ("seeds", "episodes_per_seed", "hidden", "threads"):
+            _check_size(name, getattr(self, name))
+        if not self.horizon_tol > 0:
             raise ValueError("horizon_tol must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
         if self.interaction_kind not in _INTERACTION_KINDS:
             raise ValueError(f"interaction kind must be one of {_INTERACTION_KINDS}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.mu0 is not None:
             if len(self.mu0) != self.model.q:
                 raise ValueError(f"mu0 must have model.q = {self.model.q} entries, got {len(self.mu0)}")

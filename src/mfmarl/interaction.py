@@ -14,6 +14,7 @@ instead of O(N^2).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +151,15 @@ class InteractionMatrix:
 
     @classmethod
     def load_csv(cls, path) -> "InteractionMatrix":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
+        """Read a `save_csv` file; one that is empty, not numeric, ragged or
+        not doubly stochastic raises a ValueError that names the file."""
+        try:
+            with warnings.catch_warnings():
+                # numpy only warns on an empty file
+                warnings.simplefilter("error", UserWarning)
+                return cls(np.loadtxt(path, delimiter=",", ndmin=2))
+        except (ValueError, UserWarning) as err:
+            raise ValueError(f"interaction matrix {path}: {err}") from None
 
 
 def _block_diagonal(blocks) -> InteractionMatrix:

@@ -11,7 +11,6 @@ between the finite-population value and the mean-field value.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,30 +40,11 @@ class MFTrajectory:
     def horizon(self) -> int:
         return len(self.mus) - 1
 
-    def to_csv(self, path) -> None:
-        n_x = len(self.mus[0])
-        n_u = len(self.nus[0])
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t"]
-                + [f"mu_{k}" for k in range(n_x)]
-                + [f"nu_{k}" for k in range(n_u)]
-                + ["r_mf"]
-            )
-            for t in range(len(self.mus)):
-                writer.writerow(
-                    [t]
-                    + [repr(float(v)) for v in self.mus[t].weights]
-                    + [repr(float(v)) for v in self.nus[t].weights]
-                    + [repr(float(self.rewards[t]))]
-                )
-
 
 def truncation_horizon(env: EnvModel, tol: float) -> int:
     """Smallest T with discounted tail sum below tol, using the declared
     reward bound: gamma^(T+1) * M_R / (1 - gamma) <= tol."""
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if env.gamma == 0.0 or env.reward_bound <= 0.0:
         return 0
@@ -93,10 +73,11 @@ def mf_values(env: EnvModel, policy, mu0s, horizon: int) -> np.ndarray:
 
 
 def mf_value(
-    env: EnvModel, policy, mu0: Simplex, tol: float, horizon: int | None = None
+    env: EnvModel, policy, mu0, tol: float, horizon: int | None = None
 ) -> tuple[float, MFTrajectory]:
-    """Discounted mean-field value of a stationary policy from mu0, truncated
-    so the tail is below tol; returns the value and the trajectory."""
+    """Discounted mean-field value of a stationary policy from mu0 (a
+    `Simplex`, or a vector that passes its checks), truncated so the tail is
+    below tol; returns the value and the trajectory."""
     t_star = truncation_horizon(env, tol) if horizon is None else horizon
     path = _MeanFieldPath(env, policy, mu0)
     return path.value(t_star), path.trajectory(t_star)
@@ -109,9 +90,15 @@ class _MeanFieldPath:
     rows the NPG occupancy chain draws from, the reward table, and the mean
     reward. `mf_value` reads its value and trajectory; NPG shares one path
     between every occupancy sample of an inner-regression pass and the
-    iterate's logged value."""
+    iterate's logged value. A `Simplex` mu0 is kept as it is; anything else
+    is checked by `Simplex` (a ValueError naming mu0)."""
 
-    def __init__(self, env: EnvModel, policy, mu0: Simplex):
+    def __init__(self, env: EnvModel, policy, mu0):
+        if not isinstance(mu0, Simplex):
+            try:
+                mu0 = Simplex(mu0)
+            except ValueError as err:
+                raise ValueError(f"mu0 must be a probability vector: {err}") from None
         if len(mu0) != env.n_states:
             raise ValueError(f"mu0 has {len(mu0)} entries, expected {env.n_states}")
         self.gamma = env.gamma

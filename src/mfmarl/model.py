@@ -1,8 +1,9 @@
 """Environment definitions.
 
-An `EnvModel` bundles finite state/action spaces with a reward function
+An `EnvModel` bundles finite state/action spaces with a reward
 r(x, u, mu, nu) and a transition kernel P(x, u, mu, nu) -> distribution over
-states, where mu and nu are the state/action distributions the agent sees.
+states, where mu and nu are the state/action distributions the agent sees,
+both given as batched array hooks.
 The firm-network model is the concrete environment used in experiments; a
 reward that is affine in (mu, nu) additionally carries an `AffineRewardSpec`
 from which the approximation-bound constants are derived.
@@ -14,13 +15,12 @@ States are 0-based indices internally; the firm model's quality levels
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .simplex import Simplex, _draw, expectation
+from .simplex import _check_size
 
 
 class AffineRewardRequiredError(ValueError):
@@ -71,11 +71,9 @@ def reward_constants(spec: AffineRewardSpec) -> RewardConstants:
 class EnvModel:
     """Finite-space environment with distribution-dependent dynamics.
 
-    The scalar contract is required: `reward(x, u, mu, nu)` -> float and
-    `transition(x, u, mu, nu)` -> `Simplex` over next states, on 0-based
-    indices and the `Simplex` laws seen by the agent. The population
-    simulator and the mean-field recursion call only four batched hooks,
-    which are always set after construction:
+    The environment is its four batched hooks, on 0-based indices and float
+    arrays of laws; the population simulator and the mean-field recursion
+    call only these:
 
     - `reward_batch(states, actions, mu_views, nu_views)` -> (n,) rewards
       and `transition_sample_batch(states, actions, mu_views, nu_views, u)`
@@ -85,11 +83,6 @@ class EnvModel:
       `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`
       (B, |U|) whose rows are already checked probability vectors.
-
-    A hook that is not passed is built from the scalar contract: one call
-    per agent, or per (b, x, u). The built sampler looks agent i's uniform
-    `u[i]` up in its transition law, giving the draw `sample` makes from a
-    generator whose next uniform is `u[i]`.
     """
 
     def __init__(
@@ -97,20 +90,17 @@ class EnvModel:
         n_states: int,
         n_actions: int,
         gamma: float,
-        reward: Callable[[int, int, Simplex, Simplex], float],
-        transition: Callable[[int, int, Simplex, Simplex], Simplex],
         *,
+        reward_batch,
+        transition_sample_batch,
+        kernel,
+        reward_matrix,
         lipschitz_p: Optional[float] = None,
         affine: Optional[AffineRewardSpec] = None,
         reward_bound: Optional[float] = None,
-        reward_batch=None,
-        transition_sample_batch=None,
-        kernel=None,
-        reward_matrix=None,
     ):
-        for name, size in (("n_states", n_states), ("n_actions", n_actions)):
-            if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+        _check_size("n_states", n_states)
+        _check_size("n_actions", n_actions)
         if not 0.0 <= gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
         if reward_bound is None and affine is not None:
@@ -120,68 +110,25 @@ class EnvModel:
         for name, value in (("reward_bound", reward_bound), ("lipschitz_p", lipschitz_p)):
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        hooks = {
+            "reward_batch": reward_batch,
+            "transition_sample_batch": transition_sample_batch,
+            "kernel": kernel,
+            "reward_matrix": reward_matrix,
+        }
+        for name, hook in hooks.items():
+            if not callable(hook):
+                raise ValueError(f"{name} must be callable, got {hook!r}")
         self.n_states = n_states
         self.n_actions = n_actions
         self.gamma = gamma
-        self.reward = reward
-        self.transition = transition
         self.lipschitz_p = lipschitz_p
         self.affine = affine
         self.reward_bound = float(reward_bound)
-        if reward_batch is None:
-            reward_batch = _scalar_rewards(reward)
-        if transition_sample_batch is None:
-            transition_sample_batch = _scalar_sampler(transition)
-        if kernel is None:
-            kernel = _scalar_table(lambda *a: transition(*a).weights, n_states, n_actions, (n_states,))
-        if reward_matrix is None:
-            reward_matrix = _scalar_table(reward, n_states, n_actions, ())
         self.reward_batch = reward_batch
         self.transition_sample_batch = transition_sample_batch
         self.kernel = kernel
         self.reward_matrix = reward_matrix
-
-
-def _agent_args(states, actions, mu_views, nu_views):
-    """Each agent's scalar-contract arguments (x, u, mu, nu), in agent order."""
-    for i in range(len(states)):
-        yield int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])
-
-
-def _scalar_rewards(reward):
-    """`reward_batch` built from the scalar reward, one call per agent."""
-
-    def reward_batch(states, actions, mu_views, nu_views):
-        return np.array([reward(*args) for args in _agent_args(states, actions, mu_views, nu_views)])
-
-    return reward_batch
-
-
-def _scalar_sampler(transition):
-    """`transition_sample_batch` built from the scalar transition: agent i's
-    next state is the inverse-CDF lookup of `u[i]` in its transition law."""
-
-    def transition_sample_batch(states, actions, mu_views, nu_views, u):
-        args = _agent_args(states, actions, mu_views, nu_views)
-        return np.array([_draw(transition(*a).weights, u_i) for a, u_i in zip(args, u)], dtype=np.int64)
-
-    return transition_sample_batch
-
-
-def _scalar_table(fn, n_states: int, n_actions: int, entry_shape: tuple):
-    """A stacked hook built from the scalar `fn(x, u, mu, nu)`, called at
-    every (x, u) of every row of `mus`, `nus`."""
-
-    def table(mus, nus):
-        out = np.empty((len(mus), n_states, n_actions) + entry_shape)
-        for b in range(len(mus)):
-            mu, nu = Simplex(mus[b]), Simplex(nus[b])
-            for x in range(n_states):
-                for u in range(n_actions):
-                    out[b, x, u] = fn(x, u, mu, nu)
-        return out
-
-    return table
 
 
 @dataclass(frozen=True)
@@ -201,10 +148,8 @@ class FirmModelConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("q must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        _check_size("q", self.q)
+        _check_size("k", self.k)
         if not self.sigma >= 1:
             raise ValueError("sigma must be >= 1")
 
@@ -225,39 +170,6 @@ def _increment_pmf(c: np.ndarray, max_m: int) -> np.ndarray:
     c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     cdf = _increment_cdf(c[:, None], np.arange(max_m + 2))
     return cdf[:, 1:] - cdf[:, :-1]
-
-
-def firm_transition_distribution(
-    cfg: FirmModelConfig, x: int, u: int, mu_bar: float
-) -> Simplex:
-    """Distribution of the next quality level given quality x in 1..q, the
-    invest decision u, and the local mean quality mu_bar."""
-    q = cfg.q
-    if not 1 <= x <= q:
-        raise ValueError(f"quality level {x} out of range 1..{q}")
-    if u not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {u}")
-    if not -1e-9 <= mu_bar <= q + 1e-9:
-        raise ValueError(f"mean quality {mu_bar} out of range [0, {q}]")
-    mu_bar = min(max(mu_bar, 0.0), float(q))
-    out = np.zeros(q)
-    if u == 0:
-        out[x - 1] = 1.0
-        return Simplex(out)
-    c = (1.0 - mu_bar / q) * (q - x)
-    pmf = _increment_pmf(np.array([c]), q - x)[0]
-    out[x - 1 : q] = pmf
-    return Simplex(out)
-
-
-def firm_reward(cfg: FirmModelConfig, x: int, u: int, mu_view: Simplex) -> float:
-    """alpha_r * x - beta_r * (mean viewed quality)^sigma - lambda_r * u."""
-    if not 1 <= x <= cfg.q:
-        raise ValueError(f"quality level {x} out of range 1..{cfg.q}")
-    if u not in (0, 1):
-        raise ValueError(f"action must be 0 or 1, got {u}")
-    mu_bar = expectation(mu_view, np.arange(1, cfg.q + 1))
-    return cfg.alpha_r * x - cfg.beta_r * mu_bar**cfg.sigma - cfg.lambda_r * u
 
 
 def firm_affine_spec(cfg: FirmModelConfig) -> AffineRewardSpec:
@@ -282,12 +194,6 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
     """
     q = cfg.q
     labels = np.arange(1, q + 1, dtype=np.float64)
-
-    def reward(x, u, mu, nu):
-        return firm_reward(cfg, x + 1, u, mu)
-
-    def transition(x, u, mu, nu):
-        return firm_transition_distribution(cfg, x + 1, u, expectation(mu, labels))
 
     def reward_batch(states, actions, mu_views, nu_views):
         mu_bar = mu_views @ labels
@@ -325,8 +231,6 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         n_states=q,
         n_actions=2,
         gamma=gamma,
-        reward=reward,
-        transition=transition,
         lipschitz_p=estimate_firm_lipschitz_p(cfg),
         affine=affine,
         reward_bound=bound,

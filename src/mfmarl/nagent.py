@@ -12,7 +12,6 @@ the blocks of a block-diagonal W; each block keeps its own random stream.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -52,21 +51,6 @@ class RolloutRecord:
     def nus(self) -> list:
         """Empirical action distribution per step, as `Simplex` values."""
         return _empirical_per_step(self.actions, self.n_actions)
-
-    def recompute_return(self) -> float:
-        mean_r = self.rewards.mean(axis=1)
-        return float(np.polynomial.polynomial.polyval(self.gamma, mean_r))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "agent", "x", "u", "reward"])
-            horizon, n = self.rewards.shape
-            for t in range(horizon):
-                for i in range(n):
-                    writer.writerow(
-                        [t, i, self.states[t, i], self.actions[t, i], repr(float(self.rewards[t, i]))]
-                    )
 
 
 def _empirical_per_step(items: np.ndarray, set_size: int) -> list:

@@ -21,7 +21,7 @@ import numpy as np
 from .meanfield import _MeanFieldPath, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy, log_policy_gradient
-from .simplex import Simplex, sample
+from .simplex import Simplex, _check_size, sample
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -39,8 +39,8 @@ class NPGConfig:
     def __post_init__(self):
         if self.eta < 0 or self.alpha <= 0:
             raise ValueError("learning rates must be positive (eta may be 0)")
-        if self.j_steps < 1 or self.l_steps < 1:
-            raise ValueError("j_steps and l_steps must be >= 1")
+        _check_size("j_steps", self.j_steps)
+        _check_size("l_steps", self.l_steps)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -160,14 +160,14 @@ def npg_train(
     env: EnvModel,
     policy_cfg: PolicyConfig,
     phi0: np.ndarray,
-    mu0: Simplex,
+    mu0,
     cfg: NPGConfig,
     rng: np.random.Generator,
     value_tol: float = 1e-3,
 ) -> TrainingResult:
     """Run the outer natural-gradient loop, discounting with `env.gamma`,
-    and evaluate each iterate's mean-field value from mu0, truncated so the
-    tail is below value_tol.
+    and evaluate each iterate's mean-field value from mu0 (a `Simplex`, or a
+    vector that passes its checks), truncated so the tail is below value_tol.
 
     Each iterate builds one policy and one mean-field path: the path gives
     the iterate's value, then feeds the next inner regression's samples,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import Simplex, _check_indices, sample_rows
+from .simplex import _check_indices, _check_size, sample_rows
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,8 @@ class PolicyConfig:
     hidden: int = 32
 
     def __post_init__(self):
-        if self.n_states < 1 or self.n_actions < 1:
-            raise ValueError("state and action spaces must be nonempty")
-        if self.hidden < 1:
-            raise ValueError("hidden width must be >= 1")
+        for name in ("n_states", "n_actions", "hidden"):
+            _check_size(name, getattr(self, name))
 
     @property
     def n_features(self) -> int:
@@ -79,15 +77,6 @@ def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows):
     feats[:, cfg.n_states :] = mu_rows
     hidden = np.tanh(feats @ w1.T + b1)
     return feats, hidden, _softmax(hidden @ w2.T + b2)
-
-
-def action_distribution(cfg: PolicyConfig, phi: np.ndarray, x: int, mu: Simplex) -> Simplex:
-    """Softmax action probabilities at (x, mu); always strictly positive."""
-    if not 0 <= x < cfg.n_states:
-        raise ValueError(f"state {x} out of range [0, {cfg.n_states})")
-    if len(mu) != cfg.n_states:
-        raise ValueError(f"mu has {len(mu)} entries, expected {cfg.n_states}")
-    return Simplex(_forward(cfg, phi, [x], mu.weights[None, :])[2][0])
 
 
 def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, actions) -> np.ndarray:
@@ -145,7 +134,7 @@ def estimate_lipschitz_lq(
 
 
 class SoftmaxPolicy:
-    """Parameter-bound policy exposing scalar and batched evaluation."""
+    """Parameter-bound policy, evaluated on (state, view) rows."""
 
     def __init__(self, cfg: PolicyConfig, phi):
         self.config = cfg
@@ -156,12 +145,6 @@ class SoftmaxPolicy:
             raise ValueError("policy parameters must be finite")
         self.params = phi.copy()
         self.params.flags.writeable = False
-
-    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
-        return action_distribution(self.config, self.params, x, mu)
-
-    def probs(self, x: int, mu: Simplex) -> np.ndarray:
-        return self.action_distribution(x, mu).weights
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         """One action distribution per (state, view) row."""

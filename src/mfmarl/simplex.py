@@ -1,12 +1,15 @@
-"""Probability vectors over finite index sets: checked construction,
-sampling and expectations.
+"""Probability vectors over finite index sets: checked construction and
+sampling, and the index and size checks shared by the layers.
 
-All distributions in the system (population state/action distributions,
-per-agent weighted views, policy outputs, transition rows) are `Simplex`
-values over 0-based index sets.
+A single law (an initial distribution, a step of a mean-field trajectory)
+is a `Simplex` over 0-based indices. Stacked laws (per-agent views, policy
+outputs, transition rows) are float arrays with one law per row;
+`normalized_rows` applies the `Simplex` checks to such rows.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -98,13 +101,6 @@ def sample_many(p: Simplex, n: int, rng: np.random.Generator) -> np.ndarray:
     return _draw(p.weights, rng.random(n))
 
 
-def expectation(p: Simplex, values) -> float:
-    v = np.asarray(values, dtype=np.float64)
-    if v.shape != p.weights.shape:
-        raise ValueError(f"length mismatch: {len(p)} vs {v.size}")
-    return float(p.weights @ v)
-
-
 def _draw(weights: np.ndarray, u):
     """Inverse-CDF lookup of uniform draw(s) `u` in the pmf `weights`."""
     cdf = np.cumsum(weights)
@@ -118,6 +114,13 @@ def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs, axis=1)
     idx = (cdf < u[:, None]).sum(axis=1)
     return np.minimum(idx, probs.shape[1] - 1)
+
+
+def _check_size(name: str, size) -> None:
+    """A ValueError that names `size` unless it is an integer >= 1 (a bool
+    is not)."""
+    if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
 
 def _check_indices(name: str, index, length: int, size: int) -> np.ndarray:

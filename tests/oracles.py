@@ -8,6 +8,12 @@ occupancies from truncated enumeration. The single-law maps
 `mf_action_distribution`, `mf_transition` and `mf_reward` are the opposite:
 one step of the library's own recursion, so that comparing them with the
 references checks that recursion.
+
+The scalar contract lives here too: `scalar_env` builds an environment's
+batched hooks from a scalar `reward(x, u, mu, nu)` and `transition(x, u,
+mu, nu)` with one call per agent or per (b, x, u), `firm_scalar` gives the
+firm model's scalar reward and transition, and `policy_probs` evaluates a
+policy at one (x, mu).
 """
 
 import itertools
@@ -15,9 +21,9 @@ import itertools
 import numpy as np
 
 from mfmarl.meanfield import _mean_rewards, _recursion
-from mfmarl.model import AffineRewardSpec, EnvModel
+from mfmarl.model import AffineRewardSpec, EnvModel, _increment_pmf
 from mfmarl.policy import _forward, log_policy_gradient
-from mfmarl.simplex import Simplex, sample_rows
+from mfmarl.simplex import Simplex, _draw, sample_rows
 
 
 class TabularPolicy:
@@ -32,12 +38,6 @@ class TabularPolicy:
             raise ValueError("table rows must be probability vectors")
         self.table = table
         self.n_states, self.n_actions = table.shape
-
-    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
-        return Simplex(self.table[x])
-
-    def probs(self, x: int, mu: Simplex) -> np.ndarray:
-        return self.table[x]
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         return self.table[states]
@@ -58,22 +58,132 @@ class FunctionPolicy:
         self.n_states = n_states
         self.n_actions = n_actions
 
-    def action_distribution(self, x: int, mu: Simplex) -> Simplex:
-        return Simplex(self.probs(x, mu))
-
-    def probs(self, x: int, mu: Simplex) -> np.ndarray:
-        p = np.asarray(self._fn(x, mu), dtype=np.float64)
-        if p.shape != (self.n_actions,):
-            raise ValueError(f"policy function returned shape {p.shape}")
-        return p
-
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [self.probs(int(x), Simplex(row)) for x, row in zip(states, mu_rows)]
+        probs = np.stack(
+            [np.asarray(self._fn(int(x), Simplex(row)), dtype=np.float64) for x, row in zip(states, mu_rows)]
         )
+        if probs.shape != (len(states), self.n_actions):
+            raise ValueError(f"policy function returned rows of shape {probs.shape[1:]}")
+        return probs
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         return sample_rows(self.probs_batch(states, mu_rows), u)
+
+
+def policy_probs(policy, x: int, mu: Simplex) -> np.ndarray:
+    """The policy's action probabilities at the single (x, mu): its
+    `probs_batch` on one row."""
+    return policy.probs_batch(np.array([x]), mu.weights[None, :])[0]
+
+
+def _agent_args(states, actions, mu_views, nu_views):
+    """Each agent's scalar-contract arguments (x, u, mu, nu), in agent order."""
+    for i in range(len(states)):
+        yield int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])
+
+
+def _scalar_rewards(reward):
+    """`reward_batch` built from the scalar reward, one call per agent."""
+
+    def reward_batch(states, actions, mu_views, nu_views):
+        return np.array([reward(*args) for args in _agent_args(states, actions, mu_views, nu_views)])
+
+    return reward_batch
+
+
+def _scalar_sampler(transition):
+    """`transition_sample_batch` built from the scalar transition: agent i's
+    next state is the inverse-CDF lookup of `u[i]` in its transition law."""
+
+    def transition_sample_batch(states, actions, mu_views, nu_views, u):
+        args = _agent_args(states, actions, mu_views, nu_views)
+        return np.array([_draw(transition(*a).weights, u_i) for a, u_i in zip(args, u)], dtype=np.int64)
+
+    return transition_sample_batch
+
+
+def _scalar_table(fn, n_states: int, n_actions: int, entry_shape: tuple):
+    """A stacked hook built from the scalar `fn(x, u, mu, nu)`, called at
+    every (x, u) of every row of `mus`, `nus`."""
+
+    def table(mus, nus):
+        out = np.empty((len(mus), n_states, n_actions) + entry_shape)
+        for b in range(len(mus)):
+            mu, nu = Simplex(mus[b]), Simplex(nus[b])
+            for x in range(n_states):
+                for u in range(n_actions):
+                    out[b, x, u] = fn(x, u, mu, nu)
+        return out
+
+    return table
+
+
+def scalar_env(n_states, n_actions, gamma, reward, transition, **kwargs):
+    """An `EnvModel` whose hooks are built from the scalar `reward(x, u, mu,
+    nu)` -> float and `transition(x, u, mu, nu)` -> `Simplex`, on 0-based
+    indices and the laws an agent sees; a hook passed in `kwargs` is used as
+    it is, and the other `kwargs` go to `EnvModel`. The built sampler looks
+    agent i's uniform `u[i]` up in its transition law, giving the draw
+    `sample` makes from a generator whose next uniform is `u[i]`."""
+    hooks = {
+        "reward_batch": _scalar_rewards(reward),
+        "transition_sample_batch": _scalar_sampler(transition),
+        "kernel": _scalar_table(lambda *a: transition(*a).weights, n_states, n_actions, (n_states,)),
+        "reward_matrix": _scalar_table(reward, n_states, n_actions, ()),
+    }
+    return EnvModel(n_states, n_actions, gamma, **{**hooks, **kwargs})
+
+
+def expectation(p: Simplex, values) -> float:
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape != p.weights.shape:
+        raise ValueError(f"length mismatch: {len(p)} vs {v.size}")
+    return float(p.weights @ v)
+
+
+def firm_transition_distribution(cfg, x: int, u: int, mu_bar: float) -> Simplex:
+    """Distribution of the next quality level given quality x in 1..q, the
+    invest decision u, and the local mean quality mu_bar."""
+    q = cfg.q
+    if not 1 <= x <= q:
+        raise ValueError(f"quality level {x} out of range 1..{q}")
+    if u not in (0, 1):
+        raise ValueError(f"action must be 0 or 1, got {u}")
+    if not -1e-9 <= mu_bar <= q + 1e-9:
+        raise ValueError(f"mean quality {mu_bar} out of range [0, {q}]")
+    mu_bar = min(max(mu_bar, 0.0), float(q))
+    out = np.zeros(q)
+    if u == 0:
+        out[x - 1] = 1.0
+        return Simplex(out)
+    c = (1.0 - mu_bar / q) * (q - x)
+    pmf = _increment_pmf(np.array([c]), q - x)[0]
+    out[x - 1 : q] = pmf
+    return Simplex(out)
+
+
+def firm_reward(cfg, x: int, u: int, mu_view: Simplex) -> float:
+    """alpha_r * x - beta_r * (mean viewed quality)^sigma - lambda_r * u."""
+    if not 1 <= x <= cfg.q:
+        raise ValueError(f"quality level {x} out of range 1..{cfg.q}")
+    if u not in (0, 1):
+        raise ValueError(f"action must be 0 or 1, got {u}")
+    mu_bar = expectation(mu_view, np.arange(1, cfg.q + 1))
+    return cfg.alpha_r * x - cfg.beta_r * mu_bar**cfg.sigma - cfg.lambda_r * u
+
+
+def firm_scalar(cfg):
+    """The firm model's scalar (reward, transition) on 0-based states, the
+    references for the batched hooks of `build_firm_env(cfg, gamma)`."""
+    labels = np.arange(1, cfg.q + 1, dtype=np.float64)
+
+    def reward(x, u, mu, nu):
+        return firm_reward(cfg, x + 1, u, mu)
+
+    def transition(x, u, mu, nu):
+        return firm_transition_distribution(cfg, x + 1, u, expectation(mu, labels))
+
+    return reward, transition
 
 
 def empirical_distribution(samples, set_size: int) -> Simplex:
@@ -178,29 +288,31 @@ def inner_sgd_per_row(policy, cfg, gamma, samples):
     return total / len(samples)
 
 
-def brute_force_mf(env, policy, mu):
+def brute_force_mf(env, reward, transition, policy, mu):
     """Mean-field action distribution, next state distribution, and average
-    reward by direct double sums over (x, u)."""
+    reward by direct double sums over (x, u) of the scalar `reward` and
+    `transition` of `env`."""
     nu = np.zeros(env.n_actions)
     for x in range(env.n_states):
-        p = policy.probs(x, mu)
+        p = policy_probs(policy, x, mu)
         for u in range(env.n_actions):
             nu[u] += p[u] * mu.weights[x]
     nu_s = Simplex(nu)
     mu_next = np.zeros(env.n_states)
-    reward = 0.0
+    mean_reward = 0.0
     for x in range(env.n_states):
-        p = policy.probs(x, mu)
+        p = policy_probs(policy, x, mu)
         for u in range(env.n_actions):
             w_xu = p[u] * mu.weights[x]
-            mu_next = mu_next + w_xu * env.transition(x, u, mu, nu_s).weights
-            reward += w_xu * env.reward(x, u, mu, nu_s)
-    return nu, mu_next, reward
+            mu_next = mu_next + w_xu * transition(x, u, mu, nu_s).weights
+            mean_reward += w_xu * reward(x, u, mu, nu_s)
+    return nu, mu_next, mean_reward
 
 
-def exact_population_value(env, w, policy, states, horizon):
+def exact_population_value(env, reward, transition, w, policy, states, horizon):
     """Expected discounted population-average return by exhaustive
-    enumeration of every action and transition branch."""
+    enumeration of every action and transition branch of the scalar
+    `reward` and `transition` of `env`."""
     states = np.asarray(states, dtype=np.int64)
     n = states.size
 
@@ -219,13 +331,13 @@ def exact_population_value(env, w, policy, states, horizon):
                 [weighted_view(w, i, actions_arr, env.n_actions).weights for i in range(n)]
             )
             rewards = [
-                env.reward(int(states_now[i]), actions[i], Simplex(mu_views[i]), Simplex(nu_views[i]))
+                reward(int(states_now[i]), actions[i], Simplex(mu_views[i]), Simplex(nu_views[i]))
                 for i in range(n)
             ]
             value = float(np.mean(rewards))
             if t < horizon:
                 dists = [
-                    env.transition(
+                    transition(
                         int(states_now[i]), actions[i], Simplex(mu_views[i]), Simplex(nu_views[i])
                     ).weights
                     for i in range(n)
@@ -252,10 +364,10 @@ def toy_mdp(gamma=0.9):
     reward_tab = np.array([[1.0, -0.5], [0.3, 2.0]])
     policy_tab = np.array([[0.7, 0.3], [0.4, 0.6]])
     spec = AffineRewardSpec(a=np.zeros(2), b=np.zeros(2), f=reward_tab)
-    env = EnvModel(
-        n_states=2,
-        n_actions=2,
-        gamma=gamma,
+    env = scalar_env(
+        2,
+        2,
+        gamma,
         reward=lambda x, u, mu, nu: float(reward_tab[x, u]),
         transition=lambda x, u, mu, nu: Simplex(kernel_tab[x, u]),
         lipschitz_p=0.0,
@@ -297,12 +409,6 @@ def contraction_env(gamma=0.5, rho=0.05):
     f = np.array([[0.2, 0.0], [-0.1, 0.15]])
     spec = AffineRewardSpec(a=a, b=b, f=f)
 
-    def reward(x, u, mu, nu):
-        return float(a @ mu.weights + b @ nu.weights + f[x, u])
-
-    def transition(x, u, mu, nu):
-        return Simplex((1 - rho) * base[x, u] + rho * mu.weights)
-
     def reward_batch(states, actions, mu_views, nu_views):
         return mu_views @ a + nu_views @ b + f[states, actions]
 
@@ -313,8 +419,6 @@ def contraction_env(gamma=0.5, rho=0.05):
         n_states=2,
         n_actions=2,
         gamma=gamma,
-        reward=reward,
-        transition=transition,
         lipschitz_p=rho,
         affine=spec,
         reward_batch=reward_batch,

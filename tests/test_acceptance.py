@@ -14,6 +14,7 @@ from oracles import (
     exact_population_value,
     empirical_distribution,
     finite_difference_log_gradient,
+    firm_scalar,
     l1_distance,
     mf_action_distribution,
     mf_reward,
@@ -74,6 +75,7 @@ def test_gradient_matches_finite_differences():
 
 def test_meanfield_maps_match_brute_force():
     env = build_firm_env(FirmModelConfig(q=3, k=2), 0.9)
+    refs = firm_scalar(FirmModelConfig(q=3, k=2))
     pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=16)
     pol = SoftmaxPolicy(pcfg, init_params(pcfg, np.random.default_rng(1002)))
     rng = np.random.default_rng(1003)
@@ -81,7 +83,7 @@ def test_meanfield_maps_match_brute_force():
     worst_mu = worst_r = 0.0
     for _ in range(50):
         mu = Simplex(rng.dirichlet(np.ones(3)))
-        _, brute_mu, brute_r = brute_force_mf(env, pol, mu)
+        _, brute_mu, brute_r = brute_force_mf(env, *refs, pol, mu)
         worst_mu = max(worst_mu, float(np.abs(mf_transition(env, pol, mu).weights - brute_mu).sum()))
         worst_r = max(worst_r, abs(mf_reward(env, pol, mu) - brute_r))
     elapsed = time.perf_counter() - start
@@ -94,12 +96,13 @@ def test_meanfield_maps_match_brute_force():
 
 def test_population_return_matches_branch_enumeration():
     env = build_firm_env(FirmModelConfig(q=2, k=1), 0.9)
+    refs = firm_scalar(FirmModelConfig(q=2, k=1))
     pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=8)
     pol = SoftmaxPolicy(pcfg, init_params(pcfg, np.random.default_rng(1004)))
     w = ring_k_neighbor(2, 1)
     init = np.array([0, 1])
     start = time.perf_counter()
-    exact = exact_population_value(env, w, pol, init, horizon=2)
+    exact = exact_population_value(env, *refs, w, pol, init, horizon=2)
     mean, stderr = estimate_v_marl(env, w, pol, init, 2, 100_000, np.random.default_rng(1005))
     elapsed = time.perf_counter() - start
     gap = abs(mean - exact)

@@ -19,15 +19,11 @@ EXPORTS = [
     "Simplex",
     "SoftmaxPolicy",
     "TrainingDivergenceError",
-    "action_distribution",
     "approximation_bound",
     "bound_inputs",
     "build_firm_env",
     "estimate_lipschitz_lq",
     "estimate_v_marl",
-    "expectation",
-    "firm_reward",
-    "firm_transition_distribution",
     "init_params",
     "inner_sgd",
     "load_policy",

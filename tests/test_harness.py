@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import contraction_env, empirical_distribution
+from oracles import contraction_env, empirical_distribution, scalar_env
 from mfmarl import cli, nagent
 from mfmarl.harness import (
     ExperimentConfig,
@@ -210,6 +210,30 @@ class TestConfigParsing:
             parse_config(raw)
 
     @pytest.mark.parametrize(
+        "message, fields",
+        [
+            ("horizon_tol must be positive", {"horizon_tol": float("nan")}),
+            ("horizon_tol must be positive", {"horizon_tol": 0.0}),
+            ("hidden must be an integer >= 1", {"hidden": 2.5}),
+            ("hidden must be an integer >= 1", {"hidden": True}),
+            ("seeds must be an integer >= 1", {"seeds": 2.5}),
+            ("episodes_per_seed must be an integer >= 1", {"episodes_per_seed": 1.5}),
+            ("threads must be an integer >= 1", {"threads": True}),
+            ("n_list entry must be an integer >= 1", {"n_list": (4, 4.5)}),
+            ("n_list must be nonempty", {"n_list": ()}),
+        ],
+    )
+    def test_dataclass_rejects_what_parsing_rejects(self, message, fields):
+        # Built directly, without `parse_config`'s type checks.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(model=FirmModelConfig(q=3, k=2), **fields)
+
+    @pytest.mark.parametrize("fields", [{"j_steps": 2.5}, {"l_steps": 0}, {"j_steps": False}])
+    def test_npg_steps_must_be_integers(self, fields):
+        with pytest.raises(ValueError, match=rf"{next(iter(fields))} must be an integer >= 1"):
+            NPGConfig(**fields)
+
+    @pytest.mark.parametrize(
         "raw",
         [
             {"model": {"q": 10, "k": 5}},
@@ -302,7 +326,7 @@ class TestRunErrorVsN:
 
     def test_zero_value_rows_are_skipped(self):
         cfg = tiny_config()
-        env = EnvModel(
+        env = scalar_env(
             n_states=3,
             n_actions=2,
             gamma=0.9,
@@ -472,7 +496,7 @@ class TestBoundReport:
 
     def test_zero_constants_give_zero_bound(self):
         cfg = tiny_config(n_list=[5])
-        env = EnvModel(
+        env = scalar_env(
             n_states=2,
             n_actions=2,
             gamma=0.9,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,19 @@ class TestSerialization:
         w.save_csv(path)
         loaded = InteractionMatrix.load_csv(path)
         assert np.array_equal(loaded.weights, w.weights)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("", "no data"),
+            ("0.5,a\n0.5,0.5\n", "could not convert"),
+            ("0.5,0.5\n1\n", "number of columns"),
+            ("0.5,0.2\n0.5,0.5\n", "not doubly stochastic"),
+        ],
+        ids=["empty", "non-numeric", "ragged", "not-doubly-stochastic"],
+    )
+    def test_bad_csv_names_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"interaction matrix {re.escape(str(path))}: .*{reason}"):
+            InteractionMatrix.load_csv(path)

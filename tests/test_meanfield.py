@@ -6,10 +6,13 @@ from oracles import (
     TabularPolicy,
     brute_force_mf,
     contraction_env,
+    firm_scalar,
     l1_distance,
     mf_action_distribution,
     mf_reward,
     mf_transition,
+    policy_probs,
+    scalar_env,
     toy_mdp,
 )
 from mfmarl.meanfield import (
@@ -38,7 +41,7 @@ def identity_env(gamma=0.9, rewards=None):
     n = 3 if rewards is None else len(rewards)
     r = np.zeros(n) if rewards is None else np.asarray(rewards, dtype=np.float64)
     eye = np.eye(n)
-    return EnvModel(
+    return scalar_env(
         n_states=n,
         n_actions=2,
         gamma=gamma,
@@ -51,7 +54,7 @@ def identity_env(gamma=0.9, rewards=None):
 
 def constant_reward_env(c=1.0, gamma=0.9, n=3):
     eye = np.eye(n)
-    return EnvModel(
+    return scalar_env(
         n_states=n,
         n_actions=2,
         gamma=gamma,
@@ -73,7 +76,7 @@ class TestActionDistribution:
         env, _ = _firm(3)
         pol = _softmax(3, seed=0)
         mu = Simplex.point_mass(1, 3)
-        expected = pol.probs(1, mu)
+        expected = policy_probs(pol, 1, mu)
         assert np.allclose(mf_action_distribution(env, pol, mu).weights, expected, atol=1e-14)
 
     def test_constant_policy(self):
@@ -87,7 +90,7 @@ class TestActionDistribution:
             )
 
     def test_two_state_mixture(self):
-        env = EnvModel(
+        env = scalar_env(
             2, 2, 0.9,
             reward=lambda x, u, mu, nu: 0.0,
             transition=lambda x, u, mu, nu: Simplex(np.eye(2)[x]),
@@ -117,20 +120,21 @@ class TestTransition:
             assert l1_distance(mf_transition(env, pol, mu), mu) <= 1e-14
 
     def test_point_masses(self):
-        env, _ = _firm(4)
+        env, cfg = _firm(4)
+        _, transition = firm_scalar(cfg)
         always_invest = FunctionPolicy(lambda x, mu: np.array([0.0, 1.0]), 4, 2)
         mu = Simplex.point_mass(0, 4)
         nu = mf_action_distribution(env, always_invest, mu)
-        expected = env.transition(0, 1, mu, nu)
+        expected = transition(0, 1, mu, nu)
         assert l1_distance(mf_transition(env, always_invest, mu), expected) <= 1e-14
 
     def test_matches_brute_force(self):
-        env, _ = _firm(3)
+        env, cfg = _firm(3)
         pol = _softmax(3, seed=2)
         rng = np.random.default_rng(2)
         for _ in range(50):
             mu = Simplex(rng.dirichlet(np.ones(3)))
-            _, brute_mu, _ = brute_force_mf(env, pol, mu)
+            _, brute_mu, _ = brute_force_mf(env, *firm_scalar(cfg), pol, mu)
             assert np.abs(mf_transition(env, pol, mu).weights - brute_mu).sum() <= 1e-12
 
     def test_long_trajectory_stays_normalized(self):
@@ -149,21 +153,22 @@ class TestReward:
         assert mf_reward(env, pol, Simplex.uniform(3)) == pytest.approx(2.5, abs=1e-12)
 
     def test_point_masses(self):
-        env, _ = _firm(4)
+        env, cfg = _firm(4)
+        reward, _ = firm_scalar(cfg)
         always_invest = FunctionPolicy(lambda x, mu: np.array([0.0, 1.0]), 4, 2)
         mu = Simplex.point_mass(2, 4)
         nu = mf_action_distribution(env, always_invest, mu)
         assert mf_reward(env, always_invest, mu) == pytest.approx(
-            env.reward(2, 1, mu, nu), abs=1e-12
+            reward(2, 1, mu, nu), abs=1e-12
         )
 
     def test_matches_brute_force(self):
-        env, _ = _firm(3)
+        env, cfg = _firm(3)
         pol = _softmax(3, seed=5)
         rng = np.random.default_rng(3)
         for _ in range(50):
             mu = Simplex(rng.dirichlet(np.ones(3)))
-            _, _, brute_r = brute_force_mf(env, pol, mu)
+            _, _, brute_r = brute_force_mf(env, *firm_scalar(cfg), pol, mu)
             assert mf_reward(env, pol, mu) == pytest.approx(brute_r, abs=1e-12)
 
 
@@ -208,25 +213,15 @@ class TestValue:
         _, traj = mf_value(env, pol, Simplex.uniform(3), tol=1e-2)
         assert len(traj.mus) == len(traj.nus) == len(traj.rewards) == traj.horizon + 1
 
-    def test_trajectory_csv(self, tmp_path):
-        env, _ = _firm(3)
-        pol = _softmax(3, seed=11)
-        _, traj = mf_value(env, pol, Simplex.uniform(3), tol=1e-1)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,mu_0,mu_1,mu_2,nu_0,nu_1,r_mf"
-        assert len(lines) == traj.horizon + 2
 
-
-def _hookless(env):
-    """The same environment through its scalar reward and transition only."""
-    return EnvModel(
+def _hookless(env, cfg):
+    """The firm environment with its hooks built by the oracle from its
+    scalar reward and transition."""
+    return scalar_env(
         env.n_states,
         env.n_actions,
         env.gamma,
-        env.reward,
-        env.transition,
+        *firm_scalar(cfg),
         lipschitz_p=env.lipschitz_p,
         reward_bound=env.reward_bound,
     )
@@ -258,9 +253,9 @@ class TestStackedValues:
         self._assert_rows_match(env, policy, horizon=30)
 
     def test_hookless_env_matches_hooks(self):
-        env, _ = _firm(4, sigma=1.2)
+        env, cfg = _firm(4, sigma=1.2)
         pol = _softmax(4, seed=21)
-        bare = _hookless(env)
+        bare = _hookless(env, cfg)
         self._assert_rows_match(bare, pol, horizon=20)
         mu0s = _initial_laws(4, np.random.default_rng(1))
         assert np.allclose(mf_values(bare, pol, mu0s, 20), mf_values(env, pol, mu0s, 20), rtol=1e-12, atol=0)
@@ -291,6 +286,32 @@ class TestStackedValues:
         with pytest.raises(ValueError, match="shape"):
             mf_values(env, pol, np.array([1 / 3] * 3), 5)
 
+    def test_array_mu0_matches_simplex(self):
+        env, _ = _firm(3)
+        pol = _softmax(3, seed=25)
+        mu0 = np.array([0.2, 0.3, 0.5])
+        value, traj = mf_value(env, pol, mu0, 1e-3)
+        expected, expected_traj = mf_value(env, pol, Simplex(mu0), 1e-3)
+        assert value == expected
+        assert np.array_equal(traj.rewards, expected_traj.rewards)
+        pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=2, l_steps=3)
+        phi = init_params(pcfg, np.random.default_rng(0))
+        runs = [npg_train(env, pcfg, phi, m, cfg, np.random.default_rng(1)) for m in (mu0, Simplex(mu0))]
+        assert runs[0].values == runs[1].values
+
+    @pytest.mark.parametrize("mu0", [[0.5, 0.6, -0.1], [0.5, 0.6, 0.1], [[1 / 3] * 3], [0.5, np.nan, 0.5], []])
+    def test_mf_value_rejects_bad_vector_mu0(self, mu0):
+        env, _ = _firm(3)
+        with pytest.raises(ValueError, match="mu0 must be a probability vector"):
+            mf_value(env, _softmax(3, seed=23), np.array(mu0), 1e-3)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+    def test_truncation_horizon_rejects_non_positive_tol(self, tol):
+        env, _ = _firm(3)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            truncation_horizon(env, tol)
+
     @pytest.mark.parametrize("n", [2, 4])
     def test_mf_value_rejects_wrong_length_mu0(self, n):
         env, _ = _firm(3)
@@ -315,8 +336,10 @@ class TestStackedValues:
     def test_non_stochastic_kernel_hook_raises(self):
         env, _ = _firm(3)
         leaky = EnvModel(
-            3, 2, 0.9, env.reward, env.transition,
+            3, 2, 0.9,
             reward_bound=env.reward_bound,
+            reward_batch=env.reward_batch,
+            transition_sample_batch=env.transition_sample_batch,
             kernel=lambda mus, nus: 0.5 * env.kernel(mus, nus),
             reward_matrix=env.reward_matrix,
         )

@@ -3,7 +3,14 @@ import copy
 import numpy as np
 import pytest
 
-from oracles import affine_reward_eval, l1_distance
+from oracles import (
+    affine_reward_eval,
+    firm_reward,
+    firm_scalar,
+    firm_transition_distribution,
+    l1_distance,
+    scalar_env,
+)
 from mfmarl.model import (
     AffineRewardRequiredError,
     AffineRewardSpec,
@@ -12,11 +19,16 @@ from mfmarl.model import (
     build_firm_env,
     estimate_firm_lipschitz_p,
     firm_affine_spec,
-    firm_reward,
-    firm_transition_distribution,
     reward_constants,
 )
+from mfmarl.policy import PolicyConfig
 from mfmarl.simplex import Simplex, sample
+
+# Callable placeholders for the four required hooks.
+HOOKS = {
+    name: lambda *a: None
+    for name in ("reward_batch", "transition_sample_batch", "kernel", "reward_matrix")
+}
 
 
 def example_cfg(sigma=1.0, q=10, k=5):
@@ -153,18 +165,19 @@ class TestFirmReward:
 
 class TestBuildFirmEnv:
     def test_transitions_are_valid_distributions(self):
-        env = build_firm_env(FirmModelConfig(q=5, k=3), 0.9)
+        _, transition = firm_scalar(FirmModelConfig(q=5, k=3))
         rng = np.random.default_rng(4)
         for _ in range(50):
             mu = random_simplex(rng, 5)
             nu = random_simplex(rng, 2)
             for x in range(5):
                 for u in range(2):
-                    d = env.transition(x, u, mu, nu)
+                    d = transition(x, u, mu, nu)
                     assert abs(d.weights.sum() - 1.0) <= 1e-12
 
     def test_reward_bounded_by_constants(self):
         env = build_firm_env(example_cfg(), 0.9)
+        reward, _ = firm_scalar(example_cfg())
         m_r = reward_constants(env.affine).m_r
         rng = np.random.default_rng(6)
         for _ in range(10_000):
@@ -172,27 +185,29 @@ class TestBuildFirmEnv:
             u = int(rng.integers(2))
             mu = random_simplex(rng, 10)
             nu = random_simplex(rng, 2)
-            assert abs(env.reward(x, u, mu, nu)) <= m_r
+            assert abs(reward(x, u, mu, nu)) <= m_r
 
     def test_reward_lipschitz_constant(self):
         env = build_firm_env(example_cfg(), 0.9)
+        reward, _ = firm_scalar(example_cfg())
         l_r = reward_constants(env.affine).l_r
         rng = np.random.default_rng(7)
         for _ in range(10_000):
             x, u = int(rng.integers(10)), int(rng.integers(2))
             mu1, mu2 = random_simplex(rng, 10), random_simplex(rng, 10)
             nu1, nu2 = random_simplex(rng, 2), random_simplex(rng, 2)
-            gap = abs(env.reward(x, u, mu1, nu1) - env.reward(x, u, mu2, nu2))
+            gap = abs(reward(x, u, mu1, nu1) - reward(x, u, mu2, nu2))
             assert gap <= l_r * (l1_distance(mu1, mu2) + l1_distance(nu1, nu2)) + 1e-12
 
     def test_declared_transition_lipschitz_holds(self):
         env = build_firm_env(example_cfg(), 0.9)
+        _, transition = firm_scalar(example_cfg())
         rng = np.random.default_rng(12)
         nu = Simplex.uniform(2)
         for _ in range(10_000):
             x, u = int(rng.integers(10)), int(rng.integers(2))
             mu1, mu2 = random_simplex(rng, 10), random_simplex(rng, 10)
-            gap = l1_distance(env.transition(x, u, mu1, nu), env.transition(x, u, mu2, nu))
+            gap = l1_distance(transition(x, u, mu1, nu), transition(x, u, mu2, nu))
             assert gap <= env.lipschitz_p * l1_distance(mu1, mu2) + 1e-12
 
     def test_paper_defaults_construct(self):
@@ -209,6 +224,7 @@ class TestBuildFirmEnv:
 
     def test_batch_hooks_match_scalar_paths(self):
         env = build_firm_env(example_cfg(), 0.9)
+        reward, _ = firm_scalar(example_cfg())
         rng = np.random.default_rng(13)
         states = rng.integers(0, 10, size=40)
         actions = rng.integers(0, 2, size=40)
@@ -216,11 +232,12 @@ class TestBuildFirmEnv:
         nu_views = rng.dirichlet(np.ones(2), size=40)
         batch = env.reward_batch(states, actions, mu_views, nu_views)
         for i in range(40):
-            scalar = env.reward(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i]))
+            scalar = reward(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i]))
             assert batch[i] == pytest.approx(scalar, abs=1e-12)
 
     def test_kernel_hook_matches_transition(self):
         env = build_firm_env(example_cfg(q=6, k=3), 0.9)
+        _, transition = firm_scalar(example_cfg(q=6, k=3))
         rng = np.random.default_rng(14)
         for _ in range(20):
             mu = random_simplex(rng, 6)
@@ -228,7 +245,7 @@ class TestBuildFirmEnv:
             kernel = env.kernel(mu.weights[None, :], nu.weights[None, :])[0]
             for x in range(6):
                 for u in range(2):
-                    assert np.allclose(kernel[x, u], env.transition(x, u, mu, nu).weights, atol=1e-14)
+                    assert np.allclose(kernel[x, u], transition(x, u, mu, nu).weights, atol=1e-14)
 
 
 class TestLipschitzEstimate:
@@ -255,9 +272,26 @@ class TestConfigValidation:
 
     def test_env_model_validation(self):
         with pytest.raises(ValueError):
-            EnvModel(2, 2, 1.0, lambda *a: 0.0, lambda *a: None, reward_bound=1.0)
+            EnvModel(2, 2, 1.0, reward_bound=1.0, **HOOKS)
         with pytest.raises(ValueError, match="reward bound"):
-            EnvModel(2, 2, 0.9, lambda *a: 0.0, lambda *a: None)
+            EnvModel(2, 2, 0.9, **HOOKS)
+
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("q", lambda: FirmModelConfig(q=2.5, k=1)),
+            ("q", lambda: FirmModelConfig(q=True, k=1)),
+            ("k", lambda: FirmModelConfig(q=3, k=1.0)),
+            ("k", lambda: FirmModelConfig(q=3, k=0)),
+            ("n_states", lambda: PolicyConfig(2.0, 2)),
+            ("n_actions", lambda: PolicyConfig(3, 0)),
+            ("hidden", lambda: PolicyConfig(3, 2, hidden=2.5)),
+            ("hidden", lambda: PolicyConfig(3, 2, hidden=False)),
+        ],
+    )
+    def test_sizes_must_be_integers(self, name, make):
+        with pytest.raises(ValueError, match=rf"{name} must be an integer >= 1"):
+            make()
 
     @pytest.mark.parametrize(
         "name, kwargs",
@@ -271,29 +305,41 @@ class TestConfigValidation:
             ("lipschitz_p", {"lipschitz_p": float("nan")}),
             ("lipschitz_p", {"lipschitz_p": float("inf")}),
             ("lipschitz_p", {"lipschitz_p": -0.5}),
+            ("reward_batch", {"reward_batch": None}),
+            ("transition_sample_batch", {"transition_sample_batch": 1.0}),
+            ("kernel", {"kernel": np.zeros((1, 2, 2, 2))}),
+            ("reward_matrix", {"reward_matrix": "reward"}),
         ],
     )
     def test_env_model_rejects_bad_inputs(self, name, kwargs):
-        args = {"n_states": 2, "n_actions": 2, "reward_bound": 1.0, **kwargs}
+        args = {"n_states": 2, "n_actions": 2, "reward_bound": 1.0, **HOOKS, **kwargs}
         with pytest.raises(ValueError, match=name):
-            EnvModel(gamma=0.9, reward=lambda *a: 0.0, transition=lambda *a: None, **args)
+            EnvModel(gamma=0.9, **args)
+
+    @pytest.mark.parametrize("hook", sorted(HOOKS))
+    def test_env_model_requires_every_hook(self, hook):
+        hooks = {name: fn for name, fn in HOOKS.items() if name != hook}
+        with pytest.raises(TypeError, match=hook):
+            EnvModel(2, 2, 0.9, reward_bound=1.0, **hooks)
 
 
 def scalar_firm_env(q=4, sigma=1.2):
-    """The firm model through its scalar reward and transition only."""
+    """The firm model, and the same model with its hooks built by the
+    oracle from the scalar reward and transition."""
     env = build_firm_env(example_cfg(sigma=sigma, q=q, k=2), 0.9)
-    bare = EnvModel(q, 2, 0.9, env.reward, env.transition, reward_bound=env.reward_bound)
-    return env, bare
+    reward, transition = firm_scalar(example_cfg(sigma=sigma, q=q, k=2))
+    bare = scalar_env(q, 2, 0.9, reward, transition, reward_bound=env.reward_bound)
+    return env, bare, transition
 
 
 class TestEnvContract:
     def test_scalar_only_env_has_all_hooks(self):
-        _, bare = scalar_firm_env()
+        _, bare, _ = scalar_firm_env()
         for hook in ("reward_batch", "transition_sample_batch", "kernel", "reward_matrix"):
             assert callable(getattr(bare, hook))
 
     def test_built_sampler_draws_one_uniform_per_agent_in_order(self):
-        _, bare = scalar_firm_env(q=5)
+        _, bare, transition = scalar_firm_env(q=5)
         rng = np.random.default_rng(30)
         n = 25
         states = rng.integers(0, 5, size=n)
@@ -306,7 +352,7 @@ class TestEnvContract:
         u = rng.random(n)
         drawn = bare.transition_sample_batch(states, actions, mu_views, nu_views, u)
         expected = [
-            sample(bare.transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])), ref_rng)
+            sample(transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])), ref_rng)
             for i in range(n)
         ]
         assert drawn.dtype == np.int64
@@ -314,7 +360,7 @@ class TestEnvContract:
         assert rng.random() == ref_rng.random()
 
     def test_built_hooks_match_firm_hooks(self):
-        env, bare = scalar_firm_env()
+        env, bare, _ = scalar_firm_env()
         rng = np.random.default_rng(31)
         states = rng.integers(0, 4, size=30)
         actions = rng.integers(0, 2, size=30)

@@ -8,10 +8,13 @@ from oracles import (
     FunctionPolicy,
     empirical_distribution,
     exact_population_value,
+    firm_scalar,
     l1_distance,
     mf_action_distribution,
     mf_reward,
     mf_transition,
+    policy_probs,
+    scalar_env as oracle_env,
 )
 from mfmarl import nagent
 from mfmarl.interaction import (
@@ -21,7 +24,7 @@ from mfmarl.interaction import (
     sinkhorn_random,
     uniform,
 )
-from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
+from mfmarl.model import AffineRewardSpec, FirmModelConfig, build_firm_env
 from mfmarl.nagent import _block_returns, _simulate, estimate_v_marl, rollout, step
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
@@ -31,12 +34,17 @@ def firm_env(q=3, k=2, gamma=0.9, sigma=1.0):
     return build_firm_env(FirmModelConfig(q=q, k=k, sigma=sigma), gamma)
 
 
+def firm_refs(q=3, k=2, sigma=1.0):
+    """The firm model's scalar (reward, transition) references."""
+    return firm_scalar(FirmModelConfig(q=q, k=k, sigma=sigma))
+
+
 def constant_env(c=1.0, gamma=0.9, n=3):
     eye = np.eye(n)
-    return EnvModel(
-        n_states=n,
-        n_actions=2,
-        gamma=gamma,
+    return oracle_env(
+        n,
+        2,
+        gamma,
         reward=lambda x, u, mu, nu: c,
         transition=lambda x, u, mu, nu: Simplex(eye[x]),
         affine=AffineRewardSpec(a=np.zeros(n), b=np.zeros(2), f=np.full((n, 2), c)),
@@ -58,7 +66,8 @@ class TestStep:
         # so the reward must equal the single-agent evaluation
         mu = Simplex.point_mass(2, 4)
         nu = Simplex.point_mass(int(actions[0]), 2)
-        assert rewards[0] == pytest.approx(env.reward(2, int(actions[0]), mu, nu), abs=1e-12)
+        reward, _ = firm_refs(q=4, k=1)
+        assert rewards[0] == pytest.approx(reward(2, int(actions[0]), mu, nu), abs=1e-12)
 
     def test_deterministic_dynamics(self):
         env = constant_env()
@@ -74,6 +83,7 @@ class TestStep:
         # Row 0 of u draws the actions and row 1 the transitions, each by
         # the inverse CDF of its agent's distribution.
         env = firm_env(q=4, k=2)
+        reward, transition = firm_refs(q=4, k=2)
         pol = softmax_policy(4, seed=2)
         w = ring_k_neighbor(5, 2)
         states = np.array([0, 3, 1, 2, 1])
@@ -83,11 +93,11 @@ class TestStep:
         nu_views = w.views(actions, 2)
         for i in range(5):
             mu, nu = Simplex(mu_views[i]), Simplex(nu_views[i])
-            probs = pol.action_distribution(int(states[i]), mu).weights
+            probs = policy_probs(pol, int(states[i]), mu)
             assert actions[i] == np.searchsorted(np.cumsum(probs), u[0, i], side="right")
-            kernel = env.transition(int(states[i]), int(actions[i]), mu, nu).weights
+            kernel = transition(int(states[i]), int(actions[i]), mu, nu).weights
             assert next_states[i] == np.searchsorted(np.cumsum(kernel), u[1, i], side="right")
-            assert rewards[i] == pytest.approx(env.reward(int(states[i]), int(actions[i]), mu, nu), abs=1e-12)
+            assert rewards[i] == pytest.approx(reward(int(states[i]), int(actions[i]), mu, nu), abs=1e-12)
 
     def test_uniform_views_collapse_to_empirical(self):
         env = firm_env(q=5, k=3)
@@ -131,26 +141,18 @@ class TestRollout:
         env = firm_env(q=4, k=3, gamma=0.8)
         pol = softmax_policy(4, seed=4)
         rec = rollout(env, ring_k_neighbor(6, 3), pol, [0, 1, 2, 3, 0, 1], 15, np.random.default_rng(5))
-        assert rec.recompute_return() == pytest.approx(rec.discounted_return, abs=1e-12)
+        recomputed = np.polynomial.polynomial.polyval(rec.gamma, rec.rewards.mean(axis=1))
+        assert recomputed == pytest.approx(rec.discounted_return, abs=1e-12)
         assert rec.states.shape == (16, 6)
         assert len(rec.mus) == len(rec.nus) == 16
 
-    def test_csv_dump(self, tmp_path):
-        env = firm_env()
-        pol = softmax_policy(3, seed=5)
-        rec = rollout(env, uniform(2), pol, [0, 1], 2, np.random.default_rng(6))
-        path = tmp_path / "rollout.csv"
-        rec.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,agent,x,u,reward"
-        assert len(lines) == 1 + 3 * 2
-
     def test_tiny_firm_matches_exhaustive_enumeration(self):
         env = firm_env(q=2, k=1, gamma=0.9)
+        refs = firm_refs(q=2, k=1)
         pol = softmax_policy(2, seed=6)
         w = ring_k_neighbor(2, 1)
         init = np.array([0, 1])
-        exact = exact_population_value(env, w, pol, init, horizon=2)
+        exact = exact_population_value(env, *refs, w, pol, init, horizon=2)
         rng = np.random.default_rng(7)
         returns = [
             rollout(env, w, pol, init, 2, r).discounted_return for r in rng.spawn(4000)
@@ -162,10 +164,11 @@ class TestRollout:
     def test_stochastic_firm_matches_exhaustive_enumeration(self):
         # Q=3 exercises genuinely stochastic quality increments.
         env = firm_env(q=3, k=1, gamma=0.9)
+        refs = firm_refs(q=3, k=1)
         pol = softmax_policy(3, seed=7)
         w = ring_k_neighbor(2, 1)
         init = np.array([0, 1])
-        exact = exact_population_value(env, w, pol, init, horizon=2)
+        exact = exact_population_value(env, *refs, w, pol, init, horizon=2)
         rng = np.random.default_rng(8)
         returns = [
             rollout(env, w, pol, init, 2, r).discounted_return for r in rng.spawn(6000)
@@ -232,10 +235,9 @@ class TestSparseInteraction:
 
 
 def scalar_env(q=4, k=2):
-    """The firm model through its scalar reward and transition only, so the
-    simulator runs the hooks built from them."""
-    full = firm_env(q=q, k=k)
-    return EnvModel(q, 2, 0.9, full.reward, full.transition, affine=full.affine)
+    """The firm model with its hooks built by the oracle from the scalar
+    reward and transition."""
+    return oracle_env(q, 2, 0.9, *firm_refs(q=q, k=k), affine=firm_env(q=q, k=k).affine)
 
 
 def blocks_of(ws, q, seed):
@@ -352,10 +354,11 @@ class TestEstimateVMarl:
 
     def test_mean_within_three_sigma_of_exact(self):
         env = firm_env(q=2, k=1, gamma=0.9)
+        refs = firm_refs(q=2, k=1)
         pol = softmax_policy(2, seed=9)
         w = ring_k_neighbor(2, 1)
         init = np.array([0, 1])
-        exact = exact_population_value(env, w, pol, init, horizon=2)
+        exact = exact_population_value(env, *refs, w, pol, init, horizon=2)
         mean, stderr = estimate_v_marl(env, w, pol, init, 2, 4000, np.random.default_rng(11))
         assert abs(mean - exact) <= 3 * max(stderr, 1e-12)
 

@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import FunctionPolicy
+from oracles import FunctionPolicy, policy_probs
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
-    action_distribution,
     estimate_lipschitz_lq,
     init_params,
     load_policy,
@@ -24,14 +23,19 @@ def random_simplex(rng, n):
 from oracles import finite_difference_log_gradient as finite_difference_gradient
 
 
+def action_probs(cfg, phi, x, mu):
+    """Action probabilities of the network `phi` at the single (x, mu)."""
+    return policy_probs(SoftmaxPolicy(cfg, phi), x, mu)
+
+
 class TestActionDistribution:
     def test_zero_parameters_give_uniform(self):
         cfg = PolicyConfig(n_states=4, n_actions=3, hidden=8)
         phi = np.zeros(cfg.n_params)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            d = action_distribution(cfg, phi, int(rng.integers(4)), random_simplex(rng, 4))
-            assert np.allclose(d.weights, 1 / 3, atol=1e-15)
+            d = action_probs(cfg, phi, int(rng.integers(4)), random_simplex(rng, 4))
+            assert np.allclose(d, 1 / 3, atol=1e-15)
 
     def test_output_bias_shift_invariance(self):
         cfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
@@ -40,33 +44,26 @@ class TestActionDistribution:
         shifted = phi.copy()
         shifted[-cfg.n_actions :] += 7.3
         mu = random_simplex(rng, 3)
-        d1 = action_distribution(cfg, phi, 1, mu)
-        d2 = action_distribution(cfg, shifted, 1, mu)
-        assert np.allclose(d1.weights, d2.weights, atol=1e-12)
+        d1 = action_probs(cfg, phi, 1, mu)
+        d2 = action_probs(cfg, shifted, 1, mu)
+        assert np.allclose(d1, d2, atol=1e-12)
 
     def test_forced_logits(self):
         cfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
         phi = np.zeros(cfg.n_params)
         phi[-2:] = [5.0, -5.0]
-        d = action_distribution(cfg, phi, 0, Simplex.uniform(2))
-        assert d.weights[0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), rel=1e-12)
-        assert d.weights[1] == pytest.approx(4.5397868702434395e-05, rel=1e-9)
+        d = action_probs(cfg, phi, 0, Simplex.uniform(2))
+        assert d[0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), rel=1e-12)
+        assert d[1] == pytest.approx(4.5397868702434395e-05, rel=1e-9)
 
     def test_outputs_are_valid_and_positive(self):
         cfg = PolicyConfig(n_states=5, n_actions=4, hidden=16)
         rng = np.random.default_rng(2)
         phi = 10.0 * init_params(cfg, rng)
         for _ in range(200):
-            d = action_distribution(cfg, phi, int(rng.integers(5)), random_simplex(rng, 5))
-            assert abs(d.weights.sum() - 1.0) <= 1e-9
-            assert d.weights.min() > 0.0
-
-    def test_dimension_mismatch(self):
-        cfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
-        with pytest.raises(ValueError):
-            action_distribution(cfg, np.zeros(cfg.n_params), 0, Simplex.uniform(2))
-        with pytest.raises(ValueError):
-            action_distribution(cfg, np.zeros(3), 0, Simplex.uniform(3))
+            d = action_probs(cfg, phi, int(rng.integers(5)), random_simplex(rng, 5))
+            assert abs(d.sum() - 1.0) <= 1e-9
+            assert d.min() > 0.0
 
 
 class TestLogGradient:
@@ -90,7 +87,7 @@ class TestLogGradient:
             phi = init_params(cfg, rng)
             x = int(rng.integers(4))
             mu = random_simplex(rng, 4)
-            probs = action_distribution(cfg, phi, x, mu).weights
+            probs = action_probs(cfg, phi, x, mu)
             scores = log_policy_gradient(cfg, phi, [x] * 3, np.tile(mu.weights, (3, 1)), np.arange(3))
             total = probs @ scores
             assert np.abs(total).max() <= 1e-8
@@ -156,8 +153,8 @@ def lipschitz_lq_loop(cfg, phi, trials, rng):
         d = np.abs(mu1 - mu2).sum()
         if d <= 1e-12:
             continue
-        p1 = action_distribution(cfg, phi, x, Simplex(mu1)).weights
-        p2 = action_distribution(cfg, phi, x, Simplex(mu2)).weights
+        p1 = action_probs(cfg, phi, x, Simplex(mu1))
+        p2 = action_probs(cfg, phi, x, Simplex(mu2))
         best = max(best, float(np.abs(p1 - p2).sum()) / d)
     return best
 
@@ -200,7 +197,7 @@ class TestPolicyObjects:
         mu_rows = rng.dirichlet(np.ones(4), size=10)
         batch = pol.probs_batch(states, mu_rows)
         for i in range(10):
-            assert np.allclose(batch[i], pol.probs(int(states[i]), Simplex(mu_rows[i])), atol=1e-14)
+            assert np.allclose(batch[i], policy_probs(pol, int(states[i]), Simplex(mu_rows[i])), atol=1e-14)
 
     def test_function_policy(self):
         table = np.array([[0.2, 0.8], [0.9, 0.1]])

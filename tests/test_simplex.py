@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import empirical_distribution, l1_distance
+from oracles import empirical_distribution, expectation, l1_distance
 from mfmarl.simplex import (
     Simplex,
-    expectation,
     sample,
     sample_many,
     sample_rows,
