@@ -31,7 +31,6 @@ from .model import (
 from .nagent import RolloutRecord, estimate_v_marl, rollout, step
 from .npg import (
     NPGConfig,
-    OccupancySample,
     TrainingDivergenceError,
     inner_sgd,
     npg_train,
@@ -47,7 +46,7 @@ from .policy import (
     log_policy_gradient,
     save_policy,
 )
-from .simplex import Simplex, sample
+from .simplex import Simplex
 
 __all__ = [
     "AffineRewardRequiredError",
@@ -59,7 +58,6 @@ __all__ = [
     "InteractionMatrix",
     "MFTrajectory",
     "NPGConfig",
-    "OccupancySample",
     "PolicyConfig",
     "RewardConstants",
     "RolloutRecord",
@@ -82,7 +80,6 @@ __all__ = [
     "ring_k_neighbor",
     "ring_symmetric",
     "rollout",
-    "sample",
     "sample_occupancy",
     "save_policy",
     "select_policy",

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
@@ -37,7 +36,7 @@ from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_f
 from .nagent import _block_returns, _group_size, _mean_stderr
 from .npg import NPGConfig, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
-from .simplex import Simplex, _check_size, normalized_rows, sample_many
+from .simplex import Simplex, _check_finite, _check_size, normalized_rows, sample_rows
 
 log = logging.getLogger(__name__)
 
@@ -144,8 +143,7 @@ def _integer(value, key: str) -> int:
 
 def _real(value, key: str) -> float:
     """A finite JSON number (bool, string, inf and NaN are rejected)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    _check_finite(key, value)
     return float(value)
 
 
@@ -308,12 +306,13 @@ def _sweep(cfg: ExperimentConfig, env: EnvModel, policy) -> tuple[ExperimentResu
     `threads` only runs them in parallel, so it does not affect the results."""
     start = time.perf_counter()
     horizon = truncation_horizon(env, cfg.horizon_tol)
-    mu0 = cfg.initial_distribution()
+    mu0 = cfg.initial_distribution().weights
     cells = []
     for n in cfg.n_list:
         for seed in range(cfg.seeds):
             rng = np.random.default_rng([cfg.npg.seed, 2, n, seed])
-            cells.append((n, seed, rng, sample_many(mu0, n, rng)))
+            states = sample_rows(np.broadcast_to(mu0, (n, mu0.size)), rng.random(n))
+            cells.append((n, seed, rng, states))
     mu0_hats = np.stack([np.bincount(states, minlength=env.n_states) / n for n, _, _, states in cells])
     v_mfs = mf_values(env, policy, mu0_hats, horizon)
     mean_field_end = time.perf_counter()

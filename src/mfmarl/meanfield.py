@@ -85,13 +85,15 @@ def mf_value(
 
 class _MeanFieldPath:
     """Deterministic mean-field trajectory of a fixed policy from mu0, grown
-    lazily from the stacked recursion with a single row (B = 1). Each step
-    keeps mu_t, the action law row nu_t, the cumulative action and kernel
-    rows the NPG occupancy chain draws from, the reward table, and the mean
-    reward. `mf_value` reads its value and trajectory; NPG shares one path
-    between every occupancy sample of an inner-regression pass and the
-    iterate's logged value. A `Simplex` mu0 is kept as it is; anything else
-    is checked by `Simplex` (a ValueError naming mu0)."""
+    lazily from the stacked recursion with a single row (B = 1). Step t keeps
+    the raw rows the recursion yields: the state law `mus[t]` (|X|,), the
+    action law nu_t, the per-state action laws `probs[t]` (|X|, |U|), the
+    kernel `kernels[t]` (|X|, |U|, |X|) that advances it to t + 1, the reward
+    table `rewards[t]` (|X|, |U|), and the mean reward. `mf_value` reads its
+    value and trajectory; NPG shares one path between the occupancy chains of
+    an inner-regression pass and the iterate's logged value. A `Simplex` mu0
+    is kept as it is; anything else is checked by `Simplex` (a ValueError
+    naming mu0)."""
 
     def __init__(self, env: EnvModel, policy, mu0):
         if not isinstance(mu0, Simplex):
@@ -102,33 +104,22 @@ class _MeanFieldPath:
         if len(mu0) != env.n_states:
             raise ValueError(f"mu0 has {len(mu0)} entries, expected {env.n_states}")
         self.gamma = env.gamma
-        self.mus, self._nus = [], []
-        self._probs_cum, self._kernels_cum, self._rewards, self._mean_rewards = [], [], [], []
+        self.mus, self._nus, self._mean_rewards = [], [], []
+        self.probs, self.kernels, self.rewards = [], [], []
         self._mu0 = mu0
         self._steps = _recursion(env, policy, mu0.weights[None, :])
         self.ensure(0)
 
     def ensure(self, t: int) -> None:
+        """Grow the path to hold steps 0..t."""
         while len(self.mus) <= t:
             mus, nus, probs, rewards, kernels = next(self._steps)
-            self.mus.append(Simplex(mus[0]) if self.mus else self._mu0)
+            self.mus.append(mus[0])
             self._nus.append(nus[0])
-            self._probs_cum.append(np.cumsum(probs[0], axis=1))
-            self._kernels_cum.append(np.cumsum(kernels[0], axis=2))
-            self._rewards.append(np.asarray(rewards[0], dtype=np.float64))
+            self.probs.append(probs[0])
+            self.kernels.append(kernels[0])
+            self.rewards.append(np.asarray(rewards[0], dtype=np.float64))
             self._mean_rewards.append(_mean_rewards(rewards, probs, mus)[0])
-
-    def kernel_cum(self, t: int) -> np.ndarray:
-        self.ensure(t)
-        return self._kernels_cum[t]
-
-    def probs_cum(self, t: int) -> np.ndarray:
-        self.ensure(t)
-        return self._probs_cum[t]
-
-    def reward(self, t: int, x: int, u: int) -> float:
-        self.ensure(t)
-        return float(self._rewards[t][x, u])
 
     def value(self, horizon: int) -> float:
         """Discounted sum of the mean rewards at t = 0..horizon."""
@@ -146,7 +137,7 @@ class _MeanFieldPath:
         """The laws and mean rewards at t = 0..horizon."""
         self.ensure(horizon)
         return MFTrajectory(
-            mus=self.mus[: horizon + 1],
+            mus=[self._mu0] + [Simplex(mu) for mu in self.mus[1 : horizon + 1]],
             nus=[Simplex(nu) for nu in self._nus[: horizon + 1]],
             rewards=np.array(self._mean_rewards[: horizon + 1]),
         )

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .simplex import _check_size
+from .simplex import _check_finite, _check_size
 
 
 class AffineRewardRequiredError(ValueError):
@@ -150,6 +151,8 @@ class FirmModelConfig:
     def __post_init__(self):
         _check_size("q", self.q)
         _check_size("k", self.k)
+        for name in ("alpha_r", "beta_r", "lambda_r", "sigma"):
+            _check_finite(name, getattr(self, name))
         if not self.sigma >= 1:
             raise ValueError("sigma must be >= 1")
 
@@ -259,8 +262,14 @@ def estimate_firm_lipschitz_p(cfg: FirmModelConfig, trials: int = 100_000) -> fl
     tuples, inflated by a 1.1 safety factor. The probe mixes independent
     pairs with small perturbations (including mass moved between the extreme
     quality levels, where the ratio peaks) to get close to the supremum.
+    The transition, and so the estimate, depends on `cfg.q` alone; it is
+    computed once per (q, trials) in a process.
     """
-    q = cfg.q
+    return _lipschitz_probe(cfg.q, trials)
+
+
+@cache
+def _lipschitz_probe(q: int, trials: int) -> float:
     if q == 1:
         return 0.0
     rng = np.random.default_rng(20241)

@@ -21,7 +21,7 @@ import numpy as np
 from .meanfield import _MeanFieldPath, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy, log_policy_gradient
-from .simplex import Simplex, _check_size, sample
+from .simplex import _check_finite, _check_size, sample_rows
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -37,6 +37,8 @@ class NPGConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_finite("eta", self.eta)
+        _check_finite("alpha", self.alpha)
         if self.eta < 0 or self.alpha <= 0:
             raise ValueError("learning rates must be positive (eta may be 0)")
         _check_size("j_steps", self.j_steps)
@@ -45,81 +47,65 @@ class NPGConfig:
             raise ValueError("seed must be >= 0")
 
 
-@dataclass(frozen=True)
-class OccupancySample:
-    """A (state, state-distribution, action) triple drawn from the discounted
-    occupancy, with its advantage estimate."""
+def sample_occupancy(path: _MeanFieldPath, size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Draw `size` i.i.d. occupancy samples and their advantage estimates
+    along the mean-field path of the current policy (discount `path.gamma`);
+    return them as arrays `(states, mu_rows, actions, a_hat)` of shapes
+    (size,), (size, |X|), (size,) and (size,).
 
-    x: int
-    mu: Simplex
-    u: int
-    a_hat: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.a_hat):
-            raise ValueError("advantage estimate must be finite")
-
-
-def _draw(cum_row: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from an unnormalized cumulative row."""
-    idx = int(np.searchsorted(cum_row, rng.random() * cum_row[-1], side="right"))
-    return min(idx, cum_row.size - 1)
-
-
-def _geometric_steps(gamma: float, rng: np.random.Generator) -> int:
-    """Number of steps T with P(T = t) = (1 - gamma) * gamma^t for t >= 0."""
-    if gamma == 0.0:
-        return 0
-    return int(rng.geometric(1.0 - gamma)) - 1
-
-
-def sample_occupancy(path: _MeanFieldPath, rng: np.random.Generator) -> OccupancySample:
-    """Draw one occupancy sample and its advantage estimate along the
-    mean-field path of the current policy (discount `path.gamma`).
-
-    The chain runs a geometric number of steps and the triple there is the
-    sample. A fair coin then picks the branch: heads continues from the
-    accepted action, tails redraws the action first; the signed (+2/-2) sum
-    of rewards over a second geometric-length suffix, including the reward
-    at the accepted time, is the advantage estimate.
+    Each chain starts at x ~ mu_0, u ~ pi_0(x) and runs a geometric number of
+    steps (P(T = t) = (1 - gamma) gamma^t); the triple at that accept time is
+    the sample. A fair coin then picks the branch: heads continues from the
+    accepted action, tails redraws it first; the signed (+2/-2) sum of
+    rewards over a second geometric-length suffix, including the reward at
+    the accept time, is the advantage estimate. The pass draws every chain's
+    accept time, suffix length and coin up front, then advances the chains
+    still running in lockstep over t, one `sample_rows` draw per step for the
+    states and one for the actions.
     """
-    t, x = 0, sample(path.mus[0], rng)
-    u = _draw(path.probs_cum(0)[x], rng)
-    for _ in range(_geometric_steps(path.gamma, rng)):
-        x = _draw(path.kernel_cum(t)[x, u], rng)
-        t += 1
-        u = _draw(path.probs_cum(t)[x], rng)
-    accepted = (x, path.mus[t], u)
+    _check_size("size", size)
+    accept, suffix = rng.geometric(1.0 - path.gamma, (2, size)) - 1
+    heads = rng.random(size) < 0.5
+    end = accept + suffix
+    last = int(end.max())
+    path.ensure(last)
+    states, actions, total = np.empty(size, np.int64), np.empty(size, np.int64), np.zeros(size)
+    live = np.arange(size)
+    x = sample_rows(np.broadcast_to(path.mus[0], (size, path.mus[0].size)), rng.random(size))
+    for t in range(last + 1):
+        if t:
+            going = end[live] >= t
+            live, x, u = live[going], x[going], u[going]
+            x = sample_rows(path.kernels[t - 1][x, u], rng.random(live.size))
+        u = sample_rows(path.probs[t][x], rng.random(live.size))
+        now = accept[live] == t
+        states[live[now]], actions[live[now]] = x[now], u[now]
+        redraw = now & ~heads[live]
+        u[redraw] = sample_rows(path.probs[t][x[redraw]], rng.random(int(redraw.sum())))
+        scored = accept[live] <= t
+        total[live[scored]] += path.rewards[t][x[scored], u[scored]]
+    a_hat = np.where(heads, 2.0, -2.0) * total
+    if not np.all(np.isfinite(a_hat)):
+        raise ValueError("advantage estimate must be finite")
+    return states, np.array(path.mus[: last + 1])[accept], actions, a_hat
 
-    q_branch = rng.random() < 0.5
-    if not q_branch:
-        u = _draw(path.probs_cum(t)[x], rng)
-    total = path.reward(t, x, u)
-    for _ in range(_geometric_steps(path.gamma, rng)):
-        x = _draw(path.kernel_cum(t)[x, u], rng)
-        t += 1
-        u = _draw(path.probs_cum(t)[x], rng)
-        total += path.reward(t, x, u)
-    a_hat = 2.0 * total if q_branch else -2.0 * total
-    return OccupancySample(x=accepted[0], mu=accepted[1], u=accepted[2], a_hat=a_hat)
 
-
-def inner_sgd(policy: SoftmaxPolicy, cfg: NPGConfig, gamma: float, samples) -> np.ndarray:
+def inner_sgd(
+    policy: SoftmaxPolicy, cfg: NPGConfig, gamma: float, states, mu_rows, actions, a_hat
+) -> np.ndarray:
     """Solve the direction-finding regression by SGD from w = 0 over the
-    pass's `cfg.l_steps` occupancy samples and return the average of the
-    post-update iterates.
+    pass's `cfg.l_steps` occupancy samples (the arrays `sample_occupancy`
+    returns) and return the average of the post-update iterates.
 
     The scores of `policy` at every sample come from one backward pass;
     step l then forms the residual of w . score_l against a_hat_l / (1 - gamma)
     and steps w down the residual-weighted score.
     """
-    if len(samples) != cfg.l_steps:
-        raise ValueError(f"inner_sgd needs cfg.l_steps = {cfg.l_steps} samples, got {len(samples)}")
-    states, actions = np.array([s.x for s in samples]), np.array([s.u for s in samples])
-    mu_rows = np.array([s.mu.weights for s in samples])
+    if len(a_hat) != cfg.l_steps:
+        raise ValueError(f"inner_sgd needs cfg.l_steps = {cfg.l_steps} samples, got {len(a_hat)}")
     scores = log_policy_gradient(policy.config, policy.params, states, mu_rows, actions)
     with np.errstate(over="ignore"):
-        targets = np.array([s.a_hat for s in samples]) * (1.0 / (1.0 - gamma))
+        targets = np.asarray(a_hat, dtype=np.float64) * (1.0 / (1.0 - gamma))
     w = np.zeros(policy.config.n_params)
     total = np.zeros_like(w)
     for l, (g, target) in enumerate(zip(scores, targets)):
@@ -179,9 +165,9 @@ def npg_train(
     path = _MeanFieldPath(env, policy, mu0)
     for j in range(cfg.j_steps):
         start = time.perf_counter()
-        samples = [sample_occupancy(path, rng) for _ in range(cfg.l_steps)]
+        samples = sample_occupancy(path, cfg.l_steps, rng)
         try:
-            w = inner_sgd(policy, cfg, env.gamma, samples)
+            w = inner_sgd(policy, cfg, env.gamma, *samples)
         except TrainingDivergenceError as err:
             raise TrainingDivergenceError(f"outer iteration {j}: {err}") from err
         phi = phi + cfg.eta * w

@@ -4,11 +4,13 @@ sampling, and the index and size checks shared by the layers.
 A single law (an initial distribution, a step of a mean-field trajectory)
 is a `Simplex` over 0-based indices. Stacked laws (per-agent views, policy
 outputs, transition rows) are float arrays with one law per row;
-`normalized_rows` applies the `Simplex` checks to such rows.
+`normalized_rows` applies the `Simplex` checks to such rows, and
+`sample_rows` is the one categorical draw: one index per row.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -89,25 +91,6 @@ def _require_finite(weights: np.ndarray) -> None:
         raise ValueError("simplex weights must be finite")
 
 
-def sample(p: Simplex, rng: np.random.Generator) -> int:
-    """Draw one index distributed as `p`. Deterministic given the rng state."""
-    return int(_draw(p.weights, rng.random()))
-
-
-def sample_many(p: Simplex, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `n` i.i.d. indices distributed as `p`."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draw(p.weights, rng.random(n))
-
-
-def _draw(weights: np.ndarray, u):
-    """Inverse-CDF lookup of uniform draw(s) `u` in the pmf `weights`."""
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    return np.minimum(np.searchsorted(cdf, u, side="right"), weights.size - 1)
-
-
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a (n, k) matrix of probabilities, by
     inverse CDF at the row's uniform `u[i]`."""
@@ -121,6 +104,13 @@ def _check_size(name: str, size) -> None:
     is not)."""
     if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    """A ValueError that names `value` unless it is a finite real number (a
+    bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _check_indices(name: str, index, length: int, size: int) -> np.ndarray:

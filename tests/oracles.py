@@ -3,8 +3,9 @@ test modules.
 
 The references deliberately avoid the library's own composition paths:
 mean-field maps are explicit double sums, views are read from the dense row
-of W, values come from linear solves or exhaustive branch enumeration, and
-occupancies from truncated enumeration. The single-law maps
+of W, values come from linear solves or exhaustive branch enumeration,
+occupancies from truncated enumeration, and categorical draws from a
+`searchsorted` lookup (`inverse_cdf`). The single-law maps
 `mf_action_distribution`, `mf_transition` and `mf_reward` are the opposite:
 one step of the library's own recursion, so that comparing them with the
 references checks that recursion.
@@ -23,7 +24,16 @@ import numpy as np
 from mfmarl.meanfield import _mean_rewards, _recursion
 from mfmarl.model import AffineRewardSpec, EnvModel, _increment_pmf
 from mfmarl.policy import _forward, log_policy_gradient
-from mfmarl.simplex import Simplex, _draw, sample_rows
+from mfmarl.simplex import Simplex, sample_rows
+
+
+def inverse_cdf(weights, u):
+    """Reference categorical draw: the index of each uniform `u` (a scalar
+    or an array) in the cumulative sum of the pmf `weights`, whose last entry
+    is set to exactly 1."""
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 class TabularPolicy:
@@ -97,7 +107,7 @@ def _scalar_sampler(transition):
 
     def transition_sample_batch(states, actions, mu_views, nu_views, u):
         args = _agent_args(states, actions, mu_views, nu_views)
-        return np.array([_draw(transition(*a).weights, u_i) for a, u_i in zip(args, u)], dtype=np.int64)
+        return np.array([inverse_cdf(transition(*a).weights, u_i) for a, u_i in zip(args, u)], dtype=np.int64)
 
     return transition_sample_batch
 
@@ -123,8 +133,7 @@ def scalar_env(n_states, n_actions, gamma, reward, transition, **kwargs):
     nu)` -> float and `transition(x, u, mu, nu)` -> `Simplex`, on 0-based
     indices and the laws an agent sees; a hook passed in `kwargs` is used as
     it is, and the other `kwargs` go to `EnvModel`. The built sampler looks
-    agent i's uniform `u[i]` up in its transition law, giving the draw
-    `sample` makes from a generator whose next uniform is `u[i]`."""
+    agent i's uniform `u[i]` up in its transition law with `inverse_cdf`."""
     hooks = {
         "reward_batch": _scalar_rewards(reward),
         "transition_sample_batch": _scalar_sampler(transition),
@@ -274,18 +283,18 @@ def log_gradient_row(cfg, phi, x, mu, u):
     return log_policy_gradient(cfg, phi, [x], mu.weights[None, :], [u])[0]
 
 
-def inner_sgd_per_row(policy, cfg, gamma, samples):
+def inner_sgd_per_row(policy, cfg, gamma, states, mu_rows, actions, a_hat):
     """Reference for `npg.inner_sgd`: the per-sample SGD loop, scoring one
     row at a time."""
     w = np.zeros(policy.config.n_params)
     total = np.zeros_like(w)
     scale = 1.0 / (1.0 - gamma)
-    for s in samples:
-        g = log_gradient_row(policy.config, policy.params, s.x, s.mu, s.u)
-        h = (float(w @ g) - s.a_hat * scale) * g
+    for x, mu, u, a in zip(states, mu_rows, actions, a_hat):
+        g = log_policy_gradient(policy.config, policy.params, [x], mu[None, :], [u])[0]
+        h = (float(w @ g) - a * scale) * g
         w = w - cfg.alpha * h
         total += w
-    return total / len(samples)
+    return total / len(a_hat)
 
 
 def brute_force_mf(env, reward, transition, policy, mu):
@@ -364,18 +373,25 @@ def toy_mdp(gamma=0.9):
     reward_tab = np.array([[1.0, -0.5], [0.3, 2.0]])
     policy_tab = np.array([[0.7, 0.3], [0.4, 0.6]])
     spec = AffineRewardSpec(a=np.zeros(2), b=np.zeros(2), f=reward_tab)
-    env = scalar_env(
-        2,
-        2,
+    env = tabular_env(kernel_tab, reward_tab, gamma, lipschitz_p=0.0, affine=spec)
+    return env, TabularPolicy(policy_tab), kernel_tab, reward_tab, policy_tab
+
+
+def tabular_env(kernel_tab, reward_tab, gamma, **kwargs):
+    """Environment whose dynamics and rewards ignore the distribution
+    arguments, given by its kernel (|X|, |U|, |X|) and reward (|X|, |U|)
+    tables; `kwargs` go to `EnvModel`."""
+    kernel_tab = np.asarray(kernel_tab, dtype=np.float64)
+    reward_tab = np.asarray(reward_tab, dtype=np.float64)
+    return scalar_env(
+        *reward_tab.shape,
         gamma,
         reward=lambda x, u, mu, nu: float(reward_tab[x, u]),
         transition=lambda x, u, mu, nu: Simplex(kernel_tab[x, u]),
-        lipschitz_p=0.0,
-        affine=spec,
         kernel=lambda mus, nus: np.broadcast_to(kernel_tab, (len(mus),) + kernel_tab.shape),
         reward_matrix=lambda mus, nus: np.broadcast_to(reward_tab, (len(mus),) + reward_tab.shape),
+        **kwargs,
     )
-    return env, TabularPolicy(policy_tab), kernel_tab, reward_tab, policy_tab
 
 
 def dp_q_and_v(kernel_tab, reward_tab, policy_tab, gamma):

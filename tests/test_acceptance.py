@@ -2,6 +2,7 @@
 PASS/FAIL line with the measured quantities (run with -s to see them live).
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracles import (
     empirical_distribution,
     finite_difference_log_gradient,
     firm_scalar,
+    inverse_cdf,
     l1_distance,
     mf_action_distribution,
     mf_reward,
@@ -40,7 +42,7 @@ from mfmarl.policy import (
     init_params,
     log_policy_gradient,
 )
-from mfmarl.simplex import Simplex, sample_many
+from mfmarl.simplex import Simplex
 
 
 def report(name: str, ok: bool, detail: str) -> None:
@@ -221,15 +223,12 @@ def test_advantage_estimator_is_unbiased():
     path = _MeanFieldPath(env, policy, mu0)
     rng = np.random.default_rng(1013)
     start = time.perf_counter()
-    buckets = {(x, u): [] for x in range(2) for u in range(2)}
-    for _ in range(100_000):
-        s = sample_occupancy(path, rng)
-        buckets[(s.x, s.u)].append(s.a_hat)
+    states, _, actions, a_hat = sample_occupancy(path, 100_000, rng)
     elapsed = time.perf_counter() - start
     ok = True
     worst_z = 0.0
-    for (x, u), vals in buckets.items():
-        vals = np.asarray(vals)
+    for x, u in itertools.product(range(2), range(2)):
+        vals = a_hat[(states == x) & (actions == u)]
         stderr = vals.std(ddof=1) / np.sqrt(vals.size)
         z = abs(vals.mean() - advantage[x, u]) / stderr
         worst_z = max(worst_z, z)
@@ -250,7 +249,7 @@ def test_observed_gap_below_approximation_bound():
     ok = True
     for n, episodes in ((10, 300), (100, 200), (1000, 100)):
         rng = np.random.default_rng([1014, n])
-        init = sample_many(Simplex.uniform(2), n, rng)
+        init = inverse_cdf(Simplex.uniform(2).weights, rng.random(n))
         w = ring_k_neighbor(n, 5)
         v_marl, stderr = estimate_v_marl(env, w, policy, init, horizon, episodes, rng)
         mu0_hat = empirical_distribution(init, 2)

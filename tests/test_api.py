@@ -12,7 +12,6 @@ EXPORTS = [
     "InteractionMatrix",
     "MFTrajectory",
     "NPGConfig",
-    "OccupancySample",
     "PolicyConfig",
     "RewardConstants",
     "RolloutRecord",
@@ -35,7 +34,6 @@ EXPORTS = [
     "ring_k_neighbor",
     "ring_symmetric",
     "rollout",
-    "sample",
     "sample_occupancy",
     "save_policy",
     "select_policy",

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import contraction_env, empirical_distribution, scalar_env
+from oracles import contraction_env, empirical_distribution, inverse_cdf, scalar_env
 from mfmarl import cli, nagent
 from mfmarl.harness import (
     ExperimentConfig,
@@ -33,7 +33,7 @@ from mfmarl.meanfield import mf_value, truncation_horizon
 from mfmarl.nagent import estimate_v_marl, rollout
 from mfmarl.npg import NPGConfig
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
-from mfmarl.simplex import Simplex, sample_many
+from mfmarl.simplex import Simplex
 
 
 def tiny_config(**overrides):
@@ -233,6 +233,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"{next(iter(fields))} must be an integer >= 1"):
             NPGConfig(**fields)
 
+    @pytest.mark.parametrize("name", ["eta", "alpha"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_npg_learning_rates_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            NPGConfig(**{name: value})
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -359,7 +365,7 @@ class TestRunErrorVsN:
         assert len(result.rows) == 6
         for r in result.rows:
             rng = np.random.default_rng([cfg.npg.seed, 2, r.n, r.seed])
-            states = sample_many(cfg.initial_distribution(), r.n, rng)
+            states = inverse_cdf(cfg.initial_distribution().weights, rng.random(r.n))
             v_marl, stderr = estimate_v_marl(
                 env, build_interaction(cfg, r.n, r.seed), policy, states, horizon,
                 cfg.episodes_per_seed, rng,
@@ -382,7 +388,7 @@ class TestRunErrorVsN:
         assert len(result.rows) == 9
         for r in result.rows:
             rng = np.random.default_rng([cfg.npg.seed, 2, r.n, r.seed])
-            states = sample_many(cfg.initial_distribution(), r.n, rng)
+            states = inverse_cdf(cfg.initial_distribution().weights, rng.random(r.n))
             w = build_interaction(cfg, r.n, r.seed)
             returns = [
                 rollout(env, w, policy, states, horizon, stream).discounted_return

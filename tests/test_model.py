@@ -8,6 +8,7 @@ from oracles import (
     firm_reward,
     firm_scalar,
     firm_transition_distribution,
+    inverse_cdf,
     l1_distance,
     scalar_env,
 )
@@ -22,7 +23,7 @@ from mfmarl.model import (
     reward_constants,
 )
 from mfmarl.policy import PolicyConfig
-from mfmarl.simplex import Simplex, sample
+from mfmarl.simplex import Simplex
 
 # Callable placeholders for the four required hooks.
 HOOKS = {
@@ -270,6 +271,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="sigma"):
             FirmModelConfig(q=3, k=1, sigma=float("nan"))
 
+    @pytest.mark.parametrize("name", ["alpha_r", "beta_r", "lambda_r", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_reward_parameters_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            FirmModelConfig(q=3, k=1, **{name: value})
+
     def test_env_model_validation(self):
         with pytest.raises(ValueError):
             EnvModel(2, 2, 1.0, reward_bound=1.0, **HOOKS)
@@ -346,13 +353,16 @@ class TestEnvContract:
         actions = rng.integers(0, 2, size=n)
         mu_views = rng.dirichlet(np.ones(5), size=n)
         nu_views = rng.dirichlet(np.ones(2), size=n)
-        # A per-agent `sample` loop on a copy of the generator reads the same
-        # uniforms one at a time, agent i taking u[i].
+        # A per-agent inverse-CDF loop on a copy of the generator reads the
+        # same uniforms one at a time, agent i taking u[i].
         ref_rng = copy.deepcopy(rng)
         u = rng.random(n)
         drawn = bare.transition_sample_batch(states, actions, mu_views, nu_views, u)
         expected = [
-            sample(transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])), ref_rng)
+            inverse_cdf(
+                transition(int(states[i]), int(actions[i]), Simplex(mu_views[i]), Simplex(nu_views[i])).weights,
+                ref_rng.random(),
+            )
             for i in range(n)
         ]
         assert drawn.dtype == np.int64

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from oracles import dp_q_and_v, inner_sgd_per_row, log_gradient_row, occupancy_by_enumeration, toy_mdp
+from oracles import (
+    TabularPolicy,
+    dp_q_and_v,
+    inner_sgd_per_row,
+    log_gradient_row,
+    occupancy_by_enumeration,
+    tabular_env,
+    toy_mdp,
+)
 from mfmarl.model import FirmModelConfig, build_firm_env
 from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
-    OccupancySample,
     TrainingDivergenceError,
-    _geometric_steps,
     inner_sgd,
     npg_train,
     sample_occupancy,
@@ -18,21 +24,75 @@ from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
 
 
+def tabular_path(kernel_tab, reward_tab, policy_tab, mu0, gamma):
+    """Mean-field path of a distribution-free MDP given by its tables."""
+    env = tabular_env(kernel_tab, reward_tab, gamma, reward_bound=1.0)
+    return _MeanFieldPath(env, TabularPolicy(policy_tab), Simplex(mu0))
+
+
+def clock_path(gamma):
+    """A path whose state law mu_t = (2^-t, 1 - 2^-t) tells its step t:
+    state 0 moves to the absorbing state 1 with probability 1/2."""
+    kernel = [[[0.5, 0.5]] * 2, [[0.0, 1.0]] * 2]
+    return tabular_path(kernel, np.zeros((2, 2)), np.full((2, 2), 0.5), [1.0, 0.0], gamma)
+
+
+def accept_times(mu_rows):
+    """The step of each sample drawn on `clock_path`, read off its law."""
+    return np.rint(-np.log2(mu_rows[:, 0])).astype(np.int64)
+
+
 class TestGeometricStopping:
     def test_zero_gamma_stops_immediately(self):
-        rng = np.random.default_rng(0)
-        assert all(_geometric_steps(0.0, rng) == 0 for _ in range(100))
+        _, mu_rows, _, _ = sample_occupancy(clock_path(0.0), 100, np.random.default_rng(0))
+        assert np.all(accept_times(mu_rows) == 0)
 
     def test_mean_matches_gamma_over_one_minus_gamma(self):
         gamma = 0.9
-        rng = np.random.default_rng(1)
-        draws = np.array([_geometric_steps(gamma, rng) for _ in range(100_000)])
+        _, mu_rows, _, _ = sample_occupancy(clock_path(gamma), 100_000, np.random.default_rng(1))
+        draws = accept_times(mu_rows)
         expected = gamma / (1 - gamma)
         stderr = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - expected) <= 3 * stderr
 
 
 class TestSampleOccupancy:
+    def _firm_path(self, q=4, seed=0):
+        env = build_firm_env(FirmModelConfig(q=q, k=2, sigma=1.2), 0.9)
+        pcfg = PolicyConfig(n_states=q, n_actions=2, hidden=8)
+        policy = SoftmaxPolicy(pcfg, init_params(pcfg, np.random.default_rng(seed)))
+        return _MeanFieldPath(env, policy, Simplex.uniform(q))
+
+    def test_pass_returns_arrays_of_the_pass_size(self):
+        path = self._firm_path()
+        states, mu_rows, actions, a_hat = sample_occupancy(path, 37, np.random.default_rng(4))
+        assert states.shape == actions.shape == a_hat.shape == (37,)
+        assert mu_rows.shape == (37, 4)
+        assert states.dtype.kind == actions.dtype.kind == "i"
+        assert np.all((0 <= states) & (states < 4)) and np.all((0 <= actions) & (actions < 2))
+        assert np.all(np.isfinite(a_hat))
+        # every law is one of the path's steps
+        assert all(any(np.array_equal(row, mu) for mu in path.mus) for row in mu_rows)
+
+    def test_equal_rngs_give_equal_passes(self):
+        first = sample_occupancy(self._firm_path(), 50, np.random.default_rng(5))
+        second = sample_occupancy(self._firm_path(), 50, np.random.default_rng(5))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("size", [0, -1, 2.5, True])
+    def test_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="size"):
+            sample_occupancy(self._firm_path(), size, np.random.default_rng(0))
+
+    def test_non_finite_reward_is_rejected(self):
+        _, _, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
+        rewards = rewards.copy()
+        rewards[1, 1] = np.nan
+        path = tabular_path(kernel, rewards, pi_tab, [0.0, 1.0], 0.9)
+        with pytest.raises(ValueError, match="advantage estimate"):
+            sample_occupancy(path, 200, np.random.default_rng(6))
+
     def test_gamma_zero_accepts_initial_triple(self):
         env, policy, _, _, _ = toy_mdp(gamma=0.0)
         pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
@@ -40,9 +100,9 @@ class TestSampleOccupancy:
         mu0 = Simplex.point_mass(1, 2)
         path = _MeanFieldPath(env, SoftmaxPolicy(pcfg, phi), mu0)
         for seed in range(20):
-            s = sample_occupancy(path, np.random.default_rng(seed))
-            assert s.x == 1
-            assert np.array_equal(s.mu.weights, mu0.weights)
+            states, mu_rows, _, _ = sample_occupancy(path, 5, np.random.default_rng(seed))
+            assert np.all(states == 1)
+            assert np.all(mu_rows == mu0.weights)
 
     def test_advantage_estimate_is_unbiased_on_exact_dp(self):
         env, policy, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
@@ -52,16 +112,14 @@ class TestSampleOccupancy:
         path = _MeanFieldPath(env, policy, mu0)
         rng = np.random.default_rng(2)
         n = 30_000
-        buckets = {(x, u): [] for x in range(2) for u in range(2)}
-        for _ in range(n):
-            # distribution-free toy: the network parameters never matter, so
-            # drive the sampler directly through the shared path
-            s = sample_occupancy(path, rng)
-            buckets[(s.x, s.u)].append(s.a_hat)
-        for (x, u), vals in buckets.items():
-            vals = np.asarray(vals)
-            stderr = vals.std(ddof=1) / np.sqrt(vals.size)
-            assert abs(vals.mean() - advantage[x, u]) <= 3 * stderr, (x, u)
+        # distribution-free toy: the network parameters never matter, so
+        # drive the sampler directly through the shared path
+        states, _, actions, a_hat = sample_occupancy(path, n, rng)
+        for x in range(2):
+            for u in range(2):
+                vals = a_hat[(states == x) & (actions == u)]
+                stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+                assert abs(vals.mean() - advantage[x, u]) <= 3 * stderr, (x, u)
 
     def test_accepted_triples_match_enumerated_occupancy(self):
         env, policy, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
@@ -69,11 +127,10 @@ class TestSampleOccupancy:
         zeta = occupancy_by_enumeration(kernel, pi_tab, mu0, 0.9, max_t=200)
         path = _MeanFieldPath(env, policy, Simplex(mu0))
         rng = np.random.default_rng(3)
-        counts = np.zeros((2, 2))
         n = 100_000
-        for _ in range(n):
-            s = sample_occupancy(path, rng)
-            counts[s.x, s.u] += 1
+        states, _, actions, _ = sample_occupancy(path, n, rng)
+        counts = np.zeros((2, 2))
+        np.add.at(counts, (states, actions), 1)
         assert np.abs(counts / n - zeta).sum() <= 0.02
 
 
@@ -93,18 +150,22 @@ class TestMeanFieldPath:
         path = _MeanFieldPath(env, policy, mu0)
         assert path.value(horizon) == mf_value(env, policy, mu0, 1e-3)[0]
         path.ensure(horizon + 5)
-        assert path.mus[0] is mu0
+        assert np.array_equal(path.mus[0], mu0.weights)
+        assert path.trajectory(horizon + 5).mus[0] is mu0
         for t in range(horizon + 6):
-            assert np.array_equal(path.mus[t].weights, traj.mus[t].weights), t
+            assert np.array_equal(path.trajectory(horizon + 5).mus[t].weights, traj.mus[t].weights), t
         assert path.value(horizon + 5) == value
 
-    def test_kernel_cum_is_cumulative_kernel(self):
+    def test_kernels_and_rewards_are_the_hook_rows(self):
         env, policy, mu0 = self._setup()
         _, traj = mf_value(env, policy, mu0, 1e-3, horizon=12)
         path = _MeanFieldPath(env, policy, mu0)
+        path.ensure(12)
         for t in (0, 1, 12):
-            kernel = env.kernel(traj.mus[t].weights[None, :], traj.nus[t].weights[None, :])[0]
-            np.testing.assert_allclose(path.kernel_cum(t), np.cumsum(kernel, axis=2), rtol=0, atol=1e-12)
+            mus, nus = traj.mus[t].weights[None, :], traj.nus[t].weights[None, :]
+            np.testing.assert_allclose(path.kernels[t], env.kernel(mus, nus)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(path.rewards[t], env.reward_matrix(mus, nus)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(path.probs[t].sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_kernel_hook_calls_are_bounded(self):
         env, policy, mu0 = self._setup()
@@ -119,13 +180,18 @@ class TestMeanFieldPath:
         path = _MeanFieldPath(env, policy, mu0)
         for t in (0, 3, 40):
             path.ensure(t)
-            path.kernel_cum(t)
-            path.reward(t, 0, 1)
+            path.kernels[t]
+            path.rewards[t][0, 1]
             assert len(calls) <= t + 1, t
         calls.clear()
         horizon = truncation_horizon(env, 1e-3)
         mf_value(env, policy, mu0, 1e-3, horizon=horizon)
         assert len(calls) <= horizon + 1
+
+
+def repeated(x, mu, u, a_hat, count):
+    """A pass of `count` copies of one sample, as `sample_occupancy` arrays."""
+    return np.full(count, x), np.tile(mu.weights, (count, 1)), np.full(count, u), np.full(count, a_hat)
 
 
 class TestInnerSgd:
@@ -139,13 +205,12 @@ class TestInnerSgd:
         env, pcfg, phi = self._setup(seed=1)
         mu0 = Simplex.uniform(3)
         a_hat = 2.0
-        fixed = OccupancySample(x=2, mu=mu0, u=1, a_hat=a_hat)
         g = log_gradient_row(pcfg, phi, 2, mu0, 1)
         target = (a_hat / (1 - 0.9)) * g / (g @ g)
         errors = {}
         for l_steps in (1000, 8000):
             cfg = NPGConfig(eta=1.0, alpha=0.05, j_steps=1, l_steps=l_steps)
-            w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed] * l_steps)
+            w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, *repeated(2, mu0, 1, a_hat, l_steps))
             errors[l_steps] = np.abs(w - target).max() / np.abs(target).max()
         # the averaged iterate approaches the fixed point like 1/L
         assert errors[8000] < 0.005
@@ -154,9 +219,8 @@ class TestInnerSgd:
     def test_single_step_closed_form(self):
         env, pcfg, phi = self._setup(seed=2)
         mu0 = Simplex.uniform(3)
-        fixed = OccupancySample(x=0, mu=mu0, u=1, a_hat=1.5)
         cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=1)
-        w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed])
+        w = inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, *repeated(0, mu0, 1, 1.5, 1))
         g = log_gradient_row(pcfg, phi, 0, mu0, 1)
         expected = -0.1 * (0.0 - 1.5 / 0.1) * g
         assert np.allclose(w, expected, atol=1e-14)
@@ -164,38 +228,33 @@ class TestInnerSgd:
     def test_divergence_is_reported(self):
         env, pcfg, phi = self._setup(seed=3)
         mu0 = Simplex.uniform(3)
-        huge = OccupancySample(x=0, mu=mu0, u=1, a_hat=1e308)
         cfg = NPGConfig(eta=1.0, alpha=10.0, j_steps=1, l_steps=5)
         with pytest.raises(TrainingDivergenceError, match="iteration"):
-            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [huge] * 5)
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, *repeated(0, mu0, 1, 1e308, 5))
 
     def test_matches_per_row_reference_on_distinct_samples(self):
         env, pcfg, phi = self._setup(q=5, hidden=8, seed=7)
         rng = np.random.default_rng(8)
-        samples = [
-            OccupancySample(
-                x=int(rng.integers(5)),
-                mu=Simplex(rng.dirichlet(np.ones(5))),
-                u=int(rng.integers(2)),
-                a_hat=float(rng.normal(0.0, 3.0)),
-            )
+        rows = [
+            (int(rng.integers(5)), rng.dirichlet(np.ones(5)), int(rng.integers(2)), float(rng.normal(0.0, 3.0)))
             for _ in range(200)
         ]
+        samples = [np.array(column) for column in zip(*rows)]
         cfg = NPGConfig(eta=1.0, alpha=0.01, j_steps=1, l_steps=200)
         policy = SoftmaxPolicy(pcfg, phi)
-        w = inner_sgd(policy, cfg, 0.9, samples)
-        ref = inner_sgd_per_row(policy, cfg, 0.9, samples)
+        w = inner_sgd(policy, cfg, 0.9, *samples)
+        ref = inner_sgd_per_row(policy, cfg, 0.9, *samples)
         assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
         # a reordered pass is a different regression
-        assert not np.allclose(inner_sgd(policy, cfg, 0.9, samples[::-1]), ref, rtol=1e-6, atol=0)
+        reordered = [column[::-1] for column in samples]
+        assert not np.allclose(inner_sgd(policy, cfg, 0.9, *reordered), ref, rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("count", [0, 4, 6])
     def test_wrong_sample_count_rejected(self, count):
         env, pcfg, phi = self._setup()
-        fixed = OccupancySample(x=0, mu=Simplex.uniform(3), u=1, a_hat=1.0)
         cfg = NPGConfig(eta=1.0, alpha=0.1, j_steps=1, l_steps=5)
         with pytest.raises(ValueError, match="l_steps"):
-            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, [fixed] * count)
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, *repeated(0, Simplex.uniform(3), 1, 1.0, count))
 
 
 class TestNpgTrain:

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import empirical_distribution, expectation, l1_distance
-from mfmarl.simplex import (
-    Simplex,
-    sample,
-    sample_many,
-    sample_rows,
-)
+from oracles import empirical_distribution, expectation, inverse_cdf, l1_distance
+from mfmarl.simplex import Simplex, sample_rows
+
+
+def draw(p: Simplex, n: int, rng) -> np.ndarray:
+    """`n` i.i.d. indices distributed as `p`, drawn the way the harness draws
+    a cell's initial states."""
+    return sample_rows(np.broadcast_to(p.weights, (n, len(p))), rng.random(n))
 
 
 class TestSimplexConstruction:
@@ -64,7 +65,7 @@ class TestEmpiricalDistribution:
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(42)
         p = Simplex([0.2, 0.8])
-        draws = sample_many(p, 100_000, rng)
+        draws = draw(p, 100_000, rng)
         assert l1_distance(empirical_distribution(draws, 2), p) < 0.02
 
     def test_sums_to_one_at_scale(self):
@@ -102,22 +103,38 @@ class TestSample:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
         p = Simplex.point_mass(2, 4)
-        assert all(sample(p, rng) == 2 for _ in range(100))
+        assert np.all(draw(p, 100, rng) == 2)
 
     def test_frequency(self):
         rng = np.random.default_rng(11)
         p = Simplex([0.5, 0.5])
-        draws = sample_many(p, 100_000, rng)
+        draws = draw(p, 100_000, rng)
         freq0 = np.mean(draws == 0)
         assert 0.49 <= freq0 <= 0.51
 
     def test_deterministic_given_seed(self):
         p = Simplex([0.3, 0.3, 0.4])
-        a = [sample(p, np.random.default_rng(5)) for _ in range(1)]
-        seq1 = sample_many(p, 50, np.random.default_rng(5))
-        seq2 = sample_many(p, 50, np.random.default_rng(5))
+        seq1 = draw(p, 50, np.random.default_rng(5))
+        seq2 = draw(p, 50, np.random.default_rng(5))
         assert np.array_equal(seq1, seq2)
-        assert seq1[0] == a[0]
+
+    def test_rows_of_one_law_match_reference_inverse_cdf(self):
+        # A cell's initial states must equal a `searchsorted` lookup of the
+        # same uniforms, including laws with zero entries and sums that
+        # drift from 1 in the last bit.
+        rng = np.random.default_rng(9)
+        for n in (2, 3, 5, 10, 17):
+            laws = [
+                Simplex.uniform(n),
+                Simplex.point_mass(n - 1, n),
+                Simplex(rng.dirichlet(np.ones(n))),
+                Simplex(rng.dirichlet(np.full(n, 0.1))),
+                Simplex(np.where(np.arange(n) % 2 == 0, 1.0, 0.0) / np.ceil(n / 2)),
+            ]
+            for p in laws:
+                u = rng.random(20_000)
+                rows = np.broadcast_to(p.weights, (u.size, n))
+                assert np.array_equal(sample_rows(rows, u), inverse_cdf(p.weights, u))
 
     def test_sample_rows(self):
         rng = np.random.default_rng(2)
