@@ -252,8 +252,9 @@ def build_interaction(cfg: ExperimentConfig, n: int, seed: int) -> interaction.I
     return interaction.ring_k_neighbor(n, min(cfg.model.k, n))
 
 
-def train_policy(cfg: ExperimentConfig, env: EnvModel) -> tuple[SoftmaxPolicy, dict]:
-    """Train on the mean-field problem and freeze the best iterate."""
+def train_policy(cfg: ExperimentConfig, env: EnvModel, log_path=None) -> tuple[SoftmaxPolicy, dict]:
+    """Train on the mean-field problem and freeze the best iterate; with
+    `log_path`, also write the per-iteration training curve there."""
     policy_cfg = PolicyConfig(n_states=env.n_states, n_actions=env.n_actions, hidden=cfg.hidden)
     rng = np.random.default_rng([cfg.npg.seed, 1])
     phi0 = init_params(policy_cfg, rng)
@@ -268,6 +269,8 @@ def train_policy(cfg: ExperimentConfig, env: EnvModel) -> tuple[SoftmaxPolicy, d
         "best_v_mf": float(np.max(result.values)),
         "mean_v_mf": mean_value,
     }
+    if log_path is not None:
+        result.write_log(log_path)
     return SoftmaxPolicy(policy_cfg, best_phi), info
 
 
@@ -430,12 +433,12 @@ def bound_report(
 
 
 def run_and_persist(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train, sweep, and write results CSV + summary CSV + policy checkpoint
-    + metadata sidecar next to the configured output path."""
+    """Train, sweep, and write results CSV + summary CSV + training curve +
+    policy checkpoint + metadata sidecar next to the configured output path."""
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     env = build_firm_env(cfg.model, cfg.gamma)
-    policy, train_info = train_policy(cfg, env)
+    policy, train_info = train_policy(cfg, env, out.with_name(out.stem + "_training.csv"))
 
     checkpoint = out.with_suffix(".policy.txt")
     save_policy(checkpoint, policy.config, policy.params)

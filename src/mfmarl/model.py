@@ -244,8 +244,10 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
     )
 
 
+@cache
 def _estimate_reward_bound(cfg: FirmModelConfig, trials: int = 100_000) -> float:
-    """max |r| over a random sweep, inflated 10% (for sigma != 1 rewards)."""
+    """max |r| over a random sweep, inflated 10% (for sigma != 1 rewards);
+    computed once per (config, trials) in a process."""
     rng = np.random.default_rng(20240)
     labels = np.arange(1, cfg.q + 1, dtype=np.float64)
     mu_bar = rng.dirichlet(np.ones(cfg.q), size=trials) @ labels

@@ -23,8 +23,9 @@ from .simplex import Simplex, _check_indices
 
 # Most agents stacked in one step loop. A step has a fixed cost of about
 # 0.1 ms; from about 2000 agents on it is paid off (firm model, q = 10,
-# hidden = 32: 0.5-0.8 us per agent-step from 2000 to 8000 agents, rising
-# above that), and the step's arrays stay small.
+# hidden = 32, ring-5, one BLAS thread: 0.3-0.45 us per agent-step from 1000
+# to 16000 agents, 0.6-0.8 us at 32000, with glibc's default allocator), and
+# the step's arrays stay small.
 _GROUP_AGENTS = 4096
 
 

@@ -62,21 +62,23 @@ def _unpack(cfg: PolicyConfig, phi: np.ndarray, rows: tuple = ()):
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows):
-    """The network over (state, view) rows: features [one-hot(x), mu] (B, 2|X|),
-    tanh hidden layer (B, H) and softmax action probabilities (B, |U|)."""
+    """The network over (state, view) rows: tanh hidden layer (B, H) and softmax
+    action probabilities (B, |U|). The one-hot half of the features
+    [one-hot(x), mu] acts as a row gather of w1's state columns (b1 folded
+    in). The logits are (|U|, B), so the softmax runs over contiguous action
+    rows; the probabilities are their transposed view."""
     w1, b1, w2, b2 = _unpack(cfg, phi)
-    feats = np.zeros((len(states), cfg.n_features))
-    feats[np.arange(len(states)), states] = 1.0
-    feats[:, cfg.n_states :] = mu_rows
-    hidden = np.tanh(feats @ w1.T + b1)
-    return feats, hidden, _softmax(hidden @ w2.T + b2)
+    q = cfg.n_states
+    hidden = mu_rows @ w1[:, q:].T
+    hidden += (w1[:, :q].T + b1)[states]
+    np.tanh(hidden, out=hidden)
+    probs = w2 @ hidden.T
+    probs += b2[:, None]
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    return hidden, probs.T
 
 
 def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, actions) -> np.ndarray:
@@ -89,13 +91,16 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     mu_rows = np.asarray(mu_rows, dtype=np.float64)
     if mu_rows.shape != (b, cfg.n_states):
         raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
-    feats, hidden, probs = _forward(cfg, phi, states, mu_rows)
+    hidden, probs = _forward(cfg, phi, states, mu_rows)
     w2 = _unpack(cfg, phi)[2]
     dlogits = -probs
     dlogits[np.arange(b), actions] += 1.0
     dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
     # Each parameter block is written in place into its columns of the
     # (B, d) result.
+    feats = np.zeros((b, cfg.n_features))
+    feats[np.arange(b), states] = 1.0
+    feats[:, cfg.n_states :] = mu_rows
     grad = np.empty((b, cfg.n_params))
     g_w1, g_b1, g_w2, g_b2 = _unpack(cfg, grad, (b,))
     np.multiply(dpre[:, :, None], feats[:, None, :], out=g_w1)
@@ -127,8 +132,8 @@ def estimate_lipschitz_lq(
         mu2[i] = rng.dirichlet(alpha)
     d = np.abs(mu1 - mu2).sum(axis=1)
     keep = d > 1e-12
-    pi1 = _forward(cfg, phi, x[keep], mu1[keep])[2]
-    pi2 = _forward(cfg, phi, x[keep], mu2[keep])[2]
+    pi1 = _forward(cfg, phi, x[keep], mu1[keep])[1]
+    pi2 = _forward(cfg, phi, x[keep], mu2[keep])[1]
     ratios = np.abs(pi1 - pi2).sum(axis=1) / d[keep]
     return float(ratios.max(initial=0.0))
 
@@ -148,7 +153,7 @@ class SoftmaxPolicy:
 
     def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
         """One action distribution per (state, view) row."""
-        return _forward(self.config, self.params, states, mu_rows)[2]
+        return _forward(self.config, self.params, states, mu_rows)[1]
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One action per (state, view) row, drawn by the row's uniform `u[i]`."""

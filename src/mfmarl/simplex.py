@@ -93,10 +93,14 @@ def _require_finite(weights: np.ndarray) -> None:
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a (n, k) matrix of probabilities, by
-    inverse CDF at the row's uniform `u[i]`."""
-    cdf = np.cumsum(probs, axis=1)
-    idx = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+    inverse CDF at the row's uniform `u[i]`: the number of the row's first
+    k - 1 partial sums below `u[i]`. The partial sums are built column by
+    column (row 0 of `cdf` is the empty sum), one elementwise pass over the
+    n rows each."""
+    cdf = np.zeros((probs.shape[1], probs.shape[0]))
+    for j in range(probs.shape[1] - 1):
+        np.add(cdf[j], probs[:, j], out=cdf[j + 1])
+    return (cdf[1:] < u).sum(axis=0)
 
 
 def _check_size(name: str, size) -> None:

@@ -4,8 +4,10 @@ test modules.
 The references deliberately avoid the library's own composition paths:
 mean-field maps are explicit double sums, views are read from the dense row
 of W, values come from linear solves or exhaustive branch enumeration,
-occupancies from truncated enumeration, and categorical draws from a
-`searchsorted` lookup (`inverse_cdf`). The single-law maps
+occupancies from truncated enumeration, categorical draws from a
+`searchsorted` lookup (`inverse_cdf`), and the policy network's
+probabilities from an explicit one-hot feature matrix
+(`onehot_network_probs`). The single-law maps
 `mf_action_distribution`, `mf_transition` and `mf_reward` are the opposite:
 one step of the library's own recursion, so that comparing them with the
 references checks that recursion.
@@ -260,12 +262,29 @@ def mf_reward(env, policy, mu):
     return float(_mean_rewards(rewards, probs, mus)[0])
 
 
+def onehot_network_probs(cfg, phi, states, mu_rows):
+    """Reference network pass: the features [one-hot(x), mu] built as a
+    (B, 2|X|) matrix, one GEMM, a tanh layer and a row-wise softmax (max and
+    sum along each row), from the same flat parameter layout."""
+    h, f, n_u = cfg.hidden, cfg.n_features, cfg.n_actions
+    w1 = phi[: h * f].reshape(h, f)
+    b1 = phi[h * f : h * f + h]
+    w2 = phi[h * f + h : h * f + h + n_u * h].reshape(n_u, h)
+    b2 = phi[h * f + h + n_u * h :]
+    feats = np.zeros((len(states), f))
+    feats[np.arange(len(states)), states] = 1.0
+    feats[:, cfg.n_states :] = mu_rows
+    logits = np.tanh(feats @ w1.T + b1) @ w2.T + b2
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def finite_difference_log_gradient(cfg, phi, x, mu, u, step=1e-5):
     """Central-difference gradient of log pi(u | x, mu) in the parameters;
     pi comes from the network pass `_forward` on one row."""
 
     def log_prob(params):
-        return float(np.log(_forward(cfg, params, [x], mu.weights[None, :])[2][0, u]))
+        return float(np.log(_forward(cfg, params, [x], mu.weights[None, :])[1][0, u]))
 
     grad = np.empty(cfg.n_params)
     for i in range(cfg.n_params):

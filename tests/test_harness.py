@@ -466,6 +466,9 @@ class TestPersistence:
         assert header == "N,seed,v_marl_mean,v_marl_stderr,v_mf,error_pct"
         summary = (tmp_path / "results_summary.csv").read_text().splitlines()
         assert summary[0] == "N,mean_error,std_error,mean_error_sqrtN"
+        curve = (tmp_path / "results_training.csv").read_text().splitlines()
+        assert curve[0] == "j,v_mf,w_norm,wall_ms"
+        assert [int(line.split(",")[0]) for line in curve[1:]] == list(range(1, cfg.npg.j_steps + 1))
         meta = json.loads((tmp_path / "results.meta.json").read_text())
         assert meta["config"]["gamma"] == 0.9
         assert len(meta["policy_checkpoint_hash"]) == 40

@@ -21,6 +21,7 @@ from mfmarl.model import (
     estimate_firm_lipschitz_p,
     firm_affine_spec,
     reward_constants,
+    _estimate_reward_bound,
 )
 from mfmarl.policy import PolicyConfig
 from mfmarl.simplex import Simplex
@@ -222,6 +223,16 @@ class TestBuildFirmEnv:
         assert env.reward_bound > 0
         with pytest.raises(AffineRewardRequiredError):
             firm_affine_spec(example_cfg(sigma=1.2))
+
+    def test_reward_bound_is_computed_once_per_config(self):
+        cfg = example_cfg(sigma=1.7)
+        first = _estimate_reward_bound(cfg)
+        assert first == _estimate_reward_bound.__wrapped__(cfg)
+        hits = _estimate_reward_bound.cache_info().hits
+        assert build_firm_env(cfg, 0.9).reward_bound == first
+        assert build_firm_env(example_cfg(sigma=1.7), 0.5).reward_bound == first
+        assert _estimate_reward_bound.cache_info().hits == hits + 2
+        assert _estimate_reward_bound(example_cfg(sigma=1.8)) != first
 
     def test_batch_hooks_match_scalar_paths(self):
         env = build_firm_env(example_cfg(), 0.9)

@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from oracles import FunctionPolicy, policy_probs
+from oracles import FunctionPolicy, onehot_network_probs, policy_probs
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
+    _forward,
     estimate_lipschitz_lq,
     init_params,
     load_policy,
@@ -55,6 +56,31 @@ class TestActionDistribution:
         d = action_probs(cfg, phi, 0, Simplex.uniform(2))
         assert d[0] == pytest.approx(1.0 / (1.0 + np.exp(-10.0)), rel=1e-12)
         assert d[1] == pytest.approx(4.5397868702434395e-05, rel=1e-9)
+
+    @pytest.mark.parametrize("n_actions", [1, 2, 3, 9])
+    @pytest.mark.parametrize("n_states", [1, 3, 10])
+    def test_forward_matches_onehot_network(self, n_states, n_actions):
+        # The gathered first layer and the softmax over action columns add
+        # in another order than the one-hot GEMM and the row-wise softmax
+        # (numpy sums a row of 9 pairwise), so agreement is to 1e-15.
+        cfg = PolicyConfig(n_states=n_states, n_actions=n_actions, hidden=16)
+        rng = np.random.default_rng(100 * n_states + n_actions)
+        phi = rng.uniform(-1.0, 1.0, cfg.n_params)
+        states = rng.integers(0, n_states, size=500)
+        mu_rows = rng.dirichlet(np.ones(n_states), size=500)
+        hidden, probs = _forward(cfg, phi, states, mu_rows)
+        assert hidden.shape == (500, 16) and probs.shape == (500, n_actions)
+        assert np.abs(probs - onehot_network_probs(cfg, phi, states, mu_rows)).max() <= 1e-15
+
+    def test_large_logits_give_finite_rows(self):
+        cfg = PolicyConfig(n_states=3, n_actions=3, hidden=4)
+        phi = np.zeros(cfg.n_params)
+        phi[-3:] = [710.0, -710.0, 709.0]
+        rng = np.random.default_rng(8)
+        probs = _forward(cfg, phi, rng.integers(0, 3, size=20), rng.dirichlet(np.ones(3), size=20))[1]
+        assert np.all(np.isfinite(probs))
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.allclose(probs, [1.0 / (1.0 + np.exp(-1.0)), 0.0, 1.0 / (1.0 + np.exp(1.0))], rtol=1e-15)
 
     def test_outputs_are_valid_and_positive(self):
         cfg = PolicyConfig(n_states=5, n_actions=4, hidden=16)

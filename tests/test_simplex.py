@@ -145,6 +145,90 @@ class TestSample:
         assert sample_rows(probs[[2, 2, 2]], np.array([0.25, 0.5, 0.75])).tolist() == [0, 0, 1]
 
 
+def cumsum_draw(probs, u):
+    """Reference draw with a row cumsum, which `sample_rows` must match bit
+    for bit: the first index whose partial sum reaches u, capped at k - 1."""
+    idx = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
+    return np.minimum(idx, probs.shape[1] - 1)
+
+
+def row_inverse_cdf(probs, u):
+    return np.array([inverse_cdf(p, x) for p, x in zip(probs, u)], dtype=np.int64)
+
+
+def sparse_rows(rng, b, k):
+    """Dirichlet rows of width k with about a third of their entries zeroed
+    (at least one kept), renormalized."""
+    rows = rng.dirichlet(np.full(k, 0.5), size=b)
+    rows[rng.random((b, k)) < 1 / 3] = 0.0
+    rows[np.arange(b), rng.integers(0, k, size=b)] += 1e-3
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("b", [1, 7, 4000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 12])
+    def test_matches_reference_draws(self, k, b):
+        rng = np.random.default_rng(10 * k + b)
+        for probs in (rng.dirichlet(np.ones(k), size=b), sparse_rows(rng, b, k)):
+            u = rng.random(b)
+            draws = sample_rows(probs, u)
+            assert draws.dtype == np.int64
+            assert np.array_equal(draws, row_inverse_cdf(probs, u))
+            assert np.array_equal(draws, cumsum_draw(probs, u))
+
+    def test_u_zero_takes_the_first_index(self):
+        # u = 0 lies on the partial sum of every leading zero column, so the
+        # draw is index 0 as in the cumsum draw; `inverse_cdf` agrees where
+        # the first column has mass.
+        rng = np.random.default_rng(6)
+        for k in (1, 2, 3, 10, 12):
+            probs = sparse_rows(rng, 200, k)
+            u = np.zeros(200)
+            draws = sample_rows(probs, u)
+            assert np.array_equal(draws, np.zeros(200, dtype=np.int64))
+            assert np.array_equal(draws, cumsum_draw(probs, u))
+            first = probs[:, 0] > 0
+            assert np.array_equal(draws[first], row_inverse_cdf(probs[first], u[first]))
+
+    def test_zero_probability_columns_are_never_drawn(self):
+        probs = np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.0, 0.0, 0.75], [0.0, 0.0, 1.0, 0.0]])
+        rng = np.random.default_rng(4)
+        u = rng.random(3000)
+        rows = probs[np.arange(3000) % 3]
+        draws = sample_rows(rows, u)
+        assert np.all(rows[np.arange(3000), draws] > 0.0)
+        assert np.array_equal(draws, row_inverse_cdf(rows, u))
+
+    def test_u_on_a_partial_sum_takes_the_index_that_reaches_it(self):
+        # Here the cumsum draw and `inverse_cdf` part ways by convention:
+        # `sample_rows` takes the first index whose partial sum reaches u
+        # (the cumsum draw), `inverse_cdf` the first that exceeds it.
+        probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5], [0.125, 0.375, 0.5]])
+        u = np.array([0.25, 0.5, 0.5])
+        assert sample_rows(probs, u).tolist() == [0, 0, 1]
+        assert np.array_equal(sample_rows(probs, u), cumsum_draw(probs, u))
+
+    def test_rows_summing_below_one_give_the_last_index_near_one(self):
+        k = 10
+        probs = np.full((5, k), 0.1 - 1e-13)
+        assert probs[0].cumsum()[-1] < 1.0 - 2e-13
+        u = np.array([1.0 - 2**-53, 1.0 - 1e-13, 0.999, 0.85, 0.05])
+        draws = sample_rows(probs, u)
+        assert draws.tolist() == [k - 1, k - 1, k - 1, 8, 0]
+        assert np.array_equal(draws, row_inverse_cdf(probs, u))
+        assert np.array_equal(draws, cumsum_draw(probs, u))
+
+    def test_broadcast_law_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for k in (1, 2, 10):
+            law = rng.dirichlet(np.ones(k))
+            u = rng.random(4000)
+            rows = np.broadcast_to(law, (u.size, k))
+            assert np.array_equal(sample_rows(rows, u), inverse_cdf(law, u))
+            assert np.array_equal(sample_rows(rows, u), cumsum_draw(rows, u))
+
+
 class TestExpectation:
     def test_point_mass(self):
         assert expectation(Simplex.point_mass(3, 5), [1, 2, 3, 4, 5]) == 4.0
