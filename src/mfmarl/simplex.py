@@ -94,13 +94,14 @@ def _require_finite(weights: np.ndarray) -> None:
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a (n, k) matrix of probabilities, by
     inverse CDF at the row's uniform `u[i]`: the number of the row's first
-    k - 1 partial sums below `u[i]`. The partial sums are built column by
-    column (row 0 of `cdf` is the empty sum), one elementwise pass over the
-    n rows each."""
+    k - 1 partial sums at or below `u[i]`, so a u equal to a partial sum
+    (u = 0 included) draws the next index with mass. The partial sums are
+    built column by column (row 0 of `cdf` is the empty sum), one
+    elementwise pass over the n rows each."""
     cdf = np.zeros((probs.shape[1], probs.shape[0]))
     for j in range(probs.shape[1] - 1):
         np.add(cdf[j], probs[:, j], out=cdf[j + 1])
-    return (cdf[1:] < u).sum(axis=0)
+    return (cdf[1:] <= u).sum(axis=0)
 
 
 def _check_size(name: str, size) -> None:
@@ -123,6 +124,6 @@ def _check_indices(name: str, index, length: int, size: int) -> np.ndarray:
     index = np.asarray(index)
     if index.shape != (length,) or index.dtype.kind not in "iu":
         raise ValueError(f"{name} must be {length} integers in a 1-d array, got {index.dtype} {index.shape}")
-    if np.any((index < 0) | (index >= size)):
+    if index.size and (index.min() < 0 or index.max() >= size):
         raise ValueError(f"{name} must lie in [0, {size}), got {index.min()}..{index.max()}")
     return index

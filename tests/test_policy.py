@@ -1,7 +1,14 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mfmarl
 
 from oracles import FunctionPolicy, onehot_network_probs, policy_probs
 from mfmarl.policy import (
@@ -14,7 +21,7 @@ from mfmarl.policy import (
     log_policy_gradient,
     save_policy,
 )
-from mfmarl.simplex import Simplex
+from mfmarl.simplex import Simplex, sample_rows
 
 
 def random_simplex(rng, n):
@@ -239,6 +246,107 @@ class TestPolicyObjects:
         bad[0] = np.inf
         with pytest.raises(ValueError):
             SoftmaxPolicy(cfg, bad)
+
+
+def draw_inputs(rng, cfg, b):
+    """In-range states, Dirichlet views and uniforms for `b` rows."""
+    return rng.integers(0, cfg.n_states, size=b), rng.dirichlet(np.ones(cfg.n_states), size=b), rng.random(b)
+
+
+# Counts the minor page faults of 50 `sample_actions` calls at B = 4000 after
+# warm-up; run in a fresh interpreter so that the allocator setting applies.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
+cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+policy = SoftmaxPolicy(cfg, init_params(cfg, np.random.default_rng(0)))
+rng = np.random.default_rng(1)
+states, mu_rows, u = rng.integers(0, 10, 4000), rng.dirichlet(np.ones(10), 4000), rng.random(4000)
+for _ in range(10):
+    policy.sample_actions(states, mu_rows, u)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    policy.sample_actions(states, mu_rows, u)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+"""
+
+
+class TestWorkspace:
+    """`sample_actions` runs the network in a per-thread workspace that it
+    keeps between calls; `probs_batch` returns arrays of its own."""
+
+    def test_draws_match_sample_rows_as_the_row_count_changes(self):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(13)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        for b in (4000, 5, 4000, 1):
+            states, mu_rows, u = draw_inputs(rng, cfg, b)
+            expected = sample_rows(policy.probs_batch(states, mu_rows), u)
+            assert np.array_equal(policy.sample_actions(states, mu_rows, u), expected), b
+
+    def test_probs_batch_result_is_not_overwritten_by_later_calls(self):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(14)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        states, mu_rows, _ = draw_inputs(rng, cfg, 300)
+        probs = policy.probs_batch(states, mu_rows)
+        kept = probs.copy()
+        for _ in range(2):
+            other_states, other_mu_rows, u = draw_inputs(rng, cfg, 300)
+            policy.sample_actions(other_states, other_mu_rows, u)
+            policy.probs_batch(other_states, other_mu_rows)
+        assert np.array_equal(probs, kept)
+
+    def test_threads_sharing_a_policy_draw_as_one_thread(self):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(15)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        rounds = [draw_inputs(rng, cfg, 500) for _ in range(8)]
+        serial = [policy.sample_actions(*inputs) for inputs in rounds]
+        matched = [[] for _ in range(4)]
+
+        def work(i):
+            for _ in range(25):
+                for inputs, expected in zip(rounds, serial):
+                    matched[i].append(np.array_equal(policy.sample_actions(*inputs), expected))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [len(m) for m in matched] == [200] * 4
+        assert all(all(m) for m in matched)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("method", ["probs_batch", "sample_actions"])
+    def test_out_of_range_states_are_rejected(self, method, bad):
+        # The network's gather clips, so the public entry points check.
+        cfg = PolicyConfig(n_states=4, n_actions=2, hidden=8)
+        policy = SoftmaxPolicy(cfg, init_params(cfg, np.random.default_rng(0)))
+        args = (np.array([0, bad, 3]), np.full((3, 4), 0.25), np.full(3, 0.5))
+        with pytest.raises(ValueError, match="states"):
+            getattr(policy, method)(*args[: 3 if method == "sample_actions" else 2])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting, Linux page faults")
+    def test_draws_take_few_page_faults_after_warm_up(self):
+        # With glibc's mmap threshold at 1 MiB, a (B, H) array allocated per
+        # call is given back to the OS when freed and faulted in again (about
+        # 476 faults per call at B = 4000); the kept workspace takes none.
+        src = str(Path(mfmarl.__file__).resolve().parents[1])
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert float(out.stdout) <= 16
 
 
 class TestSerialization:

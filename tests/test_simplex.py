@@ -141,18 +141,16 @@ class TestSample:
         probs = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
         draws = sample_rows(probs, rng.random(3))
         assert draws[0] == 0 and draws[1] == 1 and draws[2] in (0, 1)
-        # inverse CDF: row i's draw is the first index whose CDF reaches u[i]
-        assert sample_rows(probs[[2, 2, 2]], np.array([0.25, 0.5, 0.75])).tolist() == [0, 0, 1]
-
-
-def cumsum_draw(probs, u):
-    """Reference draw with a row cumsum, which `sample_rows` must match bit
-    for bit: the first index whose partial sum reaches u, capped at k - 1."""
-    idx = (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1)
-    return np.minimum(idx, probs.shape[1] - 1)
+        # inverse CDF: row i's draw is the first index whose CDF exceeds u[i]
+        u = np.array([0.25, 0.5, 0.75])
+        assert sample_rows(probs[[2, 2, 2]], u).tolist() == [0, 1, 1]
+        assert np.array_equal(sample_rows(probs[[2, 2, 2]], u), inverse_cdf(probs[2], u))
 
 
 def row_inverse_cdf(probs, u):
+    """`inverse_cdf` row by row. Its partial sums are a row cumsum, added in
+    the order `sample_rows` adds its columns, so the draws must match bit
+    for bit, ties included."""
     return np.array([inverse_cdf(p, x) for p, x in zip(probs, u)], dtype=np.int64)
 
 
@@ -175,21 +173,18 @@ class TestSampleRows:
             draws = sample_rows(probs, u)
             assert draws.dtype == np.int64
             assert np.array_equal(draws, row_inverse_cdf(probs, u))
-            assert np.array_equal(draws, cumsum_draw(probs, u))
 
-    def test_u_zero_takes_the_first_index(self):
-        # u = 0 lies on the partial sum of every leading zero column, so the
-        # draw is index 0 as in the cumsum draw; `inverse_cdf` agrees where
-        # the first column has mass.
+    def test_u_zero_takes_the_first_index_with_mass(self):
+        # u = 0 lies on the partial sum of every leading zero column, which
+        # must never be drawn.
+        assert sample_rows(np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]), np.zeros(2)).tolist() == [1, 2]
         rng = np.random.default_rng(6)
         for k in (1, 2, 3, 10, 12):
             probs = sparse_rows(rng, 200, k)
             u = np.zeros(200)
             draws = sample_rows(probs, u)
-            assert np.array_equal(draws, np.zeros(200, dtype=np.int64))
-            assert np.array_equal(draws, cumsum_draw(probs, u))
-            first = probs[:, 0] > 0
-            assert np.array_equal(draws[first], row_inverse_cdf(probs[first], u[first]))
+            assert np.array_equal(draws, np.argmax(probs > 0, axis=1))
+            assert np.array_equal(draws, row_inverse_cdf(probs, u))
 
     def test_zero_probability_columns_are_never_drawn(self):
         probs = np.array([[0.0, 0.5, 0.0, 0.5], [0.25, 0.0, 0.0, 0.75], [0.0, 0.0, 1.0, 0.0]])
@@ -200,14 +195,13 @@ class TestSampleRows:
         assert np.all(rows[np.arange(3000), draws] > 0.0)
         assert np.array_equal(draws, row_inverse_cdf(rows, u))
 
-    def test_u_on_a_partial_sum_takes_the_index_that_reaches_it(self):
-        # Here the cumsum draw and `inverse_cdf` part ways by convention:
-        # `sample_rows` takes the first index whose partial sum reaches u
-        # (the cumsum draw), `inverse_cdf` the first that exceeds it.
+    def test_u_on_a_partial_sum_takes_the_next_index(self):
+        # The draw is the first index whose partial sum exceeds u, skipping
+        # zero columns, as in `inverse_cdf`.
         probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5], [0.125, 0.375, 0.5]])
         u = np.array([0.25, 0.5, 0.5])
-        assert sample_rows(probs, u).tolist() == [0, 0, 1]
-        assert np.array_equal(sample_rows(probs, u), cumsum_draw(probs, u))
+        assert sample_rows(probs, u).tolist() == [1, 2, 2]
+        assert np.array_equal(sample_rows(probs, u), row_inverse_cdf(probs, u))
 
     def test_rows_summing_below_one_give_the_last_index_near_one(self):
         k = 10
@@ -217,7 +211,6 @@ class TestSampleRows:
         draws = sample_rows(probs, u)
         assert draws.tolist() == [k - 1, k - 1, k - 1, 8, 0]
         assert np.array_equal(draws, row_inverse_cdf(probs, u))
-        assert np.array_equal(draws, cumsum_draw(probs, u))
 
     def test_broadcast_law_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -226,7 +219,6 @@ class TestSampleRows:
             u = rng.random(4000)
             rows = np.broadcast_to(law, (u.size, k))
             assert np.array_equal(sample_rows(rows, u), inverse_cdf(law, u))
-            assert np.array_equal(sample_rows(rows, u), cumsum_draw(rows, u))
 
 
 class TestExpectation:
