@@ -12,6 +12,7 @@ the blocks of a block-diagonal W; each block keeps its own random stream.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -91,7 +92,12 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     uniforms are `rng.random((2, N))` of each block in turn, so every block
     draws exactly as a rollout of it alone would. Returns each block's
     discounted population-average return and, with `record`, the (T+1, B*N)
-    states, actions and rewards (else None)."""
+    states, actions and rewards (else None).
+
+    The loop draws through a copy of `policy`, which starts with no kept
+    rows: a pass over a subset of rows rounds differently in the last bit
+    from a pass over all rows, so rows kept from another loop would make
+    the results depend on what the thread simulated before."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     ws, inits, rngs = zip(*blocks)
@@ -99,6 +105,7 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     inits = [_check_indices("initial_states", states, n, env.n_states) for states in inits]
     states = np.concatenate(inits, dtype=np.int64)
     w = ws[0] if len(ws) == 1 else _block_diagonal(ws)
+    policy = copy.copy(policy)
     shape = (horizon + 1, states.size)
     history = None
     if record:

@@ -63,11 +63,22 @@ def _unpack(cfg: PolicyConfig, phi: np.ndarray, rows: tuple = ()):
     )
 
 
-def _workspace(cfg: PolicyConfig, b: int) -> tuple[np.ndarray, np.ndarray]:
+# `SoftmaxPolicy.sample_actions` re-runs the network over all rows in place
+# when more than this share of them changed, and over the changed rows only
+# otherwise. The two cost the same at about 0.45 of the rows at B = 250, 0.7
+# at B = 1000 and 0.5-0.6 at B = 4000 (q = 10, hidden = 32, two actions, one
+# BLAS thread, glibc's mmap threshold at 1 MiB).
+_FULL_PASS_SHARE = 0.5
+
+
+def _workspace(cfg: PolicyConfig, b: int, flat=None) -> tuple[np.ndarray, np.ndarray]:
     """The arrays `_forward` writes into for `b` rows: (2, B, H) for the
     hidden layer and the gathered state rows, and (|U| + 1, B) for the
-    logits and the softmax's max and sum."""
-    return np.empty((2, b, cfg.hidden)), np.empty((cfg.n_actions + 1, b))
+    logits and the softmax's max and sum. Both are carved from the front of
+    the 1-d float array `flat`, fresh when None."""
+    h, s = 2 * b * cfg.hidden, (cfg.n_actions + 1) * b
+    flat = np.empty(h + s) if flat is None else flat
+    return flat[:h].reshape(2, b, cfg.hidden), flat[h : h + s].reshape(cfg.n_actions + 1, b)
 
 
 def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, out=None):
@@ -135,20 +146,16 @@ def estimate_lipschitz_lq(
     """Sampled lower bound on the policy's Lipschitz constant in mu:
     running max of |pi(x, mu1) - pi(x, mu2)|_1 / |mu1 - mu2|_1.
 
-    Draws one (x, mu1, mu2) tuple per trial sequentially, so the estimate
-    for a larger trial count extends the same probe stream; the network then
-    runs once over all probes of each side.
+    The probes are drawn as arrays, the states `x` from one substream
+    spawned from `rng` and the (mu1, mu2) pairs from another, so the
+    estimate for a larger trial count extends the same probes; the network
+    then runs once over all probes of each side.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    alpha = np.ones(cfg.n_states)
-    x = np.empty(trials, dtype=np.int64)
-    mu1 = np.empty((trials, cfg.n_states))
-    mu2 = np.empty((trials, cfg.n_states))
-    for i in range(trials):
-        x[i] = rng.integers(cfg.n_states)
-        mu1[i] = rng.dirichlet(alpha)
-        mu2[i] = rng.dirichlet(alpha)
+    x_stream, mu_stream = rng.spawn(2)
+    x = x_stream.integers(cfg.n_states, size=trials)
+    mu1, mu2 = mu_stream.dirichlet(np.ones(cfg.n_states), size=(trials, 2)).transpose(1, 0, 2)
     d = np.abs(mu1 - mu2).sum(axis=1)
     keep = d > 1e-12
     pi1 = _forward(cfg, phi, x[keep], mu1[keep])[1]
@@ -169,9 +176,17 @@ class SoftmaxPolicy:
             raise ValueError("policy parameters must be finite")
         self.params = phi.copy()
         self.params.flags.writeable = False
-        # `sample_actions`'s workspace, one per thread: a sweep's thread pool
-        # shares one policy.
-        self._scratch = threading.local()
+        # `sample_actions`'s workspace and kept rows, one set per thread: a
+        # sweep's thread pool shares one policy.
+        self._cache = threading.local()
+
+    def __getstate__(self):
+        # The per-thread cache is not state: a copy or an unpickled policy
+        # shares none of it and starts fresh.
+        return {"config": self.config, "params": self.params}
+
+    def __setstate__(self, state):
+        self.__init__(state["config"], state["params"])
 
     def _states(self, states) -> np.ndarray:
         return _check_indices("states", states, np.size(states), self.config.n_states)
@@ -182,13 +197,38 @@ class SoftmaxPolicy:
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One action per (state, view) row, drawn by the row's uniform `u[i]`.
-        The network runs in the calling thread's workspace, which is kept
-        between calls and rebuilt only when the number of rows changes."""
+
+        The calling thread keeps the rows it last evaluated: each row's state,
+        view and action probabilities, in a workspace rebuilt only when the
+        number of rows changes. A call runs the network only on the rows
+        whose state or view differs bitwise from the kept ones, or over all
+        rows in place when more than `_FULL_PASS_SHARE` of them differ."""
+        cfg = self.config
         states = self._states(states)
-        out = getattr(self._scratch, "out", None)
-        if out is None or out[1].shape[1] != states.size:
-            out = self._scratch.out = _workspace(self.config, states.size)
-        return sample_rows(_forward(self.config, self.params, states, mu_rows, out)[1], u)
+        b = states.size
+        mu_rows = np.asarray(mu_rows, dtype=np.float64)
+        if mu_rows.shape != (b, cfg.n_states):
+            raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
+        kept = self._cache
+        if getattr(kept, "states", None) is None or kept.states.size != b:
+            # No row is kept yet: a state of -1 differs from every state.
+            kept.out, kept.states, kept.mu_rows = _workspace(cfg, b), np.full(b, -1), np.empty((b, cfg.n_states))
+            # The subset pass's workspace, for up to `_FULL_PASS_SHARE * b` rows.
+            kept.part = np.empty(int(_FULL_PASS_SHARE * b) * (2 * cfg.hidden + cfg.n_actions + 1))
+        changed = states != kept.states
+        changed[np.flatnonzero(mu_rows.view(np.int64) != kept.mu_rows.view(np.int64)) // cfg.n_states] = True
+        changed = np.flatnonzero(changed)
+        probs = kept.out[1][:-1]
+        if changed.size > _FULL_PASS_SHARE * b:
+            _forward(cfg, self.params, states, mu_rows, kept.out)
+            np.copyto(kept.states, states)
+            np.copyto(kept.mu_rows, mu_rows)
+        elif changed.size:
+            part = _workspace(cfg, changed.size, kept.part)
+            probs[:, changed] = _forward(cfg, self.params, states[changed], mu_rows[changed], part)[1].T
+            kept.states[changed] = states[changed]
+            kept.mu_rows[changed] = mu_rows[changed]
+        return sample_rows(probs.T, u)
 
     def lipschitz_estimate(self, trials: int, rng: np.random.Generator) -> float:
         return estimate_lipschitz_lq(self.config, self.params, trials, rng)

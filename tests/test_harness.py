@@ -351,6 +351,24 @@ class TestRunErrorVsN:
         threaded = run_error_vs_n(tiny_config(threads=3))
         assert base.rows == threaded.rows
 
+    def test_threads_do_not_change_results_over_units_of_one_size(self, monkeypatch):
+        # Two ring units of 4000 agents: with one thread, the second unit's
+        # step loop follows the first's at the same number of rows.
+        cfg = tiny_config(n_list=[100], seeds=80, episodes_per_seed=1)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        sizes = []
+        simulate = nagent._simulate
+
+        def spy(env, policy, blocks, horizon, record=False):
+            sizes.append(sum(w.n_agents for w, _, _ in blocks))
+            return simulate(env, policy, blocks, horizon, record)
+
+        monkeypatch.setattr(nagent, "_simulate", spy)
+        rows = [run_error_vs_n(dataclasses.replace(cfg, threads=t), env=env, policy=policy).rows for t in (1, 2, 3)]
+        assert sizes == [4000, 4000] * 3
+        assert rows[0] == rows[1] == rows[2]
+
     @staticmethod
     def _fixed_policy(cfg):
         pcfg = PolicyConfig(n_states=cfg.model.q, n_actions=2, hidden=cfg.hidden)

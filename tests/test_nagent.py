@@ -16,6 +16,7 @@ from oracles import (
     policy_probs,
     scalar_env as oracle_env,
 )
+from test_policy import spy_forward_rows
 from mfmarl import nagent
 from mfmarl.interaction import (
     InteractionMatrix,
@@ -308,6 +309,25 @@ class TestLockstep:
         full = ring_k_neighbor(nagent._GROUP_AGENTS, 2)
         estimate_v_marl(env, full, pol, np.zeros(full.n_agents, dtype=int), 1, 3, np.random.default_rng(30))
         assert sizes == [nagent._GROUP_AGENTS] * 3
+
+    def test_a_step_loop_keeps_no_rows_from_an_earlier_loop(self, monkeypatch):
+        # A pass over a subset of rows rounds differently in the last bit
+        # from a pass over all rows, so each loop draws through rows of its
+        # own: what the thread simulated before does not reach its results.
+        env = firm_env(q=4, k=2)
+        ws = [ring_k_neighbor(30, 2)] * 4
+        alone = _simulate(env, softmax_policy(4, seed=50), blocks_of(ws, 4, 52), 30)[0]
+        pol = softmax_policy(4, seed=50)
+        _simulate(env, pol, blocks_of(ws, 4, 51), 30)
+        assert np.array_equal(_simulate(env, pol, blocks_of(ws, 4, 52), 30)[0], alone)
+        # States that never move end one loop where the next starts; the
+        # next loop still runs the network over every row on its first step.
+        rows = spy_forward_rows(monkeypatch)
+        static, pol = constant_env(), softmax_policy(3, seed=53)
+        for _ in range(2):
+            rows.clear()
+            _simulate(static, pol, blocks_of(ws, 3, 54), 4)
+            assert rows == [120]
 
     def test_blocks_need_one_n_and_storage_form(self):
         env = firm_env(q=3, k=2)

@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import mfmarl
+from mfmarl import policy as policy_module
 
 from oracles import FunctionPolicy, onehot_network_probs, policy_probs
 from mfmarl.policy import (
@@ -177,12 +180,13 @@ class TestLogGradient:
 
 
 def lipschitz_lq_loop(cfg, phi, trials, rng):
-    """Reference: one (x, mu1, mu2) probe and two forward passes per trial."""
+    """Reference: the estimate's probes (states from the first substream of
+    `rng`, view pairs from the second), then two forward passes per trial."""
+    x_stream, mu_stream = rng.spawn(2)
+    xs = x_stream.integers(cfg.n_states, size=trials)
+    pairs = mu_stream.dirichlet(np.ones(cfg.n_states), size=(trials, 2))
     best = 0.0
-    for _ in range(trials):
-        x = int(rng.integers(cfg.n_states))
-        mu1 = rng.dirichlet(np.ones(cfg.n_states))
-        mu2 = rng.dirichlet(np.ones(cfg.n_states))
+    for x, (mu1, mu2) in zip(xs, pairs):
         d = np.abs(mu1 - mu2).sum()
         if d <= 1e-12:
             continue
@@ -347,6 +351,116 @@ class TestWorkspace:
             [sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True, text=True, timeout=120, check=True
         )
         assert float(out.stdout) <= 16
+
+
+def spy_forward_rows(monkeypatch) -> list:
+    """Record the rows of every network pass."""
+    rows = []
+    forward = policy_module._forward
+
+    def spy(cfg, phi, states, mu_rows, out=None):
+        rows.append(len(states))
+        return forward(cfg, phi, states, mu_rows, out)
+
+    monkeypatch.setattr(policy_module, "_forward", spy)
+    return rows
+
+
+class TestKeptRows:
+    """`sample_actions` keeps each row's state, view and probabilities, and
+    re-runs the network only on the rows whose state or view changed."""
+
+    def test_only_changed_rows_are_re_run(self, monkeypatch):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(16)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        states, mu_rows, _ = draw_inputs(rng, cfg, 400)
+        rows = spy_forward_rows(monkeypatch)
+
+        def check(states, mu_rows, expected_rows):
+            u = rng.random(states.size)
+            rows.clear()
+            drawn = policy.sample_actions(states, mu_rows, u)
+            assert rows == ([expected_rows] if expected_rows else [])
+            probs = policy.probs_batch(states, mu_rows)
+            kept = policy._cache.out[1][:-1].T
+            assert np.abs(kept - probs).max() <= 1e-15
+            assert np.array_equal(drawn, sample_rows(probs, u))
+
+        check(states, mu_rows, 400)
+        check(states, mu_rows, 0)
+        states = states.copy()
+        states[[3, 50, 399]] = (states[[3, 50, 399]] + 1) % 10
+        check(states, mu_rows, 3)
+        mu_rows = mu_rows.copy()
+        # The last bit of one entry is a change; an equal copy is not.
+        mu_rows[[0, 7, 8, 200, 398], 4] = np.nextafter(mu_rows[[0, 7, 8, 200, 398], 4], 1.0)
+        check(states, mu_rows, 5)
+        check(states.copy(), mu_rows.copy(), 0)
+        states, mu_rows, _ = draw_inputs(rng, cfg, 400)
+        check(states, mu_rows, 400)
+        states, mu_rows, _ = draw_inputs(rng, cfg, 7)
+        check(states, mu_rows, 7)
+        states[2] = (states[2] + 1) % 10
+        check(states, mu_rows, 1)
+
+    def test_threads_sharing_a_policy_keep_rows_of_their_own(self):
+        # Each round changes 20 of 500 states, so every call after a
+        # thread's first runs the network on a subset of its kept rows.
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(19)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        states, mu_rows, _ = draw_inputs(rng, cfg, 500)
+        rounds = []
+        for _ in range(8):
+            states = states.copy()
+            states[rng.choice(500, 20, replace=False)] = rng.integers(0, 10, 20)
+            rounds.append((states, mu_rows, rng.random(500)))
+        expected = [sample_rows(policy.probs_batch(s, m), u) for s, m, u in rounds]
+        matched = [[] for _ in range(4)]
+
+        def work(i):
+            for _ in range(25):
+                for inputs, drawn in zip(rounds, expected):
+                    matched[i].append(np.array_equal(policy.sample_actions(*inputs), drawn))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [len(m) for m in matched] == [200] * 4
+        assert all(all(m) for m in matched)
+
+    def test_pickle_and_deepcopy_give_an_equal_policy(self):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(17)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        policy.sample_actions(*draw_inputs(rng, cfg, 300))
+        inputs = draw_inputs(rng, cfg, 300)
+        for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+            assert clone.config == policy.config
+            assert np.array_equal(clone.params, policy.params)
+            assert not clone.params.flags.writeable
+            assert np.array_equal(clone.sample_actions(*inputs), policy.sample_actions(*inputs))
+
+    def test_a_copy_leaves_the_original_untouched(self):
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(18)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        policy.sample_actions(*draw_inputs(rng, cfg, 300))
+        kept = policy._cache
+        saved = [a.copy() for a in (*kept.out, kept.states, kept.mu_rows)]
+        clone = copy.copy(policy)
+        for _ in range(3):
+            clone.sample_actions(*draw_inputs(rng, cfg, 300))
+        assert all(np.array_equal(a, b) for a, b in zip(saved, (*kept.out, kept.states, kept.mu_rows)))
 
 
 class TestSerialization:
