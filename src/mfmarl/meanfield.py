@@ -64,9 +64,17 @@ def mf_values(env: EnvModel, policy, mu0s, horizon: int) -> np.ndarray:
     mus = np.asarray(mu0s, dtype=np.float64)
     if mus.ndim != 2 or mus.shape[1] != env.n_states:
         raise ValueError(f"mu0s must have shape (B, {env.n_states}), got {mus.shape}")
+    return _values(env, policy, normalized_rows(mus), horizon)
+
+
+def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
+    """Discounted values, t = 0..horizon, of the stacked recursion from the
+    (already checked) rows `mus`. Where the policy's action laws for a row do
+    not depend on the rows stacked with it, neither does its value: it then
+    equals `_MeanFieldPath.value` from that row alone, bit for bit."""
     values = np.zeros(mus.shape[0])
     discount = 1.0
-    for mus, _, probs, tables, _ in _recursion(env, policy, normalized_rows(mus), horizon):
+    for mus, _, probs, tables, _ in _recursion(env, policy, mus, horizon):
         values += discount * _mean_rewards(tables, probs, mus)
         discount *= env.gamma
     return values
@@ -89,22 +97,15 @@ class _MeanFieldPath:
     the raw rows the recursion yields: the state law `mus[t]` (|X|,), the
     action law nu_t, the per-state action laws `probs[t]` (|X|, |U|), the
     kernel `kernels[t]` (|X|, |U|, |X|) that advances it to t + 1, the reward
-    table `rewards[t]` (|X|, |U|), and the mean reward. `mf_value` reads its
-    value and trajectory; NPG shares one path between the occupancy chains of
-    an inner-regression pass and the iterate's logged value. A `Simplex` mu0
-    is kept as it is; anything else is checked by `Simplex` (a ValueError
-    naming mu0)."""
+    table `rewards[t]` (|X|, |U|); the mean rewards are formed only when a
+    value or trajectory asks for them. `mf_value` reads its value and
+    trajectory; NPG grows one path per inner-regression pass, only as far as
+    the pass's occupancy chains read it. mu0 goes through `_checked_mu0`."""
 
     def __init__(self, env: EnvModel, policy, mu0):
-        if not isinstance(mu0, Simplex):
-            try:
-                mu0 = Simplex(mu0)
-            except ValueError as err:
-                raise ValueError(f"mu0 must be a probability vector: {err}") from None
-        if len(mu0) != env.n_states:
-            raise ValueError(f"mu0 has {len(mu0)} entries, expected {env.n_states}")
+        mu0 = _checked_mu0(env, mu0)
         self.gamma = env.gamma
-        self.mus, self._nus, self._mean_rewards = [], [], []
+        self.mus, self._nus = [], []
         self.probs, self.kernels, self.rewards = [], [], []
         self._mu0 = mu0
         self._steps = _recursion(env, policy, mu0.weights[None, :])
@@ -119,28 +120,46 @@ class _MeanFieldPath:
             self.probs.append(probs[0])
             self.kernels.append(kernels[0])
             self.rewards.append(np.asarray(rewards[0], dtype=np.float64))
-            self._mean_rewards.append(_mean_rewards(rewards, probs, mus)[0])
+
+    def _rewards_to(self, horizon: int) -> np.ndarray:
+        """The mean rewards at t = 0..horizon, the steps stacked as rows (a
+        row's reduction does not depend on the rows stacked with it)."""
+        self.ensure(horizon)
+        steps = slice(0, horizon + 1)
+        return _mean_rewards(np.array(self.rewards[steps]), np.array(self.probs[steps]), np.array(self.mus[steps]))
 
     def value(self, horizon: int) -> float:
         """Discounted sum of the mean rewards at t = 0..horizon."""
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        self.ensure(horizon)
         value = 0.0
         discount = 1.0
-        for r_t in self._mean_rewards[: horizon + 1]:
+        for r_t in self._rewards_to(horizon):
             value += discount * r_t
             discount *= self.gamma
         return float(value)
 
     def trajectory(self, horizon: int) -> MFTrajectory:
         """The laws and mean rewards at t = 0..horizon."""
-        self.ensure(horizon)
+        rewards = self._rewards_to(horizon)
         return MFTrajectory(
             mus=[self._mu0] + [Simplex(mu) for mu in self.mus[1 : horizon + 1]],
             nus=[Simplex(nu) for nu in self._nus[: horizon + 1]],
-            rewards=np.array(self._mean_rewards[: horizon + 1]),
+            rewards=rewards,
         )
+
+
+def _checked_mu0(env: EnvModel, mu0) -> Simplex:
+    """mu0 as a `Simplex` over the env's states: a `Simplex` is kept as it
+    is; anything else is checked by `Simplex` (a ValueError naming mu0)."""
+    if not isinstance(mu0, Simplex):
+        try:
+            mu0 = Simplex(mu0)
+        except ValueError as err:
+            raise ValueError(f"mu0 must be a probability vector: {err}") from None
+    if len(mu0) != env.n_states:
+        raise ValueError(f"mu0 has {len(mu0)} entries, expected {env.n_states}")
+    return mu0
 
 
 def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = None):
@@ -177,7 +196,9 @@ def _next_laws(kernels: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.nd
 
 
 def _mean_rewards(rewards: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    return np.einsum("bxu,bxu,bx->b", rewards, probs, mus)
+    """Mean reward (B,) of each row: reductions over trailing axes, so that a
+    row's result does not depend on the rows stacked with it."""
+    return ((rewards * probs).sum(axis=2) * mus).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -214,8 +214,11 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
     steps = np.maximum(np.arange(q + 1)[None, :] - np.arange(q)[:, None], 0)
     hold = np.eye(q)
 
+    # mu_bar is a sum per row, not `mus @ labels`: the rounding of a BLAS
+    # product depends on the number of rows, and a law's kernel and reward
+    # table must not depend on the laws stacked with it.
     def kernel(mus, nus):
-        mu_bar = np.minimum(np.maximum(mus @ labels, 0.0), float(q))
+        mu_bar = np.minimum(np.maximum((mus * labels).sum(axis=1), 0.0), float(q))
         c = (1.0 - mu_bar / q)[:, None] * (q - labels)
         cdf = _increment_cdf(c[:, :, None], steps)
         k = np.empty((len(mus), q, 2, q))
@@ -224,7 +227,7 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         return k
 
     def reward_matrix(mus, nus):
-        mu_bar = mus @ labels
+        mu_bar = (mus * labels).sum(axis=1)
         pay = cfg.alpha_r * labels[None, :] - cfg.beta_r * mu_bar[:, None] ** cfg.sigma
         return pay[:, :, None] - cfg.lambda_r * np.array([0.0, 1.0])
 

@@ -29,6 +29,11 @@ from .simplex import Simplex, _check_indices
 # the step's arrays stay small.
 _GROUP_AGENTS = 4096
 
+# Steps whose uniforms each block draws in one call. A generator fills an
+# array in order, so the draws are those of one call per step; at
+# `_GROUP_AGENTS` agents a chunk takes 1 MiB.
+_DRAW_STEPS = 16
+
 
 @dataclass(frozen=True)
 class RolloutRecord:
@@ -89,7 +94,8 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     """Simulate steps t = 0..horizon of every block (w, initial_states, rng)
     in `blocks`, which must share one N, in one step loop on the
     block-diagonal W: each step is one `step` call over all agents, whose
-    uniforms are `rng.random((2, N))` of each block in turn, so every block
+    uniforms are `rng.random((2, N))` of each block in turn (drawn
+    `_DRAW_STEPS` steps at a time, never past the horizon), so every block
     draws exactly as a rollout of it alone would. Returns each block's
     discounted population-average return and, with `record`, the (T+1, B*N)
     states, actions and rewards (else None).
@@ -113,8 +119,10 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     returns = np.zeros(len(blocks))
     discount = 1.0
     for t in range(horizon + 1):
-        u = np.concatenate([g.random((2, n)) for g in rngs], axis=1)
-        actions, step_rewards, next_states = step(env, w, policy, states, u)
+        if t % _DRAW_STEPS == 0:
+            steps = min(_DRAW_STEPS, horizon + 1 - t)
+            draws = np.concatenate([g.random((steps, 2, n)) for g in rngs], axis=2)
+        actions, step_rewards, next_states = step(env, w, policy, states, draws[t % _DRAW_STEPS])
         if record:
             history[0][t], history[1][t], history[2][t] = states, actions, step_rewards
         states = next_states

@@ -6,8 +6,9 @@ discounted occupancy over (state, state-distribution, action) triples, each
 with an unbiased advantage estimate (one estimator: a fair coin either keeps
 or redraws the accepted action), scores them all in one backward pass, and
 then each SGD step nudges the direction toward the least-squares fit of
-advantage against the score. Each iterate's mean-field path gives its logged
-value and the next pass's samples.
+advantage against the score. Each pass draws from its own iterate's
+mean-field path, grown only as far as the pass reads it; after the loop one
+stacked recursion gives every iterate's logged value.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meanfield import _MeanFieldPath, truncation_horizon
+from .meanfield import _checked_mu0, _MeanFieldPath, _values, truncation_horizon
 from .model import EnvModel
-from .policy import PolicyConfig, SoftmaxPolicy, log_policy_gradient
+from .policy import PolicyConfig, SoftmaxPolicy, _forward, log_policy_gradient
 from .simplex import _check_finite, _check_size, sample_rows
 
 
@@ -80,8 +81,9 @@ def sample_occupancy(path: _MeanFieldPath, size: int, rng: np.random.Generator) 
         u = sample_rows(path.probs[t][x], rng.random(live.size))
         now = accept[live] == t
         states[live[now]], actions[live[now]] = x[now], u[now]
-        redraw = now & ~heads[live]
-        u[redraw] = sample_rows(path.probs[t][x[redraw]], rng.random(int(redraw.sum())))
+        redraw = np.flatnonzero(now & ~heads[live])
+        if redraw.size:
+            u[redraw] = sample_rows(path.probs[t][x[redraw]], rng.random(redraw.size))
         scored = accept[live] <= t
         total[live[scored]] += path.rewards[t][x[scored], u[scored]]
     a_hat = np.where(heads, 2.0, -2.0) * total
@@ -142,6 +144,22 @@ class TrainingResult:
                 )
 
 
+class _PolicyStack:
+    """Several policies as the one policy the stacked mean-field recursion
+    sees: `probs_batch` runs block s of its rows, one equal block per policy,
+    through policy s's parameters, and each block comes out bitwise equal to
+    that policy's `probs_batch` on its rows alone."""
+
+    def __init__(self, policies: list):
+        self.config = policies[0].config
+        self.params = np.stack([policy.params for policy in policies])
+
+    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
+        s, cfg = len(self.params), self.config
+        probs = _forward(cfg, self.params, states.reshape(s, -1), mu_rows.reshape(s, -1, cfg.n_states))[1]
+        return probs.reshape(-1, cfg.n_actions)
+
+
 def npg_train(
     env: EnvModel,
     policy_cfg: PolicyConfig,
@@ -155,17 +173,20 @@ def npg_train(
     and evaluate each iterate's mean-field value from mu0 (a `Simplex`, or a
     vector that passes its checks), truncated so the tail is below value_tol.
 
-    Each iterate builds one policy and one mean-field path: the path gives
-    the iterate's value, then feeds the next inner regression's samples,
-    whose scores come from the same policy."""
+    Each iterate builds one policy. The policy of every iterate but the last
+    also builds a mean-field path that feeds the next inner regression's
+    samples, whose scores come from the same policy; the path grows only as
+    far as the pass's chains read it. After the loop one recursion over the
+    iterates' stacked policies, one row each, gives their values."""
     horizon = truncation_horizon(env, value_tol)
+    mu0 = _checked_mu0(env, mu0)
     result = TrainingResult()
     phi = np.asarray(phi0, dtype=np.float64).copy()
     policy = SoftmaxPolicy(policy_cfg, phi)
-    path = _MeanFieldPath(env, policy, mu0)
+    policies = []
     for j in range(cfg.j_steps):
         start = time.perf_counter()
-        samples = sample_occupancy(path, cfg.l_steps, rng)
+        samples = sample_occupancy(_MeanFieldPath(env, policy, mu0), cfg.l_steps, rng)
         try:
             w = inner_sgd(policy, cfg, env.gamma, *samples)
         except TrainingDivergenceError as err:
@@ -174,11 +195,13 @@ def npg_train(
         if not np.all(np.isfinite(phi)):
             raise TrainingDivergenceError(f"non-finite parameters after outer iteration {j}")
         policy = SoftmaxPolicy(policy_cfg, phi)
-        path = _MeanFieldPath(env, policy, mu0)
+        policies.append(policy)
         result.iterates.append(phi.copy())
-        result.values.append(path.value(horizon))
         result.w_norms.append(float(np.linalg.norm(w)))
         result.wall_ms.append((time.perf_counter() - start) * 1e3)
+    # mu0 is checked once: `mf_values` would renormalize its rows again.
+    mu0s = np.tile(mu0.weights, (cfg.j_steps, 1))
+    result.values = [float(v) for v in _values(env, _PolicyStack(policies), mu0s, horizon)]
     return result
 
 

@@ -9,6 +9,7 @@ finite-difference comparison in the test suite is the correctness gate.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from dataclasses import dataclass
 
@@ -71,14 +72,16 @@ def _unpack(cfg: PolicyConfig, phi: np.ndarray, rows: tuple = ()):
 _FULL_PASS_SHARE = 0.5
 
 
-def _workspace(cfg: PolicyConfig, b: int, flat=None) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays `_forward` writes into for `b` rows: (2, B, H) for the
-    hidden layer and the gathered state rows, and (|U| + 1, B) for the
-    logits and the softmax's max and sum. Both are carved from the front of
-    the 1-d float array `flat`, fresh when None."""
-    h, s = 2 * b * cfg.hidden, (cfg.n_actions + 1) * b
+def _workspace(cfg: PolicyConfig, rows: tuple, flat=None) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays `_forward` writes into for `rows` rows, (B,) or a stack
+    (S, R): (2, *rows, H) for the hidden layer and the gathered state rows,
+    and (|U| + 1, *rows) for the logits and the softmax's max and sum. Both
+    are carved from the front of the 1-d float array `flat`, fresh when
+    None."""
+    n = math.prod(rows)
+    h, s = 2 * n * cfg.hidden, (cfg.n_actions + 1) * n
     flat = np.empty(h + s) if flat is None else flat
-    return flat[:h].reshape(2, b, cfg.hidden), flat[h : h + s].reshape(cfg.n_actions + 1, b)
+    return flat[:h].reshape(2, *rows, cfg.hidden), flat[h : h + s].reshape(cfg.n_actions + 1, *rows)
 
 
 def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, out=None):
@@ -88,27 +91,39 @@ def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, out=None):
     in). The logits are (|U|, B), so the softmax runs over contiguous action
     rows; the probabilities are their transposed view.
 
+    A stack of S parameter vectors phi (S, d) runs block s of the rows,
+    states (S, R) and views (S, R, |X|), through vector s, and gives
+    (S, R, H) and (S, R, |U|). Each block takes the matmul shapes and
+    strides of an unstacked call on its R rows, so it comes out bitwise
+    equal to that call.
+
     Every intermediate is written in place into the workspace `out` (a
     `_workspace`, fresh when None), and both results are views on it. The
     gather clips out-of-range indices instead of raising, so callers pass
     checked `states`."""
-    w1, b1, w2, b2 = _unpack(cfg, phi)
+    stacked = phi.ndim > 1
+    w1, b1, w2, b2 = _unpack(cfg, phi, phi.shape[:-1])
     q = cfg.n_states
-    (hidden, gathered), spare = _workspace(cfg, len(states)) if out is None else out
-    np.matmul(mu_rows, w1[:, q:].T, out=hidden)
+    (hidden, gathered), spare = _workspace(cfg, np.shape(states)) if out is None else out
+    np.matmul(mu_rows, w1[..., q:].swapaxes(-1, -2), out=hidden)
+    table = w1[..., :q].swapaxes(-1, -2) + b1[..., None, :]
+    if stacked:
+        # Block s gathers from its own q rows of the stacked table.
+        table = table.reshape(-1, cfg.hidden)
+        states = states + q * np.arange(len(phi))[:, None]
     # mode="raise" would go through a buffer: about 3x the time at B = 4000.
-    (w1[:, :q].T + b1).take(states, axis=0, out=gathered, mode="clip")
+    table.take(states, axis=0, out=gathered, mode="clip")
     hidden += gathered
     np.tanh(hidden, out=hidden)
     logits, row = spare[:-1], spare[-1]
-    np.matmul(w2, hidden.T, out=logits)
-    logits += b2[:, None]
+    np.matmul(w2, hidden.swapaxes(-1, -2), out=logits.swapaxes(0, -2))
+    logits += b2.T[..., None]
     logits.max(axis=0, out=row)
     logits -= row
     np.exp(logits, out=logits)
     logits.sum(axis=0, out=row)
     logits /= row
-    return hidden, logits.T
+    return hidden, logits.transpose(1, 2, 0) if stacked else logits.T
 
 
 def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, actions) -> np.ndarray:
@@ -212,19 +227,25 @@ class SoftmaxPolicy:
         kept = self._cache
         if getattr(kept, "states", None) is None or kept.states.size != b:
             # No row is kept yet: a state of -1 differs from every state.
-            kept.out, kept.states, kept.mu_rows = _workspace(cfg, b), np.full(b, -1), np.empty((b, cfg.n_states))
+            kept.out, kept.states, kept.mu_rows = _workspace(cfg, (b,)), np.full(b, -1), np.empty((b, cfg.n_states))
             # The subset pass's workspace, for up to `_FULL_PASS_SHARE * b` rows.
             kept.part = np.empty(int(_FULL_PASS_SHARE * b) * (2 * cfg.hidden + cfg.n_actions + 1))
-        changed = states != kept.states
-        changed[np.flatnonzero(mu_rows.view(np.int64) != kept.mu_rows.view(np.int64)) // cfg.n_states] = True
-        changed = np.flatnonzero(changed)
+        differ = mu_rows.view(np.int64) != kept.mu_rows.view(np.int64)
+        # More differing view entries than the share of all entries means
+        # more differing rows than the share of rows: no need to list them.
+        full = np.count_nonzero(differ) > _FULL_PASS_SHARE * differ.size
+        if not full:
+            changed = states != kept.states
+            changed[np.flatnonzero(differ) // cfg.n_states] = True
+            changed = np.flatnonzero(changed)
+            full = changed.size > _FULL_PASS_SHARE * b
         probs = kept.out[1][:-1]
-        if changed.size > _FULL_PASS_SHARE * b:
+        if full:
             _forward(cfg, self.params, states, mu_rows, kept.out)
             np.copyto(kept.states, states)
             np.copyto(kept.mu_rows, mu_rows)
         elif changed.size:
-            part = _workspace(cfg, changed.size, kept.part)
+            part = _workspace(cfg, (changed.size,), kept.part)
             probs[:, changed] = _forward(cfg, self.params, states[changed], mu_rows[changed], part)[1].T
             kept.states[changed] = states[changed]
             kept.mu_rows[changed] = mu_rows[changed]

@@ -269,6 +269,23 @@ class TestStackedValues:
         )
         self._assert_rows_match(env, mean_field_rule, horizon=25)
 
+    @pytest.mark.parametrize("q", [3, 10])
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_rows_equal_mf_value_bitwise(self, q, sigma):
+        # The kernel, reward tables and mean rewards reduce each row on its
+        # own, so a row's value does not depend on the rows stacked with it
+        # when the policy's action laws do not either. (A `SoftmaxPolicy`
+        # runs all rows through one matmul, whose rounding depends on the
+        # row count; NPG's iterate values go through per-block matmuls.)
+        env, _ = _firm(q, sigma=sigma)
+        rng = np.random.default_rng(q)
+        mu0s = np.vstack([_initial_laws(q, rng), rng.dirichlet(np.ones(q), size=40)])
+        rule = FunctionPolicy(lambda x, mu: np.array([mu.weights[x], 1.0 - mu.weights[x]]), q, 2)
+        for policy in (TabularPolicy(rng.dirichlet(np.ones(2), size=q)), rule):
+            values = mf_values(env, policy, mu0s, 60)
+            for row, v in zip(mu0s, values):
+                assert v == mf_value(env, policy, row, 1.0, horizon=60)[0]
+
     def test_single_row_and_zero_horizon(self):
         env, _ = _firm(3)
         pol = _softmax(3, seed=22)

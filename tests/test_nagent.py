@@ -402,6 +402,24 @@ class TestRecordedStream:
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
 
 
+    def test_chunked_draws_match_one_draw_per_step(self):
+        # The step loop draws its uniforms `_DRAW_STEPS` steps at a time; it
+        # takes the steps of a loop that draws each step's (2, N) on its own,
+        # and leaves the caller's stream where that loop does.
+        env = firm_env(q=4, k=2)
+        pol = softmax_policy(4, seed=44)
+        w = ring_k_neighbor(8, 2)
+        states = np.arange(8) % 4
+        horizon = 2 * nagent._DRAW_STEPS + 5
+        rng, hand = np.random.default_rng(45), np.random.default_rng(45)
+        rec = rollout(env, w, pol, states, horizon, rng)
+        hand_pol = copy.copy(pol)
+        for t in range(horizon + 1):
+            assert np.array_equal(rec.states[t], states)
+            actions, _, states = step(env, w, hand_pol, states, hand.random((2, 8)))
+            assert np.array_equal(rec.actions[t], actions)
+        assert rng.random() == hand.random()
+
 class TestConcentration:
     def test_categorical_frequency_deviation_bound(self):
         # For i.i.d. uniform categoricals, the summed absolute deviation of

@@ -10,6 +10,8 @@ from oracles import (
     tabular_env,
     toy_mdp,
 )
+from mfmarl import meanfield as meanfield_module
+from mfmarl import npg as npg_module
 from mfmarl.model import FirmModelConfig, build_firm_env
 from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
@@ -322,6 +324,35 @@ class TestNpgTrain:
         for policy, it in zip(built[1:], res.iterates):
             assert np.array_equal(policy.params, it)
 
+    def test_paths_grow_only_as_far_as_passes_read(self, monkeypatch):
+        runs = []  # [rows, steps yielded] of each mean-field recursion
+
+        def counting(env, policy, mus, horizon=None):
+            runs.append([len(mus), 0])
+            for step in recursion(env, policy, mus, horizon):
+                runs[-1][1] += 1
+                yield step
+
+        reads = []  # the last step each pass read from its path
+
+        def reading(path, size, rng):
+            for name in ("mus", "probs", "kernels", "rewards"):
+                setattr(path, name, _Reads(getattr(path, name)))
+            samples = sample(path, size, rng)
+            reads.append(max(getattr(path, name).top for name in ("mus", "probs", "kernels", "rewards")))
+            return samples
+
+        recursion, sample = meanfield_module._recursion, npg_module.sample_occupancy
+        monkeypatch.setattr(meanfield_module, "_recursion", counting)
+        monkeypatch.setattr(npg_module, "sample_occupancy", reading)
+        env, pcfg, phi = self._setup(seed=7)
+        cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=5, l_steps=30)
+        npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(12), value_tol=1e-4)
+        # One single-row path per pass, none for the last iterate, then one
+        # recursion over every iterate to the value horizon.
+        assert runs[:-1] == [[1, top + 1] for top in reads] and len(reads) == cfg.j_steps
+        assert runs[-1] == [cfg.j_steps, truncation_horizon(env, 1e-4) + 1]
+
     def test_parameters_stay_finite_and_log_written(self, tmp_path):
         env, pcfg, phi = self._setup(seed=5)
         cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=4, l_steps=20)
@@ -333,6 +364,17 @@ class TestNpgTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "j,v_mf,w_norm,wall_ms"
         assert len(lines) == 5
+
+
+class _Reads(list):
+    """A list that records the highest index read from it."""
+
+    top = -1
+
+    def __getitem__(self, i):
+        read = range(len(self))[i]
+        self.top = max(self.top, max(read, default=-1) if isinstance(read, range) else read)
+        return super().__getitem__(i)
 
 
 class TestSelectPolicy:

@@ -82,6 +82,24 @@ class TestActionDistribution:
         assert hidden.shape == (500, 16) and probs.shape == (500, n_actions)
         assert np.abs(probs - onehot_network_probs(cfg, phi, states, mu_rows)).max() <= 1e-15
 
+    def test_stacked_blocks_equal_unstacked_calls(self):
+        # Each block of a stack takes the matmul shapes and strides of an
+        # unstacked call on its rows, so it matches bitwise, not to rounding.
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            q, u, h, s = (int(rng.integers(lo, hi)) for lo, hi in ((1, 12), (1, 4), (1, 40), (1, 7)))
+            cfg = PolicyConfig(n_states=q, n_actions=u, hidden=h)
+            phis = rng.uniform(-1.0, 1.0, (s, cfg.n_params)) * rng.uniform(0.1, 50.0)
+            r = int(rng.integers(1, 25))
+            states = rng.integers(0, q, size=(s, r))
+            mu_rows = rng.dirichlet(np.ones(q), size=(s, r))
+            hidden, probs = _forward(cfg, phis, states, mu_rows)
+            assert hidden.shape == (s, r, h) and probs.shape == (s, r, u)
+            for block in range(s):
+                alone = _forward(cfg, phis[block], states[block], mu_rows[block])
+                assert np.array_equal(hidden[block], alone[0])
+                assert np.array_equal(probs[block], alone[1])
+
     def test_large_logits_give_finite_rows(self):
         cfg = PolicyConfig(n_states=3, n_actions=3, hidden=4)
         phi = np.zeros(cfg.n_params)
