@@ -84,6 +84,10 @@ class EnvModel:
       `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`
       (B, |U|) whose rows are already checked probability vectors.
+
+    `reads_nu_views` declares whether the two simulator hooks read their
+    `nu_views` argument. When it is False the simulator skips the action
+    views, an N^2 product on a dense W, and passes None in their place.
     """
 
     def __init__(
@@ -99,6 +103,7 @@ class EnvModel:
         lipschitz_p: Optional[float] = None,
         affine: Optional[AffineRewardSpec] = None,
         reward_bound: Optional[float] = None,
+        reads_nu_views: bool = True,
     ):
         _check_size("n_states", n_states)
         _check_size("n_actions", n_actions)
@@ -111,6 +116,8 @@ class EnvModel:
         for name, value in (("reward_bound", reward_bound), ("lipschitz_p", lipschitz_p)):
             if value is not None and not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not isinstance(reads_nu_views, bool):
+            raise ValueError(f"reads_nu_views must be a bool, got {reads_nu_views!r}")
         hooks = {
             "reward_batch": reward_batch,
             "transition_sample_batch": transition_sample_batch,
@@ -126,6 +133,7 @@ class EnvModel:
         self.lipschitz_p = lipschitz_p
         self.affine = affine
         self.reward_bound = float(reward_bound)
+        self.reads_nu_views = reads_nu_views
         self.reward_batch = reward_batch
         self.transition_sample_batch = transition_sample_batch
         self.kernel = kernel
@@ -193,7 +201,8 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
 
     The transition's increment law is evaluated in closed form so the
     mean-field kernel is deterministic and exact; the population simulator
-    uses the equivalent floor(chi * c) draw through the batch hook.
+    uses the equivalent floor(chi * c) draw through the batch hook. Neither
+    simulator hook reads the action views.
     """
     q = cfg.q
     labels = np.arange(1, q + 1, dtype=np.float64)
@@ -232,7 +241,7 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         return pay[:, :, None] - cfg.lambda_r * np.array([0.0, 1.0])
 
     affine = firm_affine_spec(cfg) if cfg.sigma == 1 else None
-    bound = None if affine is not None else _estimate_reward_bound(cfg)
+    bound = None if affine is not None else _firm_reward_bound(cfg)
     return EnvModel(
         n_states=q,
         n_actions=2,
@@ -240,6 +249,7 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
         lipschitz_p=estimate_firm_lipschitz_p(cfg),
         affine=affine,
         reward_bound=bound,
+        reads_nu_views=False,
         reward_batch=reward_batch,
         transition_sample_batch=transition_sample_batch,
         kernel=kernel,
@@ -247,17 +257,14 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
     )
 
 
-@cache
-def _estimate_reward_bound(cfg: FirmModelConfig, trials: int = 100_000) -> float:
-    """max |r| over a random sweep, inflated 10% (for sigma != 1 rewards);
-    computed once per (config, trials) in a process."""
-    rng = np.random.default_rng(20240)
-    labels = np.arange(1, cfg.q + 1, dtype=np.float64)
-    mu_bar = rng.dirichlet(np.ones(cfg.q), size=trials) @ labels
-    x = labels[rng.integers(cfg.q, size=trials)]
-    u = rng.integers(2, size=trials)
-    r = cfg.alpha_r * x - cfg.beta_r * mu_bar**cfg.sigma - cfg.lambda_r * u
-    return 1.1 * float(np.abs(r).max())
+def _firm_reward_bound(cfg: FirmModelConfig) -> float:
+    """Exact max |r| of the firm reward. r is affine in the level x in
+    [1, q], in mu_bar^sigma for the viewed mean level mu_bar in [1, q] and in
+    the action u in {0, 1}, so its largest and smallest values, and with
+    them max |r|, lie at the 8 corners of that box."""
+    ends = np.array([1.0, cfg.q])
+    x, mu_bar, u = np.meshgrid(ends, ends, [0.0, 1.0])
+    return float(np.abs(cfg.alpha_r * x - cfg.beta_r * mu_bar**cfg.sigma - cfg.lambda_r * u).max())
 
 
 def estimate_firm_lipschitz_p(cfg: FirmModelConfig, trials: int = 100_000) -> float:

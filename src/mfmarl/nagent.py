@@ -68,21 +68,35 @@ def _empirical_per_step(items: np.ndarray, set_size: int) -> list:
 
 
 def step(
-    env: EnvModel, w: InteractionMatrix, policy, states: np.ndarray, u: np.ndarray
+    env: EnvModel,
+    w: InteractionMatrix,
+    policy,
+    states: np.ndarray,
+    u: np.ndarray,
+    *,
+    views: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the population one step; returns the actions taken, the
     per-agent rewards and the next states.
 
     `u` holds the step's uniforms, (2, N): row 0 draws the actions through
     `policy.sample_actions`, row 1 the transitions through
-    `env.transition_sample_batch`, one uniform per agent each."""
+    `env.transition_sample_batch`, one uniform per agent each. The hooks get
+    the action views only if `env.reads_nu_views`, and None otherwise.
+
+    A step loop passes `views`, a list that is empty or holds the state
+    views of `states`: the step takes them from it, or computes them and
+    appends them. The loop empties it when an agent moved."""
     n = w.n_agents
     states = _check_indices("states", states, n, env.n_states)
     if np.shape(u) != (2, n):
         raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
-    mu_views = w.views(states, env.n_states)
+    views = [] if views is None else views
+    if not views:
+        views.append(w.views(states, env.n_states))
+    mu_views = views[0]
     actions = policy.sample_actions(states, mu_views, u[0])
-    nu_views = w.views(actions, env.n_actions)
+    nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
     rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
     next_states = np.asarray(
         env.transition_sample_batch(states, actions, mu_views, nu_views, u[1]), dtype=np.int64
@@ -96,9 +110,11 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     block-diagonal W: each step is one `step` call over all agents, whose
     uniforms are `rng.random((2, N))` of each block in turn (drawn
     `_DRAW_STEPS` steps at a time, never past the horizon), so every block
-    draws exactly as a rollout of it alone would. Returns each block's
-    discounted population-average return and, with `record`, the (T+1, B*N)
-    states, actions and rewards (else None).
+    draws exactly as a rollout of it alone would. After a step where no
+    agent moved, the next step reuses its state views, which are the same
+    bit for bit. Returns each block's discounted population-average return
+    and, with `record`, the (T+1, B*N) states, actions and rewards (else
+    None).
 
     The loop draws through a copy of `policy`, which starts with no kept
     rows: a pass over a subset of rows rounds differently in the last bit
@@ -118,13 +134,18 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
         history = (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64), np.empty(shape))
     returns = np.zeros(len(blocks))
     discount = 1.0
+    state_views = []  # the views of `states`, kept while no agent moves
     for t in range(horizon + 1):
         if t % _DRAW_STEPS == 0:
             steps = min(_DRAW_STEPS, horizon + 1 - t)
-            draws = np.concatenate([g.random((steps, 2, n)) for g in rngs], axis=2)
-        actions, step_rewards, next_states = step(env, w, policy, states, draws[t % _DRAW_STEPS])
+            chunks = [g.random((steps, 2, n)) for g in rngs]
+            draws = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=2)
+        u = draws[t % _DRAW_STEPS]
+        actions, step_rewards, next_states = step(env, w, policy, states, u, views=state_views)
         if record:
             history[0][t], history[1][t], history[2][t] = states, actions, step_rewards
+        if not np.array_equal(next_states, states):
+            state_views.clear()
         states = next_states
         returns += discount * step_rewards.reshape(len(blocks), -1).mean(axis=1)
         discount *= env.gamma

@@ -21,7 +21,6 @@ from mfmarl.model import (
     estimate_firm_lipschitz_p,
     firm_affine_spec,
     reward_constants,
-    _estimate_reward_bound,
 )
 from mfmarl.policy import PolicyConfig
 from mfmarl.simplex import Simplex
@@ -224,15 +223,23 @@ class TestBuildFirmEnv:
         with pytest.raises(AffineRewardRequiredError):
             firm_affine_spec(example_cfg(sigma=1.2))
 
-    def test_reward_bound_is_computed_once_per_config(self):
-        cfg = example_cfg(sigma=1.7)
-        first = _estimate_reward_bound(cfg)
-        assert first == _estimate_reward_bound.__wrapped__(cfg)
-        hits = _estimate_reward_bound.cache_info().hits
-        assert build_firm_env(cfg, 0.9).reward_bound == first
-        assert build_firm_env(example_cfg(sigma=1.7), 0.5).reward_bound == first
-        assert _estimate_reward_bound.cache_info().hits == hits + 2
-        assert _estimate_reward_bound(example_cfg(sigma=1.8)) != first
+    @pytest.mark.parametrize("sigma, expected", [(1.1, 9.5), (1.2, 9.5), (1.5, 15.31), (2.0, 49.5)])
+    def test_reward_bound_is_exact_max_of_reward(self, sigma, expected):
+        # The reward hook over every level and action, and views mixing levels
+        # 1 and q that put mu_bar on a fine grid of [1, q], never exceeds the
+        # declared bound and reaches it at a corner.
+        cfg = example_cfg(sigma=sigma)
+        env = build_firm_env(cfg, 0.9)
+        assert env.reward_bound == pytest.approx(expected, abs=5e-3)
+        share = np.linspace(0.0, 1.0, 1801)
+        mu_views = np.zeros((share.size, cfg.q))
+        mu_views[:, 0], mu_views[:, -1] = 1.0 - share, share
+        rewards = [
+            env.reward_batch(np.full(share.size, x), np.full(share.size, u), mu_views, None)
+            for x in range(cfg.q)
+            for u in range(2)
+        ]
+        assert np.abs(rewards).max() == env.reward_bound
 
     def test_batch_hooks_match_scalar_paths(self):
         env = build_firm_env(example_cfg(), 0.9)
@@ -327,12 +334,20 @@ class TestConfigValidation:
             ("transition_sample_batch", {"transition_sample_batch": 1.0}),
             ("kernel", {"kernel": np.zeros((1, 2, 2, 2))}),
             ("reward_matrix", {"reward_matrix": "reward"}),
+            ("reads_nu_views", {"reads_nu_views": 0}),
+            ("reads_nu_views", {"reads_nu_views": None}),
+            ("reads_nu_views", {"reads_nu_views": "False"}),
+            ("reads_nu_views", {"reads_nu_views": np.True_}),
         ],
     )
     def test_env_model_rejects_bad_inputs(self, name, kwargs):
         args = {"n_states": 2, "n_actions": 2, "reward_bound": 1.0, **HOOKS, **kwargs}
         with pytest.raises(ValueError, match=name):
             EnvModel(gamma=0.9, **args)
+
+    def test_reads_nu_views_declarations(self):
+        assert EnvModel(2, 2, 0.9, reward_bound=1.0, **HOOKS).reads_nu_views is True
+        assert build_firm_env(example_cfg(), 0.9).reads_nu_views is False
 
     @pytest.mark.parametrize("hook", sorted(HOOKS))
     def test_env_model_requires_every_hook(self, hook):

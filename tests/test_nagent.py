@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     FunctionPolicy,
+    contraction_env,
     empirical_distribution,
     exact_population_value,
     firm_scalar,
@@ -25,7 +26,7 @@ from mfmarl.interaction import (
     sinkhorn_random,
     uniform,
 )
-from mfmarl.model import AffineRewardSpec, FirmModelConfig, build_firm_env
+from mfmarl.model import AffineRewardSpec, EnvModel, FirmModelConfig, build_firm_env
 from mfmarl.nagent import _block_returns, _simulate, estimate_v_marl, rollout, step
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
@@ -119,6 +120,89 @@ class TestStep:
         env = firm_env()
         with pytest.raises(ValueError, match=r"u must have shape \(2, 3\)"):
             step(env, uniform(3), softmax_policy(3), np.array([0, 1, 2]), np.full(shape, 0.5))
+
+
+def spy_views_per_step(monkeypatch) -> list:
+    """Counts `InteractionMatrix.views` calls inside each `nagent.step` call,
+    one entry per step in call order."""
+    calls, per_step = [], []
+    views, step_fn = InteractionMatrix.views, nagent.step
+
+    def counted_views(self, items, set_size):
+        calls.append(set_size)
+        return views(self, items, set_size)
+
+    def counted_step(*args, **kwargs):
+        before = len(calls)
+        result = step_fn(*args, **kwargs)
+        per_step.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(InteractionMatrix, "views", counted_views)
+    monkeypatch.setattr(nagent, "step", counted_step)
+    return per_step
+
+
+def moved_before(states: np.ndarray) -> list:
+    """For each step t of a recorded episode, whether its states differ from
+    those of step t - 1 (step 0 has no predecessor, so True)."""
+    return [t == 0 or not np.array_equal(states[t], states[t - 1]) for t in range(len(states))]
+
+
+class TestViewsComputed:
+    @pytest.mark.parametrize(
+        "make_w",
+        [lambda: ring_k_neighbor(6, 2), lambda: sinkhorn_random(6, np.random.default_rng(5))],
+        ids=["ring", "sinkhorn"],
+    )
+    def test_firm_step_computes_state_views_only_after_a_move(self, monkeypatch, make_w):
+        # The firm hooks never read the action views, and a step after which
+        # no agent moved hands its state views to the next one.
+        env = firm_env(q=3, k=2)
+        w = make_w()
+        per_step = spy_views_per_step(monkeypatch)
+        rec = rollout(env, w, softmax_policy(3, seed=3), np.zeros(6, dtype=int), 30, np.random.default_rng(7))
+        moved = moved_before(rec.states)
+        assert 0 < sum(moved) < len(moved)
+        assert per_step == [int(m) for m in moved]
+
+    def test_reused_views_give_the_same_episode(self):
+        # A step loop that computes every view takes the same steps.
+        env = firm_env(q=3, k=2)
+        w = sinkhorn_random(6, np.random.default_rng(5))
+        pol = softmax_policy(3, seed=3)
+        rec = rollout(env, w, pol, np.zeros(6, dtype=int), 30, np.random.default_rng(7))
+        states, hand, hand_pol = np.zeros(6, dtype=int), np.random.default_rng(7), copy.copy(pol)
+        for t in range(31):
+            actions, rewards, states = step(env, w, hand_pol, states, hand.random((2, 6)))
+            assert np.array_equal(rec.actions[t], actions) and np.array_equal(rec.rewards[t], rewards)
+
+    def test_action_views_computed_when_declared(self, monkeypatch):
+        env, pol = contraction_env()
+        assert env.reads_nu_views
+        per_step = spy_views_per_step(monkeypatch)
+        rec = rollout(env, ring_k_neighbor(20, 3), pol, np.arange(20) % 2, 15, np.random.default_rng(8))
+        assert all(moved_before(rec.states))  # so no step reuses its state views
+        assert per_step == [2] * 16
+
+    def test_direct_step_counts(self, monkeypatch):
+        per_step = spy_views_per_step(monkeypatch)
+        u = np.full((2, 4), 0.5)
+        nagent.step(firm_env(q=3), uniform(4), softmax_policy(3), np.array([0, 1, 2, 0]), u)
+        env, pol = contraction_env()
+        nagent.step(env, uniform(4), pol, np.array([0, 1, 1, 0]), u)
+        assert per_step == [1, 2]
+
+    def test_hook_reading_undeclared_action_views_raises(self):
+        env, pol = contraction_env()
+        hooks = ("reward_batch", "transition_sample_batch", "kernel", "reward_matrix")
+        undeclared = EnvModel(
+            2, 2, env.gamma, affine=env.affine, reads_nu_views=False, **{h: getattr(env, h) for h in hooks}
+        )
+        # numpy rejects None as a matmul operand; which error it raises
+        # depends on the other operand.
+        with pytest.raises((TypeError, ValueError), match="matmul|NoneType"):
+            step(undeclared, uniform(4), pol, np.array([0, 1, 1, 0]), np.full((2, 4), 0.5))
 
 
 class TestRollout:
