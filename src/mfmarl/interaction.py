@@ -6,15 +6,15 @@ columns must also sum to 1 for the population-average cancellation that the
 mean-field comparison relies on.
 
 A matrix is stored in one of two forms, chosen by its builder: dense (an
-N x N array; `uniform`, `sinkhorn_random`, `load_csv` and the constructor)
-or as its nonzeros (`ring_k_neighbor`, `ring_symmetric` and
+N x N array; `uniform`, `sinkhorn_random` and the constructor) or as its
+nonzeros (`ring_k_neighbor`, `ring_symmetric` and
 `InteractionMatrix.from_nonzeros`), which costs O(nnz) memory and view work
-instead of O(N^2).
+instead of O(N^2). A dense matrix brings kept views up to date after a few
+agents changed item by a rank-m update (`InteractionMatrix.updated_views`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,24 @@ VALIDATION_TOL = 1e-9
 # SINKHORN_TOL of 1, and fails after SINKHORN_MAX_ITERS rounds.
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITERS = 10_000
+
+# `updated_views` on a dense W of at least `_UPDATE_MIN_AGENTS` agents, of
+# which at most `_UPDATE_SHARE` changed item, reads only their columns, in
+# chunks of `_UPDATE_CHUNK` (1 MiB at 4000 agents). Timed on one BLAS
+# thread, q = 10, Sinkhorn W (a range where two runs differed):
+#
+#     N      full product   update, N/8 moved   update, 5 moved
+#     128    11 us          16 us               13 us
+#     192    20 us          20 us               13 us
+#     400    160-240 us     60-75 us            16 us
+#     2000   4.4-6.0 ms     3.0-3.3 ms          0.11 ms
+#     4000   21-41 ms       23-28 ms            0.25 ms
+#
+# Below about 200 agents the update's fixed cost exceeds the product; from
+# N = 2000 on, N/4 movers cost more than the product.
+_UPDATE_MIN_AGENTS = 200
+_UPDATE_SHARE = 1 / 8
+_UPDATE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -146,20 +164,37 @@ class InteractionMatrix:
         )
         return flat.reshape(n, set_size)
 
-    def save_csv(self, path) -> None:
-        np.savetxt(path, self.weights, delimiter=",", fmt="%.17g")
+    def updated_views(
+        self, views: np.ndarray, old_items: np.ndarray, items: np.ndarray, set_size: int
+    ) -> np.ndarray:
+        """The views of `items`, given `views`, those of `old_items`: `views`
+        itself when no item changed. On a dense W of at least
+        `_UPDATE_MIN_AGENTS` agents of which m <= `_UPDATE_SHARE` * N changed,
+        a new array `views + W[:, moved] @ (E_new - E_old)`, E the one-hot
+        rows of the movers' new and old items, clamped at 0; else
+        `self.views(items, set_size)`.
 
-    @classmethod
-    def load_csv(cls, path) -> "InteractionMatrix":
-        """Read a `save_csv` file; one that is empty, not numeric, ragged or
-        not doubly stochastic raises a ValueError that names the file."""
-        try:
-            with warnings.catch_warnings():
-                # numpy only warns on an empty file
-                warnings.simplefilter("error", UserWarning)
-                return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-        except (ValueError, UserWarning) as err:
-            raise ValueError(f"interaction matrix {path}: {err}") from None
+        The update reads m columns of W instead of all N^2 entries. It rounds
+        differently from the full product: each update rounds a view entry
+        (at most 1) once more, so after k updates in a row the views are
+        within k * eps of `self.views` (measured; the tests gate (k + 1) *
+        eps). The clamp keeps an emptied state's entries from going below 0.
+        """
+        moved = np.flatnonzero(items != old_items)
+        if not moved.size:
+            return views
+        n = self.n_agents
+        if self._data is not None or n < _UPDATE_MIN_AGENTS or moved.size > _UPDATE_SHARE * n:
+            return self.views(items, set_size)
+        delta = np.zeros((moved.size, set_size))
+        rows = np.arange(moved.size)
+        delta[rows, items[moved]] = 1.0
+        delta[rows, old_items[moved]] = -1.0
+        out = views.copy()
+        for start in range(0, moved.size, _UPDATE_CHUNK):
+            chunk = slice(start, start + _UPDATE_CHUNK)
+            out += self._dense[:, moved[chunk]] @ delta[chunk]
+        return np.maximum(out, 0.0, out=out)
 
 
 def _block_diagonal(blocks) -> InteractionMatrix:

@@ -84,17 +84,23 @@ def step(
     `env.transition_sample_batch`, one uniform per agent each. The hooks get
     the action views only if `env.reads_nu_views`, and None otherwise.
 
-    A step loop passes `views`, a list that is empty or holds the state
-    views of `states`: the step takes them from it, or computes them and
-    appends them. The loop empties it when an agent moved."""
+    A step loop passes `views`, a list that is empty or holds the pair
+    (states, state views) of the step before; the loop must not change
+    those states in place. The step gets its state views from the pair by
+    `w.updated_views` (the same views when no agent moved, a rank-m update
+    on a dense W when few moved, else the full product), or by `w.views`
+    when the list is empty, and leaves its own pair in the list."""
     n = w.n_agents
     states = _check_indices("states", states, n, env.n_states)
     if np.shape(u) != (2, n):
         raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
     views = [] if views is None else views
-    if not views:
-        views.append(w.views(states, env.n_states))
-    mu_views = views[0]
+    if views:
+        kept_states, kept_views = views.pop()
+        mu_views = w.updated_views(kept_views, kept_states, states, env.n_states)
+    else:
+        mu_views = w.views(states, env.n_states)
+    views.append((states, mu_views))
     actions = policy.sample_actions(states, mu_views, u[0])
     nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
     rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
@@ -110,11 +116,10 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     block-diagonal W: each step is one `step` call over all agents, whose
     uniforms are `rng.random((2, N))` of each block in turn (drawn
     `_DRAW_STEPS` steps at a time, never past the horizon), so every block
-    draws exactly as a rollout of it alone would. After a step where no
-    agent moved, the next step reuses its state views, which are the same
-    bit for bit. Returns each block's discounted population-average return
-    and, with `record`, the (T+1, B*N) states, actions and rewards (else
-    None).
+    draws exactly as a rollout of it alone would. Each step starts from the
+    state views of the step before (see `step`). Returns each block's
+    discounted population-average return and, with `record`, the (T+1, B*N)
+    states, actions and rewards (else None).
 
     The loop draws through a copy of `policy`, which starts with no kept
     rows: a pass over a subset of rows rounds differently in the last bit
@@ -134,7 +139,7 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
         history = (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64), np.empty(shape))
     returns = np.zeros(len(blocks))
     discount = 1.0
-    state_views = []  # the views of `states`, kept while no agent moves
+    state_views = []  # (states, their views) of the step before
     for t in range(horizon + 1):
         if t % _DRAW_STEPS == 0:
             steps = min(_DRAW_STEPS, horizon + 1 - t)
@@ -144,8 +149,6 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
         actions, step_rewards, next_states = step(env, w, policy, states, u, views=state_views)
         if record:
             history[0][t], history[1][t], history[2][t] = states, actions, step_rewards
-        if not np.array_equal(next_states, states):
-            state_views.clear()
         states = next_states
         returns += discount * step_rewards.reshape(len(blocks), -1).mean(axis=1)
         discount *= env.gamma

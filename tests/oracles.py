@@ -24,7 +24,7 @@ import itertools
 import numpy as np
 
 from mfmarl.meanfield import _mean_rewards, _recursion
-from mfmarl.model import AffineRewardSpec, EnvModel, _increment_pmf
+from mfmarl.model import AffineRewardSpec, EnvModel
 from mfmarl.policy import _forward, log_policy_gradient
 from mfmarl.simplex import Simplex, sample_rows
 
@@ -168,8 +168,10 @@ def firm_transition_distribution(cfg, x: int, u: int, mu_bar: float) -> Simplex:
         out[x - 1] = 1.0
         return Simplex(out)
     c = (1.0 - mu_bar / q) * (q - x)
-    pmf = _increment_pmf(np.array([c]), q - x)[0]
-    out[x - 1 : q] = pmf
+    # floor(chi * c) for chi ~ Uniform[0, 1] has P(m) = min((m + 1)/c, 1) -
+    # min(m/c, 1), m = 0..q - x; for c <= 1 it is 0 almost surely.
+    cdf = np.minimum(np.arange(q - x + 2) / max(c, 1.0), 1.0)
+    out[x - 1 : q] = cdf[1:] - cdf[:-1]
     return Simplex(out)
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from oracles import contraction_env, empirical_distribution, inverse_cdf, scalar_env
-from mfmarl import cli, nagent
+from test_nagent import spy_view_paths
+from mfmarl import cli, interaction, nagent
 from mfmarl.harness import (
     ExperimentConfig,
     ExperimentResult,
@@ -368,6 +369,19 @@ class TestRunErrorVsN:
         rows = [run_error_vs_n(dataclasses.replace(cfg, threads=t), env=env, policy=policy).rows for t in (1, 2, 3)]
         assert sizes == [4000, 4000] * 3
         assert rows[0] == rows[1] == rows[2]
+
+    def test_threads_do_not_change_results_on_updated_dense_views(self, monkeypatch):
+        # Sinkhorn W at the size floor: each cell's step loop updates its
+        # views by the movers' columns, whichever thread runs it.
+        n = interaction._UPDATE_MIN_AGENTS
+        model = {"q": 10, "k": 5}
+        cfg = tiny_config(model=model, interaction="sinkhorn", n_list=[n], seeds=3, episodes_per_seed=1)
+        env = build_firm_env(cfg.model, cfg.gamma)
+        policy = self._fixed_policy(cfg)
+        paths = spy_view_paths(monkeypatch)
+        rows = [run_error_vs_n(dataclasses.replace(cfg, threads=t), env=env, policy=policy).rows for t in (1, 2)]
+        assert "update" in paths
+        assert rows[0] == rows[1]
 
     @staticmethod
     def _fixed_policy(cfg):

@@ -1,9 +1,8 @@
-import re
-
 import numpy as np
 import pytest
 
 from oracles import empirical_distribution, l1_distance, weighted_view
+from mfmarl import interaction
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
@@ -245,26 +244,58 @@ class TestWeightedView:
             assert np.allclose(views[i], weighted_view(w, i, items, 3).weights, atol=1e-15)
 
 
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        w = sinkhorn_random(6, np.random.default_rng(3))
-        path = tmp_path / "w.csv"
-        w.save_csv(path)
-        loaded = InteractionMatrix.load_csv(path)
-        assert np.array_equal(loaded.weights, w.weights)
+class TestUpdatedViews:
+    N = interaction._UPDATE_MIN_AGENTS
 
-    @pytest.mark.parametrize(
-        "text, reason",
-        [
-            ("", "no data"),
-            ("0.5,a\n0.5,0.5\n", "could not convert"),
-            ("0.5,0.5\n1\n", "number of columns"),
-            ("0.5,0.2\n0.5,0.5\n", "not doubly stochastic"),
-        ],
-        ids=["empty", "non-numeric", "ragged", "not-doubly-stochastic"],
-    )
-    def test_bad_csv_names_the_file(self, tmp_path, text, reason):
-        path = tmp_path / "w.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=rf"interaction matrix {re.escape(str(path))}: .*{reason}"):
-            InteractionMatrix.load_csv(path)
+    def moved(self, items, agents, size):
+        new = items.copy()
+        new[agents] = (new[agents] + 1) % size
+        return new
+
+    def test_no_change_hands_the_views_on(self):
+        rng = np.random.default_rng(60)
+        for w in (ring_k_neighbor(self.N, 5), sinkhorn_random(self.N, rng)):
+            items = rng.integers(0, 4, size=self.N)
+            views = w.views(items, 4)
+            assert w.updated_views(views, items, items.copy(), 4) is views
+
+    def test_few_movers_on_dense_w_read_their_columns(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        w = sinkhorn_random(self.N, rng)
+        items = rng.integers(0, 4, size=self.N)
+        views = w.views(items, 4)
+        kept = views.copy()
+        new = self.moved(items, rng.choice(self.N, int(interaction._UPDATE_SHARE * self.N), replace=False), 4)
+        expected = w.views(new, 4)
+        monkeypatch.setattr(InteractionMatrix, "views", None)  # the update must not call it
+        out = w.updated_views(views, items, new, 4)
+        assert np.array_equal(views, kept)  # a new array; the kept views stay
+        assert np.abs(out - expected).max() <= np.finfo(float).eps
+        assert out.min() >= 0.0
+
+    def test_full_product_otherwise(self):
+        # Ring W, too many movers, or too few agents: the update is the full
+        # product, bit for bit.
+        rng = np.random.default_rng(62)
+        share = interaction._UPDATE_SHARE
+        cases = [
+            (ring_k_neighbor(self.N, 5), 1),
+            (sinkhorn_random(self.N, rng), int(share * self.N) + 1),
+            (sinkhorn_random(self.N - 1, rng), 1),
+        ]
+        for w, movers in cases:
+            items = rng.integers(0, 4, size=w.n_agents)
+            new = self.moved(items, rng.choice(w.n_agents, movers, replace=False), 4)
+            assert np.array_equal(w.updated_views(w.views(items, 4), items, new, 4), w.views(new, 4))
+
+    def test_an_emptied_state_reads_zero_not_below(self):
+        # Every agent in state 3 leaves it: its column is the rounding of a
+        # sum back to 0, clamped at 0.
+        rng = np.random.default_rng(63)
+        w = sinkhorn_random(self.N, rng)
+        items = rng.integers(0, 3, size=self.N)
+        items[rng.choice(self.N, 20, replace=False)] = 3
+        views = w.views(items, 4)
+        out = w.updated_views(views, items, np.minimum(items, 2), 4)
+        assert out.min() >= 0.0
+        assert np.abs(out[:, 3]).max() <= np.finfo(float).eps

@@ -18,7 +18,6 @@ from mfmarl.model import (
     EnvModel,
     FirmModelConfig,
     build_firm_env,
-    estimate_firm_lipschitz_p,
     firm_affine_spec,
     reward_constants,
 )
@@ -267,15 +266,42 @@ class TestBuildFirmEnv:
                     assert np.allclose(kernel[x, u], transition(x, u, mu, nu).weights, atol=1e-14)
 
 
-class TestLipschitzEstimate:
+class TestTransitionLipschitz:
     def test_single_state_is_zero(self):
-        assert estimate_firm_lipschitz_p(FirmModelConfig(q=1, k=1)) == 0.0
+        assert build_firm_env(FirmModelConfig(q=1, k=1), 0.9).lipschitz_p == 0.0
 
-    def test_estimate_is_positive_and_inflated(self):
-        est = estimate_firm_lipschitz_p(example_cfg(), trials=30_000)
-        assert est > 0
-        full = estimate_firm_lipschitz_p(example_cfg())
-        assert full >= est / 1.5  # same law, larger probe
+    @pytest.mark.parametrize("q, expected", [(2, 0.5), (3, 4 / 3), (5, 3.2), (10, 8.1)])
+    def test_closed_form(self, q, expected):
+        assert build_firm_env(example_cfg(q=q), 0.9).lipschitz_p == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("q", [3, 5, 10])
+    def test_bounds_the_kernel_on_a_fine_grid(self, q):
+        # Laws mixing levels 1 and q put mu_bar, and with it c at every level
+        # x, on a fine grid. Between neighbouring laws the kernel moves by at
+        # most L_P times their L1 distance, and by nearly L_P where c is just
+        # above 1 at level 1.
+        env = build_firm_env(example_cfg(q=q), 0.9)
+        share = np.linspace(0.0, 1.0, 8001)
+        mus = np.zeros((share.size, q))
+        mus[:, 0], mus[:, -1] = 1.0 - share, share
+        kernels = env.kernel(mus, np.full((share.size, 2), 0.5))
+        moved = np.abs(np.diff(kernels, axis=0)).sum(axis=-1)  # (steps, x, u)
+        ratios = moved / (2 * np.diff(share))[:, None, None]
+        assert ratios.max() <= env.lipschitz_p * (1 + 1e-9)
+        assert ratios.max() >= 0.99 * env.lipschitz_p
+
+    def test_explicit_pair_reaches_the_constant(self):
+        # Level 1, invest; mass on levels 1 and 10 with c just above 1, and
+        # 1e-6 of it moved from level 1 to level 10.
+        q = 10
+        env = build_firm_env(example_cfg(q=q), 0.9)
+        mu_bar = q * (1 - (1 + 1e-5) / (q - 1))
+        mus = np.zeros((2, q))
+        mus[:, -1] = (mu_bar - 1) / (q - 1) + np.array([0.0, 1e-6])
+        mus[:, 0] = 1 - mus[:, -1]
+        kernels = env.kernel(mus, np.full((2, 2), 0.5))
+        ratio = np.abs(kernels[1, 0, 1] - kernels[0, 0, 1]).sum() / np.abs(mus[1] - mus[0]).sum()
+        assert 8.0999 <= ratio <= env.lipschitz_p
 
 
 class TestConfigValidation:

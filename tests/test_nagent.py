@@ -1,4 +1,5 @@
 import copy
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from oracles import (
     scalar_env as oracle_env,
 )
 from test_policy import spy_forward_rows
-from mfmarl import nagent
+from mfmarl import interaction, nagent
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
@@ -149,6 +150,24 @@ def moved_before(states: np.ndarray) -> list:
     return [t == 0 or not np.array_equal(states[t], states[t - 1]) for t in range(len(states))]
 
 
+def full_product_episode(env, w, pol, initial_states, horizon, rng):
+    """An episode as a loop of `step` calls without `views=`, so that every
+    step computes its state views by the full product: the (T+1, N) states,
+    actions and rewards, and the discounted return summed as `_simulate`
+    sums it."""
+    pol, states = copy.copy(pol), np.asarray(initial_states)
+    record = ([], [], [])
+    returns, discount = np.zeros(1), 1.0
+    for _ in range(horizon + 1):
+        actions, rewards, next_states = step(env, w, pol, states, rng.random((2, w.n_agents)))
+        for rows, row in zip(record, (states, actions, rewards)):
+            rows.append(row)
+        returns += discount * rewards.reshape(1, -1).mean(axis=1)
+        discount *= env.gamma
+        states = next_states
+    return (*map(np.array, record), float(returns[0]))
+
+
 class TestViewsComputed:
     @pytest.mark.parametrize(
         "make_w",
@@ -203,6 +222,107 @@ class TestViewsComputed:
         # depends on the other operand.
         with pytest.raises((TypeError, ValueError), match="matmul|NoneType"):
             step(undeclared, uniform(4), pol, np.array([0, 1, 1, 0]), np.full((2, 4), 0.5))
+
+
+def spy_view_paths(monkeypatch) -> list:
+    """How each `nagent.step` call got its state views, in call order:
+    "full" (`InteractionMatrix.views`), "update" (the movers' columns of a
+    dense W) or "reuse" (no agent moved). Each thread books its own steps."""
+    paths, local = [], threading.local()
+    views, updated, step_fn = InteractionMatrix.views, InteractionMatrix.updated_views, nagent.step
+
+    def spied_views(self, items, set_size):
+        local.path = "full"
+        return views(self, items, set_size)
+
+    def spied_updated(self, kept, old_items, items, set_size):
+        local.path = None
+        result = updated(self, kept, old_items, items, set_size)
+        if local.path is None:
+            local.path = "reuse" if result is kept else "update"
+        return result
+
+    def spied_step(*args, **kwargs):
+        result = step_fn(*args, **kwargs)
+        paths.append(local.path)
+        return result
+
+    monkeypatch.setattr(InteractionMatrix, "views", spied_views)
+    monkeypatch.setattr(InteractionMatrix, "updated_views", spied_updated)
+    monkeypatch.setattr(nagent, "step", spied_step)
+    return paths
+
+
+def expected_view_paths(states: np.ndarray) -> list:
+    """The paths of `spy_view_paths` that a step loop over these recorded
+    (T+1, N) states takes on a dense W: the full product on the first step,
+    after more than `_UPDATE_SHARE` of the agents moved, and below
+    `_UPDATE_MIN_AGENTS` agents; else the update, or reuse when none moved."""
+    n, paths = states.shape[1], ["full"]
+    for before, now in zip(states[:-1], states[1:]):
+        moved = np.count_nonzero(before != now)
+        few = n >= interaction._UPDATE_MIN_AGENTS and moved <= interaction._UPDATE_SHARE * n
+        paths.append("reuse" if moved == 0 else "update" if few else "full")
+    return paths
+
+
+class TestViewUpdate:
+    # A Sinkhorn W above the size floor; from all agents at level 1, many
+    # invest at first, then fewer and fewer, then none.
+    N = 400
+    EPS = np.finfo(float).eps
+
+    def episode_inputs(self, n):
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        return env, sinkhorn_random(n, np.random.default_rng(70)), softmax_policy(10, seed=71, hidden=16)
+
+    def test_views_stay_within_k_plus_one_eps_of_the_full_product(self, monkeypatch):
+        # After k updates in a row since the last full product, every view
+        # entry is within (k + 1) * eps of `w.views`, and none is below 0.
+        env, w, pol = self.episode_inputs(self.N)
+        full_views = InteractionMatrix.views
+        paths = spy_view_paths(monkeypatch)
+        states, kept, rng, pol = np.zeros(self.N, dtype=np.int64), [], np.random.default_rng(72), copy.copy(pol)
+        k, longest = 0, 0
+        for _ in range(200):
+            _, _, next_states = nagent.step(env, w, pol, states, rng.random((2, self.N)), views=kept)
+            k = 0 if paths[-1] == "full" else k + (paths[-1] == "update")
+            longest = max(longest, k)
+            [(kept_states, views)] = kept
+            assert kept_states is states
+            assert np.abs(views - full_views(w, states, 10)).max() <= (k + 1) * self.EPS
+            assert views.min() >= 0.0
+            states = next_states
+        assert longest >= 20
+
+    def test_paths_follow_the_movers(self, monkeypatch):
+        env, w, pol = self.episode_inputs(self.N)
+        paths = spy_view_paths(monkeypatch)
+        rec = rollout(env, w, pol, np.zeros(self.N, dtype=int), 60, np.random.default_rng(73))
+        assert paths == expected_view_paths(rec.states)
+        assert {"update", "reuse"} <= set(paths) and "full" in paths[1:]
+
+    def test_below_the_size_floor_every_move_is_a_full_product(self, monkeypatch):
+        env, w, pol = self.episode_inputs(interaction._UPDATE_MIN_AGENTS - 1)
+        paths = spy_view_paths(monkeypatch)
+        rec = rollout(env, w, pol, np.zeros(w.n_agents, dtype=int), 60, np.random.default_rng(74))
+        assert paths == expected_view_paths(rec.states)
+        assert "update" not in paths and paths.count("full") > 1
+
+    def test_rollout_takes_the_steps_of_full_products(self, monkeypatch):
+        # Same states and actions; the rewards differ only by the views'
+        # rounding: |dr| <= beta * sum(levels) * max|dview| plus a rounding
+        # of r (|r| <= 10), with max|dview| <= (T + 1) * eps.
+        env, w, pol = self.episode_inputs(self.N)
+        horizon, init = 60, np.zeros(self.N, dtype=int)
+        paths = spy_view_paths(monkeypatch)
+        rec = rollout(env, w, pol, init, horizon, np.random.default_rng(75))
+        assert "update" in paths
+        *full, full_return = full_product_episode(env, w, pol, init, horizon, np.random.default_rng(75))
+        assert np.array_equal(rec.states, full[0]) and np.array_equal(rec.actions, full[1])
+        bound = (0.5 * 55 * (horizon + 1) + 16) * self.EPS
+        np.testing.assert_allclose(rec.rewards, full[2], rtol=0.0, atol=bound)
+        assert abs(rec.discounted_return - full_return) <= bound / (1 - env.gamma)
 
 
 class TestRollout:
@@ -282,18 +402,23 @@ class TestSparseInteraction:
          (ring_symmetric, 60, 4), (ring_k_neighbor, 400, 5)],
     )
     def test_rollout_identical_to_dense_matrix(self, builder, n, k):
+        # The dense side is a loop of full-product steps: a step loop on a
+        # dense W of at least `_UPDATE_MIN_AGENTS` agents updates its views
+        # by the movers' columns, which rounds differently.
         env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
         pol = softmax_policy(10, seed=13, hidden=16)
         init = np.random.default_rng(n).integers(0, 10, size=n)
         w = builder(n, k)
         dense = InteractionMatrix(w.weights)
         a = rollout(env, w, pol, init, 12, np.random.default_rng(16))
-        b = rollout(env, dense, pol, init, 12, np.random.default_rng(16))
-        assert a.discounted_return == b.discounted_return
-        for field in ("states", "actions", "rewards"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        *b, b_return = full_product_episode(env, dense, pol, init, 12, np.random.default_rng(16))
+        assert a.discounted_return == b_return
+        for field, expected in zip(("states", "actions", "rewards"), b):
+            assert np.array_equal(getattr(a, field), expected)
         sparse_est = estimate_v_marl(env, w, pol, init, 8, 3, np.random.default_rng(17))
-        assert sparse_est == estimate_v_marl(env, dense, pol, init, 8, 3, np.random.default_rng(17))
+        streams = np.random.default_rng(17).spawn(3)
+        returns = [full_product_episode(env, dense, pol, init, 8, g)[-1] for g in streams]
+        assert sparse_est == nagent._mean_stderr(np.array(returns))
 
     def test_ring_at_hundred_thousand_agents_stays_sparse(self, monkeypatch):
         def no_dense(self):
