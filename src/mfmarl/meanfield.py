@@ -165,34 +165,25 @@ def _checked_mu0(env: EnvModel, mu0) -> Simplex:
 def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = None):
     """Yield (mus, nus, probs, reward tables, kernels) at t = 0..horizon, or
     without end when horizon is None, of the stacked mean-field recursion
-    started from the (already checked) rows `mus`. Step t's kernels are the
-    ones that advance it to step t + 1."""
+    started from the (already checked) rows `mus` (B, |X|). Step t's kernels
+    are the ones that advance it to step t + 1.
+
+    A step runs the policy once per law (`policy.action_laws`), calls the
+    env's `kernel` and `reward_matrix` hooks once each, and forms the action
+    laws nu and the next state laws from the joint mass pi(u | x, mu) mu(x)
+    by per-row reductions, each law checked like a `Simplex`."""
     if horizon is not None and horizon < 0:
         raise ValueError("horizon must be >= 0")
+    b, n_x = mus.shape
     for t in itertools.count():
-        probs, nus = _step(policy, mus)
+        probs = policy.action_laws(mus)
+        joint = np.multiply(probs, mus[:, :, None], order="C")
+        nus = normalized_rows(joint.sum(axis=1))
         kernels = env.kernel(mus, nus)
         yield mus, nus, probs, env.reward_matrix(mus, nus), kernels
         if t == horizon:
             return
-        mus = _next_laws(kernels, probs, mus)
-
-
-def _step(policy, mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state action distributions (B, |X|, |U|), evaluated as B * |X|
-    `probs_batch` rows, and the checked action laws nu (B, |U|)."""
-    b, n_x = mus.shape
-    probs = policy.probs_batch(np.arange(b * n_x) % n_x, np.repeat(mus, n_x, axis=0))
-    probs = probs.reshape(b, n_x, -1)
-    return probs, normalized_rows((mus[:, None, :] @ probs)[:, 0])
-
-
-def _next_laws(kernels: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:
-    """Checked next state laws (B, |X|): kernel rows averaged with weights
-    pi(u | x, mu) * mu(x)."""
-    b, n_x = mus.shape
-    joint = (probs * mus[:, :, None]).reshape(b, 1, -1)
-    return normalized_rows((joint @ kernels.reshape(b, -1, n_x))[:, 0])
+        mus = normalized_rows((joint.reshape(b, 1, -1) @ kernels.reshape(b, -1, n_x))[:, 0])
 
 
 def _mean_rewards(rewards: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:

@@ -168,7 +168,8 @@ def _increment_cdf(c, m):
     """P(floor(chi * c) < m) = min(m / c, 1) for chi ~ Uniform[0, 1] and
     integers m >= 0, broadcast over c and m. For c <= 1 the increment is 0
     almost surely, so c is raised to 1, which also covers c <= 0."""
-    return np.minimum(m / np.maximum(c, 1.0), 1.0)
+    cdf = m / np.maximum(c, 1.0)
+    return np.minimum(cdf, 1.0, out=cdf)
 
 
 def firm_affine_spec(cfg: FirmModelConfig) -> AffineRewardSpec:
@@ -208,25 +209,30 @@ def build_firm_env(cfg: FirmModelConfig, gamma: float) -> EnvModel:
 
     # Invest rows: P(x -> s) = cdf(s + 1 - x) - cdf(s - x) with the cdf of the
     # increment; steps[x, s] = max(s - x, 0) for s = 0..q makes it 0 for s < x.
+    # Hold rows are the identity, copied from `held` with the invest rows.
     steps = np.maximum(np.arange(q + 1)[None, :] - np.arange(q)[:, None], 0)
-    hold = np.eye(q)
+    held = np.zeros((1, q, 2, q))
+    held[0, :, 0] = np.eye(q)
+    room = q - labels
+    pay = cfg.alpha_r * labels
+    cost = cfg.lambda_r * np.array([0.0, 1.0])
 
     # mu_bar is a sum per row, not `mus @ labels`: the rounding of a BLAS
     # product depends on the number of rows, and a law's kernel and reward
-    # table must not depend on the laws stacked with it.
+    # table must not depend on the laws stacked with it. A law's mu_bar lies
+    # in [1, q], so c >= 0 needs no clip of mu_bar: rounding above q gives
+    # c <= 0, which `_increment_cdf` raises to 1 as it would raise c = 0.
     def kernel(mus, nus):
-        mu_bar = np.minimum(np.maximum((mus * labels).sum(axis=1), 0.0), float(q))
-        c = (1.0 - mu_bar / q)[:, None] * (q - labels)
+        mu_bar = (mus * labels).sum(axis=1)
+        c = (1.0 - mu_bar / q)[:, None] * room
         cdf = _increment_cdf(c[:, :, None], steps)
-        k = np.empty((len(mus), q, 2, q))
-        k[:, :, 0] = hold
-        k[:, :, 1] = cdf[..., 1:] - cdf[..., :-1]
+        k = held.repeat(len(mus), axis=0)
+        np.subtract(cdf[..., 1:], cdf[..., :-1], out=k[:, :, 1])
         return k
 
     def reward_matrix(mus, nus):
         mu_bar = (mus * labels).sum(axis=1)
-        pay = cfg.alpha_r * labels[None, :] - cfg.beta_r * mu_bar[:, None] ** cfg.sigma
-        return pay[:, :, None] - cfg.lambda_r * np.array([0.0, 1.0])
+        return (pay - (cfg.beta_r * mu_bar**cfg.sigma)[:, None])[:, :, None] - cost
 
     affine = firm_affine_spec(cfg) if cfg.sigma == 1 else None
     bound = None if affine is not None else _firm_reward_bound(cfg)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .meanfield import _checked_mu0, _MeanFieldPath, _values, truncation_horizon
 from .model import EnvModel
-from .policy import PolicyConfig, SoftmaxPolicy, _forward, log_policy_gradient
+from .policy import PolicyConfig, SoftmaxPolicy, _forward, _layers, log_policy_gradient
 from .simplex import _check_finite, _check_size, sample_rows
 
 
@@ -101,22 +101,31 @@ def inner_sgd(
 
     The scores of `policy` at every sample come from one backward pass;
     step l then forms the residual of w . score_l against a_hat_l / (1 - gamma)
-    and steps w down the residual-weighted score.
+    and steps w down the residual-weighted score, in place. Finiteness is
+    checked once, after the scan: a non-finite update makes w, and with it
+    the running sum of the iterates, non-finite for good. The error then
+    names the first step whose update was non-finite, found from the
+    residuals the scan kept.
     """
     if len(a_hat) != cfg.l_steps:
         raise ValueError(f"inner_sgd needs cfg.l_steps = {cfg.l_steps} samples, got {len(a_hat)}")
     scores = log_policy_gradient(policy.config, policy.params, states, mu_rows, actions)
-    with np.errstate(over="ignore"):
-        targets = np.asarray(a_hat, dtype=np.float64) * (1.0 / (1.0 - gamma))
     w = np.zeros(policy.config.n_params)
-    total = np.zeros_like(w)
-    for l, (g, target) in enumerate(zip(scores, targets)):
-        with np.errstate(invalid="ignore", over="ignore"):
-            h = (float(w @ g) - target) * g
-        if not np.all(np.isfinite(h)):
-            raise TrainingDivergenceError(f"non-finite update direction at inner iteration {l}")
-        w = w - cfg.alpha * h
-        total += w
+    total, h = np.zeros_like(w), np.empty_like(w)
+    residuals = np.empty(cfg.l_steps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        targets = np.asarray(a_hat, dtype=np.float64) * (1.0 / (1.0 - gamma))
+        for l, (g, target) in enumerate(zip(scores, targets)):
+            residuals[l] = residual = float(w @ g) - target
+            np.multiply(residual, g, out=h)
+            h *= cfg.alpha
+            w -= h
+            total += w
+        if not np.isfinite(total).all():
+            # Step l's update is residual_l * score_l, formed again here.
+            bad = np.flatnonzero(~np.isfinite(residuals[:, None] * scores).all(axis=1))
+            if bad.size:
+                raise TrainingDivergenceError(f"non-finite update direction at inner iteration {bad[0]}")
     return total / cfg.l_steps
 
 
@@ -146,18 +155,20 @@ class TrainingResult:
 
 class _PolicyStack:
     """Several policies as the one policy the stacked mean-field recursion
-    sees: `probs_batch` runs block s of its rows, one equal block per policy,
-    through policy s's parameters, and each block comes out bitwise equal to
-    that policy's `probs_batch` on its rows alone."""
+    sees: `action_laws` runs block s of the laws, one equal block per
+    policy, through policy s's parameters, and each block comes out bitwise
+    equal to that policy's `action_laws` on its laws alone."""
 
     def __init__(self, policies: list):
         self.config = policies[0].config
-        self.params = np.stack([policy.params for policy in policies])
+        self._size = len(policies)
+        # Each vector's layers broadcast over the laws of its block.
+        self._layers = _layers(self.config, np.stack([policy.params for policy in policies])[:, None])
 
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        s, cfg = len(self.params), self.config
-        probs = _forward(cfg, self.params, states.reshape(s, -1), mu_rows.reshape(s, -1, cfg.n_states))[1]
-        return probs.reshape(-1, cfg.n_actions)
+    def action_laws(self, mus: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        probs = _forward(cfg, self._layers, None, mus.reshape(self._size, -1, cfg.n_states))[1]
+        return probs.reshape(-1, cfg.n_states, cfg.n_actions)
 
 
 def npg_train(

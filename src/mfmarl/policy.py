@@ -73,57 +73,74 @@ _FULL_PASS_SHARE = 0.5
 
 
 def _workspace(cfg: PolicyConfig, rows: tuple, flat=None) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays `_forward` writes into for `rows` rows, (B,) or a stack
-    (S, R): (2, *rows, H) for the hidden layer and the gathered state rows,
-    and (|U| + 1, *rows) for the logits and the softmax's max and sum. Both
-    are carved from the front of the 1-d float array `flat`, fresh when
-    None."""
+    """The arrays `_forward` writes into for `rows` rows, (B,) or a stack of
+    blocks such as (L, |X|): (2, *rows, H) for the hidden layer and the
+    gathered state rows (or the views' products), and (|U| + 1, *rows) for
+    the logits and the softmax's max and sum. Both are carved from the front
+    of the 1-d float array `flat`, fresh when None."""
     n = math.prod(rows)
     h, s = 2 * n * cfg.hidden, (cfg.n_actions + 1) * n
     flat = np.empty(h + s) if flat is None else flat
     return flat[:h].reshape(2, *rows, cfg.hidden), flat[h : h + s].reshape(cfg.n_actions + 1, *rows)
 
 
-def _forward(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, out=None):
-    """The network over (state, view) rows: tanh hidden layer (B, H) and softmax
-    action probabilities (B, |U|). The one-hot half of the features
-    [one-hot(x), mu] acts as a row gather of w1's state columns (b1 folded
-    in). The logits are (|U|, B), so the softmax runs over contiguous action
-    rows; the probabilities are their transposed view.
+def _layers(cfg: PolicyConfig, phi: np.ndarray) -> tuple:
+    """The weights of the flat parameters phi (d,) as the network pass reads
+    them: the state table (|X|, H), w1's state columns transposed with b1
+    added, whose rows the one-hot half of the features gathers; the view
+    weights (|X|, H), w1's view columns transposed; w2 (|U|, H) and b2 as a
+    column (|U|, 1). A stack phi (S, 1, d) gives each with leading axes
+    (S, 1)."""
+    w1, b1, w2, b2 = _unpack(cfg, phi, phi.shape[:-1])
+    q = cfg.n_states
+    return w1[..., :q].swapaxes(-1, -2) + b1[..., None, :], w1[..., q:].swapaxes(-1, -2), w2, b2[..., None]
 
-    A stack of S parameter vectors phi (S, d) runs block s of the rows,
-    states (S, R) and views (S, R, |X|), through vector s, and gives
-    (S, R, H) and (S, R, |U|). Each block takes the matmul shapes and
-    strides of an unstacked call on its R rows, so it comes out bitwise
-    equal to that call.
+
+def _forward(cfg: PolicyConfig, layers: tuple, states, mu_rows, out=None):
+    """The network of `_layers` over (state, view) rows: tanh hidden layer
+    (B, H) and softmax action probabilities (B, |U|). The one-hot half of the
+    features [one-hot(x), mu] acts as a row gather of the state table. The
+    logits are (|U|, B), so the softmax runs over contiguous action rows; the
+    probabilities are their transposed view.
+
+    With `states` None, each view is shared by a block of |X| rows, one per
+    state in order: views (L, |X|) give (L, |X|, H) and (L, |X|, |U|), and
+    the gather is the table itself. Each view's product `(1, |X|) @ (|X|, H)`
+    and each block's `w2 @ hidden.T` is a BLAS call of its own, so a block
+    comes out bitwise equal whatever blocks are stacked with it. The layers
+    of a stack of S parameter vectors take views (S, L, |X|) and run block
+    (s, l) through vector s, with the same per-block calls.
 
     Every intermediate is written in place into the workspace `out` (a
     `_workspace`, fresh when None), and both results are views on it. The
     gather clips out-of-range indices instead of raising, so callers pass
     checked `states`."""
-    stacked = phi.ndim > 1
-    w1, b1, w2, b2 = _unpack(cfg, phi, phi.shape[:-1])
-    q = cfg.n_states
-    (hidden, gathered), spare = _workspace(cfg, np.shape(states)) if out is None else out
-    np.matmul(mu_rows, w1[..., q:].swapaxes(-1, -2), out=hidden)
-    table = w1[..., :q].swapaxes(-1, -2) + b1[..., None, :]
-    if stacked:
-        # Block s gathers from its own q rows of the stacked table.
-        table = table.reshape(-1, cfg.hidden)
-        states = states + q * np.arange(len(phi))[:, None]
-    # mode="raise" would go through a buffer: about 3x the time at B = 4000.
-    table.take(states, axis=0, out=gathered, mode="clip")
-    hidden += gathered
+    table, w_views, w2, b2 = layers
+    per_law = states is None
+    rows = (*mu_rows.shape[:-1], cfg.n_states) if per_law else np.shape(states)
+    (hidden, gathered), spare = _workspace(cfg, rows) if out is None else out
+    if per_law:
+        views = gathered[..., :1, :]
+        np.matmul(mu_rows[..., None, :], w_views, out=views)
+        np.add(views, table, out=hidden)
+    else:
+        np.matmul(mu_rows, w_views, out=hidden)
+        # mode="raise" would go through a buffer: about 3x the time at B = 4000.
+        table.take(states, axis=0, out=gathered, mode="clip")
+        hidden += gathered
     np.tanh(hidden, out=hidden)
     logits, row = spare[:-1], spare[-1]
-    np.matmul(w2, hidden.swapaxes(-1, -2), out=logits.swapaxes(0, -2))
-    logits += b2.T[..., None]
+    # The products' view of the logits: (..., |U|, rows of the block).
+    axes = range(1, logits.ndim)
+    products = logits.transpose(*axes[:-1], 0, axes[-1])
+    np.matmul(w2, hidden.swapaxes(-1, -2), out=products)
+    products += b2
     logits.max(axis=0, out=row)
     logits -= row
     np.exp(logits, out=logits)
     logits.sum(axis=0, out=row)
     logits /= row
-    return hidden, logits.transpose(1, 2, 0) if stacked else logits.T
+    return hidden, logits.transpose(*axes, 0)
 
 
 def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, actions) -> np.ndarray:
@@ -136,8 +153,9 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     mu_rows = np.asarray(mu_rows, dtype=np.float64)
     if mu_rows.shape != (b, cfg.n_states):
         raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
-    hidden, probs = _forward(cfg, phi, states, mu_rows)
-    w2 = _unpack(cfg, phi)[2]
+    layers = _layers(cfg, phi)
+    hidden, probs = _forward(cfg, layers, states, mu_rows)
+    w2 = layers[2]
     dlogits = -probs
     dlogits[np.arange(b), actions] += 1.0
     dpre = (dlogits @ w2) * (1.0 - hidden * hidden)
@@ -173,8 +191,9 @@ def estimate_lipschitz_lq(
     mu1, mu2 = mu_stream.dirichlet(np.ones(cfg.n_states), size=(trials, 2)).transpose(1, 0, 2)
     d = np.abs(mu1 - mu2).sum(axis=1)
     keep = d > 1e-12
-    pi1 = _forward(cfg, phi, x[keep], mu1[keep])[1]
-    pi2 = _forward(cfg, phi, x[keep], mu2[keep])[1]
+    layers = _layers(cfg, phi)
+    pi1 = _forward(cfg, layers, x[keep], mu1[keep])[1]
+    pi2 = _forward(cfg, layers, x[keep], mu2[keep])[1]
     ratios = np.abs(pi1 - pi2).sum(axis=1) / d[keep]
     return float(ratios.max(initial=0.0))
 
@@ -191,6 +210,7 @@ class SoftmaxPolicy:
             raise ValueError("policy parameters must be finite")
         self.params = phi.copy()
         self.params.flags.writeable = False
+        self._layers = _layers(cfg, self.params)
         # `sample_actions`'s workspace and kept rows, one set per thread: a
         # sweep's thread pool shares one policy.
         self._cache = threading.local()
@@ -206,9 +226,15 @@ class SoftmaxPolicy:
     def _states(self, states) -> np.ndarray:
         return _check_indices("states", states, np.size(states), self.config.n_states)
 
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        """One action distribution per (state, view) row, in a new array."""
-        return _forward(self.config, self.params, self._states(states), mu_rows)[1]
+    def action_laws(self, mus: np.ndarray) -> np.ndarray:
+        """The action laws pi(. | x, mu) at every state x of each law mu, a
+        row of `mus` (B, |X|), as a new (B, |X|, |U|) array: one network pass
+        with one view per law, so a law's rows do not depend on the laws
+        stacked with it."""
+        mus = np.asarray(mus, dtype=np.float64)
+        if mus.ndim != 2 or mus.shape[1] != self.config.n_states:
+            raise ValueError(f"mus must have shape (B, {self.config.n_states}), got {mus.shape}")
+        return _forward(self.config, self._layers, None, mus)[1]
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One action per (state, view) row, drawn by the row's uniform `u[i]`.
@@ -241,12 +267,12 @@ class SoftmaxPolicy:
             full = changed.size > _FULL_PASS_SHARE * b
         probs = kept.out[1][:-1]
         if full:
-            _forward(cfg, self.params, states, mu_rows, kept.out)
+            _forward(cfg, self._layers, states, mu_rows, kept.out)
             np.copyto(kept.states, states)
             np.copyto(kept.mu_rows, mu_rows)
         elif changed.size:
             part = _workspace(cfg, (changed.size,), kept.part)
-            probs[:, changed] = _forward(cfg, self.params, states[changed], mu_rows[changed], part)[1].T
+            probs[:, changed] = _forward(cfg, self._layers, states[changed], mu_rows[changed], part)[1].T
             kept.states[changed] = states[changed]
             kept.mu_rows[changed] = mu_rows[changed]
         return sample_rows(probs.T, u)

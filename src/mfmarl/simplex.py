@@ -72,16 +72,17 @@ def normalized_rows(weights: np.ndarray) -> np.ndarray:
     the first failing check raises ``ValueError``. `Simplex` applies exactly
     these checks to its single row.
     """
-    # One pass each for sign and sum; NaN fails `>= 0` and an infinite entry
-    # fails the sum test, and either is then reported as non-finite.
-    if not (weights >= 0.0).all():
-        _require_finite(weights)
-        raise ValueError(f"simplex weights must be nonnegative, got min {weights.min()}")
+    # A passing array takes one reduction each for the smallest entry and the
+    # extreme sums: NaN fails every comparison, and an infinite entry fails
+    # the sum test. Only a failing one is examined again, for its error.
     s = weights.sum(axis=-1)
-    drift = np.abs(s - 1.0) > SUM_TOLERANCE
-    if drift.any():
+    low, high = s.min(initial=1.0), s.max(initial=1.0)
+    if not (weights.min(initial=np.inf) >= 0.0 and high - 1.0 <= SUM_TOLERANCE and 1.0 - low <= SUM_TOLERANCE):
+        if not (weights >= 0.0).all():
+            _require_finite(weights)
+            raise ValueError(f"simplex weights must be nonnegative, got min {weights.min()}")
         _require_finite(weights)
-        bad = np.ravel(s)[np.ravel(drift)][0]
+        bad = np.ravel(s)[np.ravel(np.abs(s - 1.0) > SUM_TOLERANCE)][0]
         raise ValueError(f"simplex weights sum to {bad!r}, expected 1 within {SUM_TOLERANCE}")
     return weights / (s[..., None] if weights.ndim > 1 else s)
 

@@ -15,8 +15,9 @@ references checks that recursion.
 The scalar contract lives here too: `scalar_env` builds an environment's
 batched hooks from a scalar `reward(x, u, mu, nu)` and `transition(x, u,
 mu, nu)` with one call per agent or per (b, x, u), `firm_scalar` gives the
-firm model's scalar reward and transition, and `policy_probs` evaluates a
-policy at one (x, mu).
+firm model's scalar reward and transition, `policy_probs` evaluates a
+policy at one (x, mu), and `network_probs` runs a `SoftmaxPolicy`'s network
+over (state, view) rows.
 """
 
 import itertools
@@ -25,7 +26,7 @@ import numpy as np
 
 from mfmarl.meanfield import _mean_rewards, _recursion
 from mfmarl.model import AffineRewardSpec, EnvModel
-from mfmarl.policy import _forward, log_policy_gradient
+from mfmarl.policy import _forward, _layers, log_policy_gradient
 from mfmarl.simplex import Simplex, sample_rows
 
 
@@ -51,8 +52,8 @@ class TabularPolicy:
         self.table = table
         self.n_states, self.n_actions = table.shape
 
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
-        return self.table[states]
+    def action_laws(self, mus: np.ndarray) -> np.ndarray:
+        return np.tile(self.table, (len(mus), 1, 1))
 
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         return sample_rows(self.table[states], u)
@@ -70,7 +71,8 @@ class FunctionPolicy:
         self.n_states = n_states
         self.n_actions = n_actions
 
-    def probs_batch(self, states: np.ndarray, mu_rows: np.ndarray) -> np.ndarray:
+    def _rows(self, states, mu_rows) -> np.ndarray:
+        """The map at each (state, view) row, one call per row."""
         probs = np.stack(
             [np.asarray(self._fn(int(x), Simplex(row)), dtype=np.float64) for x, row in zip(states, mu_rows)]
         )
@@ -78,14 +80,29 @@ class FunctionPolicy:
             raise ValueError(f"policy function returned rows of shape {probs.shape[1:]}")
         return probs
 
+    def action_laws(self, mus: np.ndarray) -> np.ndarray:
+        n = len(mus)
+        states = np.tile(np.arange(self.n_states), n)
+        return self._rows(states, np.repeat(mus, self.n_states, axis=0)).reshape(n, self.n_states, -1)
+
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return sample_rows(self.probs_batch(states, mu_rows), u)
+        return sample_rows(self._rows(states, mu_rows), u)
 
 
 def policy_probs(policy, x: int, mu: Simplex) -> np.ndarray:
-    """The policy's action probabilities at the single (x, mu): its
-    `probs_batch` on one row."""
-    return policy.probs_batch(np.array([x]), mu.weights[None, :])[0]
+    """The policy's action probabilities at the single (x, mu): row x of its
+    `action_laws` at the one law mu."""
+    return policy.action_laws(mu.weights[None, :])[0, x]
+
+
+def network_probs(policy, states, mu_rows) -> np.ndarray:
+    """A `SoftmaxPolicy`'s action probabilities at each (state, view) row:
+    the network pass over those rows, in a new array. The states must lie in
+    range (the pass clips them)."""
+    states = np.asarray(states)
+    assert states.min(initial=0) >= 0 and states.max(initial=0) < policy.config.n_states
+    layers = _layers(policy.config, policy.params)
+    return _forward(policy.config, layers, states, np.asarray(mu_rows, dtype=np.float64))[1]
 
 
 def _agent_args(states, actions, mu_views, nu_views):
@@ -286,7 +303,7 @@ def finite_difference_log_gradient(cfg, phi, x, mu, u, step=1e-5):
     pi comes from the network pass `_forward` on one row."""
 
     def log_prob(params):
-        return float(np.log(_forward(cfg, params, [x], mu.weights[None, :])[1][0, u]))
+        return float(np.log(_forward(cfg, _layers(cfg, params), [x], mu.weights[None, :])[1][0, u]))
 
     grad = np.empty(cfg.n_params)
     for i in range(cfg.n_params):
@@ -350,7 +367,7 @@ def exact_population_value(env, reward, transition, w, policy, states, horizon):
         mu_views = np.stack(
             [weighted_view(w, i, states_now, env.n_states).weights for i in range(n)]
         )
-        probs = policy.probs_batch(states_now, mu_views)
+        probs = policy.action_laws(mu_views)[np.arange(n), states_now]
         total = 0.0
         for actions in itertools.product(range(env.n_actions), repeat=n):
             p_act = float(np.prod([probs[i, actions[i]] for i in range(n)]))

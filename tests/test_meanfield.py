@@ -18,6 +18,7 @@ from oracles import (
 from mfmarl.meanfield import (
     BoundInapplicableError,
     BoundInputs,
+    _MeanFieldPath,
     approximation_bound,
     bound_inputs,
     mf_value,
@@ -274,17 +275,36 @@ class TestStackedValues:
     def test_rows_equal_mf_value_bitwise(self, q, sigma):
         # The kernel, reward tables and mean rewards reduce each row on its
         # own, so a row's value does not depend on the rows stacked with it
-        # when the policy's action laws do not either. (A `SoftmaxPolicy`
-        # runs all rows through one matmul, whose rounding depends on the
-        # row count; NPG's iterate values go through per-block matmuls.)
+        # when the policy's action laws do not either. A `SoftmaxPolicy`'s
+        # do not: its pass makes one view product and one output product
+        # per law, each a BLAS call of its own.
         env, _ = _firm(q, sigma=sigma)
         rng = np.random.default_rng(q)
         mu0s = np.vstack([_initial_laws(q, rng), rng.dirichlet(np.ones(q), size=40)])
         rule = FunctionPolicy(lambda x, mu: np.array([mu.weights[x], 1.0 - mu.weights[x]]), q, 2)
-        for policy in (TabularPolicy(rng.dirichlet(np.ones(2), size=q)), rule):
+        network = _softmax(q, seed=q, hidden=32)
+        for policy in (TabularPolicy(rng.dirichlet(np.ones(2), size=q)), rule, network):
             values = mf_values(env, policy, mu0s, 60)
             for row, v in zip(mu0s, values):
                 assert v == mf_value(env, policy, row, 1.0, horizon=60)[0]
+
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_env_hooks_run_once_per_step(self, rows):
+        # The recursion calls the hooks through the env's attributes, once
+        # per step with every stacked law, as the benchmark's tracer sees them.
+        env, _ = _firm(4, sigma=1.2)
+        calls = {"kernel": [], "reward_matrix": []}
+        for name, log in calls.items():
+            hook = getattr(env, name)
+            setattr(env, name, lambda mus, nus, hook=hook, log=log: log.append(len(mus)) or hook(mus, nus))
+        mu0s = _initial_laws(4, np.random.default_rng(2))[:rows]
+        mf_values(env, _softmax(4, seed=26), mu0s, 17)
+        assert calls == {"kernel": [rows] * 18, "reward_matrix": [rows] * 18}
+        for log in calls.values():
+            log.clear()
+        path = _MeanFieldPath(env, _softmax(4, seed=26), Simplex(mu0s[0]))
+        path.ensure(9)
+        assert calls == {"kernel": [1] * 10, "reward_matrix": [1] * 10}
 
     def test_single_row_and_zero_horizon(self):
         env, _ = _firm(3)

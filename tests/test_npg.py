@@ -17,6 +17,7 @@ from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
     TrainingDivergenceError,
+    _PolicyStack,
     inner_sgd,
     npg_train,
     sample_occupancy,
@@ -251,6 +252,18 @@ class TestInnerSgd:
         reordered = [column[::-1] for column in samples]
         assert not np.allclose(inner_sgd(policy, cfg, 0.9, *reordered), ref, rtol=1e-6, atol=0)
 
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_divergence_names_the_first_non_finite_iteration(self, k):
+        # From sample k on, a_hat / (1 - gamma) overflows to inf, so step k's
+        # update is the first non-finite one; the check after the scan
+        # still names it.
+        env, pcfg, phi = self._setup(seed=3)
+        cfg = NPGConfig(eta=1.0, alpha=1e-3, j_steps=1, l_steps=8)
+        states, mu_rows, actions, a_hat = repeated(1, Simplex.uniform(3), 0, 1.0, 8)
+        a_hat[k:] = 1e308
+        with pytest.raises(TrainingDivergenceError, match=f"at inner iteration {k}$"):
+            inner_sgd(SoftmaxPolicy(pcfg, phi), cfg, 0.9, states, mu_rows, actions, a_hat)
+
     @pytest.mark.parametrize("count", [0, 4, 6])
     def test_wrong_sample_count_rejected(self, count):
         env, pcfg, phi = self._setup()
@@ -364,6 +377,20 @@ class TestNpgTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "j,v_mf,w_norm,wall_ms"
         assert len(lines) == 5
+
+
+class TestPolicyStack:
+    def test_blocks_equal_each_policys_action_laws(self):
+        pcfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+        rng = np.random.default_rng(30)
+        policies = [SoftmaxPolicy(pcfg, rng.uniform(-1.0, 1.0, pcfg.n_params)) for _ in range(4)]
+        for per_policy in (1, 3):
+            mus = rng.dirichlet(np.ones(10), size=4 * per_policy)
+            probs = _PolicyStack(policies).action_laws(mus)
+            assert probs.shape == (4 * per_policy, 10, 2)
+            for s, policy in enumerate(policies):
+                block = slice(s * per_policy, (s + 1) * per_policy)
+                assert np.array_equal(probs[block], policy.action_laws(mus[block]))
 
 
 class _Reads(list):

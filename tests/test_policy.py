@@ -13,11 +13,12 @@ import pytest
 import mfmarl
 from mfmarl import policy as policy_module
 
-from oracles import FunctionPolicy, onehot_network_probs, policy_probs
+from oracles import FunctionPolicy, network_probs, onehot_network_probs, policy_probs
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
     _forward,
+    _layers,
     estimate_lipschitz_lq,
     init_params,
     load_policy,
@@ -78,34 +79,58 @@ class TestActionDistribution:
         phi = rng.uniform(-1.0, 1.0, cfg.n_params)
         states = rng.integers(0, n_states, size=500)
         mu_rows = rng.dirichlet(np.ones(n_states), size=500)
-        hidden, probs = _forward(cfg, phi, states, mu_rows)
+        hidden, probs = _forward(cfg, _layers(cfg, phi), states, mu_rows)
         assert hidden.shape == (500, 16) and probs.shape == (500, n_actions)
         assert np.abs(probs - onehot_network_probs(cfg, phi, states, mu_rows)).max() <= 1e-15
 
     def test_stacked_blocks_equal_unstacked_calls(self):
-        # Each block of a stack takes the matmul shapes and strides of an
-        # unstacked call on its rows, so it matches bitwise, not to rounding.
+        # Each law of a stack, one view shared by |X| rows, takes BLAS calls
+        # of its own, so it matches the call on that law alone bitwise, not
+        # to rounding, whatever laws and parameter vectors are stacked with it.
         rng = np.random.default_rng(31)
         for _ in range(60):
             q, u, h, s = (int(rng.integers(lo, hi)) for lo, hi in ((1, 12), (1, 4), (1, 40), (1, 7)))
             cfg = PolicyConfig(n_states=q, n_actions=u, hidden=h)
             phis = rng.uniform(-1.0, 1.0, (s, cfg.n_params)) * rng.uniform(0.1, 50.0)
             r = int(rng.integers(1, 25))
-            states = rng.integers(0, q, size=(s, r))
             mu_rows = rng.dirichlet(np.ones(q), size=(s, r))
-            hidden, probs = _forward(cfg, phis, states, mu_rows)
-            assert hidden.shape == (s, r, h) and probs.shape == (s, r, u)
+            hidden, probs = _forward(cfg, _layers(cfg, phis[:, None]), None, mu_rows)
+            assert hidden.shape == (s, r, q, h) and probs.shape == (s, r, q, u)
             for block in range(s):
-                alone = _forward(cfg, phis[block], states[block], mu_rows[block])
-                assert np.array_equal(hidden[block], alone[0])
-                assert np.array_equal(probs[block], alone[1])
+                laws = _forward(cfg, _layers(cfg, phis[block]), None, mu_rows[block])
+                assert np.array_equal(hidden[block], laws[0])
+                assert np.array_equal(probs[block], laws[1])
+                law = int(rng.integers(r))
+                alone = _forward(cfg, _layers(cfg, phis[block]), None, mu_rows[block, law : law + 1])
+                assert np.array_equal(hidden[block, law], alone[0][0])
+                assert np.array_equal(probs[block, law], alone[1][0])
+
+    @pytest.mark.parametrize("laws", [1, 25])
+    def test_action_laws_match_onehot_network(self, laws):
+        # Law b's rows are the network at every state x with the view mu_b.
+        cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+        rng = np.random.default_rng(40 + laws)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        mus = rng.dirichlet(np.ones(10), size=laws)
+        probs = policy.action_laws(mus)
+        assert probs.shape == (laws, 10, 2)
+        for b in range(laws):
+            expected = onehot_network_probs(cfg, policy.params, np.arange(10), np.tile(mus[b], (10, 1)))
+            assert np.abs(probs[b] - expected).max() <= 1e-15, b
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (2, 3, 1)])
+    def test_action_laws_reject_laws_of_another_shape(self, shape):
+        cfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+        policy = SoftmaxPolicy(cfg, init_params(cfg, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="mus must have shape"):
+            policy.action_laws(np.full(shape, 1.0 / shape[-1]))
 
     def test_large_logits_give_finite_rows(self):
         cfg = PolicyConfig(n_states=3, n_actions=3, hidden=4)
         phi = np.zeros(cfg.n_params)
         phi[-3:] = [710.0, -710.0, 709.0]
         rng = np.random.default_rng(8)
-        probs = _forward(cfg, phi, rng.integers(0, 3, size=20), rng.dirichlet(np.ones(3), size=20))[1]
+        probs = _forward(cfg, _layers(cfg, phi), rng.integers(0, 3, size=20), rng.dirichlet(np.ones(3), size=20))[1]
         assert np.all(np.isfinite(probs))
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
         assert np.allclose(probs, [1.0 / (1.0 + np.exp(-1.0)), 0.0, 1.0 / (1.0 + np.exp(1.0))], rtol=1e-15)
@@ -250,7 +275,7 @@ class TestPolicyObjects:
         pol = SoftmaxPolicy(cfg, init_params(cfg, rng))
         states = rng.integers(0, 4, size=10)
         mu_rows = rng.dirichlet(np.ones(4), size=10)
-        batch = pol.probs_batch(states, mu_rows)
+        batch = network_probs(pol, states, mu_rows)
         for i in range(10):
             assert np.allclose(batch[i], policy_probs(pol, int(states[i]), Simplex(mu_rows[i])), atol=1e-14)
 
@@ -258,7 +283,7 @@ class TestPolicyObjects:
         table = np.array([[0.2, 0.8], [0.9, 0.1]])
         pol = FunctionPolicy(lambda x, mu: table[x], n_states=2, n_actions=2)
         mu_rows = np.tile(Simplex.uniform(2).weights, (2, 1))
-        assert np.array_equal(pol.probs_batch(np.arange(2), mu_rows), table)
+        assert np.array_equal(pol.action_laws(mu_rows), np.stack([table, table]))
 
     def test_rejects_bad_params(self):
         cfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
@@ -296,7 +321,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 
 class TestWorkspace:
     """`sample_actions` runs the network in a per-thread workspace that it
-    keeps between calls; `probs_batch` returns arrays of its own."""
+    keeps between calls; `action_laws` returns arrays of its own."""
 
     def test_draws_match_sample_rows_as_the_row_count_changes(self):
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
@@ -304,20 +329,20 @@ class TestWorkspace:
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
         for b in (4000, 5, 4000, 1):
             states, mu_rows, u = draw_inputs(rng, cfg, b)
-            expected = sample_rows(policy.probs_batch(states, mu_rows), u)
+            expected = sample_rows(network_probs(policy, states, mu_rows), u)
             assert np.array_equal(policy.sample_actions(states, mu_rows, u), expected), b
 
-    def test_probs_batch_result_is_not_overwritten_by_later_calls(self):
+    def test_action_laws_result_is_not_overwritten_by_later_calls(self):
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
         rng = np.random.default_rng(14)
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
-        states, mu_rows, _ = draw_inputs(rng, cfg, 300)
-        probs = policy.probs_batch(states, mu_rows)
+        _, mus, _ = draw_inputs(rng, cfg, 300)
+        probs = policy.action_laws(mus)
         kept = probs.copy()
         for _ in range(2):
             other_states, other_mu_rows, u = draw_inputs(rng, cfg, 300)
             policy.sample_actions(other_states, other_mu_rows, u)
-            policy.probs_batch(other_states, other_mu_rows)
+            policy.action_laws(other_mu_rows)
         assert np.array_equal(probs, kept)
 
     def test_threads_sharing_a_policy_draw_as_one_thread(self):
@@ -348,14 +373,14 @@ class TestWorkspace:
         assert all(all(m) for m in matched)
 
     @pytest.mark.parametrize("bad", [-1, 4])
-    @pytest.mark.parametrize("method", ["probs_batch", "sample_actions"])
+    @pytest.mark.parametrize("method", ["sample_actions"])
     def test_out_of_range_states_are_rejected(self, method, bad):
-        # The network's gather clips, so the public entry points check.
+        # The network's gather clips, so the public entry point checks.
         cfg = PolicyConfig(n_states=4, n_actions=2, hidden=8)
         policy = SoftmaxPolicy(cfg, init_params(cfg, np.random.default_rng(0)))
         args = (np.array([0, bad, 3]), np.full((3, 4), 0.25), np.full(3, 0.5))
         with pytest.raises(ValueError, match="states"):
-            getattr(policy, method)(*args[: 3 if method == "sample_actions" else 2])
+            getattr(policy, method)(*args)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc allocator setting, Linux page faults")
     def test_draws_take_few_page_faults_after_warm_up(self):
@@ -376,9 +401,9 @@ def spy_forward_rows(monkeypatch) -> list:
     rows = []
     forward = policy_module._forward
 
-    def spy(cfg, phi, states, mu_rows, out=None):
+    def spy(cfg, layers, states, mu_rows, out=None):
         rows.append(len(states))
-        return forward(cfg, phi, states, mu_rows, out)
+        return forward(cfg, layers, states, mu_rows, out)
 
     monkeypatch.setattr(policy_module, "_forward", spy)
     return rows
@@ -400,7 +425,7 @@ class TestKeptRows:
             rows.clear()
             drawn = policy.sample_actions(states, mu_rows, u)
             assert rows == ([expected_rows] if expected_rows else [])
-            probs = policy.probs_batch(states, mu_rows)
+            probs = network_probs(policy, states, mu_rows)
             kept = policy._cache.out[1][:-1].T
             assert np.abs(kept - probs).max() <= 1e-15
             assert np.array_equal(drawn, sample_rows(probs, u))
@@ -434,7 +459,7 @@ class TestKeptRows:
             states = states.copy()
             states[rng.choice(500, 20, replace=False)] = rng.integers(0, 10, 20)
             rounds.append((states, mu_rows, rng.random(500)))
-        expected = [sample_rows(policy.probs_batch(s, m), u) for s, m, u in rounds]
+        expected = [sample_rows(network_probs(policy, s, m), u) for s, m, u in rounds]
         matched = [[] for _ in range(4)]
 
         def work(i):
