@@ -52,7 +52,8 @@ def _cmd_run(args) -> int:
     for row in harness.summarize(result):
         print(
             f"N={row.n}: mean error {row.mean_error:.4f}% "
-            f"(std {row.std_error:.4f}, mean*sqrt(N) {row.mean_error_sqrt_n:.4f})"
+            f"(std {row.std_error:.4f}, mean*sqrt(N) {row.mean_error_sqrt_n:.4f}, "
+            f"gap {row.mean_gap:+.4f} +- {row.gap_stderr:.4f})"
         )
     return 0
 

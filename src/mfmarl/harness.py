@@ -128,6 +128,8 @@ class SummaryRow:
     mean_error: float
     std_error: float
     mean_error_sqrt_n: float
+    mean_gap: float
+    gap_stderr: float
 
 
 def percentage_error(v_marl: float, v_mf: float) -> float:
@@ -361,19 +363,27 @@ def _sweep(cfg: ExperimentConfig, env: EnvModel, policy) -> tuple[ExperimentResu
 
 def summarize(result: ExperimentResult) -> list[SummaryRow]:
     """Per-N mean and population standard deviation of the percentage error,
-    plus mean * sqrt(N) for eyeballing the 1/sqrt(N) rate."""
+    plus mean * sqrt(N) for eyeballing the 1/sqrt(N) rate, and the signed
+    gap `v_marl_mean - v_mf` averaged over the seeds with its standard error
+    (ddof = 1; 0 for a single seed), which keeps the bias apart from the
+    Monte Carlo noise that the absolute error folds in."""
     if not result.rows:
         raise ValueError("no rows to summarize")
     out = []
     for n in sorted({r.n for r in result.rows}):
-        errs = np.array([r.error_pct for r in result.rows if r.n == n])
+        rows = [r for r in result.rows if r.n == n]
+        errs = np.array([r.error_pct for r in rows])
+        gaps = np.array([r.v_marl_mean - r.v_mf for r in rows])
         mean = float(errs.mean())
+        gap_stderr = float(gaps.std(ddof=1) / np.sqrt(gaps.size)) if gaps.size > 1 else 0.0
         out.append(
             SummaryRow(
                 n=n,
                 mean_error=mean,
                 std_error=float(errs.std(ddof=0)),
                 mean_error_sqrt_n=mean * float(np.sqrt(n)),
+                mean_gap=float(gaps.mean()),
+                gap_stderr=gap_stderr,
             )
         )
     return out
@@ -382,9 +392,18 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 def write_summary_csv(rows: list, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["N", "mean_error", "std_error", "mean_error_sqrtN"])
+        writer.writerow(["N", "mean_error", "std_error", "mean_error_sqrtN", "mean_gap", "gap_stderr"])
         for r in rows:
-            writer.writerow([r.n, repr(r.mean_error), repr(r.std_error), repr(r.mean_error_sqrt_n)])
+            writer.writerow(
+                [
+                    r.n,
+                    repr(r.mean_error),
+                    repr(r.std_error),
+                    repr(r.mean_error_sqrt_n),
+                    repr(r.mean_gap),
+                    repr(r.gap_stderr),
+                ]
+            )
 
 
 def git_blob_hash(path) -> str:

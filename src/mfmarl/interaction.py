@@ -247,22 +247,28 @@ def ring_symmetric(n: int, k: int) -> InteractionMatrix:
 
 def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
     """Random doubly stochastic matrix by alternating row/column normalization
-    of a strictly positive random start, to `SINKHORN_TOL` in at most
-    `SINKHORN_MAX_ITERS` rounds."""
+    of a strictly positive random start K, to `SINKHORN_TOL` in at most
+    `SINKHORN_MAX_ITERS` rounds.
+
+    The loop tracks only the scaling vectors of W = diag(r) K diag(c)
+    (Sinkhorn & Knopp, 1967): from c = 1, each round sets r = 1 / (K c) and
+    c = 1 / (r K), two matrix-vector products over K. Its column sums are
+    then 1 by construction, so the stop check reads the row sums alone,
+    |r * (K c) - 1| < `SINKHORN_TOL`, and its K c is the next round's. K is
+    scaled into W in place once, after the loop, and validated like any
+    dense matrix. W agrees with alternately normalizing the full array to a
+    few eps, not bit for bit."""
     if n < 1:
         raise ValueError("n must be >= 1")
     w = rng.uniform(0.1, 1.1, size=(n, n))
-    # The row sums of the convergence check are the next normalizer.
-    row_sums = w.sum(axis=1, keepdims=True)
+    kc = w @ np.ones(n)
     for _ in range(SINKHORN_MAX_ITERS):
-        w /= row_sums
-        w /= w.sum(axis=0, keepdims=True)
-        row_sums = w.sum(axis=1, keepdims=True)
-        dev = max(
-            np.abs(row_sums - 1.0).max(),
-            np.abs(w.sum(axis=0) - 1.0).max(),
-        )
-        if dev < SINKHORN_TOL:
+        r = 1.0 / kc
+        c = 1.0 / (r @ w)
+        kc = w @ c
+        if np.abs(r * kc - 1.0).max() < SINKHORN_TOL:
+            w *= r[:, None]
+            w *= c
             return InteractionMatrix._from_dense(w)
     raise RuntimeError(
         f"sinkhorn normalization did not reach {SINKHORN_TOL:g} in {SINKHORN_MAX_ITERS} iterations"
@@ -273,6 +279,8 @@ def validate_doubly_stochastic(w, tol: float) -> ValidationReport:
     m = np.asarray(w, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError("interaction matrix needs at least one agent, got shape (0, 0)")
     return _report(m.sum(axis=1), m.sum(axis=0), float(m.min()), tol)
 
 

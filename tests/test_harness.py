@@ -292,6 +292,22 @@ class TestSummarize:
         for s in out:
             assert s.mean_error_sqrt_n == pytest.approx(c, rel=1e-12)
 
+    def test_signed_gap_and_its_standard_error(self):
+        # Gaps v_marl_mean - v_mf of -1, 0.5 and 2.5 at N = 10: mean 2/3,
+        # sample variance ((5/3)^2 + (1/6)^2 + (11/6)^2) / 2 = 37/12, so the
+        # standard error is sqrt(37/12 / 3) = sqrt(37) / 6. A single seed
+        # has a standard error of 0.
+        rows = [
+            ResultRow(10, 0, 2.0, 0.0, 3.0, 100 / 3),
+            ResultRow(10, 1, 3.5, 0.0, 3.0, 50 / 3),
+            ResultRow(10, 2, 5.5, 0.0, 3.0, 250 / 3),
+            ResultRow(20, 0, 1.0, 0.0, 1.25, 20.0),
+        ]
+        by_n = {s.n: s for s in summarize(ExperimentResult(rows=rows))}
+        assert by_n[10].mean_gap == pytest.approx(2 / 3, rel=1e-12)
+        assert by_n[10].gap_stderr == pytest.approx(np.sqrt(37) / 6, rel=1e-12)
+        assert by_n[20].mean_gap == -0.25 and by_n[20].gap_stderr == 0.0
+
 
 class TestRunErrorVsN:
     def test_rows_and_recompute_invariant(self):
@@ -497,7 +513,7 @@ class TestPersistence:
         header = first.decode().splitlines()[0]
         assert header == "N,seed,v_marl_mean,v_marl_stderr,v_mf,error_pct"
         summary = (tmp_path / "results_summary.csv").read_text().splitlines()
-        assert summary[0] == "N,mean_error,std_error,mean_error_sqrtN"
+        assert summary[0] == "N,mean_error,std_error,mean_error_sqrtN,mean_gap,gap_stderr"
         curve = (tmp_path / "results_training.csv").read_text().splitlines()
         assert curve[0] == "j,v_mf,w_norm,wall_ms"
         assert [int(line.split(",")[0]) for line in curve[1:]] == list(range(1, cfg.npg.j_steps + 1))
