@@ -40,7 +40,6 @@ from .npg import (
 from .policy import (
     PolicyConfig,
     SoftmaxPolicy,
-    estimate_lipschitz_lq,
     init_params,
     load_policy,
     log_policy_gradient,
@@ -67,7 +66,6 @@ __all__ = [
     "approximation_bound",
     "bound_inputs",
     "build_firm_env",
-    "estimate_lipschitz_lq",
     "estimate_v_marl",
     "init_params",
     "inner_sgd",

@@ -37,11 +37,8 @@ def _load(args) -> harness.ExperimentConfig:
         if key in flags:
             raw[key] = flags[key]
     model = raw.get("model")
-    if isinstance(model, dict):
-        if "gamma" in flags:  # --gamma replaces a model.gamma
-            model.pop("gamma", None)
-        if "sigma" in flags:
-            model["sigma"] = flags["sigma"]
+    if isinstance(model, dict) and "sigma" in flags:
+        model["sigma"] = flags["sigma"]
     return harness.parse_config(raw)
 
 

@@ -17,7 +17,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -34,7 +34,7 @@ from .meanfield import (
 )
 from .model import AffineRewardRequiredError, EnvModel, FirmModelConfig, build_firm_env
 from .nagent import _block_returns, _group_size, _mean_stderr
-from .npg import NPGConfig, npg_train, select_policy
+from .npg import NPGConfig, TrainingResult, npg_train, select_policy
 from .policy import PolicyConfig, SoftmaxPolicy, init_params, save_policy
 from .simplex import Simplex, _check_finite, _check_size, normalized_rows, sample_rows
 
@@ -106,20 +106,8 @@ class ExperimentResult:
     skipped: list = field(default_factory=list)  # (n, seed, reason)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["N", "seed", "v_marl_mean", "v_marl_stderr", "v_mf", "error_pct"])
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.n,
-                        r.seed,
-                        repr(r.v_marl_mean),
-                        repr(r.v_marl_stderr),
-                        repr(r.v_mf),
-                        repr(r.error_pct),
-                    ]
-                )
+        header = ["N", "seed", "v_marl_mean", "v_marl_stderr", "v_mf", "error_pct"]
+        _write_rows(path, header, map(astuple, self.rows))
 
 
 @dataclass(frozen=True)
@@ -130,6 +118,16 @@ class SummaryRow:
     mean_error_sqrt_n: float
     mean_gap: float
     gap_stderr: float
+
+
+def _write_rows(path, header: list, rows) -> None:
+    """A CSV file of `header` and then `rows`: an integer written as is,
+    any other value as the repr of its float, which reads back exactly."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row])
 
 
 def percentage_error(v_marl: float, v_mf: float) -> float:
@@ -216,15 +214,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown keys are rejected at every level, counts must be JSON integers,
     real values finite JSON numbers, and `model.q`, `model.k` are required.
     The JSON key `interaction` fills `interaction_kind`, and `mu0` is
-    `"uniform"` or a list. `gamma` may live at the top level, inside the
-    model section, or both (they must then agree)."""
-    model = raw.get("model") if isinstance(raw, dict) else None
-    if isinstance(model, dict) and "gamma" in model:
-        model = dict(model)
-        gamma = _real(model.pop("gamma"), "model.gamma")
-        if "gamma" in raw and raw["gamma"] != gamma:
-            raise ValueError(f"model gamma {gamma} conflicts with top-level gamma {raw['gamma']}")
-        raw = {**raw, "model": model, "gamma": gamma}
+    `"uniform"` or a list."""
     return _section(ExperimentConfig, raw)
 
 
@@ -272,7 +262,7 @@ def train_policy(cfg: ExperimentConfig, env: EnvModel, log_path=None) -> tuple[S
         "mean_v_mf": mean_value,
     }
     if log_path is not None:
-        result.write_log(log_path)
+        write_training_csv(result, log_path)
     return SoftmaxPolicy(policy_cfg, best_phi), info
 
 
@@ -390,20 +380,15 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 
 
 def write_summary_csv(rows: list, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "mean_error", "std_error", "mean_error_sqrtN", "mean_gap", "gap_stderr"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.n,
-                    repr(r.mean_error),
-                    repr(r.std_error),
-                    repr(r.mean_error_sqrt_n),
-                    repr(r.mean_gap),
-                    repr(r.gap_stderr),
-                ]
-            )
+    header = ["N", "mean_error", "std_error", "mean_error_sqrtN", "mean_gap", "gap_stderr"]
+    _write_rows(path, header, map(astuple, rows))
+
+
+def write_training_csv(result: TrainingResult, path) -> None:
+    """The training curve: one row per outer iteration with the iterate's
+    mean-field value, the norm of its update direction and its wall time."""
+    rows = zip(range(1, len(result.values) + 1), result.values, result.w_norms, result.wall_ms)
+    _write_rows(path, ["j", "v_mf", "w_norm", "wall_ms"], rows)
 
 
 def git_blob_hash(path) -> str:
@@ -434,16 +419,15 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate the approximation bound for each population size using the
     environment's declared constants and gamma and the trained policy's
-    sampled Lipschitz constant; inapplicable where `approximation_bound`
-    says so."""
+    Lipschitz bound (`SoftmaxPolicy.lipschitz_bound`); inapplicable where
+    `approximation_bound` says so."""
     if env is None:
         env = build_firm_env(cfg.model, cfg.gamma)
     if env.affine is None:
         raise AffineRewardRequiredError("the bound requires the affine (sigma = 1) reward")
     if policy is None:
         policy, _ = train_policy(cfg, env)
-    lipschitz_pi = policy.lipschitz_estimate(trials=5000, rng=np.random.default_rng([cfg.npg.seed, 3]))
-    inputs = bound_inputs(env, lipschitz_pi, n_agents=int(cfg.n_list[0]))
+    inputs = bound_inputs(env, policy.lipschitz_bound(), n_agents=int(cfg.n_list[0]))
     try:
         bounds = {int(n): approximation_bound(replace(inputs, n_agents=int(n))) for n in cfg.n_list}
     except BoundInapplicableError as err:

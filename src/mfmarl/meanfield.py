@@ -243,8 +243,8 @@ class BoundInputs:
 
 
 def bound_inputs(env: EnvModel, lipschitz_pi: float, n_agents: int) -> BoundInputs:
-    """Assemble bound constants from an affine environment and a policy
-    Lipschitz estimate."""
+    """Assemble bound constants from an affine environment and a bound on
+    the policy's Lipschitz constant in mu."""
     if env.affine is None:
         raise AffineRewardRequiredError(
             "the approximation bound requires a reward affine in (mu, nu)"

@@ -13,7 +13,6 @@ stacked recursion gives every iterate's logged value.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 
@@ -137,20 +136,6 @@ class TrainingResult:
     values: list = field(default_factory=list)
     w_norms: list = field(default_factory=list)
     wall_ms: list = field(default_factory=list)
-
-    def write_log(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "v_mf", "w_norm", "wall_ms"])
-            for j in range(len(self.values)):
-                writer.writerow(
-                    [
-                        j + 1,
-                        repr(float(self.values[j])),
-                        repr(float(self.w_norms[j])),
-                        repr(float(self.wall_ms[j])),
-                    ]
-                )
 
 
 class _PolicyStack:

@@ -173,31 +173,6 @@ def log_policy_gradient(cfg: PolicyConfig, phi: np.ndarray, states, mu_rows, act
     return grad
 
 
-def estimate_lipschitz_lq(
-    cfg: PolicyConfig, phi: np.ndarray, trials: int, rng: np.random.Generator
-) -> float:
-    """Sampled lower bound on the policy's Lipschitz constant in mu:
-    running max of |pi(x, mu1) - pi(x, mu2)|_1 / |mu1 - mu2|_1.
-
-    The probes are drawn as arrays, the states `x` from one substream
-    spawned from `rng` and the (mu1, mu2) pairs from another, so the
-    estimate for a larger trial count extends the same probes; the network
-    then runs once over all probes of each side.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    x_stream, mu_stream = rng.spawn(2)
-    x = x_stream.integers(cfg.n_states, size=trials)
-    mu1, mu2 = mu_stream.dirichlet(np.ones(cfg.n_states), size=(trials, 2)).transpose(1, 0, 2)
-    d = np.abs(mu1 - mu2).sum(axis=1)
-    keep = d > 1e-12
-    layers = _layers(cfg, phi)
-    pi1 = _forward(cfg, layers, x[keep], mu1[keep])[1]
-    pi2 = _forward(cfg, layers, x[keep], mu2[keep])[1]
-    ratios = np.abs(pi1 - pi2).sum(axis=1) / d[keep]
-    return float(ratios.max(initial=0.0))
-
-
 class SoftmaxPolicy:
     """Parameter-bound policy, evaluated on (state, view) rows."""
 
@@ -277,8 +252,29 @@ class SoftmaxPolicy:
             kept.mu_rows[changed] = mu_rows[changed]
         return sample_rows(probs.T, u)
 
-    def lipschitz_estimate(self, trials: int, rng: np.random.Generator) -> float:
-        return estimate_lipschitz_lq(self.config, self.params, trials, rng)
+    def lipschitz_bound(self) -> float:
+        """An upper bound on the policy's Lipschitz constant in the view,
+        |pi(x, mu1) - pi(x, mu2)|_1 <= L |mu1 - mu2|_1 at every state x:
+
+            L = 1/4 * sum_h range_u(w2[u, h]) * range_x(w1[h, |X| + x]),
+
+        with range the largest entry less the smallest. Along the segment
+        from mu1 to mu2, a change dmu moves the hidden units by dh and the
+        logits by dz = w2 @ dh:
+
+        1. dpi_u = pi_u * (dz_u - E_pi[dz]), so |dpi|_1 is the mean absolute
+           deviation of dz under pi, at most range_u(dz) / 2;
+        2. range_u(dz) <= sum_h range_u(w2[:, h]) * |dh_h|;
+        3. dh_h = tanh' * (w1[h, |X|:] @ dmu) with tanh' <= 1, and dmu sums
+           to 0, so shifting that row by a constant changes nothing and
+           |dh_h| <= range_x(w1[h, |X|:]) * |dmu|_1 / 2.
+
+        The bound is attained in the limit where pi is uniform over two
+        actions and a single hidden unit sits at tanh' = 1."""
+        w1, _, w2, _ = _unpack(self.config, self.params)
+        views = w1[:, self.config.n_states :]
+        spread = np.ptp(w2, axis=0) * np.ptp(views, axis=1)
+        return float(spread.sum()) / 4.0
 
 
 def save_policy(path, cfg: PolicyConfig, phi: np.ndarray) -> None:
@@ -311,6 +307,14 @@ def load_policy(path) -> tuple[PolicyConfig, np.ndarray]:
         raise ValueError(f"checkpoint {path}: header sizes must be integers >= 1, got {sizes}")
     n_states, n_actions, hidden, d = sizes
     cfg = PolicyConfig(n_states, n_actions, hidden)
-    if phi.size != d or phi.size != cfg.n_params:
+    if d != cfg.n_params:
+        raise ValueError(
+            f"checkpoint {path}: header says d = {d}, but n_states, n_actions, hidden = "
+            f"{n_states}, {n_actions}, {hidden} make {cfg.n_params} parameters"
+        )
+    if phi.size != d:
         raise ValueError(f"checkpoint {path} holds {phi.size} parameters, header says {d}")
+    bad = np.flatnonzero(~np.isfinite(phi))
+    if bad.size:
+        raise ValueError(f"checkpoint {path}: parameter {bad[0]} is {phi[bad[0]]}, parameters must be finite")
     return cfg, phi

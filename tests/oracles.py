@@ -17,7 +17,8 @@ batched hooks from a scalar `reward(x, u, mu, nu)` and `transition(x, u,
 mu, nu)` with one call per agent or per (b, x, u), `firm_scalar` gives the
 firm model's scalar reward and transition, `policy_probs` evaluates a
 policy at one (x, mu), and `network_probs` runs a `SoftmaxPolicy`'s network
-over (state, view) rows.
+over (state, view) rows. `estimate_lipschitz_lq` samples a network's
+Lipschitz constant in mu from below.
 """
 
 import itertools
@@ -39,6 +40,31 @@ def inverse_cdf(weights, u):
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
+def estimate_lipschitz_lq(cfg, phi, trials: int, rng: np.random.Generator) -> float:
+    """Sampled lower bound on a network's Lipschitz constant in mu: running
+    max of |pi(x, mu1) - pi(x, mu2)|_1 / |mu1 - mu2|_1.
+
+    The probes are drawn as arrays, the states `x` from one substream
+    spawned from `rng` and the (mu1, mu2) pairs from another, so the
+    estimate for a larger trial count extends the same probes; the network
+    then runs once over all probes of each side. It can only read below
+    `SoftmaxPolicy.lipschitz_bound`, so a gate that reads it instead is the
+    stricter check.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    x_stream, mu_stream = rng.spawn(2)
+    x = x_stream.integers(cfg.n_states, size=trials)
+    mu1, mu2 = mu_stream.dirichlet(np.ones(cfg.n_states), size=(trials, 2)).transpose(1, 0, 2)
+    d = np.abs(mu1 - mu2).sum(axis=1)
+    keep = d > 1e-12
+    layers = _layers(cfg, phi)
+    pi1 = _forward(cfg, layers, x[keep], mu1[keep])[1]
+    pi2 = _forward(cfg, layers, x[keep], mu2[keep])[1]
+    ratios = np.abs(pi1 - pi2).sum(axis=1) / d[keep]
+    return float(ratios.max(initial=0.0))
+
+
 class TabularPolicy:
     """Fixed per-state action distributions, independent of the state
     distribution (so its Lipschitz constant in mu is exactly zero)."""
@@ -58,7 +84,7 @@ class TabularPolicy:
     def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         return sample_rows(self.table[states], u)
 
-    def lipschitz_estimate(self, trials: int, rng) -> float:
+    def lipschitz_bound(self) -> float:
         return 0.0
 
 

@@ -14,6 +14,7 @@ from oracles import (
     dp_q_and_v,
     exact_population_value,
     empirical_distribution,
+    estimate_lipschitz_lq,
     finite_difference_log_gradient,
     firm_scalar,
     inverse_cdf,
@@ -38,7 +39,6 @@ from mfmarl.npg import sample_occupancy
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
-    estimate_lipschitz_lq,
     init_params,
     log_policy_gradient,
 )

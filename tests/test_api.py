@@ -21,7 +21,6 @@ EXPORTS = [
     "approximation_bound",
     "bound_inputs",
     "build_firm_env",
-    "estimate_lipschitz_lq",
     "estimate_v_marl",
     "init_params",
     "inner_sgd",

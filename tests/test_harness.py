@@ -71,10 +71,9 @@ class TestConfigParsing:
             parse_config({"model": {"q": 3, "k": 2}, "npg": {"foo": 2}})
 
     def test_gamma_in_model_section(self):
-        cfg = parse_config({"model": {"q": 3, "k": 2, "gamma": 0.8}})
-        assert cfg.gamma == 0.8
-        with pytest.raises(ValueError, match="conflicts"):
-            parse_config({"model": {"q": 3, "k": 2, "gamma": 0.8}, "gamma": 0.9})
+        # gamma has one place, the top level; the model section does not know it.
+        with pytest.raises(ValueError, match=re.escape("unknown model config keys: ['gamma']")):
+            parse_config({"model": {"q": 3, "k": 2, "gamma": 0.8}})
 
     def test_npg_gamma_rejected(self):
         with pytest.raises(ValueError, match="unknown npg"):
@@ -117,7 +116,7 @@ class TestConfigParsing:
         [
             ("gamma", {"gamma": "0.5"}),
             ("gamma", {"gamma": True}),
-            ("model.gamma", {"model": {"q": 3, "k": 2, "gamma": "0.5"}}),
+            ("gamma", {"gamma": float("nan")}),
             ("horizon_tol", {"horizon_tol": "0.01"}),
             ("horizon_tol", {"horizon_tol": float("inf")}),
             ("npg.eta", {"npg": {"eta": "0.1"}}),
@@ -244,7 +243,7 @@ class TestConfigParsing:
         "raw",
         [
             {"model": {"q": 10, "k": 5}},
-            {"model": {"q": 3, "k": 2, "gamma": 0.8, "sigma": 1.2}, "interaction": "sinkhorn",
+            {"model": {"q": 3, "k": 2, "sigma": 1.2}, "gamma": 0.8, "interaction": "sinkhorn",
              "mu0": [0.5, 0.25, 0.25]},
             {"model": {"q": 4, "k": 2}, "threads": 2},
         ],
@@ -660,17 +659,6 @@ class TestCli:
         cfg_path.write_text(json.dumps([{"model": {"q": 3, "k": 2}}]))
         with pytest.raises(ValueError, match="config must be a JSON object"):
             cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv"), *flags])
-
-    def test_gamma_override_replaces_model_gamma(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"model": {"q": 3, "k": 2, "gamma": 0.8}, "gamma": 0.8,
-                                        "hidden": 4, "n_list": [3], "seeds": 1,
-                                        "episodes_per_seed": 1, "horizon_tol": 0.5,
-                                        "npg": {"j_steps": 1, "l_steps": 1}}))
-        out = tmp_path / "res.csv"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out), "--gamma", "0.7"]) == 0
-        meta = json.loads((tmp_path / "res.meta.json").read_text())
-        assert meta["config"]["gamma"] == 0.7
 
     def test_train_and_bound_subcommands(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from oracles import (
     TabularPolicy,
     brute_force_mf,
     contraction_env,
+    estimate_lipschitz_lq,
     firm_scalar,
     l1_distance,
     mf_action_distribution,
@@ -462,7 +463,7 @@ class TestLipschitzOfMeanFieldMaps:
         # lives in the acceptance suite.
         env, _ = _firm(10, k=5)
         pol = _softmax(10, seed=12, hidden=32)
-        lq = pol.lipschitz_estimate(10_000, np.random.default_rng(100))
+        lq = estimate_lipschitz_lq(pol.config, pol.params, 10_000, np.random.default_rng(100))
         s_p = (1 + lq) + env.lipschitz_p * (2 + lq)
         from mfmarl.model import reward_constants
 

@@ -12,6 +12,7 @@ from oracles import (
 )
 from mfmarl import meanfield as meanfield_module
 from mfmarl import npg as npg_module
+from mfmarl.harness import write_training_csv
 from mfmarl.model import FirmModelConfig, build_firm_env
 from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
 from mfmarl.npg import (
@@ -373,7 +374,7 @@ class TestNpgTrain:
         for it in res.iterates:
             assert np.all(np.isfinite(it))
         path = tmp_path / "log.csv"
-        res.write_log(path)
+        write_training_csv(res, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "j,v_mf,w_norm,wall_ms"
         assert len(lines) == 5

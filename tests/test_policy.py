@@ -13,13 +13,19 @@ import pytest
 import mfmarl
 from mfmarl import policy as policy_module
 
-from oracles import FunctionPolicy, network_probs, onehot_network_probs, policy_probs
+from oracles import (
+    FunctionPolicy,
+    estimate_lipschitz_lq,
+    network_probs,
+    onehot_network_probs,
+    policy_probs,
+)
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
     _forward,
     _layers,
-    estimate_lipschitz_lq,
+    _unpack,
     init_params,
     load_policy,
     log_policy_gradient,
@@ -240,6 +246,9 @@ def lipschitz_lq_loop(cfg, phi, trials, rng):
 
 
 class TestLipschitzEstimate:
+    """The sampled lower bound in `oracles`, which the tests that need the
+    smallest constant read."""
+
     @pytest.mark.parametrize("n_states, hidden, trials", [(3, 4, 200), (10, 32, 500), (1, 2, 20)])
     def test_matches_loop_reference(self, n_states, hidden, trials):
         cfg = PolicyConfig(n_states=n_states, n_actions=2, hidden=hidden)
@@ -266,6 +275,54 @@ class TestLipschitzEstimate:
         base = estimate_lipschitz_lq(cfg, phi, 500, np.random.default_rng(8))
         doubled = estimate_lipschitz_lq(cfg, 2.0 * phi, 500, np.random.default_rng(8))
         assert doubled >= base
+
+
+class TestLipschitzBound:
+    def test_attained_in_the_limit(self):
+        # One hidden unit at pre-activation 0 (tanh' = 1) and a uniform
+        # policy over two actions at mu = (1/2, 1/2): every step of the
+        # bound's proof is tight there.
+        cfg = PolicyConfig(n_states=2, n_actions=2, hidden=1)
+        phi = np.zeros(cfg.n_params)
+        w1, b1, w2, _ = _unpack(cfg, phi)
+        w1[0, 2:] = (1.5, -0.5)
+        b1[0] = -0.5
+        w2[:, 0] = (0.7, -0.9)
+        pol = SoftmaxPolicy(cfg, phi)
+        bound = pol.lipschitz_bound()
+        assert bound == pytest.approx(0.25 * 1.6 * 2.0, rel=1e-15)
+        eps = 1e-6
+        laws = pol.action_laws(np.array([[0.5 + eps, 0.5 - eps], [0.5 - eps, 0.5 + eps]]))
+        ratios = np.abs(laws[0] - laws[1]).sum(axis=1) / (4 * eps)
+        assert np.all(ratios <= bound)
+        assert np.all(ratios > bound - 1e-9)
+
+    def test_sampled_estimate_never_exceeds_it(self):
+        rng = np.random.default_rng(21)
+        cases = []
+        for _ in range(200):
+            n_states, n_actions, hidden = rng.integers(2, 8), rng.integers(2, 5), rng.integers(1, 10)
+            cfg = PolicyConfig(n_states=int(n_states), n_actions=int(n_actions), hidden=int(hidden))
+            cases.append((cfg, rng.uniform(-3.0, 3.0, cfg.n_params)))
+        cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+        cases.append((cfg, init_params(cfg, np.random.default_rng(0))))
+        worst = 0.0
+        for cfg, phi in cases:
+            bound = SoftmaxPolicy(cfg, phi).lipschitz_bound()
+            sampled = estimate_lipschitz_lq(cfg, phi, 3000, rng)
+            assert sampled <= bound * (1.0 + 1e-12)
+            worst = max(worst, sampled / bound)
+        # The random policies come close enough that the bound is not loose
+        # by orders of magnitude.
+        assert worst > 0.5
+
+    def test_zero_parameters_and_doubled_output_weights(self):
+        cfg = PolicyConfig(n_states=4, n_actions=3, hidden=5)
+        assert SoftmaxPolicy(cfg, np.zeros(cfg.n_params)).lipschitz_bound() == 0.0
+        phi = init_params(cfg, np.random.default_rng(4))
+        doubled = phi.copy()
+        _unpack(cfg, doubled)[2][...] *= 2.0
+        assert SoftmaxPolicy(cfg, doubled).lipschitz_bound() == 2.0 * SoftmaxPolicy(cfg, phi).lipschitz_bound()
 
 
 class TestPolicyObjects:
@@ -523,26 +580,37 @@ class TestSerialization:
         save_policy(path, cfg, phi)
         text = path.read_text().splitlines()
         path.write_text(text[0] + "\n" + ",".join(text[1].split(",")[:-1]) + "\n")
-        with pytest.raises(ValueError):
+        message = f"checkpoint {path} holds {cfg.n_params - 1} parameters, header says {cfg.n_params}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_policy(path)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, message",
         [
-            "",
-            '{"d": 9, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
-            '{"d": 9, "hidden": "x", "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
-            '[3, 2, 1, 9]\n' + ",".join(["0.0"] * 9) + "\n",
-            '{"d": 9, "hidden": 1.5, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
-            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n',
-            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,x,0.0,0.0\n',
-            '{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 0}\n0.0,0.0,0.0,0.0\n',
+            ("", "JSONDecodeError"),
+            ('{"d": 9, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n", "KeyError: 'hidden'"),
+            ('{"d": 9, "hidden": "x", "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
+             "header sizes must be integers >= 1, got [3, 2, 'x', 9]"),
+            ('[3, 2, 1, 9]\n' + ",".join(["0.0"] * 9) + "\n", "TypeError"),
+            ('{"d": 9, "hidden": 1.5, "n_actions": 2, "n_states": 3}\n' + ",".join(["0.0"] * 9) + "\n",
+             "header sizes must be integers >= 1, got [3, 2, 1.5, 9]"),
+            ('{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n', "could not convert string to float: ''"),
+            ('{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,x,0.0,0.0\n',
+             "could not convert string to float: 'x'"),
+            ('{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 0}\n0.0,0.0,0.0,0.0\n',
+             "header sizes must be integers >= 1, got [0, 1, 1, 4]"),
+            ('{"d": 5, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,nan,0.0,0.0,0.0\n',
+             "parameter 1 is nan, parameters must be finite"),
+            ('{"d": 5, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,0.0,0.0,0.0,-inf\n',
+             "parameter 4 is -inf, parameters must be finite"),
+            ('{"d": 4, "hidden": 1, "n_actions": 1, "n_states": 1}\n0.0,0.0,0.0,0.0\n',
+             "header says d = 4, but n_states, n_actions, hidden = 1, 1, 1 make 5 parameters"),
         ],
         ids=["empty", "no-hidden", "string-hidden", "list-header", "float-hidden", "no-values",
-             "bad-value", "zero-states"],
+             "bad-value", "zero-states", "nan", "inf", "wrong-d"],
     )
-    def test_malformed_checkpoint_rejected_naming_file(self, tmp_path, text):
+    def test_malformed_checkpoint_rejected_naming_file(self, tmp_path, text, message):
         path = tmp_path / "policy.txt"
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + re.escape(message)):
             load_policy(path)
