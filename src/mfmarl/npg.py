@@ -7,8 +7,11 @@ with an unbiased advantage estimate (one estimator: a fair coin either keeps
 or redraws the accepted action), scores them all in one backward pass, and
 then each SGD step nudges the direction toward the least-squares fit of
 advantage against the score. Each pass draws from its own iterate's
-mean-field path, grown only as far as the pass reads it; after the loop one
-stacked recursion gives every iterate's logged value.
+mean-field path, grown only as far as the pass reads it: a sample's state
+comes straight from the path's law at its accept time, which is the law of
+a chain run from mu_0 to that time, so only the advantage's suffix is
+simulated. After the loop one stacked recursion gives every iterate's
+logged value.
 """
 
 from __future__ import annotations
@@ -53,42 +56,50 @@ def sample_occupancy(path: _MeanFieldPath, size: int, rng: np.random.Generator) 
     return them as arrays `(states, mu_rows, actions, a_hat)` of shapes
     (size,), (size, |X|), (size,) and (size,).
 
-    Each chain starts at x ~ mu_0, u ~ pi_0(x) and runs a geometric number of
-    steps (P(T = t) = (1 - gamma) gamma^t); the triple at that accept time is
-    the sample. A fair coin then picks the branch: heads continues from the
-    accepted action, tails redraws it first; the signed (+2/-2) sum of
-    rewards over a second geometric-length suffix, including the reward at
-    the accept time, is the advantage estimate. The pass draws every chain's
-    accept time, suffix length and coin up front, then advances the chains
-    still running in lockstep over t, one `sample_rows` draw per step for the
-    states and one for the actions.
+    Each sample has a geometric accept time t (P(t) = (1 - gamma) gamma^t)
+    and is the triple (x, mu_t, u), with mu_t the path's law at t, x ~ mu_t
+    and u ~ pi(. | x, mu_t). A fair coin then picks the branch: heads
+    continues from the accepted action, tails redraws it first; the signed
+    (+2/-2) sum of rewards over a second geometric-length suffix, including
+    the reward at the accept time, is the advantage estimate.
+
+    A chain run from x_0 ~ mu_0 under the path's `probs` and `kernels` has
+    the law `mus[t]` at step t (up to rounding), because the recursion
+    advances the laws with those same tables; so x is drawn from `mus[t]`
+    directly and only the suffix is simulated. The pass draws every accept
+    time, suffix length and coin up front; then the accepted states, their
+    actions and the tails' redrawn actions with one `sample_rows` call each;
+    then it advances the chains still running in lockstep over the suffix
+    step s, each reading the tables at its own time t + s: one `sample_rows`
+    call per step for the states and one for the actions.
     """
     _check_size("size", size)
     accept, suffix = rng.geometric(1.0 - path.gamma, (2, size)) - 1
     heads = rng.random(size) < 0.5
-    end = accept + suffix
-    last = int(end.max())
+    last = int((accept + suffix).max())
     path.ensure(last)
-    states, actions, total = np.empty(size, np.int64), np.empty(size, np.int64), np.zeros(size)
-    live = np.arange(size)
-    x = sample_rows(np.broadcast_to(path.mus[0], (size, path.mus[0].size)), rng.random(size))
-    for t in range(last + 1):
-        if t:
-            going = end[live] >= t
-            live, x, u = live[going], x[going], u[going]
-            x = sample_rows(path.kernels[t - 1][x, u], rng.random(live.size))
-        u = sample_rows(path.probs[t][x], rng.random(live.size))
-        now = accept[live] == t
-        states[live[now]], actions[live[now]] = x[now], u[now]
-        redraw = np.flatnonzero(now & ~heads[live])
-        if redraw.size:
-            u[redraw] = sample_rows(path.probs[t][x[redraw]], rng.random(redraw.size))
-        scored = accept[live] <= t
-        total[live[scored]] += path.rewards[t][x[scored], u[scored]]
+    steps = slice(0, last + 1)
+    mus, probs = np.array(path.mus[steps]), np.array(path.probs[steps])
+    kernels, rewards = np.array(path.kernels[steps]), np.array(path.rewards[steps])
+    mu_rows = mus[accept]
+    states = sample_rows(mu_rows, rng.random(size))
+    actions = sample_rows(probs[accept, states], rng.random(size))
+    u = actions.copy()
+    tails = np.flatnonzero(~heads)
+    u[tails] = sample_rows(probs[accept[tails], states[tails]], rng.random(tails.size))
+    total = rewards[accept, states, u]
+    live, x = np.arange(size), states
+    for s in range(1, int(suffix.max()) + 1):
+        going = suffix[live] >= s
+        live, x, u = live[going], x[going], u[going]
+        t = accept[live] + s
+        x = sample_rows(kernels[t - 1, x, u], rng.random(live.size))
+        u = sample_rows(probs[t, x], rng.random(live.size))
+        total[live] += rewards[t, x, u]
     a_hat = np.where(heads, 2.0, -2.0) * total
     if not np.all(np.isfinite(a_hat)):
         raise ValueError("advantage estimate must be finite")
-    return states, np.array(path.mus[: last + 1])[accept], actions, a_hat
+    return states, mu_rows, actions, a_hat
 
 
 def inner_sgd(

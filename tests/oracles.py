@@ -4,7 +4,9 @@ test modules.
 The references deliberately avoid the library's own composition paths:
 mean-field maps are explicit double sums, views are read from the dense row
 of W, values come from linear solves or exhaustive branch enumeration,
-occupancies from truncated enumeration, categorical draws from a
+occupancies from truncated enumeration (along a mean-field path, the
+forward recursion `path_occupancy`, and the backward recursion
+`path_advantage` for the advantage), categorical draws from a
 `searchsorted` lookup (`inverse_cdf`), and the policy network's
 probabilities from an explicit one-hot feature matrix
 (`onehot_network_probs`). The single-law maps
@@ -478,6 +480,37 @@ def occupancy_by_enumeration(kernel_tab, policy_tab, mu0, gamma, max_t=200):
         zeta += scale * gamma**t * rho[:, None] * policy_tab
         rho = rho @ p_pi
     return zeta
+
+
+def path_occupancy(path, horizon: int) -> np.ndarray:
+    """Discounted single-agent occupancy along a mean-field path, step by
+    step: entry [t, x, u] is (1 - gamma) gamma^t rho_t(x) pi_t(u | x) for
+    t = 0..horizon, where rho_0 = mu_0 and rho_{t+1}(y) = sum_{x, u} rho_t(x)
+    pi_t(u | x) P_t(y | x, u) runs forward over the path's `probs` and
+    `kernels` (not its `mus`)."""
+    path.ensure(horizon)
+    rho = np.array(path.mus[0])
+    zeta = np.zeros((horizon + 1,) + path.probs[0].shape)
+    for t in range(horizon + 1):
+        joint = rho[:, None] * path.probs[t]
+        zeta[t] = (1.0 - path.gamma) * path.gamma**t * joint
+        rho = np.einsum("xu,xuy->y", joint, path.kernels[t])
+    return zeta
+
+
+def path_advantage(path, horizon: int) -> np.ndarray:
+    """Exact single-agent advantage A_t(x, u) = Q_t(x, u) - V_t(x) along a
+    mean-field path, t = 0..horizon, by the backward recursion
+    Q_t = r_t + gamma P_t V_{t+1}, V_t(x) = sum_u pi_t(u | x) Q_t(x, u) over
+    the path's `rewards`, `kernels` and `probs`, from V_{horizon+1} = 0."""
+    path.ensure(horizon)
+    advantage = np.zeros((horizon + 1,) + path.probs[0].shape)
+    v = np.zeros(path.probs[0].shape[0])  # V_{t+1}
+    for t in range(horizon, -1, -1):
+        q = path.rewards[t] + path.gamma * np.einsum("xuy,y->xu", path.kernels[t], v)
+        v = np.einsum("xu,xu->x", path.probs[t], q)
+        advantage[t] = q - v[:, None]
+    return advantage
 
 
 def contraction_env(gamma=0.5, rho=0.05):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from oracles import (
     inner_sgd_per_row,
     log_gradient_row,
     occupancy_by_enumeration,
+    path_advantage,
+    path_occupancy,
     tabular_env,
     toy_mdp,
 )
@@ -24,8 +28,8 @@ from mfmarl.npg import (
     sample_occupancy,
     select_policy,
 )
-from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
-from mfmarl.simplex import Simplex
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, _unpack, init_params
+from mfmarl.simplex import Simplex, sample_rows
 
 
 def tabular_path(kernel_tab, reward_tab, policy_tab, mu0, gamma):
@@ -136,6 +140,67 @@ class TestSampleOccupancy:
         counts = np.zeros((2, 2))
         np.add.at(counts, (states, actions), 1)
         assert np.abs(counts / n - zeta).sum() <= 0.02
+
+
+class TestLawDependentPath:
+    """The sampler against exact oracles on a path whose laws, action laws
+    and tables all move with t: the firm model at q = 4 from a law away from
+    its fixed point, under a policy that reads the law (w1's view columns
+    x20, w2 x5)."""
+
+    GAMMA = 0.9
+    # gamma^HORIZON < 1e-6: the occupancy the oracles leave out.
+    HORIZON = math.ceil(math.log(1e-6) / math.log(GAMMA))
+
+    @pytest.fixture(scope="class")
+    def path(self):
+        env = build_firm_env(FirmModelConfig(q=4, k=2, sigma=1.2), self.GAMMA)
+        pcfg = PolicyConfig(n_states=4, n_actions=2, hidden=8)
+        phi = init_params(pcfg, np.random.default_rng(0))
+        w1, _, w2, _ = _unpack(pcfg, phi)
+        w1[:, 4:] *= 20.0
+        w2 *= 5.0
+        return _MeanFieldPath(env, SoftmaxPolicy(pcfg, phi), Simplex([0.6, 0.2, 0.1, 0.1]))
+
+    def test_accepted_pairs_match_the_path_occupancy(self, path):
+        zeta = path_occupancy(path, self.HORIZON).sum(axis=0)
+        n = 100_000
+        states, _, actions, _ = sample_occupancy(path, n, np.random.default_rng(20))
+        counts = np.zeros((4, 2))
+        np.add.at(counts, (states, actions), 1)
+        # Over 8 cells, 1e5 exact draws give an expected L1 error near 0.007.
+        assert np.abs(counts / n - zeta).sum() <= 0.02
+
+    def test_advantage_estimate_is_unbiased_along_the_path(self, path):
+        # E[a_hat | x, u] is A_t(x, u) pooled over the accept time t with the
+        # occupancy weights; the advantage runs past the occupancy's horizon
+        # so that its own truncation does not reach the pooled steps.
+        weights = path_occupancy(path, self.HORIZON)
+        advantage = path_advantage(path, 2 * self.HORIZON)[: self.HORIZON + 1]
+        pooled = (weights * advantage).sum(axis=0) / weights.sum(axis=0)
+        states, _, actions, a_hat = sample_occupancy(path, 400_000, np.random.default_rng(21))
+        for x in range(4):
+            for u in range(2):
+                vals = a_hat[(states == x) & (actions == u)]
+                stderr = vals.std(ddof=1) / np.sqrt(vals.size)
+                assert abs(vals.mean() - pooled[x, u]) <= 4 * stderr, (x, u)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_pass_simulates_only_the_suffix(self, path, monkeypatch, seed):
+        calls = []
+
+        def counting(probs, u):
+            calls.append(len(u))
+            return sample_rows(probs, u)
+
+        monkeypatch.setattr(npg_module, "sample_rows", counting)
+        sample_occupancy(path, 100, np.random.default_rng(seed))
+        # The pass draws every accept time and suffix length first. Besides
+        # the accepted pairs and the tails' redraws, it draws states and
+        # actions once per suffix step, never over the steps before a chain's
+        # accept time.
+        _, suffix = np.random.default_rng(seed).geometric(1.0 - self.GAMMA, (2, 100)) - 1
+        assert len(calls) <= 3 + 2 * suffix.max()
 
 
 class TestMeanFieldPath:
