@@ -4,21 +4,24 @@ bound calculator.
 With an infinite homogeneous population, the population action distribution,
 the next state distribution, and the average reward are all deterministic
 functions of the current state distribution and the policy; iterating them
-gives the mean-field value of a stationary policy. The bound calculator
-turns the model's Lipschitz/bound constants into an upper bound on the gap
-between the finite-population value and the mean-field value.
+gives the mean-field value of a stationary policy. `_recursion` is the one
+loop that iterates them, over a stack of laws: `mf_values` runs it from many
+initial laws, `mf_path` from one. One law handed in is a `Simplex` or a
+vector checked like one; every stack of laws is a float array, one law per
+row. The bound calculator turns the model's Lipschitz/bound constants into
+an upper bound on the gap between the finite-population value and the
+mean-field value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AffineRewardRequiredError, EnvModel, reward_constants
-from .simplex import Simplex, normalized_rows
+from .simplex import Simplex, _check_horizon, normalized_rows
 
 _SP_LIMIT_TOL = 1e-9
 
@@ -29,11 +32,11 @@ class BoundInapplicableError(ValueError):
 
 @dataclass(frozen=True)
 class MFTrajectory:
-    """Mean-field rollout: state/action distributions and average reward at
-    each step t = 0..horizon."""
+    """Mean-field rollout at each step t = 0..horizon: the state laws
+    (T+1, |X|), the action laws (T+1, |U|) and the average rewards (T+1,)."""
 
-    mus: list
-    nus: list
+    mus: np.ndarray
+    nus: np.ndarray
     rewards: np.ndarray
 
     @property
@@ -71,7 +74,7 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     """Discounted values, t = 0..horizon, of the stacked recursion from the
     (already checked) rows `mus`. Where the policy's action laws for a row do
     not depend on the rows stacked with it, neither does its value: it then
-    equals `_MeanFieldPath.value` from that row alone, bit for bit."""
+    equals `mf_value`'s from that row alone, bit for bit."""
     values = np.zeros(mus.shape[0])
     discount = 1.0
     for mus, _, probs, tables, _ in _recursion(env, policy, mus, horizon):
@@ -85,73 +88,36 @@ def mf_value(
 ) -> tuple[float, MFTrajectory]:
     """Discounted mean-field value of a stationary policy from mu0 (a
     `Simplex`, or a vector that passes its checks), truncated so the tail is
-    below tol; returns the value and the trajectory."""
+    below tol; returns the value and the trajectory, both read off one
+    `mf_path`."""
     t_star = truncation_horizon(env, tol) if horizon is None else horizon
-    path = _MeanFieldPath(env, policy, mu0)
-    return path.value(t_star), path.trajectory(t_star)
+    mus, nus, probs, tables, _ = mf_path(env, policy, mu0, t_star)
+    rewards = _mean_rewards(tables, probs, mus)
+    value = 0.0
+    discount = 1.0
+    for r_t in rewards:
+        value += discount * r_t
+        discount *= env.gamma
+    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=rewards)
 
 
-class _MeanFieldPath:
-    """Deterministic mean-field trajectory of a fixed policy from mu0, grown
-    lazily from the stacked recursion with a single row (B = 1). Step t keeps
-    the raw rows the recursion yields: the state law `mus[t]` (|X|,), the
-    action law nu_t, the per-state action laws `probs[t]` (|X|, |U|), the
-    kernel `kernels[t]` (|X|, |U|, |X|) that advances it to t + 1, the reward
-    table `rewards[t]` (|X|, |U|); the mean rewards are formed only when a
-    value or trajectory asks for them. `mf_value` reads its value and
-    trajectory; NPG grows one path per inner-regression pass, only as far as
-    the pass's occupancy chains read it. mu0 goes through `_checked_mu0`."""
-
-    def __init__(self, env: EnvModel, policy, mu0):
-        mu0 = _checked_mu0(env, mu0)
-        self.gamma = env.gamma
-        self.mus, self._nus = [], []
-        self.probs, self.kernels, self.rewards = [], [], []
-        self._mu0 = mu0
-        self._steps = _recursion(env, policy, mu0.weights[None, :])
-        self.ensure(0)
-
-    def ensure(self, t: int) -> None:
-        """Grow the path to hold steps 0..t."""
-        while len(self.mus) <= t:
-            mus, nus, probs, rewards, kernels = next(self._steps)
-            self.mus.append(mus[0])
-            self._nus.append(nus[0])
-            self.probs.append(probs[0])
-            self.kernels.append(kernels[0])
-            self.rewards.append(np.asarray(rewards[0], dtype=np.float64))
-
-    def _rewards_to(self, horizon: int) -> np.ndarray:
-        """The mean rewards at t = 0..horizon, the steps stacked as rows (a
-        row's reduction does not depend on the rows stacked with it)."""
-        self.ensure(horizon)
-        steps = slice(0, horizon + 1)
-        return _mean_rewards(np.array(self.rewards[steps]), np.array(self.probs[steps]), np.array(self.mus[steps]))
-
-    def value(self, horizon: int) -> float:
-        """Discounted sum of the mean rewards at t = 0..horizon."""
-        if horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        value = 0.0
-        discount = 1.0
-        for r_t in self._rewards_to(horizon):
-            value += discount * r_t
-            discount *= self.gamma
-        return float(value)
-
-    def trajectory(self, horizon: int) -> MFTrajectory:
-        """The laws and mean rewards at t = 0..horizon."""
-        rewards = self._rewards_to(horizon)
-        return MFTrajectory(
-            mus=[self._mu0] + [Simplex(mu) for mu in self.mus[1 : horizon + 1]],
-            nus=[Simplex(nu) for nu in self._nus[: horizon + 1]],
-            rewards=rewards,
-        )
+def mf_path(env: EnvModel, policy, mu0, horizon: int) -> tuple[np.ndarray, ...]:
+    """The deterministic mean-field path of a fixed policy from mu0 (a
+    `Simplex`, or a vector that passes its checks), t = 0..horizon: the
+    recursion's steps from the single row mu0, stacked on a leading time
+    axis. Returns the state laws (T+1, |X|), the action laws (T+1, |U|), the
+    per-state action laws (T+1, |X|, |U|), the reward tables (T+1, |X|, |U|)
+    and the kernels (T+1, |X|, |U|, |X|), step t's kernel advancing it to
+    t + 1. A longer path starts with a shorter one bit for bit."""
+    mu0 = _checked_mu0(env, mu0)
+    steps = zip(*_recursion(env, policy, mu0.weights[None, :], horizon))
+    return tuple(np.concatenate(step, dtype=np.float64) for step in steps)
 
 
 def _checked_mu0(env: EnvModel, mu0) -> Simplex:
     """mu0 as a `Simplex` over the env's states: a `Simplex` is kept as it
-    is; anything else is checked by `Simplex` (a ValueError naming mu0)."""
+    is, not renormalized again; anything else is checked by `Simplex` (a
+    ValueError naming mu0)."""
     if not isinstance(mu0, Simplex):
         try:
             mu0 = Simplex(mu0)
@@ -162,28 +128,26 @@ def _checked_mu0(env: EnvModel, mu0) -> Simplex:
     return mu0
 
 
-def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int | None = None):
-    """Yield (mus, nus, probs, reward tables, kernels) at t = 0..horizon, or
-    without end when horizon is None, of the stacked mean-field recursion
-    started from the (already checked) rows `mus` (B, |X|). Step t's kernels
-    are the ones that advance it to step t + 1.
+def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
+    """Yield (mus, nus, probs, reward tables, kernels) at t = 0..horizon of
+    the stacked mean-field recursion started from the (already checked) rows
+    `mus` (B, |X|). Step t's kernels are the ones that advance it to step
+    t + 1. `horizon` must be an integer >= 0 (`_check_horizon`).
 
     A step runs the policy once per law (`policy.action_laws`), calls the
     env's `kernel` and `reward_matrix` hooks once each, and forms the action
     laws nu and the next state laws from the joint mass pi(u | x, mu) mu(x)
     by per-row reductions, each law checked like a `Simplex`."""
-    if horizon is not None and horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_horizon(horizon)
     b, n_x = mus.shape
-    for t in itertools.count():
+    for t in range(horizon + 1):
         probs = policy.action_laws(mus)
         joint = np.multiply(probs, mus[:, :, None], order="C")
         nus = normalized_rows(joint.sum(axis=1))
         kernels = env.kernel(mus, nus)
         yield mus, nus, probs, env.reward_matrix(mus, nus), kernels
-        if t == horizon:
-            return
-        mus = normalized_rows((joint.reshape(b, 1, -1) @ kernels.reshape(b, -1, n_x))[:, 0])
+        if t < horizon:
+            mus = normalized_rows((joint.reshape(b, 1, -1) @ kernels.reshape(b, -1, n_x))[:, 0])
 
 
 def _mean_rewards(rewards: np.ndarray, probs: np.ndarray, mus: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix, _block_diagonal
 from .model import EnvModel
-from .simplex import Simplex, _check_indices
+from .simplex import _check_horizon, _check_indices, _check_size, normalized_rows
 
 # Most agents stacked in one step loop. A step has a fixed cost of about
 # 0.1 ms; from about 2000 agents on it is paid off (firm model, q = 10,
@@ -39,7 +39,8 @@ _DRAW_STEPS = 16
 class RolloutRecord:
     """One episode: per-step per-agent states, actions, rewards, and the
     discounted population-average return. The per-step empirical
-    distributions `mus` and `nus` are derived from them on first access."""
+    distributions `mus` (T+1, |X|) and `nus` (T+1, |U|) are derived from
+    them on first access, one law per row."""
 
     states: np.ndarray  # (T+1, N)
     actions: np.ndarray  # (T+1, N)
@@ -50,21 +51,21 @@ class RolloutRecord:
     discounted_return: float
 
     @functools.cached_property
-    def mus(self) -> list:
-        """Empirical state distribution per step, as `Simplex` values."""
+    def mus(self) -> np.ndarray:
+        """Empirical state distribution per step, one row each."""
         return _empirical_per_step(self.states, self.n_states)
 
     @functools.cached_property
-    def nus(self) -> list:
-        """Empirical action distribution per step, as `Simplex` values."""
+    def nus(self) -> np.ndarray:
+        """Empirical action distribution per step, one row each."""
         return _empirical_per_step(self.actions, self.n_actions)
 
 
-def _empirical_per_step(items: np.ndarray, set_size: int) -> list:
+def _empirical_per_step(items: np.ndarray, set_size: int) -> np.ndarray:
     steps, n = items.shape
     flat = (np.arange(steps)[:, None] * set_size + items).ravel()
     counts = np.bincount(flat, minlength=steps * set_size).reshape(steps, set_size)
-    return [Simplex(row) for row in counts / n]
+    return normalized_rows(counts / n)
 
 
 def step(
@@ -125,8 +126,7 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     rows: a pass over a subset of rows rounds differently in the last bit
     from a pass over all rows, so rows kept from another loop would make
     the results depend on what the thread simulated before."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_horizon(horizon)
     ws, inits, rngs = zip(*blocks)
     n = ws[0].n_agents
     inits = [_check_indices("initial_states", states, n, env.n_states) for states in inits]
@@ -218,7 +218,6 @@ def estimate_v_marl(
     independent episodes from the same initial states. Each episode draws
     from its own substream, so episodes are order-independent; with W stored
     as its nonzeros they advance in groups of `_group_size(N)`."""
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
+    _check_size("episodes", episodes)
     blocks = [(w, initial_states, stream) for stream in rng.spawn(episodes)]
     return _mean_stderr(_block_returns(env, policy, blocks, horizon))

@@ -7,11 +7,12 @@ with an unbiased advantage estimate (one estimator: a fair coin either keeps
 or redraws the accepted action), scores them all in one backward pass, and
 then each SGD step nudges the direction toward the least-squares fit of
 advantage against the score. Each pass draws from its own iterate's
-mean-field path, grown only as far as the pass reads it: a sample's state
-comes straight from the path's law at its accept time, which is the law of
-a chain run from mu_0 to that time, so only the advantage's suffix is
-simulated. After the loop one stacked recursion gives every iterate's
-logged value.
+mean-field path (`meanfield.mf_path`), run exactly as far as the pass reads
+it: a sample's state comes straight from the path's law at its accept time,
+which is the law of a chain run from mu_0 to that time, so only the
+advantage's suffix is simulated. After the loop one stacked recursion gives
+every iterate's logged value. mu0 is handed in as a `Simplex` or a vector
+checked like one; the samples and the path's laws are float arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meanfield import _checked_mu0, _MeanFieldPath, _values, truncation_horizon
+from .meanfield import _checked_mu0, _values, mf_path, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy, _forward, _layers, log_policy_gradient
 from .simplex import _check_finite, _check_size, sample_rows
@@ -50,11 +51,14 @@ class NPGConfig:
             raise ValueError("seed must be >= 0")
 
 
-def sample_occupancy(path: _MeanFieldPath, size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+def sample_occupancy(
+    env: EnvModel, policy, mu0, size: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
     """Draw `size` i.i.d. occupancy samples and their advantage estimates
-    along the mean-field path of the current policy (discount `path.gamma`);
-    return them as arrays `(states, mu_rows, actions, a_hat)` of shapes
-    (size,), (size, |X|), (size,) and (size,).
+    along the mean-field path of `policy` from mu0 (a `Simplex`, or a vector
+    that passes its checks), discounting with `env.gamma`; return them as
+    arrays `(states, mu_rows, actions, a_hat)` of shapes (size,), (size,
+    |X|), (size,) and (size,).
 
     Each sample has a geometric accept time t (P(t) = (1 - gamma) gamma^t)
     and is the triple (x, mu_t, u), with mu_t the path's law at t, x ~ mu_t
@@ -67,20 +71,18 @@ def sample_occupancy(path: _MeanFieldPath, size: int, rng: np.random.Generator) 
     the law `mus[t]` at step t (up to rounding), because the recursion
     advances the laws with those same tables; so x is drawn from `mus[t]`
     directly and only the suffix is simulated. The pass draws every accept
-    time, suffix length and coin up front; then the accepted states, their
+    time, suffix length and coin up front and runs `mf_path` to the last
+    step a chain reads, max(accept + suffix); then the accepted states, their
     actions and the tails' redrawn actions with one `sample_rows` call each;
     then it advances the chains still running in lockstep over the suffix
     step s, each reading the tables at its own time t + s: one `sample_rows`
     call per step for the states and one for the actions.
     """
     _check_size("size", size)
-    accept, suffix = rng.geometric(1.0 - path.gamma, (2, size)) - 1
+    mu0 = _checked_mu0(env, mu0)
+    accept, suffix = rng.geometric(1.0 - env.gamma, (2, size)) - 1
     heads = rng.random(size) < 0.5
-    last = int((accept + suffix).max())
-    path.ensure(last)
-    steps = slice(0, last + 1)
-    mus, probs = np.array(path.mus[steps]), np.array(path.probs[steps])
-    kernels, rewards = np.array(path.kernels[steps]), np.array(path.rewards[steps])
+    mus, _, probs, rewards, kernels = mf_path(env, policy, mu0, int((accept + suffix).max()))
     mu_rows = mus[accept]
     states = sample_rows(mu_rows, rng.random(size))
     actions = sample_rows(probs[accept, states], rng.random(size))
@@ -181,10 +183,10 @@ def npg_train(
     vector that passes its checks), truncated so the tail is below value_tol.
 
     Each iterate builds one policy. The policy of every iterate but the last
-    also builds a mean-field path that feeds the next inner regression's
-    samples, whose scores come from the same policy; the path grows only as
-    far as the pass's chains read it. After the loop one recursion over the
-    iterates' stacked policies, one row each, gives their values."""
+    also feeds the next inner regression's samples, drawn along its
+    mean-field path from the checked mu0, and their scores. After the loop
+    one recursion over the iterates' stacked policies, one row each, gives
+    their values."""
     horizon = truncation_horizon(env, value_tol)
     mu0 = _checked_mu0(env, mu0)
     result = TrainingResult()
@@ -193,7 +195,7 @@ def npg_train(
     policies = []
     for j in range(cfg.j_steps):
         start = time.perf_counter()
-        samples = sample_occupancy(_MeanFieldPath(env, policy, mu0), cfg.l_steps, rng)
+        samples = sample_occupancy(env, policy, mu0, cfg.l_steps, rng)
         try:
             w = inner_sgd(policy, cfg, env.gamma, *samples)
         except TrainingDivergenceError as err:

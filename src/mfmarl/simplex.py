@@ -1,9 +1,10 @@
 """Probability vectors over finite index sets: checked construction and
 sampling, and the index and size checks shared by the layers.
 
-A single law (an initial distribution, a step of a mean-field trajectory)
-is a `Simplex` over 0-based indices. Stacked laws (per-agent views, policy
-outputs, transition rows) are float arrays with one law per row;
+One law handed in (an initial distribution mu0) is a `Simplex` over
+0-based indices, or a vector checked like one. Every stack of laws
+(per-agent views, policy outputs, transition rows, the steps of a
+mean-field path or of a rollout) is a float array with one law per row;
 `normalized_rows` applies the `Simplex` checks to such rows, and
 `sample_rows` is the one categorical draw: one index per row.
 """
@@ -110,6 +111,15 @@ def _check_size(name: str, size) -> None:
     is not)."""
     if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+
+
+def _check_horizon(horizon) -> None:
+    """A ValueError that names `horizon` unless it is an integer >= 0 (a
+    bool is not)."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
 
 
 def _check_finite(name: str, value) -> None:

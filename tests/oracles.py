@@ -27,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from mfmarl.meanfield import _mean_rewards, _recursion
+from mfmarl.meanfield import _mean_rewards, _recursion, mf_path
 from mfmarl.model import AffineRewardSpec, EnvModel
 from mfmarl.policy import _forward, _layers, log_policy_gradient
 from mfmarl.simplex import Simplex, sample_rows
@@ -286,9 +286,10 @@ def weighted_view(w, agent, items, set_size):
     return Simplex(np.bincount(idx, weights=w.weights[agent], minlength=set_size))
 
 
-def _steps(env, policy, mu):
-    """The library's mean-field recursion from the single law mu."""
-    return _recursion(env, policy, mu.weights[None, :])
+def _steps(env, policy, mu, horizon=0):
+    """The library's mean-field recursion from the single law mu, steps
+    0..horizon."""
+    return _recursion(env, policy, mu.weights[None, :], horizon)
 
 
 def mf_action_distribution(env, policy, mu):
@@ -298,7 +299,7 @@ def mf_action_distribution(env, policy, mu):
 
 def mf_transition(env, policy, mu):
     """Next state law under mu: step 1 of the library's recursion."""
-    steps = _steps(env, policy, mu)
+    steps = _steps(env, policy, mu, horizon=1)
     next(steps)
     return Simplex(next(steps)[0][0])
 
@@ -482,33 +483,36 @@ def occupancy_by_enumeration(kernel_tab, policy_tab, mu0, gamma, max_t=200):
     return zeta
 
 
-def path_occupancy(path, horizon: int) -> np.ndarray:
-    """Discounted single-agent occupancy along a mean-field path, step by
-    step: entry [t, x, u] is (1 - gamma) gamma^t rho_t(x) pi_t(u | x) for
-    t = 0..horizon, where rho_0 = mu_0 and rho_{t+1}(y) = sum_{x, u} rho_t(x)
-    pi_t(u | x) P_t(y | x, u) runs forward over the path's `probs` and
-    `kernels` (not its `mus`)."""
-    path.ensure(horizon)
-    rho = np.array(path.mus[0])
-    zeta = np.zeros((horizon + 1,) + path.probs[0].shape)
+def path_occupancy(env, policy, mu0, horizon: int) -> np.ndarray:
+    """Discounted single-agent occupancy along the mean-field path of
+    `policy` from mu0 (`mf_path`), step by step: entry [t, x, u] is
+    (1 - gamma) gamma^t rho_t(x) pi_t(u | x) for t = 0..horizon, where
+    rho_0 = mu_0 and rho_{t+1}(y) = sum_{x, u} rho_t(x) pi_t(u | x)
+    P_t(y | x, u) runs forward over the path's per-state action laws and
+    kernels (not its state laws)."""
+    mus, _, probs, _, kernels = mf_path(env, policy, mu0, horizon)
+    gamma = env.gamma
+    rho = mus[0]
+    zeta = np.zeros(probs.shape)
     for t in range(horizon + 1):
-        joint = rho[:, None] * path.probs[t]
-        zeta[t] = (1.0 - path.gamma) * path.gamma**t * joint
-        rho = np.einsum("xu,xuy->y", joint, path.kernels[t])
+        joint = rho[:, None] * probs[t]
+        zeta[t] = (1.0 - gamma) * gamma**t * joint
+        rho = np.einsum("xu,xuy->y", joint, kernels[t])
     return zeta
 
 
-def path_advantage(path, horizon: int) -> np.ndarray:
-    """Exact single-agent advantage A_t(x, u) = Q_t(x, u) - V_t(x) along a
-    mean-field path, t = 0..horizon, by the backward recursion
-    Q_t = r_t + gamma P_t V_{t+1}, V_t(x) = sum_u pi_t(u | x) Q_t(x, u) over
-    the path's `rewards`, `kernels` and `probs`, from V_{horizon+1} = 0."""
-    path.ensure(horizon)
-    advantage = np.zeros((horizon + 1,) + path.probs[0].shape)
-    v = np.zeros(path.probs[0].shape[0])  # V_{t+1}
+def path_advantage(env, policy, mu0, horizon: int) -> np.ndarray:
+    """Exact single-agent advantage A_t(x, u) = Q_t(x, u) - V_t(x) along the
+    mean-field path of `policy` from mu0 (`mf_path`), t = 0..horizon, by the
+    backward recursion Q_t = r_t + gamma P_t V_{t+1}, V_t(x) = sum_u
+    pi_t(u | x) Q_t(x, u) over the path's reward tables, kernels and
+    per-state action laws, from V_{horizon+1} = 0."""
+    _, _, probs, rewards, kernels = mf_path(env, policy, mu0, horizon)
+    advantage = np.zeros(probs.shape)
+    v = np.zeros(probs.shape[1])  # V_{t+1}
     for t in range(horizon, -1, -1):
-        q = path.rewards[t] + path.gamma * np.einsum("xuy,y->xu", path.kernels[t], v)
-        v = np.einsum("xu,xu->x", path.probs[t], q)
+        q = rewards[t] + env.gamma * np.einsum("xuy,y->xu", kernels[t], v)
+        v = np.einsum("xu,xu->x", probs[t], q)
         advantage[t] = q - v[:, None]
     return advantage
 

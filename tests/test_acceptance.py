@@ -27,7 +27,6 @@ from oracles import (
 from mfmarl.harness import parse_config, run_and_persist, run_error_vs_n, summarize
 from mfmarl.interaction import ring_k_neighbor, sinkhorn_random, uniform
 from mfmarl.meanfield import (
-    _MeanFieldPath,
     approximation_bound,
     bound_inputs,
     mf_value,
@@ -134,10 +133,11 @@ def test_population_concentration_envelopes():
         for r, rng in enumerate(master.spawn(runs)):
             init = rng.integers(0, 10, size=n)
             rec = rollout(env, w, pol, init, steps, rng)
+            mus, nus = [Simplex(mu) for mu in rec.mus], [Simplex(nu) for nu in rec.nus]
             for t in range(steps):
-                nu_gaps[r, t] = l1_distance(rec.nus[t], mf_action_distribution(env, pol, rec.mus[t]))
-                mu_gaps[r, t] = l1_distance(rec.mus[t + 1], mf_transition(env, pol, rec.mus[t]))
-                r_gaps[r, t] = abs(rec.rewards[t].mean() - mf_reward(env, pol, rec.mus[t]))
+                nu_gaps[r, t] = l1_distance(nus[t], mf_action_distribution(env, pol, mus[t]))
+                mu_gaps[r, t] = l1_distance(mus[t + 1], mf_transition(env, pol, mus[t]))
+                r_gaps[r, t] = abs(rec.rewards[t].mean() - mf_reward(env, pol, mus[t]))
         nu_bound = np.sqrt(2) / np.sqrt(n)
         mu_bound = (2 + env.lipschitz_p) * (np.sqrt(10) + np.sqrt(2)) / np.sqrt(n)
         r_bound = (0.0 + consts.m_f) * np.sqrt(2) / np.sqrt(n)
@@ -173,7 +173,7 @@ def test_doubly_stochastic_cancellation():
         for t in range(rec.states.shape[0]):
             views = w.views(rec.states[t], 10)
             lhs = float((views @ a).mean())
-            rhs = float(a @ rec.mus[t].weights)
+            rhs = float(a @ rec.mus[t])
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     report(
         "population-averaged views cancel to the empirical distribution",
@@ -220,10 +220,9 @@ def test_advantage_estimator_is_unbiased():
     q, v = dp_q_and_v(kernel, rewards, pi_tab, 0.9)
     advantage = q - v[:, None]
     mu0 = Simplex([0.5, 0.5])
-    path = _MeanFieldPath(env, policy, mu0)
     rng = np.random.default_rng(1013)
     start = time.perf_counter()
-    states, _, actions, a_hat = sample_occupancy(path, 100_000, rng)
+    states, _, actions, a_hat = sample_occupancy(env, policy, mu0, 100_000, rng)
     elapsed = time.perf_counter() - start
     ok = True
     worst_z = 0.0

@@ -19,9 +19,9 @@ from oracles import (
 from mfmarl.meanfield import (
     BoundInapplicableError,
     BoundInputs,
-    _MeanFieldPath,
     approximation_bound,
     bound_inputs,
+    mf_path,
     mf_value,
     mf_values,
     truncation_horizon,
@@ -303,8 +303,7 @@ class TestStackedValues:
         assert calls == {"kernel": [rows] * 18, "reward_matrix": [rows] * 18}
         for log in calls.values():
             log.clear()
-        path = _MeanFieldPath(env, _softmax(4, seed=26), Simplex(mu0s[0]))
-        path.ensure(9)
+        mf_path(env, _softmax(4, seed=26), Simplex(mu0s[0]), 9)
         assert calls == {"kernel": [1] * 10, "reward_matrix": [1] * 10}
 
     def test_single_row_and_zero_horizon(self):
@@ -370,6 +369,19 @@ class TestStackedValues:
         env, _ = _firm(3)
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             mf_value(env, _softmax(3, seed=23), Simplex.uniform(3), 1e-3, horizon=horizon)
+
+    @pytest.mark.parametrize("horizon", [2.5, True, np.float64(3)])
+    def test_non_integer_horizon_rejected(self, horizon):
+        # A fractional horizon never met the recursion's stop test, and a
+        # bool ran as 0 or 1 steps.
+        env, _ = _firm(3)
+        pol = _softmax(3, seed=23)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            mf_values(env, pol, np.full((2, 3), 1 / 3), horizon)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            mf_value(env, pol, Simplex.uniform(3), 1e-3, horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            mf_path(env, pol, Simplex.uniform(3), horizon)
 
     def test_non_stochastic_kernel_hook_raises(self):
         env, _ = _firm(3)

@@ -388,9 +388,10 @@ class TestRollout:
         pol = softmax_policy(4, seed=12)
         rec = rollout(env, ring_k_neighbor(7, 2), pol, [0, 1, 2, 3, 0, 1, 2], 6, np.random.default_rng(15))
         assert rec.mus is rec.mus and rec.nus is rec.nus
+        assert rec.mus.shape == (7, 4) and rec.nus.shape == (7, 2)
         for t in range(7):
-            assert np.array_equal(rec.mus[t].weights, empirical_distribution(rec.states[t], 4).weights)
-            assert np.array_equal(rec.nus[t].weights, empirical_distribution(rec.actions[t], 2).weights)
+            assert np.array_equal(rec.mus[t], empirical_distribution(rec.states[t], 4).weights)
+            assert np.array_equal(rec.nus[t], empirical_distribution(rec.actions[t], 2).weights)
 
 
 class TestSparseInteraction:
@@ -563,6 +564,22 @@ class TestInitialStates:
 
 
 class TestEstimateVMarl:
+    @pytest.mark.parametrize("horizon", [2.5, True, np.float64(3)])
+    def test_non_integer_horizon_rejected(self, horizon):
+        env = firm_env()
+        pol = softmax_policy(3)
+        w = ring_k_neighbor(4, 2)
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            rollout(env, w, pol, [0, 1, 2, 0], horizon, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            estimate_v_marl(env, w, pol, [0, 1, 2, 0], horizon, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("episodes", [0, -1, 2.5, True])
+    def test_episodes_must_be_a_positive_integer(self, episodes):
+        env = firm_env()
+        with pytest.raises(ValueError, match="episodes"):
+            estimate_v_marl(env, ring_k_neighbor(4, 2), softmax_policy(3), [0, 1, 2, 0], 3, episodes, np.random.default_rng(0))
+
     def test_deterministic_gives_zero_stderr(self):
         env = constant_env(c=1.5)
         always_zero = FunctionPolicy(lambda x, mu: np.array([1.0, 0.0]), 3, 2)
@@ -667,16 +684,17 @@ class TestConcentration:
             for r, rng in enumerate(master.spawn(runs)):
                 init = rng.integers(0, 10, size=n)
                 rec = rollout(env, w, pol, init, horizon, rng)
+                mus, nus = [Simplex(mu) for mu in rec.mus], [Simplex(nu) for nu in rec.nus]
                 for t in range(horizon + 1):
                     nu_gaps[r, t] = l1_distance(
-                        rec.nus[t], mf_action_distribution(env, pol, rec.mus[t])
+                        nus[t], mf_action_distribution(env, pol, mus[t])
                     )
                     r_gaps[r, t] = abs(
-                        rec.rewards[t].mean() - mf_reward(env, pol, rec.mus[t])
+                        rec.rewards[t].mean() - mf_reward(env, pol, mus[t])
                     )
                     if t < horizon:
                         mu_gaps[r, t] = l1_distance(
-                            rec.mus[t + 1], mf_transition(env, pol, rec.mus[t])
+                            mus[t + 1], mf_transition(env, pol, mus[t])
                         )
             assert np.all(nu_gaps.mean(axis=0) <= nu_bound)
             assert np.all(mu_gaps.mean(axis=0) <= mu_bound)
@@ -694,5 +712,5 @@ class TestConcentration:
             for t in range(rec.states.shape[0]):
                 views = w.views(rec.states[t], 5)
                 lhs = (views @ a).mean()
-                rhs = a @ rec.mus[t].weights
+                rhs = a @ rec.mus[t]
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from mfmarl import meanfield as meanfield_module
 from mfmarl import npg as npg_module
 from mfmarl.harness import write_training_csv
 from mfmarl.model import FirmModelConfig, build_firm_env
-from mfmarl.meanfield import _MeanFieldPath, mf_value, truncation_horizon
+from mfmarl.meanfield import mf_path, mf_value, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
     TrainingDivergenceError,
@@ -33,9 +34,10 @@ from mfmarl.simplex import Simplex, sample_rows
 
 
 def tabular_path(kernel_tab, reward_tab, policy_tab, mu0, gamma):
-    """Mean-field path of a distribution-free MDP given by its tables."""
+    """The (env, policy, mu0) of a mean-field path of a distribution-free
+    MDP given by its tables."""
     env = tabular_env(kernel_tab, reward_tab, gamma, reward_bound=1.0)
-    return _MeanFieldPath(env, TabularPolicy(policy_tab), Simplex(mu0))
+    return env, TabularPolicy(policy_tab), Simplex(mu0)
 
 
 def clock_path(gamma):
@@ -52,12 +54,12 @@ def accept_times(mu_rows):
 
 class TestGeometricStopping:
     def test_zero_gamma_stops_immediately(self):
-        _, mu_rows, _, _ = sample_occupancy(clock_path(0.0), 100, np.random.default_rng(0))
+        _, mu_rows, _, _ = sample_occupancy(*clock_path(0.0), 100, np.random.default_rng(0))
         assert np.all(accept_times(mu_rows) == 0)
 
     def test_mean_matches_gamma_over_one_minus_gamma(self):
         gamma = 0.9
-        _, mu_rows, _, _ = sample_occupancy(clock_path(gamma), 100_000, np.random.default_rng(1))
+        _, mu_rows, _, _ = sample_occupancy(*clock_path(gamma), 100_000, np.random.default_rng(1))
         draws = accept_times(mu_rows)
         expected = gamma / (1 - gamma)
         stderr = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -69,29 +71,49 @@ class TestSampleOccupancy:
         env = build_firm_env(FirmModelConfig(q=q, k=2, sigma=1.2), 0.9)
         pcfg = PolicyConfig(n_states=q, n_actions=2, hidden=8)
         policy = SoftmaxPolicy(pcfg, init_params(pcfg, np.random.default_rng(seed)))
-        return _MeanFieldPath(env, policy, Simplex.uniform(q))
+        return env, policy, Simplex.uniform(q)
 
     def test_pass_returns_arrays_of_the_pass_size(self):
         path = self._firm_path()
-        states, mu_rows, actions, a_hat = sample_occupancy(path, 37, np.random.default_rng(4))
+        states, mu_rows, actions, a_hat = sample_occupancy(*path, 37, np.random.default_rng(4))
         assert states.shape == actions.shape == a_hat.shape == (37,)
         assert mu_rows.shape == (37, 4)
         assert states.dtype.kind == actions.dtype.kind == "i"
         assert np.all((0 <= states) & (states < 4)) and np.all((0 <= actions) & (actions < 2))
         assert np.all(np.isfinite(a_hat))
-        # every law is one of the path's steps
-        assert all(any(np.array_equal(row, mu) for mu in path.mus) for row in mu_rows)
+        # every law is one of the path's steps, which the pass runs to its
+        # last accept time plus suffix
+        accept, suffix = np.random.default_rng(4).geometric(0.1, (2, 37)) - 1
+        mus = mf_path(*path, int((accept + suffix).max()))[0]
+        assert all(any(np.array_equal(row, mu) for mu in mus) for row in mu_rows)
 
     def test_equal_rngs_give_equal_passes(self):
-        first = sample_occupancy(self._firm_path(), 50, np.random.default_rng(5))
-        second = sample_occupancy(self._firm_path(), 50, np.random.default_rng(5))
+        first = sample_occupancy(*self._firm_path(), 50, np.random.default_rng(5))
+        second = sample_occupancy(*self._firm_path(), 50, np.random.default_rng(5))
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("size", [0, -1, 2.5, True])
     def test_size_must_be_a_positive_integer(self, size):
         with pytest.raises(ValueError, match="size"):
-            sample_occupancy(self._firm_path(), size, np.random.default_rng(0))
+            sample_occupancy(*self._firm_path(), size, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "mu0, message",
+        [
+            (Simplex.uniform(2), "mu0 has 2 entries"),
+            (np.full(5, 0.2), "mu0 has 5 entries"),
+            (np.array([0.5, 0.6, 0.0, -0.1]), "mu0 must be a probability vector"),
+            (np.array([0.5, 0.6, 0.1, 0.1]), "mu0 must be a probability vector"),
+        ],
+    )
+    def test_bad_mu0_is_rejected(self, mu0, message):
+        env, policy, _ = self._firm_path()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=message):
+            sample_occupancy(env, policy, mu0, 10, rng)
+        # rejected before the pass draws anything
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_non_finite_reward_is_rejected(self):
         _, _, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
@@ -99,16 +121,16 @@ class TestSampleOccupancy:
         rewards[1, 1] = np.nan
         path = tabular_path(kernel, rewards, pi_tab, [0.0, 1.0], 0.9)
         with pytest.raises(ValueError, match="advantage estimate"):
-            sample_occupancy(path, 200, np.random.default_rng(6))
+            sample_occupancy(*path, 200, np.random.default_rng(6))
 
     def test_gamma_zero_accepts_initial_triple(self):
         env, policy, _, _, _ = toy_mdp(gamma=0.0)
         pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
         phi = np.zeros(pcfg.n_params)
         mu0 = Simplex.point_mass(1, 2)
-        path = _MeanFieldPath(env, SoftmaxPolicy(pcfg, phi), mu0)
+        policy = SoftmaxPolicy(pcfg, phi)
         for seed in range(20):
-            states, mu_rows, _, _ = sample_occupancy(path, 5, np.random.default_rng(seed))
+            states, mu_rows, _, _ = sample_occupancy(env, policy, mu0, 5, np.random.default_rng(seed))
             assert np.all(states == 1)
             assert np.all(mu_rows == mu0.weights)
 
@@ -117,12 +139,11 @@ class TestSampleOccupancy:
         q, v = dp_q_and_v(kernel, rewards, pi_tab, 0.9)
         advantage = q - v[:, None]
         mu0 = Simplex([0.5, 0.5])
-        path = _MeanFieldPath(env, policy, mu0)
         rng = np.random.default_rng(2)
         n = 30_000
         # distribution-free toy: the network parameters never matter, so
-        # drive the sampler directly through the shared path
-        states, _, actions, a_hat = sample_occupancy(path, n, rng)
+        # drive the sampler directly with the table policy
+        states, _, actions, a_hat = sample_occupancy(env, policy, mu0, n, rng)
         for x in range(2):
             for u in range(2):
                 vals = a_hat[(states == x) & (actions == u)]
@@ -133,10 +154,9 @@ class TestSampleOccupancy:
         env, policy, kernel, rewards, pi_tab = toy_mdp(gamma=0.9)
         mu0 = np.array([0.5, 0.5])
         zeta = occupancy_by_enumeration(kernel, pi_tab, mu0, 0.9, max_t=200)
-        path = _MeanFieldPath(env, policy, Simplex(mu0))
         rng = np.random.default_rng(3)
         n = 100_000
-        states, _, actions, _ = sample_occupancy(path, n, rng)
+        states, _, actions, _ = sample_occupancy(env, policy, Simplex(mu0), n, rng)
         counts = np.zeros((2, 2))
         np.add.at(counts, (states, actions), 1)
         assert np.abs(counts / n - zeta).sum() <= 0.02
@@ -160,12 +180,12 @@ class TestLawDependentPath:
         w1, _, w2, _ = _unpack(pcfg, phi)
         w1[:, 4:] *= 20.0
         w2 *= 5.0
-        return _MeanFieldPath(env, SoftmaxPolicy(pcfg, phi), Simplex([0.6, 0.2, 0.1, 0.1]))
+        return env, SoftmaxPolicy(pcfg, phi), Simplex([0.6, 0.2, 0.1, 0.1])
 
     def test_accepted_pairs_match_the_path_occupancy(self, path):
-        zeta = path_occupancy(path, self.HORIZON).sum(axis=0)
+        zeta = path_occupancy(*path, self.HORIZON).sum(axis=0)
         n = 100_000
-        states, _, actions, _ = sample_occupancy(path, n, np.random.default_rng(20))
+        states, _, actions, _ = sample_occupancy(*path, n, np.random.default_rng(20))
         counts = np.zeros((4, 2))
         np.add.at(counts, (states, actions), 1)
         # Over 8 cells, 1e5 exact draws give an expected L1 error near 0.007.
@@ -175,10 +195,10 @@ class TestLawDependentPath:
         # E[a_hat | x, u] is A_t(x, u) pooled over the accept time t with the
         # occupancy weights; the advantage runs past the occupancy's horizon
         # so that its own truncation does not reach the pooled steps.
-        weights = path_occupancy(path, self.HORIZON)
-        advantage = path_advantage(path, 2 * self.HORIZON)[: self.HORIZON + 1]
+        weights = path_occupancy(*path, self.HORIZON)
+        advantage = path_advantage(*path, 2 * self.HORIZON)[: self.HORIZON + 1]
         pooled = (weights * advantage).sum(axis=0) / weights.sum(axis=0)
-        states, _, actions, a_hat = sample_occupancy(path, 400_000, np.random.default_rng(21))
+        states, _, actions, a_hat = sample_occupancy(*path, 400_000, np.random.default_rng(21))
         for x in range(4):
             for u in range(2):
                 vals = a_hat[(states == x) & (actions == u)]
@@ -194,7 +214,7 @@ class TestLawDependentPath:
             return sample_rows(probs, u)
 
         monkeypatch.setattr(npg_module, "sample_rows", counting)
-        sample_occupancy(path, 100, np.random.default_rng(seed))
+        sample_occupancy(*path, 100, np.random.default_rng(seed))
         # The pass draws every accept time and suffix length first. Besides
         # the accepted pairs and the tails' redraws, it draws states and
         # actions once per suffix step, never over the steps before a chain's
@@ -215,26 +235,28 @@ class TestMeanFieldPath:
     def test_matches_mf_value_past_the_value_horizon(self, sigma):
         env, policy, mu0 = self._setup(sigma)
         horizon = truncation_horizon(env, 1e-3)
+        short, long = mf_path(env, policy, mu0, horizon), mf_path(env, policy, mu0, horizon + 5)
+        # A longer path starts with the shorter one, bit for bit.
+        for head, steps in zip(short, long):
+            assert len(head) == horizon + 1 and len(steps) == horizon + 6
+            assert np.array_equal(steps[: horizon + 1], head)
+        assert np.array_equal(long[0][0], mu0.weights)
+        # mf_value's trajectory laws are the path's rows, bit for bit.
         value, traj = mf_value(env, policy, mu0, 1e-3, horizon=horizon + 5)
-        path = _MeanFieldPath(env, policy, mu0)
-        assert path.value(horizon) == mf_value(env, policy, mu0, 1e-3)[0]
-        path.ensure(horizon + 5)
-        assert np.array_equal(path.mus[0], mu0.weights)
-        assert path.trajectory(horizon + 5).mus[0] is mu0
-        for t in range(horizon + 6):
-            assert np.array_equal(path.trajectory(horizon + 5).mus[t].weights, traj.mus[t].weights), t
-        assert path.value(horizon + 5) == value
+        assert traj.horizon == horizon + 5
+        assert np.array_equal(traj.mus, long[0]) and np.array_equal(traj.nus, long[1])
+        _, head = mf_value(env, policy, mu0, 1e-3)
+        assert np.array_equal(traj.rewards[: horizon + 1], head.rewards)
 
     def test_kernels_and_rewards_are_the_hook_rows(self):
         env, policy, mu0 = self._setup()
         _, traj = mf_value(env, policy, mu0, 1e-3, horizon=12)
-        path = _MeanFieldPath(env, policy, mu0)
-        path.ensure(12)
+        _, _, probs, rewards, kernels = mf_path(env, policy, mu0, 12)
         for t in (0, 1, 12):
-            mus, nus = traj.mus[t].weights[None, :], traj.nus[t].weights[None, :]
-            np.testing.assert_allclose(path.kernels[t], env.kernel(mus, nus)[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(path.rewards[t], env.reward_matrix(mus, nus)[0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(path.probs[t].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            mus, nus = traj.mus[t][None, :], traj.nus[t][None, :]
+            np.testing.assert_allclose(kernels[t], env.kernel(mus, nus)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rewards[t], env.reward_matrix(mus, nus)[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(probs[t].sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_kernel_hook_calls_are_bounded(self):
         env, policy, mu0 = self._setup()
@@ -246,11 +268,11 @@ class TestMeanFieldPath:
             return hook(mus, nus)
 
         env.kernel = counting
-        path = _MeanFieldPath(env, policy, mu0)
         for t in (0, 3, 40):
-            path.ensure(t)
-            path.kernels[t]
-            path.rewards[t][0, 1]
+            calls.clear()
+            rewards, kernels = mf_path(env, policy, mu0, t)[3:]
+            kernels[t]
+            rewards[t][0, 1]
             assert len(calls) <= t + 1, t
         calls.clear()
         horizon = truncation_horizon(env, 1e-3)
@@ -406,30 +428,37 @@ class TestNpgTrain:
     def test_paths_grow_only_as_far_as_passes_read(self, monkeypatch):
         runs = []  # [rows, steps yielded] of each mean-field recursion
 
-        def counting(env, policy, mus, horizon=None):
+        def counting(env, policy, mus, horizon):
             runs.append([len(mus), 0])
             for step in recursion(env, policy, mus, horizon):
                 runs[-1][1] += 1
                 yield step
 
-        reads = []  # the last step each pass read from its path
+        reads = []  # the last step each pass reads: its max(accept + suffix)
 
-        def reading(path, size, rng):
-            for name in ("mus", "probs", "kernels", "rewards"):
-                setattr(path, name, _Reads(getattr(path, name)))
-            samples = sample(path, size, rng)
-            reads.append(max(getattr(path, name).top for name in ("mus", "probs", "kernels", "rewards")))
-            return samples
+        def reading(env, policy, mu0, size, rng):
+            accept, suffix = copy.deepcopy(rng).geometric(1.0 - env.gamma, (2, size)) - 1
+            reads.append(int((accept + suffix).max()))
+            return sample(env, policy, mu0, size, rng)
+
+        horizons = []  # the horizon each pass runs its path to
+
+        def path(env, policy, mu0, horizon):
+            horizons.append(horizon)
+            return mf_path(env, policy, mu0, horizon)
 
         recursion, sample = meanfield_module._recursion, npg_module.sample_occupancy
         monkeypatch.setattr(meanfield_module, "_recursion", counting)
         monkeypatch.setattr(npg_module, "sample_occupancy", reading)
+        monkeypatch.setattr(npg_module, "mf_path", path)
         env, pcfg, phi = self._setup(seed=7)
         cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=5, l_steps=30)
         npg_train(env, pcfg, phi, Simplex.uniform(3), cfg, np.random.default_rng(12), value_tol=1e-4)
-        # One single-row path per pass, none for the last iterate, then one
-        # recursion over every iterate to the value horizon.
-        assert runs[:-1] == [[1, top + 1] for top in reads] and len(reads) == cfg.j_steps
+        # One single-row path per pass, none for the last iterate, each run
+        # to the last step the pass reads; then one recursion over every
+        # iterate to the value horizon.
+        assert horizons == reads and len(reads) == cfg.j_steps
+        assert runs[:-1] == [[1, top + 1] for top in reads]
         assert runs[-1] == [cfg.j_steps, truncation_horizon(env, 1e-4) + 1]
 
     def test_parameters_stay_finite_and_log_written(self, tmp_path):
@@ -457,17 +486,6 @@ class TestPolicyStack:
             for s, policy in enumerate(policies):
                 block = slice(s * per_policy, (s + 1) * per_policy)
                 assert np.array_equal(probs[block], policy.action_laws(mus[block]))
-
-
-class _Reads(list):
-    """A list that records the highest index read from it."""
-
-    top = -1
-
-    def __getitem__(self, i):
-        read = range(len(self))[i]
-        self.top = max(self.top, max(read, default=-1) if isinstance(read, range) else read)
-        return super().__getitem__(i)
 
 
 class TestSelectPolicy:
