@@ -6,7 +6,9 @@ the next state distribution, and the average reward are all deterministic
 functions of the current state distribution and the policy; iterating them
 gives the mean-field value of a stationary policy. `_recursion` is the one
 loop that iterates them, over a stack of laws: `mf_values` runs it from many
-initial laws, `mf_path` from one. One law handed in is a `Simplex` or a
+initial laws, `mf_path` from one. The rewards are read off the laws the
+recursion yields, not inside it: once per step in `mf_values`, once over the
+whole path in `mf_path`. One law handed in is a `Simplex` or a
 vector checked like one; every stack of laws is a float array, one law per
 row. The bound calculator turns the model's Lipschitz/bound constants into
 an upper bound on the gap between the finite-population value and the
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AffineRewardRequiredError, EnvModel, reward_constants
-from .simplex import Simplex, _check_horizon, normalized_rows
+from .simplex import Simplex, _check_count, normalized_rows
 
 _SP_LIMIT_TOL = 1e-9
 
@@ -77,8 +79,10 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     equals `mf_value`'s from that row alone, bit for bit."""
     values = np.zeros(mus.shape[0])
     discount = 1.0
-    for mus, _, probs, tables, _ in _recursion(env, policy, mus, horizon):
-        values += discount * _mean_rewards(tables, probs, mus)
+    # Each step's tables are reduced before the next step is formed: a list
+    # of the steps' `probs` would keep every step's network workspace alive.
+    for mus, nus, probs, _ in _recursion(env, policy, mus, horizon):
+        values += discount * _mean_rewards(env.reward_matrix(mus, nus), probs, mus)
         discount *= env.gamma
     return values
 
@@ -108,10 +112,17 @@ def mf_path(env: EnvModel, policy, mu0, horizon: int) -> tuple[np.ndarray, ...]:
     axis. Returns the state laws (T+1, |X|), the action laws (T+1, |U|), the
     per-state action laws (T+1, |X|, |U|), the reward tables (T+1, |X|, |U|)
     and the kernels (T+1, |X|, |U|, |X|), step t's kernel advancing it to
-    t + 1. A longer path starts with a shorter one bit for bit."""
+    t + 1. A longer path starts with a shorter one bit for bit.
+
+    The reward tables come from one `env.reward_matrix` call over the whole
+    stacked path, after the recursion: a hook's row does not depend on the
+    rows stacked with it (the `EnvModel` contract), so they equal the tables
+    of one call per step."""
     mu0 = _checked_mu0(env, mu0)
     steps = zip(*_recursion(env, policy, mu0.weights[None, :], horizon))
-    return tuple(np.concatenate(step, dtype=np.float64) for step in steps)
+    mus, nus, probs, kernels = (np.concatenate(step, dtype=np.float64) for step in steps)
+    rewards = np.asarray(env.reward_matrix(mus, nus), dtype=np.float64)
+    return mus, nus, probs, rewards, kernels
 
 
 def _checked_mu0(env: EnvModel, mu0) -> Simplex:
@@ -129,23 +140,31 @@ def _checked_mu0(env: EnvModel, mu0) -> Simplex:
 
 
 def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
-    """Yield (mus, nus, probs, reward tables, kernels) at t = 0..horizon of
-    the stacked mean-field recursion started from the (already checked) rows
-    `mus` (B, |X|). Step t's kernels are the ones that advance it to step
-    t + 1. `horizon` must be an integer >= 0 (`_check_horizon`).
+    """Yield (mus, nus, probs, kernels) at t = 0..horizon of the stacked
+    mean-field recursion started from the (already checked) rows `mus`
+    (B, |X|). Step t's kernels are the ones that advance it to step t + 1.
+    `horizon` must be an integer >= 0 (`_check_count`).
 
     A step runs the policy once per law (`policy.action_laws`), calls the
-    env's `kernel` and `reward_matrix` hooks once each, and forms the action
-    laws nu and the next state laws from the joint mass pi(u | x, mu) mu(x)
-    by per-row reductions, each law checked like a `Simplex`."""
-    _check_horizon(horizon)
+    env's `kernel` hook once, and forms the action laws nu and the next
+    state laws from the joint mass pi(u | x, mu) mu(x) by per-row
+    reductions, each law checked like a `Simplex`. The rewards are no part
+    of the dynamics: a caller reads them off `env.reward_matrix` at the
+    yielded laws. A policy whose action laws are not (|X|, |U|) per law of
+    the env fails at step 0 with a ValueError that names both shapes."""
+    _check_count("horizon", horizon)
     b, n_x = mus.shape
     for t in range(horizon + 1):
         probs = policy.action_laws(mus)
+        if t == 0 and probs.shape[1:] != (n_x, env.n_actions):
+            raise ValueError(
+                f"the policy's action laws have shape {probs.shape[1:]} per law, "
+                f"but the env has (|X|, |U|) = ({n_x}, {env.n_actions})"
+            )
         joint = np.multiply(probs, mus[:, :, None], order="C")
         nus = normalized_rows(joint.sum(axis=1))
         kernels = env.kernel(mus, nus)
-        yield mus, nus, probs, env.reward_matrix(mus, nus), kernels
+        yield mus, nus, probs, kernels
         if t < horizon:
             mus = normalized_rows((joint.reshape(b, 1, -1) @ kernels.reshape(b, -1, n_x))[:, 0])
 

@@ -84,6 +84,13 @@ class EnvModel:
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`
       (B, |U|) whose rows are already checked probability vectors.
 
+    Row b of a `kernel` or `reward_matrix` result must not depend on the
+    rows stacked with law b: `mf_values`, NPG's stacked iterates
+    (`npg._PolicyStack`) and `mf_path`'s one reward call over a whole path
+    rely on it for results equal, bit for bit, to one call per law. A hook
+    whose rows depend on each other, such as a BLAS product across rows,
+    agrees with one call per law only to rounding.
+
     `reads_nu_views` declares whether the two simulator hooks read their
     `nu_views` argument. When it is False the simulator skips the action
     views, an N^2 product on a dense W, and passes None in their place.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix, _block_diagonal
 from .model import EnvModel
-from .simplex import _check_horizon, _check_indices, _check_size, normalized_rows
+from .simplex import _check_count, _check_indices, _check_size, normalized_rows
 
 # Most agents stacked in one step loop. A step has a fixed cost of about
 # 0.1 ms; from about 2000 agents on it is paid off (firm model, q = 10,
@@ -126,7 +126,7 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     rows: a pass over a subset of rows rounds differently in the last bit
     from a pass over all rows, so rows kept from another loop would make
     the results depend on what the thread simulated before."""
-    _check_horizon(horizon)
+    _check_count("horizon", horizon)
     ws, inits, rngs = zip(*blocks)
     n = ws[0].n_agents
     inits = [_check_indices("initial_states", states, n, env.n_states) for states in inits]

@@ -10,7 +10,8 @@ advantage against the score. Each pass draws from its own iterate's
 mean-field path (`meanfield.mf_path`), run exactly as far as the pass reads
 it: a sample's state comes straight from the path's law at its accept time,
 which is the law of a chain run from mu_0 to that time, so only the
-advantage's suffix is simulated. After the loop one stacked recursion gives
+advantage's suffix is simulated, by draws from the path tables' partial
+sums, formed once per pass. After the loop one stacked recursion gives
 every iterate's logged value. mu0 is handed in as a `Simplex` or a vector
 checked like one; the samples and the path's laws are float arrays.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .meanfield import _checked_mu0, _values, mf_path, truncation_horizon
 from .model import EnvModel
 from .policy import PolicyConfig, SoftmaxPolicy, _forward, _layers, log_policy_gradient
-from .simplex import _check_finite, _check_size, sample_rows
+from .simplex import _check_count, _check_finite, _check_size, _inverse_cdf, _partial_sums
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -47,8 +48,7 @@ class NPGConfig:
             raise ValueError("learning rates must be positive (eta may be 0)")
         _check_size("j_steps", self.j_steps)
         _check_size("l_steps", self.l_steps)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("seed", self.seed)
 
 
 def sample_occupancy(
@@ -72,10 +72,13 @@ def sample_occupancy(
     advances the laws with those same tables; so x is drawn from `mus[t]`
     directly and only the suffix is simulated. The pass draws every accept
     time, suffix length and coin up front and runs `mf_path` to the last
-    step a chain reads, max(accept + suffix); then the accepted states, their
-    actions and the tails' redrawn actions with one `sample_rows` call each;
-    then it advances the chains still running in lockstep over the suffix
-    step s, each reading the tables at its own time t + s: one `sample_rows`
+    step a chain reads, max(accept + suffix), then forms the partial sums of
+    the path's state laws, action laws and kernels once (`_partial_sums`).
+    Every draw after that reads rows of those sums (`_inverse_cdf`, the rule
+    `sample_rows` draws by, so the draws are the ones it would give): the
+    accepted states, their actions and the tails' redrawn actions with one
+    call each; then the chains still running advance in lockstep over the
+    suffix step s, each reading the tables at its own time t + s, with one
     call per step for the states and one for the actions.
     """
     _check_size("size", size)
@@ -83,25 +86,25 @@ def sample_occupancy(
     accept, suffix = rng.geometric(1.0 - env.gamma, (2, size)) - 1
     heads = rng.random(size) < 0.5
     mus, _, probs, rewards, kernels = mf_path(env, policy, mu0, int((accept + suffix).max()))
-    mu_rows = mus[accept]
-    states = sample_rows(mu_rows, rng.random(size))
-    actions = sample_rows(probs[accept, states], rng.random(size))
+    mu_sums, pi_sums, kernel_sums = (_partial_sums(laws) for laws in (mus, probs, kernels))
+    states = _inverse_cdf(mu_sums[:, accept], rng.random(size))
+    actions = _inverse_cdf(pi_sums[:, accept, states], rng.random(size))
     u = actions.copy()
     tails = np.flatnonzero(~heads)
-    u[tails] = sample_rows(probs[accept[tails], states[tails]], rng.random(tails.size))
+    u[tails] = _inverse_cdf(pi_sums[:, accept[tails], states[tails]], rng.random(tails.size))
     total = rewards[accept, states, u]
     live, x = np.arange(size), states
     for s in range(1, int(suffix.max()) + 1):
         going = suffix[live] >= s
         live, x, u = live[going], x[going], u[going]
         t = accept[live] + s
-        x = sample_rows(kernels[t - 1, x, u], rng.random(live.size))
-        u = sample_rows(probs[t, x], rng.random(live.size))
+        x = _inverse_cdf(kernel_sums[:, t - 1, x, u], rng.random(live.size))
+        u = _inverse_cdf(pi_sums[:, t, x], rng.random(live.size))
         total[live] += rewards[t, x, u]
     a_hat = np.where(heads, 2.0, -2.0) * total
     if not np.all(np.isfinite(a_hat)):
         raise ValueError("advantage estimate must be finite")
-    return states, mu_rows, actions, a_hat
+    return states, mus[accept], actions, a_hat
 
 
 def inner_sgd(
@@ -186,7 +189,13 @@ def npg_train(
     also feeds the next inner regression's samples, drawn along its
     mean-field path from the checked mu0, and their scores. After the loop
     one recursion over the iterates' stacked policies, one row each, gives
-    their values."""
+    their values. A `policy_cfg` sized for other states or actions than the
+    env's is a ValueError that names both sizes."""
+    if (policy_cfg.n_states, policy_cfg.n_actions) != (env.n_states, env.n_actions):
+        raise ValueError(
+            f"policy_cfg has {policy_cfg.n_states} states and {policy_cfg.n_actions} actions, "
+            f"but the env has {env.n_states} states and {env.n_actions} actions"
+        )
     horizon = truncation_horizon(env, value_tol)
     mu0 = _checked_mu0(env, mu0)
     result = TrainingResult()

@@ -6,7 +6,10 @@ One law handed in (an initial distribution mu0) is a `Simplex` over
 (per-agent views, policy outputs, transition rows, the steps of a
 mean-field path or of a rollout) is a float array with one law per row;
 `normalized_rows` applies the `Simplex` checks to such rows, and
-`sample_rows` is the one categorical draw: one index per row.
+`sample_rows` is the one categorical draw: one index per row. A caller
+that draws many times from one stack forms its partial sums once
+(`_partial_sums`) and draws from rows of them (`_inverse_cdf`), the same
+inverse-CDF rule.
 """
 
 from __future__ import annotations
@@ -95,15 +98,30 @@ def _require_finite(weights: np.ndarray) -> None:
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a (n, k) matrix of probabilities, by
-    inverse CDF at the row's uniform `u[i]`: the number of the row's first
-    k - 1 partial sums at or below `u[i]`, so a u equal to a partial sum
-    (u = 0 included) draws the next index with mass. The partial sums are
-    built column by column (row 0 of `cdf` is the empty sum), one
+    inverse CDF at the row's uniform `u[i]` (`_inverse_cdf`). The partial
+    sums are built column by column (row 0 of `cdf` is the empty sum), one
     elementwise pass over the n rows each."""
     cdf = np.zeros((probs.shape[1], probs.shape[0]))
     for j in range(probs.shape[1] - 1):
         np.add(cdf[j], probs[:, j], out=cdf[j + 1])
-    return (cdf[1:] <= u).sum(axis=0)
+    return _inverse_cdf(cdf[1:], u)
+
+
+def _partial_sums(laws: np.ndarray) -> np.ndarray:
+    """The first k - 1 partial sums of each law of a stack, whose last axis
+    holds the k entries, on a leading axis: sums[j] = laws[..., 0] + ... +
+    laws[..., j], added in the order `sample_rows` adds them, so that
+    `_inverse_cdf` on columns of these sums draws what `sample_rows` draws
+    from the laws."""
+    return np.moveaxis(np.cumsum(laws, axis=-1)[..., :-1], -1, 0)
+
+
+def _inverse_cdf(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The categorical draws from the (k - 1, n) partial sums of n laws over
+    k indices at their uniforms `u` (n,): law i draws the number of its
+    partial sums at or below `u[i]`, so a u equal to a partial sum (u = 0
+    included) draws the next index with mass."""
+    return (sums <= u).sum(axis=0)
 
 
 def _check_size(name: str, size) -> None:
@@ -113,13 +131,13 @@ def _check_size(name: str, size) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
 
-def _check_horizon(horizon) -> None:
-    """A ValueError that names `horizon` unless it is an integer >= 0 (a
-    bool is not)."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise ValueError(f"horizon must be an integer >= 0, got {horizon!r}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+def _check_count(name: str, value) -> None:
+    """A ValueError that names `value` unless it is an integer >= 0 (a bool
+    is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def _check_finite(name: str, value) -> None:

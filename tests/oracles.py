@@ -305,9 +305,10 @@ def mf_transition(env, policy, mu):
 
 
 def mf_reward(env, policy, mu):
-    """Population-average reward under mu: step 0 of the library's recursion."""
-    mus, _, probs, rewards, _ = next(_steps(env, policy, mu))
-    return float(_mean_rewards(rewards, probs, mus)[0])
+    """Population-average reward under mu: the env's reward table at step 0
+    of the library's recursion."""
+    mus, nus, probs, _ = next(_steps(env, policy, mu))
+    return float(_mean_rewards(env.reward_matrix(mus, nus), probs, mus)[0])
 
 
 def onehot_network_probs(cfg, phi, states, mu_rows):
@@ -544,3 +545,29 @@ def contraction_env(gamma=0.5, rho=0.05):
         reward_matrix=lambda mus, nus: (mus @ a + nus @ b)[:, None, None] + f,
     )
     return env, TabularPolicy([[0.6, 0.4], [0.25, 0.75]])
+
+
+def occupancy_pass_by_rows(env, policy, mu0, size: int, rng: np.random.Generator):
+    """Reference occupancy pass: the draws of `npg.sample_occupancy`, in its
+    order and from the same path, each made by one `sample_rows` call on the
+    gathered rows of the path's tables, with the live chains compacted after
+    every suffix step. Returns (states, mu_rows, actions, a_hat)."""
+    accept, suffix = rng.geometric(1.0 - env.gamma, (2, size)) - 1
+    heads = rng.random(size) < 0.5
+    mus, _, probs, rewards, kernels = mf_path(env, policy, mu0, int((accept + suffix).max()))
+    mu_rows = mus[accept]
+    states = sample_rows(mu_rows, rng.random(size))
+    actions = sample_rows(probs[accept, states], rng.random(size))
+    u = actions.copy()
+    tails = np.flatnonzero(~heads)
+    u[tails] = sample_rows(probs[accept[tails], states[tails]], rng.random(tails.size))
+    total = rewards[accept, states, u]
+    live, x = np.arange(size), states
+    for s in range(1, int(suffix.max()) + 1):
+        going = suffix[live] >= s
+        live, x, u = live[going], x[going], u[going]
+        t = accept[live] + s
+        x = sample_rows(kernels[t - 1, x, u], rng.random(live.size))
+        u = sample_rows(probs[t, x], rng.random(live.size))
+        total[live] += rewards[t, x, u]
+    return states, mu_rows, actions, np.where(heads, 2.0, -2.0) * total

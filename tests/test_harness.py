@@ -233,6 +233,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"{next(iter(fields))} must be an integer >= 1"):
             NPGConfig(**fields)
 
+    @pytest.mark.parametrize("seed", [2.5, float("nan"), True, -1])
+    def test_npg_seed_must_be_a_nonnegative_integer(self, seed):
+        # Built directly: 2.5 and nan failed only inside training, and True
+        # trained as seed 1.
+        with pytest.raises(ValueError, match="seed must be"):
+            NPGConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3)])
+    def test_npg_seed_accepts_integers(self, seed):
+        assert NPGConfig(seed=seed).seed == seed
+
     @pytest.mark.parametrize("name", ["eta", "alpha"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_npg_learning_rates_must_be_finite(self, name, value):

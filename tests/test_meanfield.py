@@ -291,8 +291,10 @@ class TestStackedValues:
 
     @pytest.mark.parametrize("rows", [1, 6])
     def test_env_hooks_run_once_per_step(self, rows):
-        # The recursion calls the hooks through the env's attributes, once
-        # per step with every stacked law, as the benchmark's tracer sees them.
+        # The recursion calls the hooks through the env's attributes, as the
+        # benchmark's tracer sees them: the stacked values call both once
+        # per step with every stacked law; a path calls `kernel` once per
+        # step and `reward_matrix` once, on all its T + 1 laws.
         env, _ = _firm(4, sigma=1.2)
         calls = {"kernel": [], "reward_matrix": []}
         for name, log in calls.items():
@@ -304,7 +306,20 @@ class TestStackedValues:
         for log in calls.values():
             log.clear()
         mf_path(env, _softmax(4, seed=26), Simplex(mu0s[0]), 9)
-        assert calls == {"kernel": [1] * 10, "reward_matrix": [1] * 10}
+        assert calls == {"kernel": [1] * 10, "reward_matrix": [10]}
+
+    @pytest.mark.parametrize("q", [3, 10])
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_path_rewards_equal_per_step_hook_calls(self, q, sigma):
+        # The firm hooks reduce each row on its own, so the path's one call
+        # over its stacked laws gives each step's table bit for bit.
+        env, _ = _firm(q, sigma=sigma)
+        rng = np.random.default_rng(q)
+        for mu0 in (Simplex.uniform(q), Simplex(rng.dirichlet(np.ones(q)))):
+            mus, nus, _, rewards, _ = mf_path(env, _softmax(q, seed=q, hidden=16), mu0, 40)
+            assert rewards.shape == (41, q, 2)
+            for t in range(41):
+                assert np.array_equal(rewards[t], env.reward_matrix(mus[t : t + 1], nus[t : t + 1])[0])
 
     def test_single_row_and_zero_horizon(self):
         env, _ = _firm(3)

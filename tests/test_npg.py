@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     inner_sgd_per_row,
     log_gradient_row,
     occupancy_by_enumeration,
+    occupancy_pass_by_rows,
     path_advantage,
     path_occupancy,
     tabular_env,
@@ -19,7 +21,7 @@ from mfmarl import meanfield as meanfield_module
 from mfmarl import npg as npg_module
 from mfmarl.harness import write_training_csv
 from mfmarl.model import FirmModelConfig, build_firm_env
-from mfmarl.meanfield import mf_path, mf_value, truncation_horizon
+from mfmarl.meanfield import mf_path, mf_value, mf_values, truncation_horizon
 from mfmarl.npg import (
     NPGConfig,
     TrainingDivergenceError,
@@ -30,7 +32,7 @@ from mfmarl.npg import (
     select_policy,
 )
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, _unpack, init_params
-from mfmarl.simplex import Simplex, sample_rows
+from mfmarl.simplex import Simplex
 
 
 def tabular_path(kernel_tab, reward_tab, policy_tab, mu0, gamma):
@@ -162,11 +164,21 @@ class TestSampleOccupancy:
         assert np.abs(counts / n - zeta).sum() <= 0.02
 
 
+def law_dependent_path(gamma=0.9):
+    """The firm model at q = 4 from a law away from its fixed point, under a
+    policy that reads the law (w1's view columns x20, w2 x5): a path whose
+    laws, action laws and tables all move with t."""
+    env = build_firm_env(FirmModelConfig(q=4, k=2, sigma=1.2), gamma)
+    pcfg = PolicyConfig(n_states=4, n_actions=2, hidden=8)
+    phi = init_params(pcfg, np.random.default_rng(0))
+    w1, _, w2, _ = _unpack(pcfg, phi)
+    w1[:, 4:] *= 20.0
+    w2 *= 5.0
+    return env, SoftmaxPolicy(pcfg, phi), Simplex([0.6, 0.2, 0.1, 0.1])
+
+
 class TestLawDependentPath:
-    """The sampler against exact oracles on a path whose laws, action laws
-    and tables all move with t: the firm model at q = 4 from a law away from
-    its fixed point, under a policy that reads the law (w1's view columns
-    x20, w2 x5)."""
+    """The sampler against exact oracles on `law_dependent_path`."""
 
     GAMMA = 0.9
     # gamma^HORIZON < 1e-6: the occupancy the oracles leave out.
@@ -174,13 +186,7 @@ class TestLawDependentPath:
 
     @pytest.fixture(scope="class")
     def path(self):
-        env = build_firm_env(FirmModelConfig(q=4, k=2, sigma=1.2), self.GAMMA)
-        pcfg = PolicyConfig(n_states=4, n_actions=2, hidden=8)
-        phi = init_params(pcfg, np.random.default_rng(0))
-        w1, _, w2, _ = _unpack(pcfg, phi)
-        w1[:, 4:] *= 20.0
-        w2 *= 5.0
-        return env, SoftmaxPolicy(pcfg, phi), Simplex([0.6, 0.2, 0.1, 0.1])
+        return law_dependent_path(self.GAMMA)
 
     def test_accepted_pairs_match_the_path_occupancy(self, path):
         zeta = path_occupancy(*path, self.HORIZON).sum(axis=0)
@@ -208,12 +214,13 @@ class TestLawDependentPath:
     @pytest.mark.parametrize("seed", range(5))
     def test_a_pass_simulates_only_the_suffix(self, path, monkeypatch, seed):
         calls = []
+        draw = npg_module._inverse_cdf
 
-        def counting(probs, u):
+        def counting(sums, u):
             calls.append(len(u))
-            return sample_rows(probs, u)
+            return draw(sums, u)
 
-        monkeypatch.setattr(npg_module, "sample_rows", counting)
+        monkeypatch.setattr(npg_module, "_inverse_cdf", counting)
         sample_occupancy(*path, 100, np.random.default_rng(seed))
         # The pass draws every accept time and suffix length first. Besides
         # the accepted pairs and the tails' redraws, it draws states and
@@ -221,6 +228,49 @@ class TestLawDependentPath:
         # accept time.
         _, suffix = np.random.default_rng(seed).geometric(1.0 - self.GAMMA, (2, 100)) - 1
         assert len(calls) <= 3 + 2 * suffix.max()
+
+
+def firm_path(q, sigma, seed=0):
+    """The firm model under a random policy from a random law, as the
+    `(env, policy, mu0)` of a mean-field path."""
+    env = build_firm_env(FirmModelConfig(q=q, k=3, sigma=sigma), 0.9)
+    pcfg = PolicyConfig(n_states=q, n_actions=2, hidden=16)
+    rng = np.random.default_rng([q, seed])
+    return env, SoftmaxPolicy(pcfg, init_params(pcfg, rng)), Simplex(rng.dirichlet(np.ones(q)))
+
+
+class TestPassMatchesRowDraws:
+    """A pass's draws from partial sums formed once against the reference
+    pass that draws each step by `sample_rows` on the gathered rows: the
+    same arrays and the same generator state after the pass."""
+
+    def _assert_same_pass(self, path, size, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_occupancy(*path, size, rng)
+        expected = occupancy_pass_by_rows(*path, size, ref_rng)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("size", [1, 7, 100, 513])
+    @pytest.mark.parametrize("q", [3, 10])
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_firm_paths(self, q, sigma, size):
+        for seed in range(5):
+            self._assert_same_pass(firm_path(q, sigma, seed), size, seed)
+
+    @pytest.mark.parametrize("size", [1, 7, 100, 513])
+    def test_law_dependent_path(self, size):
+        path = law_dependent_path()
+        for seed in range(5):
+            self._assert_same_pass(path, size, 100 + seed)
+
+    def test_pass_without_a_suffix_step(self):
+        # The first seed whose single sample has suffix length 0: the pass
+        # draws its accepted triple and simulates no step.
+        seed = next(s for s in range(100) if (np.random.default_rng(s).geometric(0.1, (2, 1)) - 1)[1, 0] == 0)
+        self._assert_same_pass(firm_path(10, 1.2), 1, seed)
+        self._assert_same_pass(law_dependent_path(), 1, seed)
 
 
 class TestMeanFieldPath:
@@ -472,6 +522,44 @@ class TestNpgTrain:
         lines = path.read_text().splitlines()
         assert lines[0] == "j,v_mf,w_norm,wall_ms"
         assert len(lines) == 5
+
+
+class TestPolicySizedForAnotherEnv:
+    """A policy with more actions, or fewer states, than the env fails with
+    a ValueError that names both sizes, not deep in numpy."""
+
+    ENV = build_firm_env(FirmModelConfig(q=4, k=2, sigma=1.2), 0.9)
+
+    @staticmethod
+    def _names_both(err, policy_size, env_size):
+        words = set(re.findall(r"\d+", str(err.value)))
+        assert {str(policy_size), str(env_size)} <= words, str(err.value)
+
+    @pytest.mark.parametrize("n_states, n_actions, sizes", [(4, 3, (3, 2)), (3, 2, (3, 4))])
+    def test_every_entry_point_rejects_it(self, n_states, n_actions, sizes):
+        pcfg = PolicyConfig(n_states=n_states, n_actions=n_actions, hidden=4)
+        phi = init_params(pcfg, np.random.default_rng(0))
+        policy, env, mu0 = SoftmaxPolicy(pcfg, phi), self.ENV, Simplex.uniform(4)
+        cfg = NPGConfig(j_steps=2, l_steps=5)
+        calls = [
+            lambda: mf_value(env, policy, mu0, 1e-3),
+            lambda: mf_values(env, policy, np.full((3, 4), 0.25), 5),
+            lambda: mf_path(env, policy, mu0, 5),
+            lambda: sample_occupancy(env, policy, mu0, 10, np.random.default_rng(0)),
+            lambda: npg_train(env, pcfg, phi, mu0, cfg, np.random.default_rng(0)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            self._names_both(err, *sizes)
+
+    def test_npg_train_checks_before_training(self):
+        pcfg = PolicyConfig(n_states=4, n_actions=3, hidden=4)
+        phi, rng = init_params(pcfg, np.random.default_rng(1)), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="policy_cfg has 4 states and 3 actions"):
+            npg_train(self.ENV, pcfg, phi, Simplex.uniform(4), NPGConfig(), rng)
+        # rejected before the training draws anything
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestPolicyStack:

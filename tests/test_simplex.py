@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import empirical_distribution, expectation, inverse_cdf, l1_distance
-from mfmarl.simplex import Simplex, sample_rows
+from mfmarl.simplex import Simplex, _inverse_cdf, _partial_sums, sample_rows
 
 
 def draw(p: Simplex, n: int, rng) -> np.ndarray:
@@ -219,6 +219,35 @@ class TestSampleRows:
             u = rng.random(4000)
             rows = np.broadcast_to(law, (u.size, k))
             assert np.array_equal(sample_rows(rows, u), inverse_cdf(law, u))
+
+
+class TestPartialSums:
+    """Draws from partial sums formed once over a stack of laws, as an NPG
+    pass makes them, against `sample_rows` on the gathered laws."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 12])
+    def test_draws_equal_sample_rows(self, k):
+        rng = np.random.default_rng(k)
+        stack = sparse_rows(rng, 6 * 4 * 2, k).reshape(6, 4, 2, k)
+        sums = _partial_sums(stack)
+        assert sums.shape == (k - 1, 6, 4, 2)
+        t, x, u = rng.integers(0, 6, 500), rng.integers(0, 4, 500), rng.integers(0, 2, 500)
+        rows = stack[t, x, u]
+        # Uniforms anywhere, and exactly on each row's partial sums (ties).
+        on_sums = np.cumsum(rows, axis=1)[np.arange(500), rng.integers(0, k, 500)]
+        for draws_u in (rng.random(500), on_sums, np.zeros(500)):
+            draws = _inverse_cdf(sums[:, t, x, u], draws_u)
+            assert draws.dtype == np.int64
+            assert np.array_equal(draws, sample_rows(rows, draws_u))
+
+    def test_u_on_a_partial_sum_takes_the_next_index(self):
+        # u equal to a partial sum draws the next index with mass, skipping
+        # zero columns; u = 0 skips leading zero columns.
+        laws = np.array([[0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0]])
+        sums = _partial_sums(laws)
+        assert _inverse_cdf(sums, np.array([0.25, 0.5, 0.0])).tolist() == [1, 3, 2]
+        assert _inverse_cdf(sums, np.array([0.5, 0.0, 0.5])).tolist() == [3, 1, 2]
+        assert np.array_equal(_inverse_cdf(sums, np.array([0.5, 0.0, 0.5])), sample_rows(laws, np.array([0.5, 0.0, 0.5])))
 
 
 class TestExpectation:
