@@ -79,8 +79,8 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     equals `mf_value`'s from that row alone, bit for bit."""
     values = np.zeros(mus.shape[0])
     discount = 1.0
-    # Each step's tables are reduced before the next step is formed: a list
-    # of the steps' `probs` would keep every step's network workspace alive.
+    # Each step's tables are reduced before the next step is formed, so the
+    # memory does not grow with the horizon.
     for mus, nus, probs, _ in _recursion(env, policy, mus, horizon):
         values += discount * _mean_rewards(env.reward_matrix(mus, nus), probs, mus)
         discount *= env.gamma

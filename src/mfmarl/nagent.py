@@ -12,8 +12,8 @@ the blocks of a block-diagonal W; each block keeps its own random stream.
 
 from __future__ import annotations
 
-import copy
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +75,7 @@ def step(
     states: np.ndarray,
     u: np.ndarray,
     *,
-    views: list | None = None,
+    kept=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the population one step; returns the actions taken, the
     per-agent rewards and the next states.
@@ -85,24 +85,26 @@ def step(
     `env.transition_sample_batch`, one uniform per agent each. The hooks get
     the action views only if `env.reads_nu_views`, and None otherwise.
 
-    A step loop passes `views`, a list that is empty or holds the pair
-    (states, state views) of the step before; the loop must not change
-    those states in place. The step gets its state views from the pair by
-    `w.updated_views` (the same views when no agent moved, a rank-m update
-    on a dense W when few moved, else the full product), or by `w.views`
-    when the list is empty, and leaves its own pair in the list."""
+    A step loop passes `kept`, one record for the whole loop (a
+    `types.SimpleNamespace`, empty at first), and does not change the states
+    it passes in place. The step gets its state views from the record's
+    `states` and `views`, those of the step before, by `w.updated_views`
+    (the same views when no agent moved, a rank-m update on a dense W when
+    few moved, else the full product), or by `w.views` when it holds none.
+    It hands the record to `policy.sample_actions` and then leaves its own
+    states and views on it."""
     n = w.n_agents
     states = _check_indices("states", states, n, env.n_states)
     if np.shape(u) != (2, n):
         raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
-    views = [] if views is None else views
-    if views:
-        kept_states, kept_views = views.pop()
-        mu_views = w.updated_views(kept_views, kept_states, states, env.n_states)
-    else:
+    last = getattr(kept, "states", None)
+    if last is None:
         mu_views = w.views(states, env.n_states)
-    views.append((states, mu_views))
-    actions = policy.sample_actions(states, mu_views, u[0])
+    else:
+        mu_views = w.updated_views(kept.views, last, states, env.n_states)
+    actions = policy.sample_actions(states, mu_views, u[0], kept)
+    if kept is not None:
+        kept.states, kept.views = states, mu_views
     nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
     rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
     next_states = np.asarray(
@@ -122,31 +124,29 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     discounted population-average return and, with `record`, the (T+1, B*N)
     states, actions and rewards (else None).
 
-    The loop draws through a copy of `policy`, which starts with no kept
-    rows: a pass over a subset of rows rounds differently in the last bit
-    from a pass over all rows, so rows kept from another loop would make
-    the results depend on what the thread simulated before."""
+    What the loop keeps between steps, the policy's rows included, lives on
+    one record of its own, so its results do not depend on what ran before
+    it on the thread or on the policy."""
     _check_count("horizon", horizon)
     ws, inits, rngs = zip(*blocks)
     n = ws[0].n_agents
     inits = [_check_indices("initial_states", states, n, env.n_states) for states in inits]
     states = np.concatenate(inits, dtype=np.int64)
     w = ws[0] if len(ws) == 1 else _block_diagonal(ws)
-    policy = copy.copy(policy)
     shape = (horizon + 1, states.size)
     history = None
     if record:
         history = (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64), np.empty(shape))
     returns = np.zeros(len(blocks))
     discount = 1.0
-    state_views = []  # (states, their views) of the step before
+    kept = types.SimpleNamespace()
     for t in range(horizon + 1):
         if t % _DRAW_STEPS == 0:
             steps = min(_DRAW_STEPS, horizon + 1 - t)
             chunks = [g.random((steps, 2, n)) for g in rngs]
             draws = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=2)
         u = draws[t % _DRAW_STEPS]
-        actions, step_rewards, next_states = step(env, w, policy, states, u, views=state_views)
+        actions, step_rewards, next_states = step(env, w, policy, states, u, kept=kept)
         if record:
             history[0][t], history[1][t], history[2][t] = states, actions, step_rewards
         states = next_states

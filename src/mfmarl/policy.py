@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,70 +185,64 @@ class SoftmaxPolicy:
         self.params = phi.copy()
         self.params.flags.writeable = False
         self._layers = _layers(cfg, self.params)
-        # `sample_actions`'s workspace and kept rows, one set per thread: a
-        # sweep's thread pool shares one policy.
-        self._cache = threading.local()
 
-    def __getstate__(self):
-        # The per-thread cache is not state: a copy or an unpickled policy
-        # shares none of it and starts fresh.
-        return {"config": self.config, "params": self.params}
-
-    def __setstate__(self, state):
-        self.__init__(state["config"], state["params"])
-
-    def _states(self, states) -> np.ndarray:
-        return _check_indices("states", states, np.size(states), self.config.n_states)
+    def __reduce__(self):
+        # A copy or an unpickled policy is built anew from its parameters,
+        # which keeps them read-only.
+        return type(self), (self.config, self.params)
 
     def action_laws(self, mus: np.ndarray) -> np.ndarray:
         """The action laws pi(. | x, mu) at every state x of each law mu, a
-        row of `mus` (B, |X|), as a new (B, |X|, |U|) array: one network pass
-        with one view per law, so a law's rows do not depend on the laws
-        stacked with it."""
+        row of `mus` (B, |X|), as a new C-contiguous (B, |X|, |U|) array: one
+        network pass with one view per law, so a law's rows do not depend on
+        the laws stacked with it."""
         mus = np.asarray(mus, dtype=np.float64)
         if mus.ndim != 2 or mus.shape[1] != self.config.n_states:
             raise ValueError(f"mus must have shape (B, {self.config.n_states}), got {mus.shape}")
-        return _forward(self.config, self._layers, None, mus)[1]
+        return np.ascontiguousarray(_forward(self.config, self._layers, None, mus)[1])
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray, kept=None) -> np.ndarray:
         """One action per (state, view) row, drawn by the row's uniform `u[i]`.
 
-        The calling thread keeps the rows it last evaluated: each row's state,
-        view and action probabilities, in a workspace rebuilt only when the
-        number of rows changes. A call runs the network only on the rows
-        whose state or view differs bitwise from the kept ones, or over all
-        rows in place when more than `_FULL_PASS_SHARE` of them differ."""
+        With no record `kept`, one network pass over all rows in a fresh
+        workspace. A step loop's record (see `nagent.step`) holds the
+        `states` and `views` of the call before, once the caller has set
+        them. On it the policy keeps its workspace and the rows' action
+        probabilities, and runs the network only on the rows whose state or
+        view differs bitwise from the call before, or over all rows in place
+        when more than `_FULL_PASS_SHARE` of them differ."""
         cfg = self.config
-        states = self._states(states)
-        b = states.size
+        b = np.size(states)
+        states = _check_indices("states", states, b, cfg.n_states)
         mu_rows = np.asarray(mu_rows, dtype=np.float64)
         if mu_rows.shape != (b, cfg.n_states):
             raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
-        kept = self._cache
-        if getattr(kept, "states", None) is None or kept.states.size != b:
-            # No row is kept yet: a state of -1 differs from every state.
-            kept.out, kept.states, kept.mu_rows = _workspace(cfg, (b,)), np.full(b, -1), np.empty((b, cfg.n_states))
-            # The subset pass's workspace, for up to `_FULL_PASS_SHARE * b` rows.
+        if kept is None:
+            return sample_rows(_forward(cfg, self._layers, states, mu_rows)[1], u)
+        last = getattr(kept, "states", None)
+        full = last is None or last.size != b
+        if full:
+            # The workspaces of the full pass and of the subset pass, for up
+            # to `_FULL_PASS_SHARE * b` rows.
+            kept.out = _workspace(cfg, (b,))
             kept.part = np.empty(int(_FULL_PASS_SHARE * b) * (2 * cfg.hidden + cfg.n_actions + 1))
-        differ = mu_rows.view(np.int64) != kept.mu_rows.view(np.int64)
-        # More differing view entries than the share of all entries means
-        # more differing rows than the share of rows: no need to list them.
-        full = np.count_nonzero(differ) > _FULL_PASS_SHARE * differ.size
+        else:
+            # The views handed back as they were (no agent moved) need no diff.
+            differ = () if mu_rows is kept.views else mu_rows.view(np.int64) != kept.views.view(np.int64)
+            # More differing view entries than the share of all entries means
+            # more differing rows than the share of rows: no need to list them.
+            full = np.count_nonzero(differ) > _FULL_PASS_SHARE * np.size(differ)
         if not full:
-            changed = states != kept.states
+            changed = states != last
             changed[np.flatnonzero(differ) // cfg.n_states] = True
             changed = np.flatnonzero(changed)
             full = changed.size > _FULL_PASS_SHARE * b
         probs = kept.out[1][:-1]
         if full:
             _forward(cfg, self._layers, states, mu_rows, kept.out)
-            np.copyto(kept.states, states)
-            np.copyto(kept.mu_rows, mu_rows)
         elif changed.size:
             part = _workspace(cfg, (changed.size,), kept.part)
             probs[:, changed] = _forward(cfg, self._layers, states[changed], mu_rows[changed], part)[1].T
-            kept.states[changed] = states[changed]
-            kept.mu_rows[changed] = mu_rows[changed]
         return sample_rows(probs.T, u)
 
     def lipschitz_bound(self) -> float:

@@ -83,7 +83,7 @@ class TabularPolicy:
     def action_laws(self, mus: np.ndarray) -> np.ndarray:
         return np.tile(self.table, (len(mus), 1, 1))
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray, kept=None) -> np.ndarray:
         return sample_rows(self.table[states], u)
 
     def lipschitz_bound(self) -> float:
@@ -113,7 +113,7 @@ class FunctionPolicy:
         states = np.tile(np.arange(self.n_states), n)
         return self._rows(states, np.repeat(mus, self.n_states, axis=0)).reshape(n, self.n_states, -1)
 
-    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def sample_actions(self, states: np.ndarray, mu_rows: np.ndarray, u: np.ndarray, kept=None) -> np.ndarray:
         return sample_rows(self._rows(states, mu_rows), u)
 
 

@@ -1,6 +1,7 @@
 import copy
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -151,11 +152,11 @@ def moved_before(states: np.ndarray) -> list:
 
 
 def full_product_episode(env, w, pol, initial_states, horizon, rng):
-    """An episode as a loop of `step` calls without `views=`, so that every
+    """An episode as a loop of `step` calls without a record, so that every
     step computes its state views by the full product: the (T+1, N) states,
     actions and rewards, and the discounted return summed as `_simulate`
     sums it."""
-    pol, states = copy.copy(pol), np.asarray(initial_states)
+    states = np.asarray(initial_states)
     record = ([], [], [])
     returns, discount = np.zeros(1), 1.0
     for _ in range(horizon + 1):
@@ -191,9 +192,9 @@ class TestViewsComputed:
         w = sinkhorn_random(6, np.random.default_rng(5))
         pol = softmax_policy(3, seed=3)
         rec = rollout(env, w, pol, np.zeros(6, dtype=int), 30, np.random.default_rng(7))
-        states, hand, hand_pol = np.zeros(6, dtype=int), np.random.default_rng(7), copy.copy(pol)
+        states, hand = np.zeros(6, dtype=int), np.random.default_rng(7)
         for t in range(31):
-            actions, rewards, states = step(env, w, hand_pol, states, hand.random((2, 6)))
+            actions, rewards, states = step(env, w, pol, states, hand.random((2, 6)))
             assert np.array_equal(rec.actions[t], actions) and np.array_equal(rec.rewards[t], rewards)
 
     def test_action_views_computed_when_declared(self, monkeypatch):
@@ -282,16 +283,15 @@ class TestViewUpdate:
         env, w, pol = self.episode_inputs(self.N)
         full_views = InteractionMatrix.views
         paths = spy_view_paths(monkeypatch)
-        states, kept, rng, pol = np.zeros(self.N, dtype=np.int64), [], np.random.default_rng(72), copy.copy(pol)
+        states, kept, rng = np.zeros(self.N, dtype=np.int64), types.SimpleNamespace(), np.random.default_rng(72)
         k, longest = 0, 0
         for _ in range(200):
-            _, _, next_states = nagent.step(env, w, pol, states, rng.random((2, self.N)), views=kept)
+            _, _, next_states = nagent.step(env, w, pol, states, rng.random((2, self.N)), kept=kept)
             k = 0 if paths[-1] == "full" else k + (paths[-1] == "update")
             longest = max(longest, k)
-            [(kept_states, views)] = kept
-            assert kept_states is states
-            assert np.abs(views - full_views(w, states, 10)).max() <= (k + 1) * self.EPS
-            assert views.min() >= 0.0
+            assert kept.states is states
+            assert np.abs(kept.views - full_views(w, states, 10)).max() <= (k + 1) * self.EPS
+            assert kept.views.min() >= 0.0
             states = next_states
         assert longest >= 20
 
@@ -639,10 +639,9 @@ class TestRecordedStream:
         horizon = 2 * nagent._DRAW_STEPS + 5
         rng, hand = np.random.default_rng(45), np.random.default_rng(45)
         rec = rollout(env, w, pol, states, horizon, rng)
-        hand_pol = copy.copy(pol)
         for t in range(horizon + 1):
             assert np.array_equal(rec.states[t], states)
-            actions, _, states = step(env, w, hand_pol, states, hand.random((2, 8)))
+            actions, _, states = step(env, w, pol, states, hand.random((2, 8)))
             assert np.array_equal(rec.actions[t], actions)
         assert rng.random() == hand.random()
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,9 @@ from oracles import (
     onehot_network_probs,
     policy_probs,
 )
+from mfmarl.interaction import ring_k_neighbor
+from mfmarl.model import FirmModelConfig, build_firm_env
+from mfmarl.nagent import rollout
 from mfmarl.policy import (
     PolicyConfig,
     SoftmaxPolicy,
@@ -357,37 +361,63 @@ def draw_inputs(rng, cfg, b):
     return rng.integers(0, cfg.n_states, size=b), rng.dirichlet(np.ones(cfg.n_states), size=b), rng.random(b)
 
 
-# Counts the minor page faults of 50 `sample_actions` calls at B = 4000 after
-# warm-up; run in a fresh interpreter so that the allocator setting applies.
+def draw_kept(policy, kept, states, mu_rows, u):
+    """`sample_actions` through the record `kept`, which then holds the
+    call's states and views, as `nagent.step` leaves it."""
+    drawn = policy.sample_actions(states, mu_rows, u, kept)
+    kept.states, kept.views = states, mu_rows
+    return drawn
+
+
+# Counts the minor page faults of 50 `sample_actions` calls at B = 4000
+# through one record after warm-up; run in a fresh interpreter so that the
+# allocator setting applies.
 FAULT_PROBE = """
-import resource
+import resource, types
 import numpy as np
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
 policy = SoftmaxPolicy(cfg, init_params(cfg, np.random.default_rng(0)))
 rng = np.random.default_rng(1)
 states, mu_rows, u = rng.integers(0, 10, 4000), rng.dirichlet(np.ones(10), 4000), rng.random(4000)
+kept = types.SimpleNamespace()
+def draw():
+    policy.sample_actions(states, mu_rows, u, kept)
+    kept.states, kept.views = states, mu_rows
 for _ in range(10):
-    policy.sample_actions(states, mu_rows, u)
+    draw()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(50):
-    policy.sample_actions(states, mu_rows, u)
+    draw()
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
 """
 
 
 class TestWorkspace:
-    """`sample_actions` runs the network in a per-thread workspace that it
-    keeps between calls; `action_laws` returns arrays of its own."""
+    """`sample_actions` runs the network in a workspace kept on the caller's
+    record, or in a fresh one without a record; `action_laws` returns arrays
+    of its own."""
 
     def test_draws_match_sample_rows_as_the_row_count_changes(self):
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
         rng = np.random.default_rng(13)
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        kept = types.SimpleNamespace()
         for b in (4000, 5, 4000, 1):
             states, mu_rows, u = draw_inputs(rng, cfg, b)
             expected = sample_rows(network_probs(policy, states, mu_rows), u)
             assert np.array_equal(policy.sample_actions(states, mu_rows, u), expected), b
+            assert np.array_equal(draw_kept(policy, kept, states, mu_rows, u), expected), b
+
+    def test_action_laws_owns_its_result(self):
+        # A view on the pass's workspace would keep the whole workspace
+        # alive for as long as the caller keeps the laws.
+        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+        rng = np.random.default_rng(20)
+        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
+        probs = policy.action_laws(rng.dirichlet(np.ones(10), size=7))
+        assert probs.shape == (7, 10, 3)
+        assert probs.flags.owndata and probs.flags.c_contiguous
 
     def test_action_laws_result_is_not_overwritten_by_later_calls(self):
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
@@ -443,7 +473,8 @@ class TestWorkspace:
     def test_draws_take_few_page_faults_after_warm_up(self):
         # With glibc's mmap threshold at 1 MiB, a (B, H) array allocated per
         # call is given back to the OS when freed and faulted in again (about
-        # 476 faults per call at B = 4000); the kept workspace takes none.
+        # 476 faults per call at B = 4000); the workspace kept on the record
+        # takes none.
         src = str(Path(mfmarl.__file__).resolve().parents[1])
         env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="1048576", OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -467,8 +498,9 @@ def spy_forward_rows(monkeypatch) -> list:
 
 
 class TestKeptRows:
-    """`sample_actions` keeps each row's state, view and probabilities, and
-    re-runs the network only on the rows whose state or view changed."""
+    """Through a record, `sample_actions` keeps each row's probabilities
+    and re-runs the network only on the rows whose state or view changed
+    since the record's rows."""
 
     def test_only_changed_rows_are_re_run(self, monkeypatch):
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
@@ -476,14 +508,15 @@ class TestKeptRows:
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
         states, mu_rows, _ = draw_inputs(rng, cfg, 400)
         rows = spy_forward_rows(monkeypatch)
+        record = types.SimpleNamespace()
 
         def check(states, mu_rows, expected_rows):
             u = rng.random(states.size)
             rows.clear()
-            drawn = policy.sample_actions(states, mu_rows, u)
+            drawn = draw_kept(policy, record, states, mu_rows, u)
             assert rows == ([expected_rows] if expected_rows else [])
             probs = network_probs(policy, states, mu_rows)
-            kept = policy._cache.out[1][:-1].T
+            kept = record.out[1][:-1].T
             assert np.abs(kept - probs).max() <= 1e-15
             assert np.array_equal(drawn, sample_rows(probs, u))
 
@@ -501,12 +534,16 @@ class TestKeptRows:
         check(states, mu_rows, 400)
         states, mu_rows, _ = draw_inputs(rng, cfg, 7)
         check(states, mu_rows, 7)
+        # The record holds the caller's arrays, not copies: a changed state
+        # goes into a new array, as in a step loop.
+        states = states.copy()
         states[2] = (states[2] + 1) % 10
         check(states, mu_rows, 1)
 
     def test_threads_sharing_a_policy_keep_rows_of_their_own(self):
         # Each round changes 20 of 500 states, so every call after a
-        # thread's first runs the network on a subset of its kept rows.
+        # thread's first runs the network on a subset of the rows kept on
+        # its own record.
         cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
         rng = np.random.default_rng(19)
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
@@ -520,9 +557,10 @@ class TestKeptRows:
         matched = [[] for _ in range(4)]
 
         def work(i):
+            kept = types.SimpleNamespace()
             for _ in range(25):
                 for inputs, drawn in zip(rounds, expected):
-                    matched[i].append(np.array_equal(policy.sample_actions(*inputs), drawn))
+                    matched[i].append(np.array_equal(draw_kept(policy, kept, *inputs), drawn))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -544,23 +582,23 @@ class TestKeptRows:
         policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
         policy.sample_actions(*draw_inputs(rng, cfg, 300))
         inputs = draw_inputs(rng, cfg, 300)
-        for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy)):
+        for clone in (pickle.loads(pickle.dumps(policy)), copy.deepcopy(policy), copy.copy(policy)):
             assert clone.config == policy.config
             assert np.array_equal(clone.params, policy.params)
             assert not clone.params.flags.writeable
             assert np.array_equal(clone.sample_actions(*inputs), policy.sample_actions(*inputs))
 
-    def test_a_copy_leaves_the_original_untouched(self):
-        cfg = PolicyConfig(n_states=10, n_actions=3, hidden=32)
+    def test_the_policy_keeps_nothing_between_draws(self):
+        # What a step loop carries from one step to the next lives on its
+        # own record, not on the shared policy.
+        cfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
         rng = np.random.default_rng(18)
-        policy = SoftmaxPolicy(cfg, rng.uniform(-1.0, 1.0, cfg.n_params))
-        policy.sample_actions(*draw_inputs(rng, cfg, 300))
-        kept = policy._cache
-        saved = [a.copy() for a in (*kept.out, kept.states, kept.mu_rows)]
-        clone = copy.copy(policy)
+        policy = SoftmaxPolicy(cfg, init_params(cfg, rng))
         for _ in range(3):
-            clone.sample_actions(*draw_inputs(rng, cfg, 300))
-        assert all(np.array_equal(a, b) for a, b in zip(saved, (*kept.out, kept.states, kept.mu_rows)))
+            policy.sample_actions(*draw_inputs(rng, cfg, 300))
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        rollout(env, ring_k_neighbor(40, 2), policy, np.zeros(40, dtype=int), 20, rng)
+        assert sorted(vars(policy)) == ["_layers", "config", "params"]
 
 
 class TestSerialization:
