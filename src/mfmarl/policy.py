@@ -210,7 +210,10 @@ class SoftmaxPolicy:
         them. On it the policy keeps its workspace and the rows' action
         probabilities, and runs the network only on the rows whose state or
         view differs bitwise from the call before, or over all rows in place
-        when more than `_FULL_PASS_SHARE` of them differ."""
+        when more than `_FULL_PASS_SHARE` of them differ. The record holds
+        the caller's arrays, not copies: a caller must not change them in
+        place between calls, or the changed rows are not seen and are drawn
+        from stale probabilities."""
         cfg = self.config
         b = np.size(states)
         states = _check_indices("states", states, b, cfg.n_states)
@@ -227,11 +230,10 @@ class SoftmaxPolicy:
             kept.out = _workspace(cfg, (b,))
             kept.part = np.empty(int(_FULL_PASS_SHARE * b) * (2 * cfg.hidden + cfg.n_actions + 1))
         else:
-            # The views handed back as they were (no agent moved) need no diff.
-            differ = () if mu_rows is kept.views else mu_rows.view(np.int64) != kept.views.view(np.int64)
+            differ = mu_rows.view(np.int64) != kept.views.view(np.int64)
             # More differing view entries than the share of all entries means
             # more differing rows than the share of rows: no need to list them.
-            full = np.count_nonzero(differ) > _FULL_PASS_SHARE * np.size(differ)
+            full = np.count_nonzero(differ) > _FULL_PASS_SHARE * differ.size
         if not full:
             changed = states != last
             changed[np.flatnonzero(differ) // cfg.n_states] = True

@@ -19,7 +19,7 @@ from oracles import (
     policy_probs,
     scalar_env as oracle_env,
 )
-from test_policy import spy_forward_rows
+from test_policy import draw_kept, spy_forward_rows
 from mfmarl import interaction, nagent
 from mfmarl.interaction import (
     InteractionMatrix,
@@ -151,12 +151,25 @@ def moved_before(states: np.ndarray) -> list:
     return [t == 0 or not np.array_equal(states[t], states[t - 1]) for t in range(len(states))]
 
 
+class KeptRows:
+    """`pol` drawing through a record of its own, as in a step loop, for a
+    loop of `step` calls without a record: every step computes its state
+    views by the full product, and the policy runs the passes `_simulate`
+    would run on those views."""
+
+    def __init__(self, pol):
+        self.pol, self.kept = pol, types.SimpleNamespace()
+
+    def sample_actions(self, states, mu_rows, u, kept=None):
+        return draw_kept(self.pol, self.kept, states, mu_rows, u)
+
+
 def full_product_episode(env, w, pol, initial_states, horizon, rng):
     """An episode as a loop of `step` calls without a record, so that every
-    step computes its state views by the full product: the (T+1, N) states,
-    actions and rewards, and the discounted return summed as `_simulate`
-    sums it."""
-    states = np.asarray(initial_states)
+    step computes its state views by the full product, while the policy
+    keeps its rows (`KeptRows`): the (T+1, N) states, actions and rewards,
+    and the discounted return summed as `_simulate` sums it."""
+    pol, states = KeptRows(pol), np.asarray(initial_states)
     record = ([], [], [])
     returns, discount = np.zeros(1), 1.0
     for _ in range(horizon + 1):
@@ -192,9 +205,9 @@ class TestViewsComputed:
         w = sinkhorn_random(6, np.random.default_rng(5))
         pol = softmax_policy(3, seed=3)
         rec = rollout(env, w, pol, np.zeros(6, dtype=int), 30, np.random.default_rng(7))
-        states, hand = np.zeros(6, dtype=int), np.random.default_rng(7)
+        states, hand, hand_pol = np.zeros(6, dtype=int), np.random.default_rng(7), KeptRows(pol)
         for t in range(31):
-            actions, rewards, states = step(env, w, pol, states, hand.random((2, 6)))
+            actions, rewards, states = step(env, w, hand_pol, states, hand.random((2, 6)))
             assert np.array_equal(rec.actions[t], actions) and np.array_equal(rec.rewards[t], rewards)
 
     def test_action_views_computed_when_declared(self, monkeypatch):
@@ -639,9 +652,10 @@ class TestRecordedStream:
         horizon = 2 * nagent._DRAW_STEPS + 5
         rng, hand = np.random.default_rng(45), np.random.default_rng(45)
         rec = rollout(env, w, pol, states, horizon, rng)
+        kept = types.SimpleNamespace()
         for t in range(horizon + 1):
             assert np.array_equal(rec.states[t], states)
-            actions, _, states = step(env, w, pol, states, hand.random((2, 8)))
+            actions, _, states = step(env, w, pol, states, hand.random((2, 8)), kept=kept)
             assert np.array_equal(rec.actions[t], actions)
         assert rng.random() == hand.random()
 
