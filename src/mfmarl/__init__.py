@@ -4,15 +4,12 @@
 from .interaction import (
     InteractionMatrix,
     ring_k_neighbor,
-    ring_symmetric,
     sinkhorn_random,
     uniform,
-    validate_doubly_stochastic,
 )
 from .meanfield import (
     BoundInapplicableError,
     BoundInputs,
-    MFTrajectory,
     approximation_bound,
     bound_inputs,
     mf_value,
@@ -24,11 +21,10 @@ from .model import (
     AffineRewardSpec,
     EnvModel,
     FirmModelConfig,
-    RewardConstants,
     build_firm_env,
     reward_constants,
 )
-from .nagent import RolloutRecord, estimate_v_marl, rollout, step
+from .nagent import estimate_v_marl, rollout, step
 from .npg import (
     NPGConfig,
     TrainingDivergenceError,
@@ -55,11 +51,8 @@ __all__ = [
     "EnvModel",
     "FirmModelConfig",
     "InteractionMatrix",
-    "MFTrajectory",
     "NPGConfig",
     "PolicyConfig",
-    "RewardConstants",
-    "RolloutRecord",
     "Simplex",
     "SoftmaxPolicy",
     "TrainingDivergenceError",
@@ -76,7 +69,6 @@ __all__ = [
     "npg_train",
     "reward_constants",
     "ring_k_neighbor",
-    "ring_symmetric",
     "rollout",
     "sample_occupancy",
     "save_policy",
@@ -85,5 +77,4 @@ __all__ = [
     "step",
     "truncation_horizon",
     "uniform",
-    "validate_doubly_stochastic",
 ]

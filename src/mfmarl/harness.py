@@ -17,7 +17,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -427,9 +427,9 @@ def bound_report(
         raise AffineRewardRequiredError("the bound requires the affine (sigma = 1) reward")
     if policy is None:
         policy, _ = train_policy(cfg, env)
-    inputs = bound_inputs(env, policy.lipschitz_bound(), n_agents=int(cfg.n_list[0]))
+    inputs = bound_inputs(env, policy.lipschitz_bound())
     try:
-        bounds = {int(n): approximation_bound(replace(inputs, n_agents=int(n))) for n in cfg.n_list}
+        bounds = {n: approximation_bound(inputs, n) for n in cfg.n_list}
     except BoundInapplicableError as err:
         return BoundReport(inputs=inputs, applicable=False, reason=str(err), bounds={})
     return BoundReport(inputs=inputs, applicable=True, reason="", bounds=bounds)

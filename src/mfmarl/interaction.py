@@ -7,15 +7,14 @@ mean-field comparison relies on.
 
 A matrix is stored in one of two forms, chosen by its builder: dense (an
 N x N array; `uniform`, `sinkhorn_random` and the constructor) or as its
-nonzeros (`ring_k_neighbor`, `ring_symmetric` and
-`InteractionMatrix.from_nonzeros`), which costs O(nnz) memory and view work
-instead of O(N^2). A dense matrix brings kept views up to date after a few
-agents changed item by a rank-m update (`InteractionMatrix.updated_views`).
+nonzeros (`ring_k_neighbor` and `InteractionMatrix.from_nonzeros`), which
+costs O(nnz) memory and view work instead of O(N^2). Both forms pass one
+check (`_require_doubly_stochastic`). A dense matrix brings kept views up
+to date after a few agents changed item by a rank-m update
+(`InteractionMatrix.updated_views`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,25 +43,6 @@ _UPDATE_SHARE = 1 / 8
 _UPDATE_CHUNK = 32
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Row/column sum deviations and negative entries of a candidate matrix."""
-
-    row_deviation: np.ndarray
-    col_deviation: np.ndarray
-    min_entry: float
-    tol: float
-    passed: bool
-
-    def __str__(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"{status}: max row dev {self.row_deviation.max():.3e}, "
-            f"max col dev {self.col_deviation.max():.3e}, min entry {self.min_entry:.3e} "
-            f"(tol {self.tol:g})"
-        )
-
-
 class InteractionMatrix:
     """An immutable N x N doubly stochastic weight matrix.
 
@@ -77,8 +57,11 @@ class InteractionMatrix:
 
     def _set_dense(self, w: np.ndarray) -> None:
         """Validate `w` and take it over as the dense form, without copying."""
-        report = validate_doubly_stochastic(w, VALIDATION_TOL)
-        _require_valid(report, float(w.max()))
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {w.shape}")
+        if w.size == 0:
+            raise ValueError("interaction matrix needs at least one agent, got shape (0, 0)")
+        _require_doubly_stochastic(w.sum(axis=1), w.sum(axis=0), float(w.min()), float(w.max()))
         self._store(w.shape[0], w, None, None, None)
 
     def _store(self, n_agents: int, dense, rows, cols, data) -> None:
@@ -115,13 +98,12 @@ class InteractionMatrix:
         min_entry = float(data.min())
         if data.size < n * n:
             min_entry = min(min_entry, 0.0)
-        report = _report(
+        _require_doubly_stochastic(
             np.bincount(rows, weights=data, minlength=n),
             np.bincount(cols, weights=data, minlength=n),
             min_entry,
-            VALIDATION_TOL,
+            float(data.max()),
         )
-        _require_valid(report, float(data.max()))
         # Row-major order: each agent's entries are one contiguous slice.
         key = rows * n + cols
         if np.any(key[1:] < key[:-1]):
@@ -216,33 +198,15 @@ def uniform(n: int) -> InteractionMatrix:
     return InteractionMatrix._from_dense(np.full((n, n), 1.0 / n))
 
 
-def _circulant(n: int, offsets) -> InteractionMatrix:
-    """Weight 1/k on W(i, (i + off) % n) for each of the k offsets; they must
-    be distinct mod n, so every nonzero is exactly 1/k."""
-    k = len(offsets)
-    rows = np.repeat(np.arange(n), k)
-    cols = np.sort((np.arange(n)[:, None] + np.asarray(offsets)) % n, axis=1).ravel()
-    return InteractionMatrix.from_nonzeros(n, rows, cols, np.full(rows.size, 1.0 / k))
-
-
 def ring_k_neighbor(n: int, k: int) -> InteractionMatrix:
     """Circulant matrix with weight 1/k on offsets {1, ..., k} (self excluded
     unless k = n, where offset n wraps onto the diagonal). Stored as its
     n * k nonzeros."""
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    return _circulant(n, range(1, k + 1))
-
-
-def ring_symmetric(n: int, k: int) -> InteractionMatrix:
-    """Symmetric circulant with weight 1/k on offsets +-1..+-k/2 (k even).
-    Stored as its n * k nonzeros."""
-    if k % 2 != 0:
-        raise ValueError("symmetric window needs an even neighbor count")
-    if not 2 <= k < n:
-        raise ValueError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
-    half = range(1, k // 2 + 1)
-    return _circulant(n, [*half, *(-off for off in half)])
+    rows = np.repeat(np.arange(n), k)
+    cols = np.sort((np.arange(n)[:, None] + np.arange(1, k + 1)) % n, axis=1).ravel()
+    return InteractionMatrix.from_nonzeros(n, rows, cols, np.full(rows.size, 1.0 / k))
 
 
 def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
@@ -275,24 +239,18 @@ def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
     )
 
 
-def validate_doubly_stochastic(w, tol: float) -> ValidationReport:
-    m = np.asarray(w, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.size == 0:
-        raise ValueError("interaction matrix needs at least one agent, got shape (0, 0)")
-    return _report(m.sum(axis=1), m.sum(axis=0), float(m.min()), tol)
-
-
-def _report(row_sums, col_sums, min_entry: float, tol: float) -> ValidationReport:
-    row_dev = np.abs(row_sums - 1.0)
-    col_dev = np.abs(col_sums - 1.0)
-    passed = bool(row_dev.max() <= tol and col_dev.max() <= tol and min_entry >= -tol)
-    return ValidationReport(row_dev, col_dev, min_entry, tol, passed)
-
-
-def _require_valid(report: ValidationReport, max_entry: float) -> None:
-    if not report.passed:
-        raise ValueError(f"matrix is not doubly stochastic: {report}")
+def _require_doubly_stochastic(row_sums, col_sums, min_entry: float, max_entry: float) -> None:
+    """A ValueError unless every row and column sum is within
+    `VALIDATION_TOL` of 1, the smallest entry `min_entry` is at least
+    -`VALIDATION_TOL` and the largest `max_entry` at most
+    1 + `VALIDATION_TOL`. The message names the largest row and column
+    deviations and the smallest entry."""
+    row_dev = np.abs(row_sums - 1.0).max()
+    col_dev = np.abs(col_sums - 1.0).max()
+    if not (row_dev <= VALIDATION_TOL and col_dev <= VALIDATION_TOL and min_entry >= -VALIDATION_TOL):
+        raise ValueError(
+            f"matrix is not doubly stochastic: max row dev {row_dev:.3e}, max col dev {col_dev:.3e}, "
+            f"min entry {min_entry:.3e} (tol {VALIDATION_TOL:g})"
+        )
     if max_entry > 1.0 + VALIDATION_TOL:
         raise ValueError("matrix entries must lie in [0, 1]")

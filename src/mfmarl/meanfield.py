@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineRewardRequiredError, EnvModel, reward_constants
-from .simplex import Simplex, _check_count, normalized_rows
+from .model import AffineRewardRequiredError, EnvModel, _hook_output, reward_constants
+from .simplex import Simplex, _check_count, _check_size, normalized_rows
 
 _SP_LIMIT_TOL = 1e-9
 
@@ -82,20 +82,17 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     # Each step's tables are reduced before the next step is formed, so the
     # memory does not grow with the horizon.
     for mus, nus, probs, _ in _recursion(env, policy, mus, horizon):
-        values += discount * _mean_rewards(env.reward_matrix(mus, nus), probs, mus)
+        values += discount * _mean_rewards(_reward_tables(env, mus, nus), probs, mus)
         discount *= env.gamma
     return values
 
 
-def mf_value(
-    env: EnvModel, policy, mu0, tol: float, horizon: int | None = None
-) -> tuple[float, MFTrajectory]:
-    """Discounted mean-field value of a stationary policy from mu0 (a
-    `Simplex`, or a vector that passes its checks), truncated so the tail is
-    below tol; returns the value and the trajectory, both read off one
-    `mf_path`."""
-    t_star = truncation_horizon(env, tol) if horizon is None else horizon
-    mus, nus, probs, tables, _ = mf_path(env, policy, mu0, t_star)
+def mf_value(env: EnvModel, policy, mu0, horizon: int) -> tuple[float, MFTrajectory]:
+    """Discounted mean-field value, t = 0..horizon, of a stationary policy
+    from mu0 (a `Simplex`, or a vector that passes its checks); returns the
+    value and the trajectory, both read off one `mf_path`. A caller picks
+    the horizon by `truncation_horizon`, as for `mf_values`."""
+    mus, nus, probs, tables, _ = mf_path(env, policy, mu0, horizon)
     rewards = _mean_rewards(tables, probs, mus)
     value = 0.0
     discount = 1.0
@@ -121,8 +118,14 @@ def mf_path(env: EnvModel, policy, mu0, horizon: int) -> tuple[np.ndarray, ...]:
     mu0 = _checked_mu0(env, mu0)
     steps = zip(*_recursion(env, policy, mu0.weights[None, :], horizon))
     mus, nus, probs, kernels = (np.concatenate(step, dtype=np.float64) for step in steps)
-    rewards = np.asarray(env.reward_matrix(mus, nus), dtype=np.float64)
-    return mus, nus, probs, rewards, kernels
+    return mus, nus, probs, _reward_tables(env, mus, nus), kernels
+
+
+def _reward_tables(env: EnvModel, mus: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """The `reward_matrix` tables (B, |X|, |U|) at the stacked laws, checked
+    to have that shape and finite entries."""
+    shape = (len(mus), env.n_states, env.n_actions)
+    return _hook_output("reward_matrix", env.reward_matrix(mus, nus), shape, finite=True)
 
 
 def _checked_mu0(env: EnvModel, mu0) -> Simplex:
@@ -148,10 +151,12 @@ def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
     A step runs the policy once per law (`policy.action_laws`), calls the
     env's `kernel` hook once, and forms the action laws nu and the next
     state laws from the joint mass pi(u | x, mu) mu(x) by per-row
-    reductions, each law checked like a `Simplex`. The rewards are no part
-    of the dynamics: a caller reads them off `env.reward_matrix` at the
-    yielded laws. A policy whose action laws are not (|X|, |U|) per law of
-    the env fails at step 0 with a ValueError that names both shapes."""
+    reductions, each law checked like a `Simplex`; a `kernel` result of
+    another shape than (B, |X|, |U|, |X|) is a ValueError. The rewards are
+    no part of the dynamics: a caller reads them off `env.reward_matrix` at
+    the yielded laws (`_reward_tables`). A policy whose action laws are not
+    (|X|, |U|) per law of the env fails at step 0 with a ValueError that
+    names both shapes."""
     _check_count("horizon", horizon)
     b, n_x = mus.shape
     for t in range(horizon + 1):
@@ -163,7 +168,7 @@ def _recursion(env: EnvModel, policy, mus: np.ndarray, horizon: int):
             )
         joint = np.multiply(probs, mus[:, :, None], order="C")
         nus = normalized_rows(joint.sum(axis=1))
-        kernels = env.kernel(mus, nus)
+        kernels = _hook_output("kernel", env.kernel(mus, nus), (b, n_x, env.n_actions, n_x))
         yield mus, nus, probs, kernels
         if t < horizon:
             mus = normalized_rows((joint.reshape(b, 1, -1) @ kernels.reshape(b, -1, n_x))[:, 0])
@@ -186,7 +191,6 @@ class BoundInputs:
     table_bound: float
     action_weight_l1: float
     gamma: float
-    n_agents: int
     n_states: int
     n_actions: int
 
@@ -203,8 +207,8 @@ class BoundInputs:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.n_agents < 1 or self.n_states < 1 or self.n_actions < 1:
-            raise ValueError("population, state, and action sizes must be >= 1")
+        if self.n_states < 1 or self.n_actions < 1:
+            raise ValueError("state and action sizes must be >= 1")
 
     @property
     def s_p(self) -> float:
@@ -225,7 +229,7 @@ class BoundInputs:
         return self.action_weight_l1 + self.table_bound
 
 
-def bound_inputs(env: EnvModel, lipschitz_pi: float, n_agents: int) -> BoundInputs:
+def bound_inputs(env: EnvModel, lipschitz_pi: float) -> BoundInputs:
     """Assemble bound constants from an affine environment and a bound on
     the policy's Lipschitz constant in mu."""
     if env.affine is None:
@@ -243,27 +247,28 @@ def bound_inputs(env: EnvModel, lipschitz_pi: float, n_agents: int) -> BoundInpu
         table_bound=consts.m_f,
         action_weight_l1=float(np.abs(env.affine.b).sum()),
         gamma=env.gamma,
-        n_agents=n_agents,
         n_states=env.n_states,
         n_actions=env.n_actions,
     )
 
 
-def approximation_bound(inp: BoundInputs) -> float:
-    """Upper bound on |v_MARL - v_MF| for a doubly stochastic interaction
-    matrix and an affine reward.
+def approximation_bound(inp: BoundInputs, n_agents: int) -> float:
+    """Upper bound on |v_MARL - v_MF| for `n_agents` agents under any doubly
+    stochastic interaction matrix and an affine reward; `n_agents` must be
+    an integer >= 1 (`_check_size`).
 
     Valid only in the contraction regime gamma * S_P < 1, where
     S_P = (1 + L_pi) + L_P (2 + L_pi). The second summand's closed form is
     singular at S_P = 1 and is replaced by its limit there.
     """
+    _check_size("n_agents", n_agents)
     s_p, s_r, c_p, c_r = inp.s_p, inp.s_r, inp.c_p, inp.c_r
     gamma = inp.gamma
     if gamma * s_p >= 1.0:
         raise BoundInapplicableError(
             f"bound inapplicable: gamma * S_P = {gamma * s_p:.6g} >= 1"
         )
-    sqrt_n = math.sqrt(inp.n_agents)
+    sqrt_n = math.sqrt(n_agents)
     term1 = c_r * math.sqrt(inp.n_actions) / sqrt_n / (1.0 - gamma)
     size = math.sqrt(inp.n_states) + math.sqrt(inp.n_actions)
     if abs(s_p - 1.0) < _SP_LIMIT_TOL:

@@ -91,6 +91,10 @@ class EnvModel:
     whose rows depend on each other, such as a BLAS product across rows,
     agrees with one call per law only to rounding.
 
+    A hook result of another shape, or a `reward_matrix` table with a
+    non-finite entry, is a ValueError that names the hook where it is
+    called (`_hook_output`).
+
     `reads_nu_views` declares whether the two simulator hooks read their
     `nu_views` argument. When it is False the simulator skips the action
     views, an N^2 product on a dense W, and passes None in their place.
@@ -144,6 +148,18 @@ class EnvModel:
         self.transition_sample_batch = transition_sample_batch
         self.kernel = kernel
         self.reward_matrix = reward_matrix
+
+
+def _hook_output(name: str, out, shape: tuple, dtype=np.float64, finite: bool = False) -> np.ndarray:
+    """`out`, what the hook `name` returned, as a `dtype` array; a ValueError
+    that names the hook, the shape it returned and `shape`, the one
+    expected, unless they agree and, with `finite`, every entry is finite."""
+    out = np.asarray(out, dtype=dtype)
+    if out.shape != shape:
+        raise ValueError(f"{name} returned an array of shape {out.shape}, expected {shape}")
+    if finite and not np.isfinite(out).all():
+        raise ValueError(f"{name} returned a non-finite entry")
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interaction import InteractionMatrix, _block_diagonal
-from .model import EnvModel
+from .model import EnvModel, _hook_output
 from .simplex import _check_count, _check_indices, _check_size, normalized_rows
 
 # Most agents stacked in one step loop. A step has a fixed cost of about
@@ -83,7 +83,8 @@ def step(
     `u` holds the step's uniforms, (2, N): row 0 draws the actions through
     `policy.sample_actions`, row 1 the transitions through
     `env.transition_sample_batch`, one uniform per agent each. The hooks get
-    the action views only if `env.reads_nu_views`, and None otherwise.
+    the action views only if `env.reads_nu_views`, and None otherwise; a
+    hook result that is not (N,) is a ValueError that names the hook.
 
     A step loop passes `kept`, one record for the whole loop (a
     `types.SimpleNamespace`, empty at first), and does not change the states
@@ -106,9 +107,12 @@ def step(
     if kept is not None:
         kept.states, kept.views = states, mu_views
     nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
-    rewards = np.asarray(env.reward_batch(states, actions, mu_views, nu_views), dtype=np.float64)
-    next_states = np.asarray(
-        env.transition_sample_batch(states, actions, mu_views, nu_views, u[1]), dtype=np.int64
+    rewards = _hook_output("reward_batch", env.reward_batch(states, actions, mu_views, nu_views), (n,))
+    next_states = _hook_output(
+        "transition_sample_batch",
+        env.transition_sample_batch(states, actions, mu_views, nu_views, u[1]),
+        (n,),
+        np.int64,
     )
     return actions, rewards, next_states
 
@@ -121,8 +125,9 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
     `_DRAW_STEPS` steps at a time, never past the horizon), so every block
     draws exactly as a rollout of it alone would. Each step starts from the
     state views of the step before (see `step`). Returns each block's
-    discounted population-average return and, with `record`, the (T+1, B*N)
-    states, actions and rewards (else None).
+    discounted population-average return (a ValueError if one is not
+    finite) and, with `record`, the (T+1, B*N) states, actions and rewards
+    (else None).
 
     What the loop keeps between steps, the policy's rows included, lives on
     one record of its own, so its results do not depend on what ran before
@@ -152,6 +157,8 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
         states = next_states
         returns += discount * step_rewards.reshape(len(blocks), -1).mean(axis=1)
         discount *= env.gamma
+    if not np.isfinite(returns).all():
+        raise ValueError("reward_batch returned a non-finite reward")
     return returns, history
 
 

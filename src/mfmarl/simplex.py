@@ -59,14 +59,6 @@ class Simplex:
             raise ValueError("set size must be >= 1")
         return cls(np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, k: int, n: int) -> "Simplex":
-        if not 0 <= k < n:
-            raise ValueError(f"index {k} out of range for set size {n}")
-        w = np.zeros(n)
-        w[k] = 1.0
-        return cls(w)
-
 
 def normalized_rows(weights: np.ndarray) -> np.ndarray:
     """Check every row (the last axis) of a float64 array as a probability

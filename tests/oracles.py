@@ -21,12 +21,17 @@ firm model's scalar reward and transition, `policy_probs` evaluates a
 policy at one (x, mu), and `network_probs` runs a `SoftmaxPolicy`'s network
 over (state, view) rows. `estimate_lipschitz_lq` samples a network's
 Lipschitz constant in mu from below.
+
+Two builders only the tests use live here too: `point_mass`, a `Simplex`
+with all its mass on one index, and `ring_symmetric`, a symmetric
+circulant W built from its nonzeros.
 """
 
 import itertools
 
 import numpy as np
 
+from mfmarl.interaction import InteractionMatrix
 from mfmarl.meanfield import _mean_rewards, _recursion, mf_path
 from mfmarl.model import AffineRewardSpec, EnvModel
 from mfmarl.policy import _forward, _layers, log_policy_gradient
@@ -40,6 +45,28 @@ def inverse_cdf(weights, u):
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def point_mass(k: int, n: int) -> Simplex:
+    """The law over {0, ..., n-1} with all its mass on index k."""
+    if not 0 <= k < n:
+        raise ValueError(f"index {k} out of range for set size {n}")
+    w = np.zeros(n)
+    w[k] = 1.0
+    return Simplex(w)
+
+
+def ring_symmetric(n: int, k: int) -> InteractionMatrix:
+    """Symmetric circulant W with weight 1/k on offsets +-1..+-k/2 (k even,
+    2 <= k < n), stored as its n * k nonzeros."""
+    if k % 2 != 0:
+        raise ValueError("symmetric window needs an even neighbor count")
+    if not 2 <= k < n:
+        raise ValueError(f"k must satisfy 2 <= k < n, got k={k}, n={n}")
+    half = np.arange(1, k // 2 + 1)
+    rows = np.repeat(np.arange(n), k)
+    cols = np.sort((np.arange(n)[:, None] + np.concatenate([half, -half])) % n, axis=1).ravel()
+    return InteractionMatrix.from_nonzeros(n, rows, cols, np.full(rows.size, 1.0 / k))
 
 
 def estimate_lipschitz_lq(cfg, phi, trials: int, rng: np.random.Generator) -> float:

@@ -252,8 +252,8 @@ def test_observed_gap_below_approximation_bound():
         w = ring_k_neighbor(n, 5)
         v_marl, stderr = estimate_v_marl(env, w, policy, init, horizon, episodes, rng)
         mu0_hat = empirical_distribution(init, 2)
-        v_mf, _ = mf_value(env, policy, mu0_hat, tol, horizon=horizon)
-        bound = approximation_bound(bound_inputs(env, 0.0, n))
+        v_mf, _ = mf_value(env, policy, mu0_hat, horizon)
+        bound = approximation_bound(bound_inputs(env, 0.0), n)
         gap = abs(v_marl - v_mf)
         margin = 3 * stderr + 2 * tol
         ok = ok and gap <= bound + margin

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import mfmarl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The public names of the package. Adding or removing an export is an edit
 # of this list.
@@ -10,11 +15,8 @@ EXPORTS = [
     "EnvModel",
     "FirmModelConfig",
     "InteractionMatrix",
-    "MFTrajectory",
     "NPGConfig",
     "PolicyConfig",
-    "RewardConstants",
-    "RolloutRecord",
     "Simplex",
     "SoftmaxPolicy",
     "TrainingDivergenceError",
@@ -31,7 +33,6 @@ EXPORTS = [
     "npg_train",
     "reward_constants",
     "ring_k_neighbor",
-    "ring_symmetric",
     "rollout",
     "sample_occupancy",
     "save_policy",
@@ -40,7 +41,6 @@ EXPORTS = [
     "step",
     "truncation_horizon",
     "uniform",
-    "validate_doubly_stochastic",
 ]
 
 
@@ -51,3 +51,11 @@ def test_exports_are_pinned():
 def test_every_export_resolves():
     for name in mfmarl.__all__:
         assert getattr(mfmarl, name) is not None
+
+
+def test_every_export_names_its_user_in_the_readme():
+    # The export list under "Library sketch" has one line per name,
+    # `- `name`: its user`.
+    sketch = README.read_text(encoding="utf-8").split("## Library sketch", 1)[1]
+    listed = re.findall(r"^- `(\w+)`: \S", sketch, re.MULTILINE)
+    assert sorted(listed) == sorted(mfmarl.__all__)

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import empirical_distribution, l1_distance, weighted_view
+from oracles import empirical_distribution, l1_distance, ring_symmetric, weighted_view
 from mfmarl import interaction
-from mfmarl.interaction import (
-    InteractionMatrix,
-    ring_k_neighbor,
-    ring_symmetric,
-    sinkhorn_random,
-    uniform,
-    validate_doubly_stochastic,
-)
+from mfmarl.interaction import InteractionMatrix, ring_k_neighbor, sinkhorn_random, uniform
 from mfmarl.simplex import Simplex
 
 
@@ -20,6 +13,14 @@ def dense_ring(n, k):
     for off in range(1, k + 1):
         w[np.arange(n), (np.arange(n) + off) % n] += 1.0 / k
     return w
+
+
+def assert_doubly_stochastic(w, tol):
+    """Every row and column sum of the dense array `w` is within `tol` of 1,
+    and no entry is below -tol."""
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= tol
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= tol
+    assert w.min() >= -tol
 
 
 def dense_ring_symmetric(n, k):
@@ -52,7 +53,7 @@ class TestConstructors:
 
     def test_uniform_validates(self):
         for n in (1, 2, 7, 40):
-            assert validate_doubly_stochastic(uniform(n).weights, 1e-12).passed
+            assert_doubly_stochastic(uniform(n).weights, 1e-12)
 
     def test_ring_row(self):
         assert ring_k_neighbor(4, 2).weights[0].tolist() == [0.0, 0.5, 0.5, 0.0]
@@ -65,7 +66,7 @@ class TestConstructors:
         assert np.allclose(w.sum(axis=0), 1.0, atol=1e-15)
 
     def test_ring_validates_tightly(self):
-        assert validate_doubly_stochastic(ring_k_neighbor(10, 5).weights, 1e-12).passed
+        assert_doubly_stochastic(ring_k_neighbor(10, 5).weights, 1e-12)
 
     def test_ring_bad_k(self):
         with pytest.raises(ValueError):
@@ -75,14 +76,14 @@ class TestConstructors:
 
     def test_ring_symmetric(self):
         w = ring_symmetric(8, 4).weights
-        assert validate_doubly_stochastic(w, 1e-12).passed
+        assert_doubly_stochastic(w, 1e-12)
         assert np.array_equal(w, w.T)
         with pytest.raises(ValueError):
             ring_symmetric(8, 3)
 
     def test_sinkhorn(self):
         w = sinkhorn_random(12, np.random.default_rng(0))
-        assert validate_doubly_stochastic(w.weights, 1e-9).passed
+        assert_doubly_stochastic(w.weights, 1e-9)
         assert w.weights.min() > 0
 
     def test_constructor_rejects_bad_matrix(self):
@@ -193,28 +194,48 @@ class TestNonzeroStorage:
             sinkhorn_random(60, np.random.default_rng(2))
 
 
+def both_forms(m):
+    """The two builds of the square array `m`, as callables: dense, and
+    from its nonzeros. Both run one check."""
+    m = np.asarray(m, dtype=np.float64)
+    rows, cols = np.nonzero(m)
+    return [lambda: InteractionMatrix(m), lambda: InteractionMatrix.from_nonzeros(len(m), rows, cols, m[rows, cols])]
+
+
 class TestValidation:
     def test_pass(self):
-        assert validate_doubly_stochastic(uniform(5).weights, 1e-12).passed
+        for build in both_forms(uniform(5).weights):
+            assert np.array_equal(build().weights, uniform(5).weights)
 
     def test_fail_columns(self):
-        report = validate_doubly_stochastic([[1.0, 0.0], [1.0, 0.0]], 1e-9)
-        assert not report.passed
-        assert report.col_deviation.tolist() == [1.0, 1.0]
-        assert report.row_deviation.max() == 0.0
+        for build in both_forms([[1.0, 0.0], [1.0, 0.0]]):
+            with pytest.raises(
+                ValueError,
+                match=r"not doubly stochastic: max row dev 0\.000e\+00, max col dev 1\.000e\+00, "
+                r"min entry 0\.000e\+00 \(tol 1e-09\)",
+            ):
+                build()
 
     def test_non_square(self):
-        with pytest.raises(ValueError):
-            validate_doubly_stochastic(np.ones((2, 3)), 1e-9)
+        with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+            InteractionMatrix(np.ones((2, 3)))
 
     def test_negative_entry(self):
-        m = [[1.1, -0.1], [-0.1, 1.1]]
-        assert not validate_doubly_stochastic(m, 1e-9).passed
+        for build in both_forms([[1.1, -0.1], [-0.1, 1.1]]):
+            with pytest.raises(ValueError, match=r"max row dev 0\.000e\+00, .* min entry -1\.000e-01"):
+                build()
+
+    def test_entry_above_one_is_rejected(self):
+        # Sums of 1 and a smallest entry within the tolerance, but a
+        # diagonal entry 1.8e-9 above 1.
+        m = np.full((3, 3), -0.9e-9) + np.eye(3) * (1.0 + 2.7e-9)
+        for build in both_forms(m):
+            with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+                build()
 
     def test_empty_matrix_names_the_missing_agent(self):
-        for call in (lambda m: validate_doubly_stochastic(m, 1e-9), InteractionMatrix):
-            with pytest.raises(ValueError, match="interaction matrix needs at least one agent"):
-                call(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="interaction matrix needs at least one agent"):
+            InteractionMatrix(np.zeros((0, 0)))
 
 
 class TestWeightedView:

@@ -12,6 +12,7 @@ from oracles import (
     mf_action_distribution,
     mf_reward,
     mf_transition,
+    point_mass,
     policy_probs,
     scalar_env,
     toy_mdp,
@@ -77,7 +78,7 @@ class TestActionDistribution:
     def test_point_mass_state(self):
         env, _ = _firm(3)
         pol = _softmax(3, seed=0)
-        mu = Simplex.point_mass(1, 3)
+        mu = point_mass(1, 3)
         expected = policy_probs(pol, 1, mu)
         assert np.allclose(mf_action_distribution(env, pol, mu).weights, expected, atol=1e-14)
 
@@ -125,7 +126,7 @@ class TestTransition:
         env, cfg = _firm(4)
         _, transition = firm_scalar(cfg)
         always_invest = FunctionPolicy(lambda x, mu: np.array([0.0, 1.0]), 4, 2)
-        mu = Simplex.point_mass(0, 4)
+        mu = point_mass(0, 4)
         nu = mf_action_distribution(env, always_invest, mu)
         expected = transition(0, 1, mu, nu)
         assert l1_distance(mf_transition(env, always_invest, mu), expected) <= 1e-14
@@ -158,7 +159,7 @@ class TestReward:
         env, cfg = _firm(4)
         reward, _ = firm_scalar(cfg)
         always_invest = FunctionPolicy(lambda x, mu: np.array([0.0, 1.0]), 4, 2)
-        mu = Simplex.point_mass(2, 4)
+        mu = point_mass(2, 4)
         nu = mf_action_distribution(env, always_invest, mu)
         assert mf_reward(env, always_invest, mu) == pytest.approx(
             reward(2, 1, mu, nu), abs=1e-12
@@ -178,7 +179,7 @@ class TestValue:
     def test_geometric_series(self):
         env = constant_reward_env(c=1.0, gamma=0.9)
         pol = _softmax(3, seed=6)
-        value, traj = mf_value(env, pol, Simplex.uniform(3), tol=1e-3)
+        value, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-3))
         t_star = traj.horizon
         assert value == pytest.approx((1 - 0.9 ** (t_star + 1)) / 0.1, rel=1e-12)
         assert value == pytest.approx(10.0, abs=1e-3)
@@ -186,7 +187,7 @@ class TestValue:
     def test_gamma_zero(self):
         env = constant_reward_env(c=3.0, gamma=0.0)
         pol = _softmax(3, seed=7)
-        value, traj = mf_value(env, pol, Simplex.uniform(3), tol=1e-6)
+        value, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-6))
         assert traj.horizon == 0
         assert value == pytest.approx(3.0)
 
@@ -195,7 +196,7 @@ class TestValue:
         env = identity_env(gamma=0.8, rewards=rewards)
         pol = _softmax(3, seed=8)
         mu0 = Simplex([0.5, 0.3, 0.2])
-        value, _ = mf_value(env, pol, mu0, tol=1e-4)
+        value, _ = mf_value(env, pol, mu0, truncation_horizon(env, 1e-4))
         expected = float(mu0.weights @ rewards) / (1 - 0.8)
         assert value == pytest.approx(expected, abs=1e-4)
 
@@ -205,14 +206,14 @@ class TestValue:
         mu0 = Simplex.uniform(4)
         tol = 1e-3
         t_star = truncation_horizon(env, tol)
-        v1, _ = mf_value(env, pol, mu0, tol)
-        v2, _ = mf_value(env, pol, mu0, tol, horizon=t_star + 50)
+        v1, _ = mf_value(env, pol, mu0, t_star)
+        v2, _ = mf_value(env, pol, mu0, t_star + 50)
         assert abs(v1 - v2) < tol
 
     def test_trajectory_lengths_consistent(self):
         env, _ = _firm(3)
         pol = _softmax(3, seed=10)
-        _, traj = mf_value(env, pol, Simplex.uniform(3), tol=1e-2)
+        _, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-2))
         assert len(traj.mus) == len(traj.nus) == len(traj.rewards) == traj.horizon + 1
 
 
@@ -240,7 +241,7 @@ class TestStackedValues:
         values = mf_values(env, policy, mu0s, horizon)
         assert values.shape == (len(mu0s),)
         for row, v in zip(mu0s, values):
-            expected, _ = mf_value(env, policy, Simplex(row), 1.0, horizon=horizon)
+            expected, _ = mf_value(env, policy, Simplex(row), horizon)
             assert v == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [1.0, 1.2])
@@ -287,7 +288,7 @@ class TestStackedValues:
         for policy in (TabularPolicy(rng.dirichlet(np.ones(2), size=q)), rule, network):
             values = mf_values(env, policy, mu0s, 60)
             for row, v in zip(mu0s, values):
-                assert v == mf_value(env, policy, row, 1.0, horizon=60)[0]
+                assert v == mf_value(env, policy, row, 60)[0]
 
     @pytest.mark.parametrize("rows", [1, 6])
     def test_env_hooks_run_once_per_step(self, rows):
@@ -325,7 +326,7 @@ class TestStackedValues:
         env, _ = _firm(3)
         pol = _softmax(3, seed=22)
         mu0 = Simplex([0.2, 0.3, 0.5])
-        expected, _ = mf_value(env, pol, mu0, 1.0, horizon=0)
+        expected, _ = mf_value(env, pol, mu0, 0)
         assert mf_values(env, pol, mu0.weights[None, :], 0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_initial_laws(self):
@@ -342,8 +343,9 @@ class TestStackedValues:
         env, _ = _firm(3)
         pol = _softmax(3, seed=25)
         mu0 = np.array([0.2, 0.3, 0.5])
-        value, traj = mf_value(env, pol, mu0, 1e-3)
-        expected, expected_traj = mf_value(env, pol, Simplex(mu0), 1e-3)
+        horizon = truncation_horizon(env, 1e-3)
+        value, traj = mf_value(env, pol, mu0, horizon)
+        expected, expected_traj = mf_value(env, pol, Simplex(mu0), horizon)
         assert value == expected
         assert np.array_equal(traj.rewards, expected_traj.rewards)
         pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
@@ -356,7 +358,7 @@ class TestStackedValues:
     def test_mf_value_rejects_bad_vector_mu0(self, mu0):
         env, _ = _firm(3)
         with pytest.raises(ValueError, match="mu0 must be a probability vector"):
-            mf_value(env, _softmax(3, seed=23), np.array(mu0), 1e-3)
+            mf_value(env, _softmax(3, seed=23), np.array(mu0), 5)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
     def test_truncation_horizon_rejects_non_positive_tol(self, tol):
@@ -368,7 +370,7 @@ class TestStackedValues:
     def test_mf_value_rejects_wrong_length_mu0(self, n):
         env, _ = _firm(3)
         with pytest.raises(ValueError, match="mu0"):
-            mf_value(env, _softmax(3, seed=23), Simplex.uniform(n), 1e-3)
+            mf_value(env, _softmax(3, seed=23), Simplex.uniform(n), 5)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_npg_train_rejects_wrong_length_mu0(self, n):
@@ -383,7 +385,7 @@ class TestStackedValues:
     def test_mf_value_rejects_negative_horizon(self, horizon):
         env, _ = _firm(3)
         with pytest.raises(ValueError, match="horizon must be >= 0"):
-            mf_value(env, _softmax(3, seed=23), Simplex.uniform(3), 1e-3, horizon=horizon)
+            mf_value(env, _softmax(3, seed=23), Simplex.uniform(3), horizon)
 
     @pytest.mark.parametrize("horizon", [2.5, True, np.float64(3)])
     def test_non_integer_horizon_rejected(self, horizon):
@@ -394,7 +396,7 @@ class TestStackedValues:
         with pytest.raises(ValueError, match="horizon must be an integer"):
             mf_values(env, pol, np.full((2, 3), 1 / 3), horizon)
         with pytest.raises(ValueError, match="horizon must be an integer"):
-            mf_value(env, pol, Simplex.uniform(3), 1e-3, horizon=horizon)
+            mf_value(env, pol, Simplex.uniform(3), horizon)
         with pytest.raises(ValueError, match="horizon must be an integer"):
             mf_path(env, pol, Simplex.uniform(3), horizon)
 
@@ -414,8 +416,8 @@ class TestStackedValues:
 
 class TestApproximationBound:
     def test_degenerate_constants_give_zero(self):
-        inp = BoundInputs(0, 0, 0, 0, 0, 0, gamma=0.9, n_agents=10, n_states=2, n_actions=2)
-        assert approximation_bound(inp) == 0.0
+        inp = BoundInputs(0, 0, 0, 0, 0, 0, gamma=0.9, n_states=2, n_actions=2)
+        assert approximation_bound(inp, 10) == 0.0
 
     def test_hand_computed_value(self):
         inp = BoundInputs(
@@ -426,7 +428,6 @@ class TestApproximationBound:
             table_bound=0.0,
             action_weight_l1=0.0,
             gamma=0.9,
-            n_agents=100,
             n_states=2,
             n_actions=2,
         )
@@ -435,48 +436,52 @@ class TestApproximationBound:
         expected = (2 * np.sqrt(2) / 10) * (3 * 2.05 / (inp.s_p - 1)) * (
             1 / (1 - 0.9 * inp.s_p) - 1 / 0.1
         )
-        assert approximation_bound(inp) == pytest.approx(expected, rel=1e-12)
-        assert approximation_bound(inp) == pytest.approx(1565.5, rel=1e-3)
+        assert approximation_bound(inp, 100) == pytest.approx(expected, rel=1e-12)
+        assert approximation_bound(inp, 100) == pytest.approx(1565.5, rel=1e-3)
 
     def test_inverse_sqrt_n_scaling(self):
-        values = []
-        for n in (10, 100, 1000):
-            inp = BoundInputs(0.05, 0.1, 1.0, 1.0, 0.5, 0.2, 0.5, n, 3, 2)
-            values.append(approximation_bound(inp) * np.sqrt(n))
+        inp = BoundInputs(0.05, 0.1, 1.0, 1.0, 0.5, 0.2, 0.5, 3, 2)
+        values = [approximation_bound(inp, n) * np.sqrt(n) for n in (10, 100, 1000)]
         assert values[0] == pytest.approx(values[1], rel=1e-12)
         assert values[0] == pytest.approx(values[2], rel=1e-12)
 
     def test_sp_equal_one_uses_limit(self):
-        inp = BoundInputs(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 100, 2, 2)
+        inp = BoundInputs(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 2, 2)
         assert inp.s_p == 1.0
         expected_term2 = (2 * np.sqrt(2) / 10) * 3.0 * 2.0 * 0.5 / 0.25
-        assert approximation_bound(inp) == pytest.approx(expected_term2, rel=1e-12)
+        assert approximation_bound(inp, 100) == pytest.approx(expected_term2, rel=1e-12)
 
     def test_limit_is_continuous(self):
-        near = BoundInputs(1e-12, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 100, 2, 2)
-        at = BoundInputs(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 100, 2, 2)
-        assert approximation_bound(near) == pytest.approx(approximation_bound(at), rel=1e-6)
+        near = BoundInputs(1e-12, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 2, 2)
+        at = BoundInputs(0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.5, 2, 2)
+        assert approximation_bound(near, 100) == pytest.approx(approximation_bound(at, 100), rel=1e-6)
 
     def test_inapplicable_raises(self):
-        inp = BoundInputs(5.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.9, 100, 2, 2)
+        inp = BoundInputs(5.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.9, 2, 2)
         with pytest.raises(BoundInapplicableError):
-            approximation_bound(inp)
+            approximation_bound(inp, 100)
+
+    @pytest.mark.parametrize("n_agents", [2.5, True, 0, -3, np.float64(100), "100"])
+    def test_n_agents_must_be_a_positive_integer(self, n_agents):
+        inp = BoundInputs(0.05, 0.1, 1.0, 1.0, 0.5, 0.2, 0.5, 3, 2)
+        with pytest.raises(ValueError, match="n_agents must be an integer >= 1"):
+            approximation_bound(inp, n_agents)
 
     @pytest.mark.parametrize("field", [0, 1, 5])
     def test_nan_constants_rejected(self, field):
         values = [0.05, 0.1, 1.0, 1.0, 0.5, 0.2]
         values[field] = float("nan")
         with pytest.raises(ValueError, match="must be >= 0"):
-            BoundInputs(*values, 0.5, 100, 2, 2)
+            BoundInputs(*values, 0.5, 2, 2)
 
     def test_bound_inputs_require_affine(self):
         env, _ = _firm(3, sigma=1.2)
         with pytest.raises(AffineRewardRequiredError):
-            bound_inputs(env, 0.0, 10)
+            bound_inputs(env, 0.0)
 
     def test_bound_inputs_from_firm_env(self):
         env, _ = _firm(10, k=5)
-        inp = bound_inputs(env, 0.5, 100)
+        inp = bound_inputs(env, 0.5)
         assert inp.reward_bound == pytest.approx(37.5)
         assert inp.lipschitz_r == pytest.approx(27.5)
         assert inp.table_bound == 10.0

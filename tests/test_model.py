@@ -10,6 +10,7 @@ from oracles import (
     firm_transition_distribution,
     inverse_cdf,
     l1_distance,
+    point_mass,
     scalar_env,
 )
 from mfmarl.model import (
@@ -21,7 +22,11 @@ from mfmarl.model import (
     firm_affine_spec,
     reward_constants,
 )
-from mfmarl.policy import PolicyConfig
+from mfmarl.interaction import ring_k_neighbor
+from mfmarl.meanfield import mf_value, mf_values
+from mfmarl.nagent import estimate_v_marl, rollout
+from mfmarl.npg import NPGConfig, npg_train
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex
 
 # Callable placeholders for the four required hooks.
@@ -49,7 +54,7 @@ class TestAffineReward:
 
     def test_firm_mapping_value(self):
         spec = firm_affine_spec(example_cfg())
-        mu = Simplex.point_mass(1, 10)  # quality level 2
+        mu = point_mass(1, 10)  # quality level 2
         nu = Simplex.uniform(2)
         assert affine_reward_eval(spec, 3, 1, mu, nu) == pytest.approx(2.5, abs=1e-12)
 
@@ -149,7 +154,7 @@ class TestFirmReward:
 
     def test_nonlinear_value(self):
         cfg = example_cfg(sigma=1.2, q=3)
-        assert firm_reward(cfg, 3, 0, Simplex.point_mass(1, 3)) == pytest.approx(
+        assert firm_reward(cfg, 3, 0, point_mass(1, 3)) == pytest.approx(
             3.0 - 0.5 * 2.0**1.2
         )
 
@@ -434,3 +439,55 @@ class TestEnvContract:
         nus = rng.dirichlet(np.ones(2), size=3)
         assert np.allclose(bare.kernel(mus, nus), env.kernel(mus, nus), atol=1e-14)
         assert np.allclose(bare.reward_matrix(mus, nus), env.reward_matrix(mus, nus), rtol=1e-12, atol=1e-12)
+
+
+# Malformed hooks of the q = 3 firm env: (hook, wrap), where the wrap turns
+# the firm hook into the malformed one.
+MALFORMED_HOOKS = {
+    "reward_batch-2N": ("reward_batch", lambda hook: lambda *args: np.tile(hook(*args), 2)),
+    "reward_batch-scalar": ("reward_batch", lambda hook: lambda *args: hook(*args).mean()),
+    "reward_batch-nan": ("reward_batch", lambda hook: lambda *args: np.full_like(hook(*args), np.nan)),
+    "kernel-U-before-X": ("kernel", lambda hook: lambda mus, nus: hook(mus, nus).transpose(0, 2, 1, 3)),
+    "reward_matrix-unbatched": ("reward_matrix", lambda hook: lambda mus, nus: hook(mus, nus)[0]),
+    "reward_matrix-nan": ("reward_matrix", lambda hook: lambda mus, nus: np.full_like(hook(mus, nus), np.nan)),
+}
+
+# The entry points that call each hook, run on the env and a policy.
+_PCFG = PolicyConfig(n_states=3, n_actions=2, hidden=4)
+_SIMULATOR_CALLS = {
+    "rollout": lambda env, phi: rollout(
+        env, ring_k_neighbor(3, 2), SoftmaxPolicy(_PCFG, phi), np.arange(3), 5, np.random.default_rng(1)
+    ),
+    "estimate_v_marl": lambda env, phi: estimate_v_marl(
+        env, ring_k_neighbor(3, 2), SoftmaxPolicy(_PCFG, phi), np.arange(3), 5, 4, np.random.default_rng(1)
+    ),
+}
+_MEAN_FIELD_CALLS = {
+    "mf_value": lambda env, phi: mf_value(env, SoftmaxPolicy(_PCFG, phi), Simplex.uniform(3), 5),
+    "mf_values": lambda env, phi: mf_values(env, SoftmaxPolicy(_PCFG, phi), np.full((2, 3), 1 / 3), 5),
+    "npg_train": lambda env, phi: npg_train(
+        env, _PCFG, phi, Simplex.uniform(3), NPGConfig(j_steps=2, l_steps=5), np.random.default_rng(1)
+    ),
+}
+
+
+class TestHookOutputs:
+    @pytest.mark.parametrize(
+        "case, call",
+        [
+            (case, call)
+            for case, (hook, _) in MALFORMED_HOOKS.items()
+            for call in (_SIMULATOR_CALLS if hook == "reward_batch" else _MEAN_FIELD_CALLS)
+        ],
+    )
+    def test_malformed_hook_output_is_a_value_error_naming_the_hook(self, case, call):
+        # Each of these gave a wrong number, or an error deep in numpy.
+        hook, wrap = MALFORMED_HOOKS[case]
+        firm = build_firm_env(FirmModelConfig(q=3, k=2), 0.9)
+        hooks = {name: getattr(firm, name) for name in HOOKS}
+        hooks[hook] = wrap(hooks[hook])
+        env = EnvModel(3, 2, 0.9, affine=firm.affine, reads_nu_views=False, **hooks)
+        phi = init_params(_PCFG, np.random.default_rng(0))
+        runs = {**_SIMULATOR_CALLS, **_MEAN_FIELD_CALLS}
+        with pytest.raises(ValueError, match=hook):
+            runs[call](env, phi)

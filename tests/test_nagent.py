@@ -16,7 +16,9 @@ from oracles import (
     mf_action_distribution,
     mf_reward,
     mf_transition,
+    point_mass,
     policy_probs,
+    ring_symmetric,
     scalar_env as oracle_env,
 )
 from test_policy import draw_kept, spy_forward_rows
@@ -24,7 +26,6 @@ from mfmarl import interaction, nagent
 from mfmarl.interaction import (
     InteractionMatrix,
     ring_k_neighbor,
-    ring_symmetric,
     sinkhorn_random,
     uniform,
 )
@@ -68,8 +69,8 @@ class TestStep:
         actions, rewards, _ = step(env, w, pol, np.array([2]), np.random.default_rng(0).random((2, 1)))
         # with W = [[1]], the view is a point mass at the agent's own state,
         # so the reward must equal the single-agent evaluation
-        mu = Simplex.point_mass(2, 4)
-        nu = Simplex.point_mass(int(actions[0]), 2)
+        mu = point_mass(2, 4)
+        nu = point_mass(int(actions[0]), 2)
         reward, _ = firm_refs(q=4, k=1)
         assert rewards[0] == pytest.approx(reward(2, int(actions[0]), mu, nu), abs=1e-12)
 

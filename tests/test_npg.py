@@ -14,6 +14,7 @@ from oracles import (
     occupancy_pass_by_rows,
     path_advantage,
     path_occupancy,
+    point_mass,
     tabular_env,
     toy_mdp,
 )
@@ -122,14 +123,14 @@ class TestSampleOccupancy:
         rewards = rewards.copy()
         rewards[1, 1] = np.nan
         path = tabular_path(kernel, rewards, pi_tab, [0.0, 1.0], 0.9)
-        with pytest.raises(ValueError, match="advantage estimate"):
+        with pytest.raises(ValueError, match="reward_matrix returned a non-finite entry"):
             sample_occupancy(*path, 200, np.random.default_rng(6))
 
     def test_gamma_zero_accepts_initial_triple(self):
         env, policy, _, _, _ = toy_mdp(gamma=0.0)
         pcfg = PolicyConfig(n_states=2, n_actions=2, hidden=2)
         phi = np.zeros(pcfg.n_params)
-        mu0 = Simplex.point_mass(1, 2)
+        mu0 = point_mass(1, 2)
         policy = SoftmaxPolicy(pcfg, phi)
         for seed in range(20):
             states, mu_rows, _, _ = sample_occupancy(env, policy, mu0, 5, np.random.default_rng(seed))
@@ -292,15 +293,15 @@ class TestMeanFieldPath:
             assert np.array_equal(steps[: horizon + 1], head)
         assert np.array_equal(long[0][0], mu0.weights)
         # mf_value's trajectory laws are the path's rows, bit for bit.
-        value, traj = mf_value(env, policy, mu0, 1e-3, horizon=horizon + 5)
+        value, traj = mf_value(env, policy, mu0, horizon + 5)
         assert traj.horizon == horizon + 5
         assert np.array_equal(traj.mus, long[0]) and np.array_equal(traj.nus, long[1])
-        _, head = mf_value(env, policy, mu0, 1e-3)
+        _, head = mf_value(env, policy, mu0, horizon)
         assert np.array_equal(traj.rewards[: horizon + 1], head.rewards)
 
     def test_kernels_and_rewards_are_the_hook_rows(self):
         env, policy, mu0 = self._setup()
-        _, traj = mf_value(env, policy, mu0, 1e-3, horizon=12)
+        _, traj = mf_value(env, policy, mu0, 12)
         _, _, probs, rewards, kernels = mf_path(env, policy, mu0, 12)
         for t in (0, 1, 12):
             mus, nus = traj.mus[t][None, :], traj.nus[t][None, :]
@@ -326,7 +327,7 @@ class TestMeanFieldPath:
             assert len(calls) <= t + 1, t
         calls.clear()
         horizon = truncation_horizon(env, 1e-3)
-        mf_value(env, policy, mu0, 1e-3, horizon=horizon)
+        mf_value(env, policy, mu0, horizon)
         assert len(calls) <= horizon + 1
 
 
@@ -441,7 +442,7 @@ class TestNpgTrain:
         cfg = NPGConfig(eta=1e-2, alpha=1e-3, j_steps=4, l_steps=20)
         res = npg_train(env, pcfg, phi, mu0, cfg, np.random.default_rng(10), value_tol=1e-4)
         for it, value in zip(res.iterates, res.values):
-            assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, 1e-4)[0]
+            assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, truncation_horizon(env, 1e-4))[0]
         assert not np.array_equal(res.iterates[0], res.iterates[-1])
 
     def test_training_improves_value_across_seeds(self):
@@ -453,7 +454,7 @@ class TestNpgTrain:
         for seed in range(10):
             rng = np.random.default_rng([11, seed])
             phi0 = init_params(pcfg, rng)
-            v0, _ = mf_value(env, SoftmaxPolicy(pcfg, phi0), mu0, 1e-3)
+            v0, _ = mf_value(env, SoftmaxPolicy(pcfg, phi0), mu0, truncation_horizon(env, 1e-3))
             res = npg_train(env, pcfg, phi0, mu0, cfg, rng)
             margin = max(res.values) - v0
             margins.append(margin)
@@ -542,7 +543,7 @@ class TestPolicySizedForAnotherEnv:
         policy, env, mu0 = SoftmaxPolicy(pcfg, phi), self.ENV, Simplex.uniform(4)
         cfg = NPGConfig(j_steps=2, l_steps=5)
         calls = [
-            lambda: mf_value(env, policy, mu0, 1e-3),
+            lambda: mf_value(env, policy, mu0, 5),
             lambda: mf_values(env, policy, np.full((3, 4), 0.25), 5),
             lambda: mf_path(env, policy, mu0, 5),
             lambda: sample_occupancy(env, policy, mu0, 10, np.random.default_rng(0)),

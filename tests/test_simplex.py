@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import empirical_distribution, expectation, inverse_cdf, l1_distance
+from oracles import empirical_distribution, expectation, inverse_cdf, l1_distance, point_mass
 from mfmarl.simplex import Simplex, _inverse_cdf, _partial_sums, sample_rows
 
 
@@ -43,7 +43,7 @@ class TestSimplexConstruction:
             s.weights[0] = 1.0
 
     def test_point_mass_and_uniform(self):
-        assert Simplex.point_mass(2, 4).weights.tolist() == [0, 0, 1, 0]
+        assert point_mass(2, 4).weights.tolist() == [0, 0, 1, 0]
         assert np.allclose(Simplex.uniform(5).weights, 0.2)
 
 
@@ -102,7 +102,7 @@ class TestL1Distance:
 class TestSample:
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        p = Simplex.point_mass(2, 4)
+        p = point_mass(2, 4)
         assert np.all(draw(p, 100, rng) == 2)
 
     def test_frequency(self):
@@ -126,7 +126,7 @@ class TestSample:
         for n in (2, 3, 5, 10, 17):
             laws = [
                 Simplex.uniform(n),
-                Simplex.point_mass(n - 1, n),
+                point_mass(n - 1, n),
                 Simplex(rng.dirichlet(np.ones(n))),
                 Simplex(rng.dirichlet(np.full(n, 0.1))),
                 Simplex(np.where(np.arange(n) % 2 == 0, 1.0, 0.0) / np.ceil(n / 2)),
@@ -252,7 +252,7 @@ class TestPartialSums:
 
 class TestExpectation:
     def test_point_mass(self):
-        assert expectation(Simplex.point_mass(3, 5), [1, 2, 3, 4, 5]) == 4.0
+        assert expectation(point_mass(3, 5), [1, 2, 3, 4, 5]) == 4.0
 
     def test_uniform_mean(self):
         assert expectation(Simplex.uniform(10), np.arange(1, 11)) == pytest.approx(5.5)
