@@ -6,13 +6,13 @@ the next state distribution, and the average reward are all deterministic
 functions of the current state distribution and the policy; iterating them
 gives the mean-field value of a stationary policy. `_recursion` is the one
 loop that iterates them, over a stack of laws: `mf_values` runs it from many
-initial laws, `mf_path` from one. The rewards are read off the laws the
-recursion yields, not inside it: once per step in `mf_values`, once over the
-whole path in `mf_path`. One law handed in is a `Simplex` or a
-vector checked like one; every stack of laws is a float array, one law per
-row. The bound calculator turns the model's Lipschitz/bound constants into
-an upper bound on the gap between the finite-population value and the
-mean-field value.
+initial laws, `mf_value` and `mf_path` from one. The rewards are read off the
+laws the recursion yields, not inside it: once per step in `_values`, which
+sums the values, once over the whole path in `mf_path`. One law handed in is
+a `Simplex` or a vector checked like one; every stack of laws is a float
+array, one law per row. The bound calculator turns the model's
+Lipschitz/bound constants into an upper bound on the gap between the
+finite-population value and the mean-field value.
 """
 
 from __future__ import annotations
@@ -30,20 +30,6 @@ _SP_LIMIT_TOL = 1e-9
 
 class BoundInapplicableError(ValueError):
     """Raised when gamma * S_P >= 1, outside the bound's contraction regime."""
-
-
-@dataclass(frozen=True)
-class MFTrajectory:
-    """Mean-field rollout at each step t = 0..horizon: the state laws
-    (T+1, |X|), the action laws (T+1, |U|) and the average rewards (T+1,)."""
-
-    mus: np.ndarray
-    nus: np.ndarray
-    rewards: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return len(self.mus) - 1
 
 
 def truncation_horizon(env: EnvModel, tol: float) -> int:
@@ -87,19 +73,13 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     return values
 
 
-def mf_value(env: EnvModel, policy, mu0, horizon: int) -> tuple[float, MFTrajectory]:
+def mf_value(env: EnvModel, policy, mu0, horizon: int) -> float:
     """Discounted mean-field value, t = 0..horizon, of a stationary policy
-    from mu0 (a `Simplex`, or a vector that passes its checks); returns the
-    value and the trajectory, both read off one `mf_path`. A caller picks
-    the horizon by `truncation_horizon`, as for `mf_values`."""
-    mus, nus, probs, tables, _ = mf_path(env, policy, mu0, horizon)
-    rewards = _mean_rewards(tables, probs, mus)
-    value = 0.0
-    discount = 1.0
-    for r_t in rewards:
-        value += discount * r_t
-        discount *= env.gamma
-    return float(value), MFTrajectory(mus=mus, nus=nus, rewards=rewards)
+    from mu0 (a `Simplex`, or a vector that passes its checks): the one row
+    of `_values` from mu0. A caller picks the horizon by
+    `truncation_horizon`, as for `mf_values`, and reads the laws off
+    `mf_path`."""
+    return float(_values(env, policy, _checked_mu0(env, mu0).weights[None, :], horizon)[0])
 
 
 def mf_path(env: EnvModel, policy, mu0, horizon: int) -> tuple[np.ndarray, ...]:

@@ -91,9 +91,10 @@ class EnvModel:
     whose rows depend on each other, such as a BLAS product across rows,
     agrees with one call per law only to rounding.
 
-    A hook result of another shape, or a `reward_matrix` table with a
-    non-finite entry, is a ValueError that names the hook where it is
-    called (`_hook_output`).
+    A hook result of another shape, a `reward_matrix` table with a
+    non-finite entry, or next states that are not integers in [0, |X|), is
+    a ValueError that names the hook where it is called (`_hook_output`,
+    `nagent.step`).
 
     `reads_nu_views` declares whether the two simulator hooks read their
     `nu_views` argument. When it is False the simulator skips the action
@@ -150,11 +151,11 @@ class EnvModel:
         self.reward_matrix = reward_matrix
 
 
-def _hook_output(name: str, out, shape: tuple, dtype=np.float64, finite: bool = False) -> np.ndarray:
-    """`out`, what the hook `name` returned, as a `dtype` array; a ValueError
+def _hook_output(name: str, out, shape: tuple, finite: bool = False) -> np.ndarray:
+    """`out`, what the hook `name` returned, as a float array; a ValueError
     that names the hook, the shape it returned and `shape`, the one
     expected, unless they agree and, with `finite`, every entry is finite."""
-    out = np.asarray(out, dtype=dtype)
+    out = np.asarray(out, dtype=np.float64)
     if out.shape != shape:
         raise ValueError(f"{name} returned an array of shape {out.shape}, expected {shape}")
     if finite and not np.isfinite(out).all():

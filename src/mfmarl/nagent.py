@@ -12,7 +12,6 @@ the blocks of a block-diagonal W; each block keeps its own random stream.
 
 from __future__ import annotations
 
-import functools
 import types
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .interaction import InteractionMatrix, _block_diagonal
 from .model import EnvModel, _hook_output
-from .simplex import _check_count, _check_indices, _check_size, normalized_rows
+from .simplex import _check_count, _check_indices, _check_size
 
 # Most agents stacked in one step loop. A step has a fixed cost of about
 # 0.1 ms; from about 2000 agents on it is paid off (firm model, q = 10,
@@ -38,34 +37,13 @@ _DRAW_STEPS = 16
 @dataclass(frozen=True)
 class RolloutRecord:
     """One episode: per-step per-agent states, actions, rewards, and the
-    discounted population-average return. The per-step empirical
-    distributions `mus` (T+1, |X|) and `nus` (T+1, |U|) are derived from
-    them on first access, one law per row."""
+    discounted population-average return."""
 
     states: np.ndarray  # (T+1, N)
     actions: np.ndarray  # (T+1, N)
     rewards: np.ndarray  # (T+1, N)
-    n_states: int
-    n_actions: int
     gamma: float
     discounted_return: float
-
-    @functools.cached_property
-    def mus(self) -> np.ndarray:
-        """Empirical state distribution per step, one row each."""
-        return _empirical_per_step(self.states, self.n_states)
-
-    @functools.cached_property
-    def nus(self) -> np.ndarray:
-        """Empirical action distribution per step, one row each."""
-        return _empirical_per_step(self.actions, self.n_actions)
-
-
-def _empirical_per_step(items: np.ndarray, set_size: int) -> np.ndarray:
-    steps, n = items.shape
-    flat = (np.arange(steps)[:, None] * set_size + items).ravel()
-    counts = np.bincount(flat, minlength=steps * set_size).reshape(steps, set_size)
-    return normalized_rows(counts / n)
 
 
 def step(
@@ -83,8 +61,10 @@ def step(
     `u` holds the step's uniforms, (2, N): row 0 draws the actions through
     `policy.sample_actions`, row 1 the transitions through
     `env.transition_sample_batch`, one uniform per agent each. The hooks get
-    the action views only if `env.reads_nu_views`, and None otherwise; a
-    hook result that is not (N,) is a ValueError that names the hook.
+    the action views only if `env.reads_nu_views`, and None otherwise. A
+    ValueError names the hook if `reward_batch` returns other than (N,)
+    rewards or `transition_sample_batch` other than N integer states in
+    [0, |X|); the last step's next states are checked too.
 
     A step loop passes `kept`, one record for the whole loop (a
     `types.SimpleNamespace`, empty at first), and does not change the states
@@ -108,13 +88,9 @@ def step(
         kept.states, kept.views = states, mu_views
     nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
     rewards = _hook_output("reward_batch", env.reward_batch(states, actions, mu_views, nu_views), (n,))
-    next_states = _hook_output(
-        "transition_sample_batch",
-        env.transition_sample_batch(states, actions, mu_views, nu_views, u[1]),
-        (n,),
-        np.int64,
-    )
-    return actions, rewards, next_states
+    next_states = env.transition_sample_batch(states, actions, mu_views, nu_views, u[1])
+    next_states = _check_indices("transition_sample_batch's next states", next_states, n, env.n_states)
+    return actions, rewards, next_states.astype(np.int64, copy=False)
 
 
 def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = False):
@@ -205,8 +181,6 @@ def rollout(
         states=states,
         actions=actions,
         rewards=rewards,
-        n_states=env.n_states,
-        n_actions=env.n_actions,
         gamma=env.gamma,
         discounted_return=float(returns[0]),
     )

@@ -133,7 +133,8 @@ def test_population_concentration_envelopes():
         for r, rng in enumerate(master.spawn(runs)):
             init = rng.integers(0, 10, size=n)
             rec = rollout(env, w, pol, init, steps, rng)
-            mus, nus = [Simplex(mu) for mu in rec.mus], [Simplex(nu) for nu in rec.nus]
+            mus = [empirical_distribution(states, 10) for states in rec.states]
+            nus = [empirical_distribution(actions, 2) for actions in rec.actions]
             for t in range(steps):
                 nu_gaps[r, t] = l1_distance(nus[t], mf_action_distribution(env, pol, mus[t]))
                 mu_gaps[r, t] = l1_distance(mus[t + 1], mf_transition(env, pol, mus[t]))
@@ -173,7 +174,7 @@ def test_doubly_stochastic_cancellation():
         for t in range(rec.states.shape[0]):
             views = w.views(rec.states[t], 10)
             lhs = float((views @ a).mean())
-            rhs = float(a @ rec.mus[t])
+            rhs = float(a @ empirical_distribution(rec.states[t], 10).weights)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     report(
         "population-averaged views cancel to the empirical distribution",
@@ -252,7 +253,7 @@ def test_observed_gap_below_approximation_bound():
         w = ring_k_neighbor(n, 5)
         v_marl, stderr = estimate_v_marl(env, w, policy, init, horizon, episodes, rng)
         mu0_hat = empirical_distribution(init, 2)
-        v_mf, _ = mf_value(env, policy, mu0_hat, horizon)
+        v_mf = mf_value(env, policy, mu0_hat, horizon)
         bound = approximation_bound(bound_inputs(env, 0.0), n)
         gap = abs(v_marl - v_mf)
         margin = 3 * stderr + 2 * tol

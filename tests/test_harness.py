@@ -429,7 +429,7 @@ class TestRunErrorVsN:
                 cfg.episodes_per_seed, rng,
             )
             assert (r.v_marl_mean, r.v_marl_stderr) == (v_marl, stderr)
-            v_mf, _ = mf_value(env, policy, empirical_distribution(states, env.n_states), horizon)
+            v_mf = mf_value(env, policy, empirical_distribution(states, env.n_states), horizon)
             assert r.v_mf == pytest.approx(v_mf, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["ring", "sinkhorn"])

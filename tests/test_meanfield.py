@@ -179,16 +179,16 @@ class TestValue:
     def test_geometric_series(self):
         env = constant_reward_env(c=1.0, gamma=0.9)
         pol = _softmax(3, seed=6)
-        value, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-3))
-        t_star = traj.horizon
+        t_star = truncation_horizon(env, 1e-3)
+        value = mf_value(env, pol, Simplex.uniform(3), t_star)
         assert value == pytest.approx((1 - 0.9 ** (t_star + 1)) / 0.1, rel=1e-12)
         assert value == pytest.approx(10.0, abs=1e-3)
 
     def test_gamma_zero(self):
         env = constant_reward_env(c=3.0, gamma=0.0)
         pol = _softmax(3, seed=7)
-        value, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-6))
-        assert traj.horizon == 0
+        assert truncation_horizon(env, 1e-6) == 0
+        value = mf_value(env, pol, Simplex.uniform(3), 0)
         assert value == pytest.approx(3.0)
 
     def test_identity_kernel_closed_form(self):
@@ -196,7 +196,7 @@ class TestValue:
         env = identity_env(gamma=0.8, rewards=rewards)
         pol = _softmax(3, seed=8)
         mu0 = Simplex([0.5, 0.3, 0.2])
-        value, _ = mf_value(env, pol, mu0, truncation_horizon(env, 1e-4))
+        value = mf_value(env, pol, mu0, truncation_horizon(env, 1e-4))
         expected = float(mu0.weights @ rewards) / (1 - 0.8)
         assert value == pytest.approx(expected, abs=1e-4)
 
@@ -206,15 +206,16 @@ class TestValue:
         mu0 = Simplex.uniform(4)
         tol = 1e-3
         t_star = truncation_horizon(env, tol)
-        v1, _ = mf_value(env, pol, mu0, t_star)
-        v2, _ = mf_value(env, pol, mu0, t_star + 50)
+        v1 = mf_value(env, pol, mu0, t_star)
+        v2 = mf_value(env, pol, mu0, t_star + 50)
         assert abs(v1 - v2) < tol
 
     def test_trajectory_lengths_consistent(self):
         env, _ = _firm(3)
         pol = _softmax(3, seed=10)
-        _, traj = mf_value(env, pol, Simplex.uniform(3), truncation_horizon(env, 1e-2))
-        assert len(traj.mus) == len(traj.nus) == len(traj.rewards) == traj.horizon + 1
+        horizon = truncation_horizon(env, 1e-2)
+        path = mf_path(env, pol, Simplex.uniform(3), horizon)
+        assert [len(a) for a in path] == [horizon + 1] * 5
 
 
 def _hookless(env, cfg):
@@ -241,7 +242,7 @@ class TestStackedValues:
         values = mf_values(env, policy, mu0s, horizon)
         assert values.shape == (len(mu0s),)
         for row, v in zip(mu0s, values):
-            expected, _ = mf_value(env, policy, Simplex(row), horizon)
+            expected = mf_value(env, policy, Simplex(row), horizon)
             assert v == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [1.0, 1.2])
@@ -288,7 +289,7 @@ class TestStackedValues:
         for policy in (TabularPolicy(rng.dirichlet(np.ones(2), size=q)), rule, network):
             values = mf_values(env, policy, mu0s, 60)
             for row, v in zip(mu0s, values):
-                assert v == mf_value(env, policy, row, 60)[0]
+                assert v == mf_value(env, policy, row, 60)
 
     @pytest.mark.parametrize("rows", [1, 6])
     def test_env_hooks_run_once_per_step(self, rows):
@@ -326,7 +327,7 @@ class TestStackedValues:
         env, _ = _firm(3)
         pol = _softmax(3, seed=22)
         mu0 = Simplex([0.2, 0.3, 0.5])
-        expected, _ = mf_value(env, pol, mu0, 0)
+        expected = mf_value(env, pol, mu0, 0)
         assert mf_values(env, pol, mu0.weights[None, :], 0)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_bad_initial_laws(self):
@@ -344,10 +345,9 @@ class TestStackedValues:
         pol = _softmax(3, seed=25)
         mu0 = np.array([0.2, 0.3, 0.5])
         horizon = truncation_horizon(env, 1e-3)
-        value, traj = mf_value(env, pol, mu0, horizon)
-        expected, expected_traj = mf_value(env, pol, Simplex(mu0), horizon)
-        assert value == expected
-        assert np.array_equal(traj.rewards, expected_traj.rewards)
+        assert mf_value(env, pol, mu0, horizon) == mf_value(env, pol, Simplex(mu0), horizon)
+        path, expected_path = mf_path(env, pol, mu0, horizon), mf_path(env, pol, Simplex(mu0), horizon)
+        assert all(np.array_equal(a, b) for a, b in zip(path, expected_path))
         pcfg = PolicyConfig(n_states=3, n_actions=2, hidden=4)
         cfg = NPGConfig(eta=1e-3, alpha=1e-3, j_steps=2, l_steps=3)
         phi = init_params(pcfg, np.random.default_rng(0))

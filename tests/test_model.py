@@ -447,6 +447,8 @@ MALFORMED_HOOKS = {
     "reward_batch-2N": ("reward_batch", lambda hook: lambda *args: np.tile(hook(*args), 2)),
     "reward_batch-scalar": ("reward_batch", lambda hook: lambda *args: hook(*args).mean()),
     "reward_batch-nan": ("reward_batch", lambda hook: lambda *args: np.full_like(hook(*args), np.nan)),
+    "transition_sample_batch-float": ("transition_sample_batch", lambda hook: lambda *args: hook(*args) + 0.7),
+    "transition_sample_batch-past-X": ("transition_sample_batch", lambda hook: lambda *args: hook(*args) + 3),
     "kernel-U-before-X": ("kernel", lambda hook: lambda mus, nus: hook(mus, nus).transpose(0, 2, 1, 3)),
     "reward_matrix-unbatched": ("reward_matrix", lambda hook: lambda mus, nus: hook(mus, nus)[0]),
     "reward_matrix-nan": ("reward_matrix", lambda hook: lambda mus, nus: np.full_like(hook(mus, nus), np.nan)),
@@ -457,6 +459,10 @@ _PCFG = PolicyConfig(n_states=3, n_actions=2, hidden=4)
 _SIMULATOR_CALLS = {
     "rollout": lambda env, phi: rollout(
         env, ring_k_neighbor(3, 2), SoftmaxPolicy(_PCFG, phi), np.arange(3), 5, np.random.default_rng(1)
+    ),
+    # One step, at t = horizon: its next states are checked too.
+    "rollout-horizon-0": lambda env, phi: rollout(
+        env, ring_k_neighbor(3, 2), SoftmaxPolicy(_PCFG, phi), np.arange(3), 0, np.random.default_rng(1)
     ),
     "estimate_v_marl": lambda env, phi: estimate_v_marl(
         env, ring_k_neighbor(3, 2), SoftmaxPolicy(_PCFG, phi), np.arange(3), 5, 4, np.random.default_rng(1)
@@ -477,11 +483,12 @@ class TestHookOutputs:
         [
             (case, call)
             for case, (hook, _) in MALFORMED_HOOKS.items()
-            for call in (_SIMULATOR_CALLS if hook == "reward_batch" else _MEAN_FIELD_CALLS)
+            for call in (_MEAN_FIELD_CALLS if hook in ("kernel", "reward_matrix") else _SIMULATOR_CALLS)
         ],
     )
     def test_malformed_hook_output_is_a_value_error_naming_the_hook(self, case, call):
-        # Each of these gave a wrong number, or an error deep in numpy.
+        # Each of these gave a wrong number, an error deep in numpy, or one
+        # that named the next step's states instead of the hook.
         hook, wrap = MALFORMED_HOOKS[case]
         firm = build_firm_env(FirmModelConfig(q=3, k=2), 0.9)
         hooks = {name: getattr(firm, name) for name in HOOKS}

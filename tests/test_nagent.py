@@ -363,7 +363,7 @@ class TestRollout:
         recomputed = np.polynomial.polynomial.polyval(rec.gamma, rec.rewards.mean(axis=1))
         assert recomputed == pytest.approx(rec.discounted_return, abs=1e-12)
         assert rec.states.shape == (16, 6)
-        assert len(rec.mus) == len(rec.nus) == 16
+        assert rec.actions.shape == rec.rewards.shape == (16, 6)
 
     def test_tiny_firm_matches_exhaustive_enumeration(self):
         env = firm_env(q=2, k=1, gamma=0.9)
@@ -398,14 +398,18 @@ class TestRollout:
 
 
     def test_distributions_derived_from_states_and_actions(self):
+        # A step's empirical laws come from its row of states and actions.
         env = firm_env(q=4, k=2)
         pol = softmax_policy(4, seed=12)
-        rec = rollout(env, ring_k_neighbor(7, 2), pol, [0, 1, 2, 3, 0, 1, 2], 6, np.random.default_rng(15))
-        assert rec.mus is rec.mus and rec.nus is rec.nus
-        assert rec.mus.shape == (7, 4) and rec.nus.shape == (7, 2)
+        init = [0, 1, 2, 3, 0, 1, 2]
+        rec = rollout(env, ring_k_neighbor(7, 2), pol, init, 6, np.random.default_rng(15))
+        assert rec.states.shape == rec.actions.shape == (7, 7)
+        assert rec.states.dtype == rec.actions.dtype == np.int64
+        assert np.array_equal(empirical_distribution(rec.states[0], 4).weights, [2 / 7, 2 / 7, 2 / 7, 1 / 7])
         for t in range(7):
-            assert np.array_equal(rec.mus[t], empirical_distribution(rec.states[t], 4).weights)
-            assert np.array_equal(rec.nus[t], empirical_distribution(rec.actions[t], 2).weights)
+            # Out-of-range indices would raise here.
+            assert len(empirical_distribution(rec.states[t], 4)) == 4
+            assert len(empirical_distribution(rec.actions[t], 2)) == 2
 
 
 class TestSparseInteraction:
@@ -698,7 +702,8 @@ class TestConcentration:
             for r, rng in enumerate(master.spawn(runs)):
                 init = rng.integers(0, 10, size=n)
                 rec = rollout(env, w, pol, init, horizon, rng)
-                mus, nus = [Simplex(mu) for mu in rec.mus], [Simplex(nu) for nu in rec.nus]
+                mus = [empirical_distribution(states, 10) for states in rec.states]
+                nus = [empirical_distribution(actions, 2) for actions in rec.actions]
                 for t in range(horizon + 1):
                     nu_gaps[r, t] = l1_distance(
                         nus[t], mf_action_distribution(env, pol, mus[t])
@@ -726,5 +731,5 @@ class TestConcentration:
             for t in range(rec.states.shape[0]):
                 views = w.views(rec.states[t], 5)
                 lhs = (views @ a).mean()
-                rhs = a @ rec.mus[t]
+                rhs = a @ empirical_distribution(rec.states[t], 5).weights
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))

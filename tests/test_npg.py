@@ -292,19 +292,20 @@ class TestMeanFieldPath:
             assert len(head) == horizon + 1 and len(steps) == horizon + 6
             assert np.array_equal(steps[: horizon + 1], head)
         assert np.array_equal(long[0][0], mu0.weights)
-        # mf_value's trajectory laws are the path's rows, bit for bit.
-        value, traj = mf_value(env, policy, mu0, horizon + 5)
-        assert traj.horizon == horizon + 5
-        assert np.array_equal(traj.mus, long[0]) and np.array_equal(traj.nus, long[1])
-        _, head = mf_value(env, policy, mu0, horizon)
-        assert np.array_equal(traj.rewards[: horizon + 1], head.rewards)
+        # mf_value is the discounted sum of the path's mean rewards, bit for bit.
+        for path in (short, long):
+            mus, _, probs, rewards, _ = path
+            value, discount = 0.0, 1.0
+            for r_t in ((rewards * probs).sum(axis=2) * mus).sum(axis=1):
+                value += discount * r_t
+                discount *= env.gamma
+            assert mf_value(env, policy, mu0, len(mus) - 1) == value
 
     def test_kernels_and_rewards_are_the_hook_rows(self):
         env, policy, mu0 = self._setup()
-        _, traj = mf_value(env, policy, mu0, 12)
-        _, _, probs, rewards, kernels = mf_path(env, policy, mu0, 12)
+        path_mus, path_nus, probs, rewards, kernels = mf_path(env, policy, mu0, 12)
         for t in (0, 1, 12):
-            mus, nus = traj.mus[t][None, :], traj.nus[t][None, :]
+            mus, nus = path_mus[t][None, :], path_nus[t][None, :]
             np.testing.assert_allclose(kernels[t], env.kernel(mus, nus)[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(rewards[t], env.reward_matrix(mus, nus)[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(probs[t].sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -442,7 +443,7 @@ class TestNpgTrain:
         cfg = NPGConfig(eta=1e-2, alpha=1e-3, j_steps=4, l_steps=20)
         res = npg_train(env, pcfg, phi, mu0, cfg, np.random.default_rng(10), value_tol=1e-4)
         for it, value in zip(res.iterates, res.values):
-            assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, truncation_horizon(env, 1e-4))[0]
+            assert value == mf_value(env, SoftmaxPolicy(pcfg, it), mu0, truncation_horizon(env, 1e-4))
         assert not np.array_equal(res.iterates[0], res.iterates[-1])
 
     def test_training_improves_value_across_seeds(self):
@@ -454,7 +455,7 @@ class TestNpgTrain:
         for seed in range(10):
             rng = np.random.default_rng([11, seed])
             phi0 = init_params(pcfg, rng)
-            v0, _ = mf_value(env, SoftmaxPolicy(pcfg, phi0), mu0, truncation_horizon(env, 1e-3))
+            v0 = mf_value(env, SoftmaxPolicy(pcfg, phi0), mu0, truncation_horizon(env, 1e-3))
             res = npg_train(env, pcfg, phi0, mu0, cfg, rng)
             margin = max(res.values) - v0
             margins.append(margin)
