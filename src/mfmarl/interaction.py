@@ -11,7 +11,9 @@ nonzeros (`ring_k_neighbor` and `InteractionMatrix.from_nonzeros`), which
 costs O(nnz) memory and view work instead of O(N^2). Both forms pass one
 check (`_require_doubly_stochastic`). A dense matrix brings kept views up
 to date after a few agents changed item by a rank-m update
-(`InteractionMatrix.updated_views`).
+(`InteractionMatrix.updated_views`); a matrix stored as its nonzeros
+recomputes in place only the rows with a changed in-neighbour, through a
+column index built on first use (`InteractionMatrix._step_views`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,25 @@ _UPDATE_MIN_AGENTS = 200
 _UPDATE_SHARE = 1 / 8
 _UPDATE_CHUNK = 32
 
+# A step loop on a W stored as its nonzeros, of at least `_ROWS_MIN_AGENTS`
+# agents of which at most `_ROWS_SHARE` moved, recomputes only the view rows
+# with a moved in-neighbour (`InteractionMatrix._step_views`); otherwise it
+# takes the full `bincount`. Timed with the bitwise diff of the changed rows,
+# on one thread, ring-5 W, q = 10, glibc's mmap threshold at 1 MiB (min of
+# 9, three draws of movers; the full `bincount` varied the most):
+#
+#     N      full bincount    rows, 4 moved   N/64 moved    N/32 moved    N/16 moved
+#     1000   66 us            58 us           70 us         88-91 us      113-118 us
+#     2000   115-155 us       57 us           90-94 us      124-128 us    117-191 us
+#     4000   168-319 us       35 us           83 us         130-137 us    222-232 us
+#     10^4   0.46-1.2 ms      37-63 us        166-175 us    0.36-0.50 ms  1.0-1.3 ms
+#     10^5   11.5-13.4 ms     89-127 us       2.9-3.9 ms    5.7-6.6 ms    12.9-13.3 ms
+#
+# Below about 2000 agents the rows' fixed cost leaves little to win; at N/16
+# movers the rows cost about as much as the full `bincount`.
+_ROWS_MIN_AGENTS = 2000
+_ROWS_SHARE = 1 / 64
+
 
 class InteractionMatrix:
     """An immutable N x N doubly stochastic weight matrix.
@@ -50,7 +71,7 @@ class InteractionMatrix:
     nonzeros it is built on first access and cached (N^2 * 8 bytes).
     """
 
-    __slots__ = ("n_agents", "_dense", "_rows", "_cols", "_data")
+    __slots__ = ("n_agents", "_dense", "_rows", "_cols", "_data", "_pointers")
 
     def __init__(self, weights):
         self._set_dense(np.array(weights, dtype=np.float64))
@@ -65,7 +86,7 @@ class InteractionMatrix:
         self._store(w.shape[0], w, None, None, None)
 
     def _store(self, n_agents: int, dense, rows, cols, data) -> None:
-        for name, value in zip(self.__slots__, (n_agents, dense, rows, cols, data)):
+        for name, value in zip(self.__slots__, (n_agents, dense, rows, cols, data, None)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -163,8 +184,10 @@ class InteractionMatrix:
         eps). The clamp keeps an emptied state's entries from going below 0.
         """
         moved = np.flatnonzero(items != old_items)
-        if not moved.size:
-            return views
+        return self._moved_views(views, moved, old_items, items, set_size) if moved.size else views
+
+    def _moved_views(self, views, moved, old_items, items, set_size: int) -> np.ndarray:
+        """`updated_views` once the agents `moved` (at least one) are known."""
         n = self.n_agents
         if self._data is not None or n < _UPDATE_MIN_AGENTS or moved.size > _UPDATE_SHARE * n:
             return self.views(items, set_size)
@@ -177,6 +200,69 @@ class InteractionMatrix:
             chunk = slice(start, start + _UPDATE_CHUNK)
             out += self._dense[:, moved[chunk]] @ delta[chunk]
         return np.maximum(out, 0.0, out=out)
+
+    def _step_views(self, views, old_items, items, set_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """A step loop's views of `items`, given `views`, those of
+        `old_items`, and the rows whose item or view changed bitwise, sorted.
+
+        No item changed: `views` itself and no row. On a W stored as its
+        nonzeros of at least `_ROWS_MIN_AGENTS` agents, of which at most
+        `_ROWS_SHARE` changed item: `views`, updated in place in the rows
+        with a moved in-neighbour (`_refresh_rows`), bitwise equal to
+        `self.views(items, set_size)`. Otherwise `updated_views`' array and
+        a bitwise diff of every row against `views`."""
+        changed = items != old_items
+        moved = np.flatnonzero(changed)
+        if not moved.size:
+            return views, moved
+        n = self.n_agents
+        if self._data is not None and n >= _ROWS_MIN_AGENTS and moved.size <= _ROWS_SHARE * n:
+            return views, np.union1d(moved, self._refresh_rows(views, moved, items, set_size))
+        new = self._moved_views(views, moved, old_items, items, set_size)
+        # A gather of the differing entries' rows: `.any(axis=1)` over rows
+        # of |X| entries takes about twice as long at 4000 agents.
+        changed[np.flatnonzero(new.view(np.int64) != views.view(np.int64)) // set_size] = True
+        return new, np.flatnonzero(changed)
+
+    def _refresh_rows(self, views, moved, items, set_size: int) -> np.ndarray:
+        """Recompute in place the rows of `views` that have an agent of
+        `moved` as in-neighbour, and return those whose bits changed. One
+        `bincount` runs over those rows' nonzeros in row-major order, so
+        each entry sums its terms in the order `views` sums them."""
+        row_ptr, col_ptr, col_rows = self._index()
+        rows = np.unique(col_rows[_ranges(col_ptr[moved], col_ptr[moved + 1])])
+        starts, ends = row_ptr[rows], row_ptr[rows + 1]
+        entries = _ranges(starts, ends)
+        bins = np.repeat(np.arange(0, rows.size * set_size, set_size), ends - starts)
+        bins += items[self._cols[entries]]
+        fresh = np.bincount(bins, weights=self._data[entries], minlength=rows.size * set_size)
+        fresh = fresh.reshape(rows.size, set_size)
+        differ = (fresh.view(np.int64) != views[rows].view(np.int64)).any(axis=1)
+        views[rows[differ]] = fresh[differ]
+        return rows[differ]
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row_ptr, col_ptr, col_rows) of a matrix stored as its nonzeros:
+        row i's entries are [row_ptr[i], row_ptr[i + 1]) of `nonzeros`, and
+        the rows with an entry in column j are col_rows[col_ptr[j]:col_ptr[j
+        + 1]]. Built on first use and cached; two threads that build it at
+        once build the same arrays."""
+        if self._pointers is None:
+            n = self.n_agents
+            row_ptr, col_ptr = (
+                np.concatenate(([0], np.bincount(a, minlength=n).cumsum())) for a in (self._rows, self._cols)
+            )
+            col_rows = self._rows[np.argsort(self._cols, kind="stable")]
+            for a in (row_ptr, col_ptr, col_rows):
+                a.flags.writeable = False
+            object.__setattr__(self, "_pointers", (row_ptr, col_ptr, col_rows))
+        return self._pointers
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The concatenated ranges [starts[k], ends[k]), in order."""
+    lengths = ends - starts
+    return np.repeat(starts - lengths.cumsum() + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _block_diagonal(blocks) -> InteractionMatrix:

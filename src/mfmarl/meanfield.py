@@ -7,12 +7,14 @@ functions of the current state distribution and the policy; iterating them
 gives the mean-field value of a stationary policy. `_recursion` is the one
 loop that iterates them, over a stack of laws: `mf_values` runs it from many
 initial laws, `mf_value` and `mf_path` from one. The rewards are read off the
-laws the recursion yields, not inside it: once per step in `_values`, which
-sums the values, once over the whole path in `mf_path`. One law handed in is
-a `Simplex` or a vector checked like one; every stack of laws is a float
-array, one law per row. The bound calculator turns the model's
-Lipschitz/bound constants into an upper bound on the gap between the
-finite-population value and the mean-field value.
+laws the recursion yields, not inside it: by one `reward_matrix` call over
+the whole stacked recursion, in `_values`, which sums the values, and in
+`mf_path`. So `_values` keeps every step's laws until that call, O(B * T *
+(|X| + |U| + |X| |U|)) memory for B laws over T steps (it drops the
+kernels step by step). One law handed in is a `Simplex` or a vector checked
+like one; every stack of laws is a float array, one law per row. The bound
+calculator turns the model's Lipschitz/bound constants into an upper bound
+on the gap between the finite-population value and the mean-field value.
 """
 
 from __future__ import annotations
@@ -63,12 +65,16 @@ def _values(env: EnvModel, policy, mus: np.ndarray, horizon: int) -> np.ndarray:
     (already checked) rows `mus`. Where the policy's action laws for a row do
     not depend on the rows stacked with it, neither does its value: it then
     equals `mf_value`'s from that row alone, bit for bit."""
-    values = np.zeros(mus.shape[0])
+    b = mus.shape[0]
+    # The per-step laws are dropped once stacked, before the reward tables.
+    steps = zip(*(step[:3] for step in _recursion(env, policy, mus, horizon)))
+    mus, nus, probs = (np.concatenate(laws) for laws in steps)
+    del steps
+    rewards = _mean_rewards(_reward_tables(env, mus, nus), probs, mus).reshape(horizon + 1, b)
+    values = np.zeros(b)
     discount = 1.0
-    # Each step's tables are reduced before the next step is formed, so the
-    # memory does not grow with the horizon.
-    for mus, nus, probs, _ in _recursion(env, policy, mus, horizon):
-        values += discount * _mean_rewards(_reward_tables(env, mus, nus), probs, mus)
+    for step_rewards in rewards:
+        values += discount * step_rewards
         discount *= env.gamma
     return values
 

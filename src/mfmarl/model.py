@@ -78,7 +78,10 @@ class EnvModel:
     - `reward_batch(states, actions, mu_views, nu_views)` -> (n,) rewards
       and `transition_sample_batch(states, actions, mu_views, nu_views, u)`
       -> (n,) next states, one entry per agent of the simulator, where the
-      simulator passes each agent's uniform draw `u[i]` on [0, 1);
+      simulator passes each agent's uniform draw `u[i]` on [0, 1). The
+      views are valid for that call only: a step loop updates its
+      `mu_views` in place on a later step, so a hook that keeps them copies
+      them;
     - `kernel(mus, nus)` -> (B, |X|, |U|, |X|) transition rows and
       `reward_matrix(mus, nus)` -> (B, |X|, |U|) rewards, for B stacked
       mean-field laws given as float arrays `mus` (B, |X|) and `nus`

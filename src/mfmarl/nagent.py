@@ -69,20 +69,26 @@ def step(
     A step loop passes `kept`, one record for the whole loop (a
     `types.SimpleNamespace`, empty at first), and does not change the states
     it passes in place. The step gets its state views from the record's
-    `states` and `views`, those of the step before, by `w.updated_views`
-    (the same views when no agent moved, a rank-m update on a dense W when
-    few moved, else the full product), or by `w.views` when it holds none.
-    It hands the record to `policy.sample_actions` and then leaves its own
-    states and views on it."""
+    `states` and `views`, those of the step before, by `w._step_views`, or
+    by `w.views` when it holds none. It lists on the record, as `changed`,
+    the rows whose state or view differs bitwise from the step before (none
+    when no agent moved; None, meaning every row, on the first step), hands
+    the record to `policy.sample_actions`, and then leaves its own states
+    and views on it. The views are the loop's own array: a later step of the
+    loop may update them in place. States the step before returned, which
+    it also leaves on the record, are not checked again."""
     n = w.n_agents
-    states = _check_indices("states", states, n, env.n_states)
+    if kept is None or states is not getattr(kept, "next", None):
+        states = _check_indices("states", states, n, env.n_states)
     if np.shape(u) != (2, n):
         raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
     last = getattr(kept, "states", None)
     if last is None:
-        mu_views = w.views(states, env.n_states)
+        mu_views, changed = w.views(states, env.n_states), None
     else:
-        mu_views = w.updated_views(kept.views, last, states, env.n_states)
+        mu_views, changed = w._step_views(kept.views, last, states, env.n_states)
+    if kept is not None:
+        kept.changed = changed
     actions = policy.sample_actions(states, mu_views, u[0], kept)
     if kept is not None:
         kept.states, kept.views = states, mu_views
@@ -90,7 +96,10 @@ def step(
     rewards = _hook_output("reward_batch", env.reward_batch(states, actions, mu_views, nu_views), (n,))
     next_states = env.transition_sample_batch(states, actions, mu_views, nu_views, u[1])
     next_states = _check_indices("transition_sample_batch's next states", next_states, n, env.n_states)
-    return actions, rewards, next_states.astype(np.int64, copy=False)
+    next_states = next_states.astype(np.int64, copy=False)
+    if kept is not None:
+        kept.next = next_states
+    return actions, rewards, next_states
 
 
 def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = False):
@@ -120,7 +129,8 @@ def _simulate(env: EnvModel, policy, blocks: list, horizon: int, record: bool = 
         history = (np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64), np.empty(shape))
     returns = np.zeros(len(blocks))
     discount = 1.0
-    kept = types.SimpleNamespace()
+    # The initial states are checked above; `step` trusts `kept.next`.
+    kept = types.SimpleNamespace(next=states)
     for t in range(horizon + 1):
         if t % _DRAW_STEPS == 0:
             steps = min(_DRAW_STEPS, horizon + 1 - t)

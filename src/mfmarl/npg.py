@@ -167,9 +167,11 @@ class _PolicyStack:
         self._layers = _layers(self.config, np.stack([policy.params for policy in policies])[:, None])
 
     def action_laws(self, mus: np.ndarray) -> np.ndarray:
+        """A new C-contiguous array, as `SoftmaxPolicy.action_laws` returns:
+        a recursion that keeps every step's laws keeps no workspace alive."""
         cfg = self.config
         probs = _forward(cfg, self._layers, None, mus.reshape(self._size, -1, cfg.n_states))[1]
-        return probs.reshape(-1, cfg.n_states, cfg.n_actions)
+        return np.ascontiguousarray(probs).reshape(-1, cfg.n_states, cfg.n_actions)
 
 
 def npg_train(

@@ -205,15 +205,14 @@ class SoftmaxPolicy:
         """One action per (state, view) row, drawn by the row's uniform `u[i]`.
 
         With no record `kept`, one network pass over all rows in a fresh
-        workspace. A step loop's record (see `nagent.step`) holds the
-        `states` and `views` of the call before, once the caller has set
-        them. On it the policy keeps its workspace and the rows' action
-        probabilities, and runs the network only on the rows whose state or
-        view differs bitwise from the call before, or over all rows in place
-        when more than `_FULL_PASS_SHARE` of them differ. The record holds
-        the caller's arrays, not copies: a caller must not change them in
-        place between calls, or the changed rows are not seen and are drawn
-        from stale probabilities."""
+        workspace. A step loop's record (see `nagent.step`) lists as
+        `changed` the rows whose state or view differs bitwise from the call
+        before (sorted indices, or None for every row). On it the policy
+        keeps its workspace and the rows' action probabilities, and runs the
+        network only on the listed rows, or over all rows in place when more
+        than `_FULL_PASS_SHARE` of them are listed, when `changed` is None or
+        missing, or when the row count differs from the call before. A row
+        the caller does not list is drawn from its kept probabilities."""
         cfg = self.config
         b = np.size(states)
         states = _check_indices("states", states, b, cfg.n_states)
@@ -222,25 +221,15 @@ class SoftmaxPolicy:
             raise ValueError(f"mu_rows must have shape ({b}, {cfg.n_states}), got {mu_rows.shape}")
         if kept is None:
             return sample_rows(_forward(cfg, self._layers, states, mu_rows)[1], u)
-        last = getattr(kept, "states", None)
-        full = last is None or last.size != b
-        if full:
+        changed = getattr(kept, "changed", None)
+        if getattr(kept, "out", None) is None or kept.out[1].shape[1] != b:
             # The workspaces of the full pass and of the subset pass, for up
             # to `_FULL_PASS_SHARE * b` rows.
             kept.out = _workspace(cfg, (b,))
             kept.part = np.empty(int(_FULL_PASS_SHARE * b) * (2 * cfg.hidden + cfg.n_actions + 1))
-        else:
-            differ = mu_rows.view(np.int64) != kept.views.view(np.int64)
-            # More differing view entries than the share of all entries means
-            # more differing rows than the share of rows: no need to list them.
-            full = np.count_nonzero(differ) > _FULL_PASS_SHARE * differ.size
-        if not full:
-            changed = states != last
-            changed[np.flatnonzero(differ) // cfg.n_states] = True
-            changed = np.flatnonzero(changed)
-            full = changed.size > _FULL_PASS_SHARE * b
+            changed = None
         probs = kept.out[1][:-1]
-        if full:
+        if changed is None or changed.size > _FULL_PASS_SHARE * b:
             _forward(cfg, self._layers, states, mu_rows, kept.out)
         elif changed.size:
             part = _workspace(cfg, (changed.size,), kept.part)

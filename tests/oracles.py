@@ -22,12 +22,20 @@ policy at one (x, mu), and `network_probs` runs a `SoftmaxPolicy`'s network
 over (state, view) rows. `estimate_lipschitz_lq` samples a network's
 Lipschitz constant in mu from below.
 
-Two builders only the tests use live here too: `point_mass`, a `Simplex`
-with all its mass on one index, and `ring_symmetric`, a symmetric
-circulant W built from its nonzeros.
+The simulator's reference step loop lives here too: `reference_episode`
+recomputes every state view in full (`InteractionMatrix.views`) on every
+step and lists the rows that changed by a bitwise diff against the step
+before (`changed_rows`), the step the simulator took before it updated only
+the views that moved.
+
+Three builders only the tests use live here too: `point_mass`, a `Simplex`
+with all its mass on one index, `ring_symmetric`, a symmetric circulant W
+built from its nonzeros, and `irregular_matrix`, a W built from nonzeros
+whose rows differ in length.
 """
 
 import itertools
+import types
 
 import numpy as np
 
@@ -67,6 +75,24 @@ def ring_symmetric(n: int, k: int) -> InteractionMatrix:
     rows = np.repeat(np.arange(n), k)
     cols = np.sort((np.arange(n)[:, None] + np.concatenate([half, -half])) % n, axis=1).ravel()
     return InteractionMatrix.from_nonzeros(n, rows, cols, np.full(rows.size, 1.0 / k))
+
+
+def irregular_matrix(n: int, rng: np.random.Generator) -> InteractionMatrix:
+    """A doubly stochastic W stored as its nonzeros whose rows hold
+    different numbers of entries: weight 1/2 spread evenly within
+    consecutive groups of 1, 2, ..., 7, 1, 2, ... agents, and 1/2 on a
+    random permutation, given as two entries of 1/4 at each of its positions
+    (repeated positions add up)."""
+    rows, cols, data, start = [], [], [], 0
+    while start < n:
+        group = np.arange(start, min(n, start + 1 + len(rows) % 7))
+        rows.append(np.repeat(group, group.size))
+        cols.append(np.tile(group, group.size))
+        data.append(np.full(group.size**2, 0.5 / group.size))
+        start += group.size
+    perm = rng.permutation(n)
+    rows, cols, data = rows + [np.arange(n)] * 2, cols + [perm] * 2, data + [np.full(n, 0.25)] * 2
+    return InteractionMatrix.from_nonzeros(n, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
 
 
 def estimate_lipschitz_lq(cfg, phi, trials: int, rng: np.random.Generator) -> float:
@@ -311,6 +337,43 @@ def weighted_view(w, agent, items, set_size):
     if idx.min() < 0 or idx.max() >= set_size:
         raise ValueError(f"item index out of range [0, {set_size})")
     return Simplex(np.bincount(idx, weights=w.weights[agent], minlength=set_size))
+
+
+def changed_rows(last_states, last_views, states, views):
+    """The sorted rows whose state or view (compared bit by bit) differs
+    from the step before, or None (every row) when there is no step before
+    of the same size."""
+    if last_states is None or last_states.size != states.size:
+        return None
+    differ = np.asarray(views).view(np.int64) != np.asarray(last_views).view(np.int64)
+    return np.flatnonzero(differ.any(axis=1) | (states != last_states))
+
+
+def reference_episode(env, w, policy, initial_states, horizon, rng):
+    """Steps t = 0..horizon of one block as `nagent.rollout` takes them
+    (uniforms `rng.random((2, N))` per step, one record for the loop), with
+    each step's state views the full `w.views` and its changed rows listed
+    by `changed_rows`. Returns the (T+1, N) states, actions and rewards, the
+    discounted return summed as the simulator sums it, and each step's
+    listed rows."""
+    kept, states = types.SimpleNamespace(), np.asarray(initial_states, dtype=np.int64)
+    record, listed = ([], [], []), []
+    returns, discount = np.zeros(1), 1.0
+    for _ in range(horizon + 1):
+        u = rng.random((2, w.n_agents))
+        views = w.views(states, env.n_states)
+        kept.changed = changed_rows(getattr(kept, "states", None), getattr(kept, "views", None), states, views)
+        listed.append(kept.changed)
+        actions = policy.sample_actions(states, views, u[0], kept)
+        kept.states, kept.views = states, views
+        nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
+        rewards = env.reward_batch(states, actions, views, nu_views)
+        for rows, row in zip(record, (states, actions, rewards)):
+            rows.append(row)
+        returns += discount * rewards.reshape(1, -1).mean(axis=1)
+        discount *= env.gamma
+        states = env.transition_sample_batch(states, actions, views, nu_views, u[1]).astype(np.int64)
+    return (*map(np.array, record), float(returns[0]), listed)
 
 
 def _steps(env, policy, mu, horizon=0):

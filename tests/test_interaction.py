@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import empirical_distribution, l1_distance, ring_symmetric, weighted_view
+from oracles import (
+    changed_rows,
+    empirical_distribution,
+    irregular_matrix,
+    l1_distance,
+    ring_symmetric,
+    weighted_view,
+)
 from mfmarl import interaction
 from mfmarl.interaction import InteractionMatrix, ring_k_neighbor, sinkhorn_random, uniform
 from mfmarl.simplex import Simplex
@@ -347,3 +354,48 @@ class TestUpdatedViews:
         out = w.updated_views(views, items, np.minimum(items, 2), 4)
         assert out.min() >= 0.0
         assert np.abs(out[:, 3]).max() <= np.finfo(float).eps
+
+
+class TestStepViews:
+    """`_step_views` on a W stored as its nonzeros: few movers above the
+    size floor update the kept views in place, bitwise equal to the full
+    `bincount`, and list the rows a bitwise diff lists."""
+
+    N = interaction._ROWS_MIN_AGENTS
+
+    @pytest.mark.parametrize(
+        "make_w",
+        [lambda rng: ring_k_neighbor(TestStepViews.N, 5), lambda rng: irregular_matrix(TestStepViews.N + 7, rng)],
+        ids=["ring", "irregular"],
+    )
+    def test_few_movers_update_their_in_neighbours_rows(self, make_w):
+        rng = np.random.default_rng(64)
+        w = make_w(rng)
+        n, most = w.n_agents, int(interaction._ROWS_SHARE * w.n_agents)
+        items = rng.integers(0, 4, size=n)
+        views = w.views(items, 4)
+        for movers in (1, 2, 5, most, most, 1):
+            new = items.copy()
+            # A mover may draw its old item again: it then moves nowhere.
+            new[rng.choice(n, movers, replace=False)] = rng.integers(0, 4, size=movers)
+            before = views.copy()
+            out, changed = w._step_views(views, items, new, 4)
+            assert out is views
+            assert np.array_equal(out.view(np.int64), w.views(new, 4).view(np.int64))
+            expected = changed_rows(items, before, new, out)
+            assert np.array_equal(changed, expected) and changed.dtype.kind == "i"
+            items = new
+
+    def test_no_mover_lists_no_row_and_many_take_the_full_bincount(self):
+        rng = np.random.default_rng(65)
+        w = ring_k_neighbor(self.N, 5)
+        items = rng.integers(0, 4, size=self.N)
+        views = w.views(items, 4)
+        out, changed = w._step_views(views, items, items.copy(), 4)
+        assert out is views and changed.size == 0
+        new = items.copy()
+        many = int(interaction._ROWS_SHARE * self.N) + 1
+        new[:many] = (new[:many] + 1) % 4
+        out, changed = w._step_views(views, items, new, 4)
+        assert out is not views and np.array_equal(out, w.views(new, 4))
+        assert np.array_equal(changed, changed_rows(items, views, new, out))

@@ -20,6 +20,8 @@ from oracles import (
 from mfmarl.meanfield import (
     BoundInapplicableError,
     BoundInputs,
+    _mean_rewards,
+    _recursion,
     approximation_bound,
     bound_inputs,
     mf_path,
@@ -36,7 +38,7 @@ from mfmarl.model import (
 )
 from mfmarl.npg import NPGConfig, npg_train
 from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
-from mfmarl.simplex import Simplex
+from mfmarl.simplex import Simplex, normalized_rows
 
 
 def identity_env(gamma=0.9, rewards=None):
@@ -294,9 +296,9 @@ class TestStackedValues:
     @pytest.mark.parametrize("rows", [1, 6])
     def test_env_hooks_run_once_per_step(self, rows):
         # The recursion calls the hooks through the env's attributes, as the
-        # benchmark's tracer sees them: the stacked values call both once
-        # per step with every stacked law; a path calls `kernel` once per
-        # step and `reward_matrix` once, on all its T + 1 laws.
+        # benchmark's tracer sees them: `kernel` once per step with every
+        # stacked law, and `reward_matrix` once, on all the laws of every
+        # step, both for the stacked values and for a path.
         env, _ = _firm(4, sigma=1.2)
         calls = {"kernel": [], "reward_matrix": []}
         for name, log in calls.items():
@@ -304,11 +306,28 @@ class TestStackedValues:
             setattr(env, name, lambda mus, nus, hook=hook, log=log: log.append(len(mus)) or hook(mus, nus))
         mu0s = _initial_laws(4, np.random.default_rng(2))[:rows]
         mf_values(env, _softmax(4, seed=26), mu0s, 17)
-        assert calls == {"kernel": [rows] * 18, "reward_matrix": [rows] * 18}
+        assert calls == {"kernel": [rows] * 18, "reward_matrix": [rows * 18]}
         for log in calls.values():
             log.clear()
         mf_path(env, _softmax(4, seed=26), Simplex(mu0s[0]), 9)
         assert calls == {"kernel": [1] * 10, "reward_matrix": [10]}
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.2])
+    def test_values_read_rewards_in_one_call(self, sigma):
+        # One `reward_matrix` call per `mf_values` call, over every step's
+        # laws; the values equal a sum over one call per step, bit for bit.
+        env, _ = _firm(10, sigma=sigma)
+        policy = _softmax(10, seed=27)
+        mu0s = _initial_laws(10, np.random.default_rng(3))
+        reward_matrix, calls = env.reward_matrix, []
+        env.reward_matrix = lambda mus, nus: calls.append(len(mus)) or reward_matrix(mus, nus)
+        values = mf_values(env, policy, mu0s, 30)
+        assert calls == [len(mu0s) * 31]
+        expected, discount = np.zeros(len(mu0s)), 1.0
+        for mus, nus, probs, _ in _recursion(env, policy, normalized_rows(mu0s), 30):
+            expected += discount * _mean_rewards(reward_matrix(mus, nus), probs, mus)
+            discount *= env.gamma
+        assert np.array_equal(values, expected)
 
     @pytest.mark.parametrize("q", [3, 10])
     @pytest.mark.parametrize("sigma", [1.0, 1.2])

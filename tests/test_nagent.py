@@ -1,4 +1,5 @@
 import copy
+import sys
 import threading
 import tracemalloc
 import types
@@ -12,12 +13,14 @@ from oracles import (
     empirical_distribution,
     exact_population_value,
     firm_scalar,
+    irregular_matrix,
     l1_distance,
     mf_action_distribution,
     mf_reward,
     mf_transition,
     point_mass,
     policy_probs,
+    reference_episode,
     ring_symmetric,
     scalar_env as oracle_env,
 )
@@ -242,42 +245,55 @@ class TestViewsComputed:
 def spy_view_paths(monkeypatch) -> list:
     """How each `nagent.step` call got its state views, in call order:
     "full" (`InteractionMatrix.views`), "update" (the movers' columns of a
-    dense W) or "reuse" (no agent moved). Each thread books its own steps."""
+    dense W), "rows" (the rows with a moved in-neighbour, on a W stored as
+    its nonzeros) or "reuse" (no agent moved). Each thread books its own
+    steps."""
     paths, local = [], threading.local()
-    views, updated, step_fn = InteractionMatrix.views, InteractionMatrix.updated_views, nagent.step
+    matrix = InteractionMatrix
+    views, moved, rows, step_fn = matrix.views, matrix._moved_views, matrix._refresh_rows, nagent.step
 
     def spied_views(self, items, set_size):
         local.path = "full"
         return views(self, items, set_size)
 
-    def spied_updated(self, kept, old_items, items, set_size):
-        local.path = None
-        result = updated(self, kept, old_items, items, set_size)
-        if local.path is None:
-            local.path = "reuse" if result is kept else "update"
-        return result
+    def spied_moved(self, *args):
+        local.path = "update"  # unless it calls `views`
+        return moved(self, *args)
+
+    def spied_rows(self, *args):
+        local.path = "rows"
+        return rows(self, *args)
 
     def spied_step(*args, **kwargs):
+        local.path = "reuse"
         result = step_fn(*args, **kwargs)
         paths.append(local.path)
         return result
 
     monkeypatch.setattr(InteractionMatrix, "views", spied_views)
-    monkeypatch.setattr(InteractionMatrix, "updated_views", spied_updated)
+    monkeypatch.setattr(InteractionMatrix, "_moved_views", spied_moved)
+    monkeypatch.setattr(InteractionMatrix, "_refresh_rows", spied_rows)
     monkeypatch.setattr(nagent, "step", spied_step)
     return paths
 
 
-def expected_view_paths(states: np.ndarray) -> list:
+def expected_view_paths(states: np.ndarray, nonzeros: bool = False) -> list:
     """The paths of `spy_view_paths` that a step loop over these recorded
-    (T+1, N) states takes on a dense W: the full product on the first step,
-    after more than `_UPDATE_SHARE` of the agents moved, and below
-    `_UPDATE_MIN_AGENTS` agents; else the update, or reuse when none moved."""
+    (T+1, N) states takes: the full product on the first step, and reuse
+    after a step where no agent moved. When agents moved: on a dense W the
+    update if there are at least `_UPDATE_MIN_AGENTS` agents, at most
+    `_UPDATE_SHARE` of them moved; on a W stored as its nonzeros the rows if
+    there are at least `_ROWS_MIN_AGENTS`, at most `_ROWS_SHARE` moved; else
+    the full product."""
+    if nonzeros:
+        floor, share, few_path = interaction._ROWS_MIN_AGENTS, interaction._ROWS_SHARE, "rows"
+    else:
+        floor, share, few_path = interaction._UPDATE_MIN_AGENTS, interaction._UPDATE_SHARE, "update"
     n, paths = states.shape[1], ["full"]
     for before, now in zip(states[:-1], states[1:]):
         moved = np.count_nonzero(before != now)
-        few = n >= interaction._UPDATE_MIN_AGENTS and moved <= interaction._UPDATE_SHARE * n
-        paths.append("reuse" if moved == 0 else "update" if few else "full")
+        few = n >= floor and moved <= share * n
+        paths.append("reuse" if moved == 0 else few_path if few else "full")
     return paths
 
 
@@ -337,6 +353,102 @@ class TestViewUpdate:
         bound = (0.5 * 55 * (horizon + 1) + 16) * self.EPS
         np.testing.assert_allclose(rec.rewards, full[2], rtol=0.0, atol=bound)
         assert abs(rec.discounted_return - full_return) <= bound / (1 - env.gamma)
+
+
+def spy_step_records(monkeypatch) -> dict:
+    """What each `nagent.step` call of a step loop left on its record, in
+    call order per thread: the rows it listed (a copy; None for every row),
+    and whether the record's views equal `w.views` of its states bitwise.
+    Install it before `spy_view_paths`, whose `views` spy it must not call."""
+    seen, step_fn, views = {}, nagent.step, InteractionMatrix.views
+
+    def spied_step(env, w, policy, states, u, *, kept=None):
+        result = step_fn(env, w, policy, states, u, kept=kept)
+        listed = None if kept.changed is None else kept.changed.copy()
+        exact = np.array_equal(kept.views.view(np.int64), views(w, kept.states, env.n_states).view(np.int64))
+        seen.setdefault(threading.get_ident(), []).append((listed, exact))
+        return result
+
+    monkeypatch.setattr(nagent, "step", spied_step)
+    return seen
+
+
+class TestRowUpdate:
+    """On a W stored as its nonzeros, a step loop recomputes only the view
+    rows with a moved in-neighbour, in place. Gated against
+    `oracles.reference_episode`, which recomputes every view on every step
+    and lists the changed rows by a bitwise diff: the episodes are bitwise
+    equal, each step lists the rows the diff lists, and the kept views equal
+    the full `bincount` bitwise."""
+
+    HORIZON = 120
+
+    def episode(self, w, seed):
+        env = build_firm_env(FirmModelConfig(q=10, k=5), 0.9)
+        pol = softmax_policy(10, seed=80, hidden=16)
+        init = np.random.default_rng(seed).integers(0, 3, size=w.n_agents)
+        rec = rollout(env, w, pol, init, self.HORIZON, np.random.default_rng(seed + 1))
+        reference = reference_episode(env, w, pol, init, self.HORIZON, np.random.default_rng(seed + 1))
+        return rec, reference
+
+    @staticmethod
+    def assert_matches(rec, reference, steps):
+        *fields, ref_return, listed = reference
+        for name, expected in zip(("states", "actions", "rewards"), fields):
+            assert np.array_equal(getattr(rec, name), expected), name
+        assert rec.discounted_return == ref_return
+        assert len(steps) == len(listed)
+        for t, ((rows, exact), expected) in enumerate(zip(steps, listed)):
+            assert exact, t
+            assert (rows is None and expected is None) or np.array_equal(rows, expected), t
+
+    def run_case(self, monkeypatch, w, seed):
+        seen = spy_step_records(monkeypatch)
+        paths = spy_view_paths(monkeypatch)
+        rec, reference = self.episode(w, seed)
+        (steps,) = seen.values()
+        self.assert_matches(rec, reference, steps)
+        assert paths == expected_view_paths(rec.states, nonzeros=True)
+        return paths
+
+    def test_one_agent_below_the_floor_takes_the_full_bincount(self, monkeypatch):
+        paths = self.run_case(monkeypatch, ring_k_neighbor(interaction._ROWS_MIN_AGENTS - 1, 5), 81)
+        assert "rows" not in paths and paths.count("full") > 1 and "reuse" in paths
+
+    @pytest.mark.parametrize("n", [interaction._ROWS_MIN_AGENTS, 10_000])
+    def test_ring_at_and_above_the_floor_updates_rows(self, monkeypatch, n):
+        paths = self.run_case(monkeypatch, ring_k_neighbor(n, 5), 82)
+        assert {"rows", "reuse"} <= set(paths) and "full" in paths[1:]
+
+    def test_irregular_w_updates_rows(self, monkeypatch):
+        w = irregular_matrix(interaction._ROWS_MIN_AGENTS + 300, np.random.default_rng(83))
+        assert len(set(np.bincount(w.nonzeros[0]))) > 3
+        paths = self.run_case(monkeypatch, w, 84)
+        assert "rows" in paths
+
+    def test_threads_stepping_loops_on_one_w_keep_records_of_their_own(self, monkeypatch):
+        # A fresh W, so that both threads may build its column index at once.
+        w = ring_k_neighbor(interaction._ROWS_MIN_AGENTS, 5)
+        seen = spy_step_records(monkeypatch)
+        results = {}
+
+        def work(seed):
+            results[seed] = (threading.get_ident(), *self.episode(w, seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(seed,)) for seed in (85, 87)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(results) == [85, 87]
+        for ident, rec, reference in results.values():
+            self.assert_matches(rec, reference, seen[ident])
 
 
 class TestRollout:
@@ -579,6 +691,24 @@ class TestInitialStates:
             rollout(env, w, pol, initial_states, 2, np.random.default_rng(27))
         with pytest.raises(ValueError, match="initial_states"):
             estimate_v_marl(env, w, pol, initial_states, 2, 3, np.random.default_rng(27))
+
+
+    def test_a_step_loop_checks_each_steps_states_once(self, monkeypatch):
+        # The loop checks its initial states, and each step the next states
+        # it returns; a step trusts the states the step before returned.
+        names, check = [], nagent._check_indices
+        monkeypatch.setattr(nagent, "_check_indices", lambda name, *args: names.append(name) or check(name, *args))
+        env, pol, w = firm_env(q=3, k=2), softmax_policy(3), ring_k_neighbor(6, 2)
+        rollout(env, w, pol, np.zeros(6, dtype=int), 10, np.random.default_rng(28))
+        assert names == ["initial_states"] + ["transition_sample_batch's next states"] * 11
+
+    def test_a_step_checks_states_it_did_not_return(self):
+        env, pol, w = firm_env(q=3, k=2), softmax_policy(3), ring_k_neighbor(4, 2)
+        kept, u = types.SimpleNamespace(), np.full((2, 4), 0.5)
+        _, _, next_states = step(env, w, pol, np.array([0, 1, 2, 0]), u, kept=kept)
+        assert kept.next is next_states
+        with pytest.raises(ValueError, match="states"):
+            step(env, w, pol, np.array([0, 1, 3, 0]), u, kept=kept)
 
 
 class TestEstimateVMarl:

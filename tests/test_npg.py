@@ -577,6 +577,17 @@ class TestPolicyStack:
                 block = slice(s * per_policy, (s + 1) * per_policy)
                 assert np.array_equal(probs[block], policy.action_laws(mus[block]))
 
+    def test_action_laws_keep_no_workspace_alive(self):
+        # The stacked value recursion keeps every step's laws until its one
+        # reward call; a view on the pass's workspace would keep each
+        # step's workspace too.
+        pcfg = PolicyConfig(n_states=10, n_actions=2, hidden=32)
+        rng = np.random.default_rng(31)
+        policies = [SoftmaxPolicy(pcfg, rng.uniform(-1.0, 1.0, pcfg.n_params)) for _ in range(3)]
+        probs = _PolicyStack(policies).action_laws(rng.dirichlet(np.ones(10), size=3))
+        owner = probs if probs.base is None else probs.base
+        assert probs.flags.c_contiguous and owner.flags.owndata and owner.nbytes == probs.nbytes
+
 
 class TestSelectPolicy:
     def test_single(self):

@@ -16,6 +16,7 @@ from mfmarl import policy as policy_module
 
 from oracles import (
     FunctionPolicy,
+    changed_rows,
     estimate_lipschitz_lq,
     network_probs,
     onehot_network_probs,
@@ -362,8 +363,11 @@ def draw_inputs(rng, cfg, b):
 
 
 def draw_kept(policy, kept, states, mu_rows, u):
-    """`sample_actions` through the record `kept`, which then holds the
-    call's states and views, as `nagent.step` leaves it."""
+    """`sample_actions` through the record `kept`, which lists the rows
+    whose state or view differs bitwise from the call before
+    (`oracles.changed_rows`) and then holds the call's states and views, as
+    `nagent.step` leaves it."""
+    kept.changed = changed_rows(getattr(kept, "states", None), getattr(kept, "views", None), states, mu_rows)
     drawn = policy.sample_actions(states, mu_rows, u, kept)
     kept.states, kept.views = states, mu_rows
     return drawn
