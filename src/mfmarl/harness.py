@@ -365,14 +365,14 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
         errs = np.array([r.error_pct for r in rows])
         gaps = np.array([r.v_marl_mean - r.v_mf for r in rows])
         mean = float(errs.mean())
-        gap_stderr = float(gaps.std(ddof=1) / np.sqrt(gaps.size)) if gaps.size > 1 else 0.0
+        mean_gap, gap_stderr = _mean_stderr(gaps)
         out.append(
             SummaryRow(
                 n=n,
                 mean_error=mean,
                 std_error=float(errs.std(ddof=0)),
                 mean_error_sqrt_n=mean * float(np.sqrt(n)),
-                mean_gap=float(gaps.mean()),
+                mean_gap=mean_gap,
                 gap_stderr=gap_stderr,
             )
         )

@@ -9,16 +9,18 @@ A matrix is stored in one of two forms, chosen by its builder: dense (an
 N x N array; `uniform`, `sinkhorn_random` and the constructor) or as its
 nonzeros (`ring_k_neighbor` and `InteractionMatrix.from_nonzeros`), which
 costs O(nnz) memory and view work instead of O(N^2). Both forms pass one
-check (`_require_doubly_stochastic`). A dense matrix brings kept views up
-to date after a few agents changed item by a rank-m update
-(`InteractionMatrix.updated_views`); a matrix stored as its nonzeros
-recomputes in place only the rows with a changed in-neighbour, through a
-column index built on first use (`InteractionMatrix._step_views`).
+check (`_require_doubly_stochastic`). A step loop's views are chosen and
+formed in one place, `InteractionMatrix._step_views`: after a few agents
+changed item, a dense matrix brings the kept views up to date by a rank-m
+update, and a matrix stored as its nonzeros recomputes in place only the
+rows with a changed in-neighbour, through a column index built on first use.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .simplex import _check_size
 
 VALIDATION_TOL = 1e-9
 # `sinkhorn_random` stops once every row and column sum is within
@@ -26,10 +28,10 @@ VALIDATION_TOL = 1e-9
 SINKHORN_TOL = 1e-10
 SINKHORN_MAX_ITERS = 10_000
 
-# `updated_views` on a dense W of at least `_UPDATE_MIN_AGENTS` agents, of
-# which at most `_UPDATE_SHARE` changed item, reads only their columns, in
-# chunks of `_UPDATE_CHUNK` (1 MiB at 4000 agents). Timed on one BLAS
-# thread, q = 10, Sinkhorn W (a range where two runs differed):
+# On a dense W of at least `_UPDATE_MIN_AGENTS` agents, of which at most
+# `_UPDATE_SHARE` moved, a step loop updates its views by the movers' columns
+# (`_rank_update`), `_UPDATE_CHUNK` at a time (1 MiB at 4000 agents). Timed
+# on one BLAS thread, q = 10, Sinkhorn W (a range where two runs differed):
 #
 #     N      full product   update, N/8 moved   update, 5 moved
 #     128    11 us          16 us               13 us
@@ -46,7 +48,7 @@ _UPDATE_CHUNK = 32
 
 # A step loop on a W stored as its nonzeros, of at least `_ROWS_MIN_AGENTS`
 # agents of which at most `_ROWS_SHARE` moved, recomputes only the view rows
-# with a moved in-neighbour (`InteractionMatrix._step_views`); otherwise it
+# with a moved in-neighbour (`InteractionMatrix._refresh_rows`); otherwise it
 # takes the full `bincount`. Timed with the bitwise diff of the changed rows,
 # on one thread, ring-5 W, q = 10, glibc's mmap threshold at 1 MiB (min of
 # 9, three draws of movers; the full `bincount` varied the most):
@@ -103,8 +105,7 @@ class InteractionMatrix:
         """The matrix with entries W(rows[e], cols[e]) = data[e] and zeros
         elsewhere (repeated positions add up). Validated in O(nnz) with the
         same checks and tolerance as a dense matrix, plus the index range."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_size("n", n)
         arrays = [np.asarray(a) for a in (rows, cols)]
         if any(a.dtype.kind not in "iu" for a in arrays):
             raise ValueError("rows and cols must be integer arrays")
@@ -137,6 +138,12 @@ class InteractionMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("InteractionMatrix is immutable")
 
+    def __reduce__(self):
+        # Built anew in its storage form: validated, its arrays read-only.
+        if self._data is None:
+            return type(self), (self._dense,)
+        return type(self).from_nonzeros, (self.n_agents, self._rows, self._cols, self._data)
+
     @property
     def weights(self) -> np.ndarray:
         if self._dense is None:
@@ -167,30 +174,42 @@ class InteractionMatrix:
         )
         return flat.reshape(n, set_size)
 
-    def updated_views(
-        self, views: np.ndarray, old_items: np.ndarray, items: np.ndarray, set_size: int
-    ) -> np.ndarray:
-        """The views of `items`, given `views`, those of `old_items`: `views`
-        itself when no item changed. On a dense W of at least
-        `_UPDATE_MIN_AGENTS` agents of which m <= `_UPDATE_SHARE` * N changed,
-        a new array `views + W[:, moved] @ (E_new - E_old)`, E the one-hot
-        rows of the movers' new and old items, clamped at 0; else
-        `self.views(items, set_size)`.
-
-        The update reads m columns of W instead of all N^2 entries. It rounds
-        differently from the full product: each update rounds a view entry
-        (at most 1) once more, so after k updates in a row the views are
-        within k * eps of `self.views` (measured; the tests gate (k + 1) *
-        eps). The clamp keeps an emptied state's entries from going below 0.
-        """
-        moved = np.flatnonzero(items != old_items)
-        return self._moved_views(views, moved, old_items, items, set_size) if moved.size else views
-
-    def _moved_views(self, views, moved, old_items, items, set_size: int) -> np.ndarray:
-        """`updated_views` once the agents `moved` (at least one) are known."""
+    def _step_views(self, views, old_items, items, set_size: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """A step's views of `items`, given `views`, those of `old_items`, and
+        the rows whose item or view changed bitwise, sorted: the one place
+        where a step chooses how to form them. `views` None (a loop's first
+        step, or no record): `self.views` and None, meaning every row. No
+        item changed: `views` and no row. At most `_ROWS_SHARE` of at least
+        `_ROWS_MIN_AGENTS` agents moved on a W stored as its nonzeros:
+        `views`, updated in place by `_refresh_rows`, bitwise equal to
+        `self.views`. At most `_UPDATE_SHARE` of at least `_UPDATE_MIN_AGENTS`
+        on a dense W: `_rank_update`. Otherwise `self.views`."""
+        if views is None:
+            return self.views(items, set_size), None
+        changed = items != old_items
+        moved = np.flatnonzero(changed)
+        if not moved.size:
+            return views, moved
         n = self.n_agents
-        if self._data is not None or n < _UPDATE_MIN_AGENTS or moved.size > _UPDATE_SHARE * n:
-            return self.views(items, set_size)
+        if self._data is not None and n >= _ROWS_MIN_AGENTS and moved.size <= _ROWS_SHARE * n:
+            return views, np.union1d(moved, self._refresh_rows(views, moved, items, set_size))
+        if self._data is None and n >= _UPDATE_MIN_AGENTS and moved.size <= _UPDATE_SHARE * n:
+            new = self._rank_update(views, moved, old_items, items, set_size)
+        else:
+            new = self.views(items, set_size)
+        # A gather of the differing entries' rows: `.any(axis=1)` over rows
+        # of |X| entries takes about twice as long at 4000 agents.
+        changed[np.flatnonzero(new.view(np.int64) != views.view(np.int64)) // set_size] = True
+        return new, np.flatnonzero(changed)
+
+    def _rank_update(self, views, moved, old_items, items, set_size: int) -> np.ndarray:
+        """`views`, those of `old_items`, brought to `items` on a dense W as
+        a new array `views + W[:, moved] @ (E_new - E_old)`, E the movers'
+        one-hot items, clamped at 0 so that an emptied state reads no entry
+        below 0. It reads m columns of W instead of N^2 entries, and rounds
+        each entry once more than the product: after k updates in a row the
+        views are within k * eps of `self.views` (measured; tests gate
+        (k + 1) * eps)."""
         delta = np.zeros((moved.size, set_size))
         rows = np.arange(moved.size)
         delta[rows, items[moved]] = 1.0
@@ -200,29 +219,6 @@ class InteractionMatrix:
             chunk = slice(start, start + _UPDATE_CHUNK)
             out += self._dense[:, moved[chunk]] @ delta[chunk]
         return np.maximum(out, 0.0, out=out)
-
-    def _step_views(self, views, old_items, items, set_size: int) -> tuple[np.ndarray, np.ndarray]:
-        """A step loop's views of `items`, given `views`, those of
-        `old_items`, and the rows whose item or view changed bitwise, sorted.
-
-        No item changed: `views` itself and no row. On a W stored as its
-        nonzeros of at least `_ROWS_MIN_AGENTS` agents, of which at most
-        `_ROWS_SHARE` changed item: `views`, updated in place in the rows
-        with a moved in-neighbour (`_refresh_rows`), bitwise equal to
-        `self.views(items, set_size)`. Otherwise `updated_views`' array and
-        a bitwise diff of every row against `views`."""
-        changed = items != old_items
-        moved = np.flatnonzero(changed)
-        if not moved.size:
-            return views, moved
-        n = self.n_agents
-        if self._data is not None and n >= _ROWS_MIN_AGENTS and moved.size <= _ROWS_SHARE * n:
-            return views, np.union1d(moved, self._refresh_rows(views, moved, items, set_size))
-        new = self._moved_views(views, moved, old_items, items, set_size)
-        # A gather of the differing entries' rows: `.any(axis=1)` over rows
-        # of |X| entries takes about twice as long at 4000 agents.
-        changed[np.flatnonzero(new.view(np.int64) != views.view(np.int64)) // set_size] = True
-        return new, np.flatnonzero(changed)
 
     def _refresh_rows(self, views, moved, items, set_size: int) -> np.ndarray:
         """Recompute in place the rows of `views` that have an agent of
@@ -279,8 +275,7 @@ def _block_diagonal(blocks) -> InteractionMatrix:
 
 def uniform(n: int) -> InteractionMatrix:
     """All-pairs interaction with weight 1/n, the exchangeable special case."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n)
     return InteractionMatrix._from_dense(np.full((n, n), 1.0 / n))
 
 
@@ -288,7 +283,9 @@ def ring_k_neighbor(n: int, k: int) -> InteractionMatrix:
     """Circulant matrix with weight 1/k on offsets {1, ..., k} (self excluded
     unless k = n, where offset n wraps onto the diagonal). Stored as its
     n * k nonzeros."""
-    if not 1 <= k <= n:
+    _check_size("n", n)
+    _check_size("k", k)
+    if k > n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     rows = np.repeat(np.arange(n), k)
     cols = np.sort((np.arange(n)[:, None] + np.arange(1, k + 1)) % n, axis=1).ravel()
@@ -308,8 +305,7 @@ def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
     scaled into W in place once, after the loop, and validated like any
     dense matrix. W agrees with alternately normalizing the full array to a
     few eps, not bit for bit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_size("n", n)
     w = rng.uniform(0.1, 1.1, size=(n, n))
     kc = w @ np.ones(n)
     for _ in range(SINKHORN_MAX_ITERS):

@@ -68,30 +68,25 @@ def step(
 
     A step loop passes `kept`, one record for the whole loop (a
     `types.SimpleNamespace`, empty at first), and does not change the states
-    it passes in place. The step gets its state views from the record's
-    `states` and `views`, those of the step before, by `w._step_views`, or
-    by `w.views` when it holds none. It lists on the record, as `changed`,
-    the rows whose state or view differs bitwise from the step before (none
-    when no agent moved; None, meaning every row, on the first step), hands
-    the record to `policy.sample_actions`, and then leaves its own states
-    and views on it. The views are the loop's own array: a later step of the
-    loop may update them in place. States the step before returned, which
-    it also leaves on the record, are not checked again."""
+    it passes in place. The step gets its state views from `w._step_views`,
+    given the record's `views` and `states`, those of the step before (none
+    on the loop's first step, or without a record). It then leaves on the
+    record, before `policy.sample_actions` reads it, the rows whose state or
+    view differs bitwise from the step before as `changed` (none when no
+    agent moved; None, meaning every row, on the first step), and its own
+    states and views. The views are the loop's own array: a later step of
+    the loop may update them in place. States the step before returned,
+    which it also leaves on the record, are not checked again."""
     n = w.n_agents
     if kept is None or states is not getattr(kept, "next", None):
         states = _check_indices("states", states, n, env.n_states)
     if np.shape(u) != (2, n):
         raise ValueError(f"u must have shape (2, {n}), got {np.shape(u)}")
-    last = getattr(kept, "states", None)
-    if last is None:
-        mu_views, changed = w.views(states, env.n_states), None
-    else:
-        mu_views, changed = w._step_views(kept.views, last, states, env.n_states)
+    last_views, last = getattr(kept, "views", None), getattr(kept, "states", None)
+    mu_views, changed = w._step_views(last_views, last, states, env.n_states)
     if kept is not None:
-        kept.changed = changed
+        kept.changed, kept.states, kept.views = changed, states, mu_views
     actions = policy.sample_actions(states, mu_views, u[0], kept)
-    if kept is not None:
-        kept.states, kept.views = states, mu_views
     nu_views = w.views(actions, env.n_actions) if env.reads_nu_views else None
     rewards = _hook_output("reward_batch", env.reward_batch(states, actions, mu_views, nu_views), (n,))
     next_states = env.transition_sample_batch(states, actions, mu_views, nu_views, u[1])

@@ -6,10 +6,10 @@ One law handed in (an initial distribution mu0) is a `Simplex` over
 (per-agent views, policy outputs, transition rows, the steps of a
 mean-field path or of a rollout) is a float array with one law per row;
 `normalized_rows` applies the `Simplex` checks to such rows, and
-`sample_rows` is the one categorical draw: one index per row. A caller
-that draws many times from one stack forms its partial sums once
-(`_partial_sums`) and draws from rows of them (`_inverse_cdf`), the same
-inverse-CDF rule.
+`sample_rows` is the one categorical draw: one index per row, by inverse
+CDF (`_inverse_cdf`) over the rows' partial sums (`_partial_sums`). A
+caller that draws many times from one stack forms those sums once and
+draws from rows of them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ class Simplex:
     def __setattr__(self, name, value):
         raise AttributeError("Simplex is immutable")
 
+    def __reduce__(self):
+        # Restored as stored: `Simplex(weights)` renormalizes, which can move a bit.
+        return object.__new__, (type(self),), self.weights
+
+    def __setstate__(self, weights: np.ndarray) -> None:
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
+
     def __len__(self) -> int:
         return self.weights.size
 
@@ -55,8 +63,7 @@ class Simplex:
 
     @classmethod
     def uniform(cls, n: int) -> "Simplex":
-        if n < 1:
-            raise ValueError("set size must be >= 1")
+        _check_size("n", n)
         return cls(np.full(n, 1.0 / n))
 
 
@@ -90,22 +97,22 @@ def _require_finite(weights: np.ndarray) -> None:
 
 def sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One categorical draw per row of a (n, k) matrix of probabilities, by
-    inverse CDF at the row's uniform `u[i]` (`_inverse_cdf`). The partial
-    sums are built column by column (row 0 of `cdf` is the empty sum), one
-    elementwise pass over the n rows each."""
-    cdf = np.zeros((probs.shape[1], probs.shape[0]))
-    for j in range(probs.shape[1] - 1):
-        np.add(cdf[j], probs[:, j], out=cdf[j + 1])
-    return _inverse_cdf(cdf[1:], u)
+    inverse CDF at the row's uniform `u[i]`."""
+    return _inverse_cdf(_partial_sums(probs), u)
 
 
 def _partial_sums(laws: np.ndarray) -> np.ndarray:
     """The first k - 1 partial sums of each law of a stack, whose last axis
-    holds the k entries, on a leading axis: sums[j] = laws[..., 0] + ... +
-    laws[..., j], added in the order `sample_rows` adds them, so that
-    `_inverse_cdf` on columns of these sums draws what `sample_rows` draws
-    from the laws."""
-    return np.moveaxis(np.cumsum(laws, axis=-1)[..., :-1], -1, 0)
+    holds the k entries, as a contiguous array with a leading axis:
+    sums[j] = laws[..., 0] + ... + laws[..., j], added left to right, one
+    elementwise pass over the stack per column."""
+    k = laws.shape[-1]
+    sums = np.empty((k - 1, *laws.shape[:-1]))
+    if k > 1:
+        sums[0] = laws[..., 0]
+    for j in range(1, k - 1):
+        np.add(sums[j - 1], laws[..., j], out=sums[j])
+    return sums
 
 
 def _inverse_cdf(sums: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -1,3 +1,7 @@
+import copy
+import pickle
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,19 @@ class TestConstructors:
             ring_k_neighbor(4, 0)
         with pytest.raises(ValueError):
             ring_k_neighbor(4, 5)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, np.float64(4), "4"], ids=repr)
+    def test_builders_check_their_sizes_at_the_boundary(self, bad):
+        cases = [
+            ("n", lambda: uniform(bad)),
+            ("n", lambda: sinkhorn_random(bad, np.random.default_rng(0))),
+            ("n", lambda: InteractionMatrix.from_nonzeros(bad, [0], [0], [1.0])),
+            ("n", lambda: ring_k_neighbor(bad, 1)),
+            ("k", lambda: ring_k_neighbor(4, bad)),
+        ]
+        for name, build in cases:
+            with pytest.raises(ValueError, match="^" + re.escape(f"{name} must be an integer >= 1, got {bad!r}") + "$"):
+                build()
 
     def test_ring_symmetric(self):
         w = ring_symmetric(8, 4).weights
@@ -300,6 +317,9 @@ class TestWeightedView:
 
 
 class TestUpdatedViews:
+    """`_step_views` on a dense W: few movers above the size floor take the
+    rank-m update, anything else the full product."""
+
     N = interaction._UPDATE_MIN_AGENTS
 
     def moved(self, items, agents, size):
@@ -312,7 +332,8 @@ class TestUpdatedViews:
         for w in (ring_k_neighbor(self.N, 5), sinkhorn_random(self.N, rng)):
             items = rng.integers(0, 4, size=self.N)
             views = w.views(items, 4)
-            assert w.updated_views(views, items, items.copy(), 4) is views
+            out, changed = w._step_views(views, items, items.copy(), 4)
+            assert out is views and changed.size == 0
 
     def test_few_movers_on_dense_w_read_their_columns(self, monkeypatch):
         rng = np.random.default_rng(61)
@@ -323,10 +344,18 @@ class TestUpdatedViews:
         new = self.moved(items, rng.choice(self.N, int(interaction._UPDATE_SHARE * self.N), replace=False), 4)
         expected = w.views(new, 4)
         monkeypatch.setattr(InteractionMatrix, "views", None)  # the update must not call it
-        out = w.updated_views(views, items, new, 4)
+        out, changed = w._step_views(views, items, new, 4)
         assert np.array_equal(views, kept)  # a new array; the kept views stay
+        assert np.array_equal(changed, changed_rows(items, kept, new, out))
         assert np.abs(out - expected).max() <= np.finfo(float).eps
         assert out.min() >= 0.0
+
+    def test_no_kept_views_take_the_full_product(self):
+        rng = np.random.default_rng(67)
+        for w in (ring_k_neighbor(self.N, 5), sinkhorn_random(self.N, rng)):
+            items = rng.integers(0, 4, size=self.N)
+            out, changed = w._step_views(None, None, items, 4)
+            assert np.array_equal(out.view(np.int64), w.views(items, 4).view(np.int64)) and changed is None
 
     def test_full_product_otherwise(self):
         # Ring W, too many movers, or too few agents: the update is the full
@@ -341,7 +370,7 @@ class TestUpdatedViews:
         for w, movers in cases:
             items = rng.integers(0, 4, size=w.n_agents)
             new = self.moved(items, rng.choice(w.n_agents, movers, replace=False), 4)
-            assert np.array_equal(w.updated_views(w.views(items, 4), items, new, 4), w.views(new, 4))
+            assert np.array_equal(w._step_views(w.views(items, 4), items, new, 4)[0], w.views(new, 4))
 
     def test_an_emptied_state_reads_zero_not_below(self):
         # Every agent in state 3 leaves it: its column is the rounding of a
@@ -351,7 +380,7 @@ class TestUpdatedViews:
         items = rng.integers(0, 3, size=self.N)
         items[rng.choice(self.N, 20, replace=False)] = 3
         views = w.views(items, 4)
-        out = w.updated_views(views, items, np.minimum(items, 2), 4)
+        out, _ = w._step_views(views, items, np.minimum(items, 2), 4)
         assert out.min() >= 0.0
         assert np.abs(out[:, 3]).max() <= np.finfo(float).eps
 
@@ -399,3 +428,29 @@ class TestStepViews:
         out, changed = w._step_views(views, items, new, 4)
         assert out is not views and np.array_equal(out, w.views(new, 4))
         assert np.array_equal(changed, changed_rows(items, views, new, out))
+
+
+class TestCopies:
+    """A pickled or copied W is rebuilt in its storage form: the same arrays
+    bit for bit, read-only, and still immutable."""
+
+    @pytest.mark.parametrize(
+        "make_w",
+        [
+            lambda rng: ring_k_neighbor(12, 3),
+            lambda rng: irregular_matrix(30, rng),
+            lambda rng: uniform(5),
+            lambda rng: sinkhorn_random(9, rng),
+        ],
+        ids=["ring", "irregular", "uniform", "sinkhorn"],
+    )
+    def test_pickle_and_copies_give_an_equal_matrix(self, make_w):
+        w = make_w(np.random.default_rng(66))
+        for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert type(clone) is InteractionMatrix and clone.n_agents == w.n_agents
+            assert (clone.nonzeros is None) == (w.nonzeros is None)
+            for a, b in zip((w.weights, *(w.nonzeros or ())), (clone.weights, *(clone.nonzeros or ()))):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not b.flags.writeable
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.n_agents = 3

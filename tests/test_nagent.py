@@ -245,20 +245,20 @@ class TestViewsComputed:
 def spy_view_paths(monkeypatch) -> list:
     """How each `nagent.step` call got its state views, in call order:
     "full" (`InteractionMatrix.views`), "update" (the movers' columns of a
-    dense W), "rows" (the rows with a moved in-neighbour, on a W stored as
-    its nonzeros) or "reuse" (no agent moved). Each thread books its own
-    steps."""
+    dense W, `_rank_update`), "rows" (the rows with a moved in-neighbour, on
+    a W stored as its nonzeros) or "reuse" (no agent moved). Each thread
+    books its own steps."""
     paths, local = [], threading.local()
     matrix = InteractionMatrix
-    views, moved, rows, step_fn = matrix.views, matrix._moved_views, matrix._refresh_rows, nagent.step
+    views, update, rows, step_fn = matrix.views, matrix._rank_update, matrix._refresh_rows, nagent.step
 
     def spied_views(self, items, set_size):
         local.path = "full"
         return views(self, items, set_size)
 
-    def spied_moved(self, *args):
-        local.path = "update"  # unless it calls `views`
-        return moved(self, *args)
+    def spied_update(self, *args):
+        local.path = "update"
+        return update(self, *args)
 
     def spied_rows(self, *args):
         local.path = "rows"
@@ -271,7 +271,7 @@ def spy_view_paths(monkeypatch) -> list:
         return result
 
     monkeypatch.setattr(InteractionMatrix, "views", spied_views)
-    monkeypatch.setattr(InteractionMatrix, "_moved_views", spied_moved)
+    monkeypatch.setattr(InteractionMatrix, "_rank_update", spied_update)
     monkeypatch.setattr(InteractionMatrix, "_refresh_rows", spied_rows)
     monkeypatch.setattr(nagent, "step", spied_step)
     return paths

@@ -1,7 +1,13 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from oracles import empirical_distribution, expectation, inverse_cdf, l1_distance, point_mass
+from mfmarl.meanfield import mf_path
+from mfmarl.model import FirmModelConfig, build_firm_env
+from mfmarl.policy import PolicyConfig, SoftmaxPolicy, init_params
 from mfmarl.simplex import Simplex, _inverse_cdf, _partial_sums, sample_rows
 
 
@@ -41,6 +47,21 @@ class TestSimplexConstruction:
             s.weights = np.array([1.0, 0.0])
         with pytest.raises(ValueError):
             s.weights[0] = 1.0
+
+    def test_pickle_and_copies_keep_the_weights_bit_for_bit(self):
+        s = Simplex(np.random.default_rng(0).dirichlet(np.ones(7)))
+        # Building anew would renormalize these weights and move a bit.
+        assert Simplex(s.weights).weights.tobytes() != s.weights.tobytes()
+        for clone in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert type(clone) is Simplex and clone.weights.tobytes() == s.weights.tobytes()
+            assert clone.weights.dtype == np.float64 and not clone.weights.flags.writeable
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.weights = s.weights
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, np.float64(4), "4"], ids=repr)
+    def test_uniform_checks_its_size(self, bad):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            Simplex.uniform(bad)
 
     def test_point_mass_and_uniform(self):
         assert point_mass(2, 4).weights.tolist() == [0, 0, 1, 0]
@@ -248,6 +269,19 @@ class TestPartialSums:
         assert _inverse_cdf(sums, np.array([0.25, 0.5, 0.0])).tolist() == [1, 3, 2]
         assert _inverse_cdf(sums, np.array([0.5, 0.0, 0.5])).tolist() == [3, 1, 2]
         assert np.array_equal(_inverse_cdf(sums, np.array([0.5, 0.0, 0.5])), sample_rows(laws, np.array([0.5, 0.0, 0.5])))
+
+    def test_sums_are_the_cumulative_sums_bit_for_bit(self):
+        # A firm path's stacks at T = 120, as an NPG pass forms their sums.
+        env = build_firm_env(FirmModelConfig(q=10, k=3), 0.9)
+        pcfg = PolicyConfig(n_states=10, n_actions=2, hidden=16)
+        rng = np.random.default_rng(68)
+        policy = SoftmaxPolicy(pcfg, init_params(pcfg, rng))
+        mus, _, probs, _, kernels = mf_path(env, policy, Simplex(rng.dirichlet(np.ones(10))), 120)
+        for laws in (mus, probs, kernels):
+            sums = _partial_sums(laws)
+            expected = np.moveaxis(np.cumsum(laws, axis=-1)[..., :-1], -1, 0)
+            assert sums.flags.c_contiguous and sums.shape == expected.shape
+            assert sums.tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 class TestExpectation:
