@@ -6,14 +6,16 @@ columns must also sum to 1 for the population-average cancellation that the
 mean-field comparison relies on.
 
 A matrix is stored in one of two forms, chosen by its builder: dense (an
-N x N array; `uniform`, `sinkhorn_random` and the constructor) or as its
-nonzeros (`ring_k_neighbor` and `InteractionMatrix.from_nonzeros`), which
-costs O(nnz) memory and view work instead of O(N^2). Both forms pass one
-check (`_require_doubly_stochastic`). A step loop's views are chosen and
-formed in one place, `InteractionMatrix._step_views`: after a few agents
-changed item, a dense matrix brings the kept views up to date by a rank-m
-update, and a matrix stored as its nonzeros recomputes in place only the
-rows with a changed in-neighbour, through a column index built on first use.
+N x N array in column-major order; `uniform`, `sinkhorn_random` and the
+constructor) or as its nonzeros (`ring_k_neighbor` and
+`InteractionMatrix.from_nonzeros`), which costs O(nnz) memory and view work
+instead of O(N^2). Both forms pass one check (`_require_doubly_stochastic`).
+A step loop's views are chosen and formed in one place,
+`InteractionMatrix._step_views`: after a few agents changed item, a dense
+matrix brings the kept views up to date by a rank-m update, which reads the
+movers' columns of W as contiguous rows of W^T, and a matrix stored as its
+nonzeros recomputes in place only the rows with a changed in-neighbour,
+through a column index built on first use.
 """
 
 from __future__ import annotations
@@ -30,20 +32,24 @@ SINKHORN_MAX_ITERS = 10_000
 
 # On a dense W of at least `_UPDATE_MIN_AGENTS` agents, of which at most
 # `_UPDATE_SHARE` moved, a step loop updates its views by the movers' columns
-# (`_rank_update`), `_UPDATE_CHUNK` at a time (1 MiB at 4000 agents). Timed
-# on one BLAS thread, q = 10, Sinkhorn W (a range where two runs differed):
+# (`_rank_update`), `_UPDATE_CHUNK` at a time (1 MiB at 4000 agents). W is
+# column-major, so each column is one contiguous read. Timed on one BLAS
+# thread, q = 10, Sinkhorn W (min of 15-200 calls; a range where two runs
+# differed):
 #
-#     N      full product   update, N/8 moved   update, 5 moved
-#     128    11 us          16 us               13 us
-#     192    20 us          20 us               13 us
-#     400    160-240 us     60-75 us            16 us
-#     2000   4.4-6.0 ms     3.0-3.3 ms          0.11 ms
-#     4000   21-41 ms       23-28 ms            0.25 ms
+#     N      full product   update, 5 moved   N/8 moved    N/4 moved    N/2 moved
+#     128    14-17 us       11-16 us          11-16 us     13 us        21 us
+#     192    20-26 us       10-11 us          14 us        22 us        34 us
+#     400    139-141 us     14-20 us          34-47 us     60-64 us     106-107 us
+#     2000   4.0-4.1 ms     0.04 ms           0.61 ms      1.19-1.20 ms 2.4-2.6 ms
+#     4000   15.6-16.2 ms   0.07-0.10 ms      4.5-5.7 ms   8.9-9.0 ms   17.3-19.3 ms
 #
-# Below about 200 agents the update's fixed cost exceeds the product; from
-# N = 2000 on, N/4 movers cost more than the product.
+# From 400 agents on, N/4 movers cost 0.3-0.6 of the product, and N/2 cost
+# more than the product at 4000 agents. From 128 to 192 agents the update
+# at N/4 and the product cost about the same (within the spread of runs), so
+# the floor stays at 200.
 _UPDATE_MIN_AGENTS = 200
-_UPDATE_SHARE = 1 / 8
+_UPDATE_SHARE = 1 / 4
 _UPDATE_CHUNK = 32
 
 # A step loop on a W stored as its nonzeros, of at least `_ROWS_MIN_AGENTS`
@@ -69,17 +75,20 @@ _ROWS_SHARE = 1 / 64
 class InteractionMatrix:
     """An immutable N x N doubly stochastic weight matrix.
 
-    `weights` is always the dense read-only array; for a matrix stored as its
+    `weights` is always the dense read-only array. A dense matrix keeps it in
+    column-major (Fortran) order, so `weights.T` is W^T, C-contiguous, and a
+    column of W is a contiguous row of it. For a matrix stored as its
     nonzeros it is built on first access and cached (N^2 * 8 bytes).
     """
 
     __slots__ = ("n_agents", "_dense", "_rows", "_cols", "_data", "_pointers")
 
     def __init__(self, weights):
-        self._set_dense(np.array(weights, dtype=np.float64))
+        self._set_dense(np.array(weights, dtype=np.float64, order="F"))
 
     def _set_dense(self, w: np.ndarray) -> None:
-        """Validate `w` and take it over as the dense form, without copying."""
+        """Validate `w`, column-major, and take it over as the dense form,
+        without copying."""
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"matrix must be square, got shape {w.shape}")
         if w.size == 0:
@@ -95,7 +104,8 @@ class InteractionMatrix:
 
     @classmethod
     def _from_dense(cls, w: np.ndarray) -> "InteractionMatrix":
-        """Wrap a float64 array that no one else holds (a builder's own)."""
+        """Wrap a column-major float64 array that no one else holds (a
+        builder's own)."""
         m = cls.__new__(cls)
         m._set_dense(w)
         return m
@@ -139,7 +149,8 @@ class InteractionMatrix:
         raise AttributeError("InteractionMatrix is immutable")
 
     def __reduce__(self):
-        # Built anew in its storage form: validated, its arrays read-only.
+        # Built anew in its storage form (a dense W column-major): validated,
+        # its arrays read-only.
         if self._data is None:
             return type(self), (self._dense,)
         return type(self).from_nonzeros, (self.n_agents, self._rows, self._cols, self._data)
@@ -162,13 +173,16 @@ class InteractionMatrix:
         return self._rows, self._cols, self._data
 
     def views(self, items: np.ndarray, set_size: int) -> np.ndarray:
-        """Every agent's weighted view as an (N, set_size) matrix: row i is
-        sum_j W(i, j) e_{items[j]}. `items` is not validated."""
+        """Every agent's weighted view as a C-contiguous (N, set_size)
+        matrix: row i is sum_j W(i, j) e_{items[j]}. `items` is not
+        validated."""
         n = self.n_agents
         if self._data is None:
-            indicator = np.zeros((n, set_size))
-            indicator[np.arange(n), items] = 1.0
-            return self._dense @ indicator
+            # (E^T W^T)^T, E the one-hot items: the product reads W^T, which
+            # is C-contiguous, by rows.
+            onehot = np.zeros((set_size, n))
+            onehot[items, np.arange(n)] = 1.0
+            return np.ascontiguousarray((onehot @ self._dense.T).T)
         flat = np.bincount(
             self._rows * set_size + items[self._cols], weights=self._data, minlength=n * set_size
         )
@@ -206,18 +220,19 @@ class InteractionMatrix:
         """`views`, those of `old_items`, brought to `items` on a dense W as
         a new array `views + W[:, moved] @ (E_new - E_old)`, E the movers'
         one-hot items, clamped at 0 so that an emptied state reads no entry
-        below 0. It reads m columns of W instead of N^2 entries, and rounds
-        each entry once more than the product: after k updates in a row the
-        views are within k * eps of `self.views` (measured; tests gate
-        (k + 1) * eps)."""
+        below 0. It reads m columns of W, each a contiguous row of W^T,
+        instead of N^2 entries, and rounds each entry once more than the
+        product: after k updates in a row the views are within k * eps of
+        `self.views` (measured; tests gate (k + 1) * eps)."""
         delta = np.zeros((moved.size, set_size))
         rows = np.arange(moved.size)
         delta[rows, items[moved]] = 1.0
         delta[rows, old_items[moved]] = -1.0
         out = views.copy()
+        w_t = self._dense.T  # W^T, C-contiguous: a mover's column is a row
         for start in range(0, moved.size, _UPDATE_CHUNK):
             chunk = slice(start, start + _UPDATE_CHUNK)
-            out += self._dense[:, moved[chunk]] @ delta[chunk]
+            out += w_t[moved[chunk]].T @ delta[chunk]
         return np.maximum(out, 0.0, out=out)
 
     def _refresh_rows(self, views, moved, items, set_size: int) -> np.ndarray:
@@ -276,7 +291,7 @@ def _block_diagonal(blocks) -> InteractionMatrix:
 def uniform(n: int) -> InteractionMatrix:
     """All-pairs interaction with weight 1/n, the exchangeable special case."""
     _check_size("n", n)
-    return InteractionMatrix._from_dense(np.full((n, n), 1.0 / n))
+    return InteractionMatrix._from_dense(np.full((n, n), 1.0 / n, order="F"))
 
 
 def ring_k_neighbor(n: int, k: int) -> InteractionMatrix:
@@ -302,9 +317,9 @@ def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
     c = 1 / (r K), two matrix-vector products over K. Its column sums are
     then 1 by construction, so the stop check reads the row sums alone,
     |r * (K c) - 1| < `SINKHORN_TOL`, and its K c is the next round's. K is
-    scaled into W in place once, after the loop, and validated like any
-    dense matrix. W agrees with alternately normalizing the full array to a
-    few eps, not bit for bit."""
+    scaled into W in place once, after the loop, transposed in place into
+    column-major order and validated like any dense matrix. W agrees with
+    alternately normalizing the full array to a few eps, not bit for bit."""
     _check_size("n", n)
     w = rng.uniform(0.1, 1.1, size=(n, n))
     kc = w @ np.ones(n)
@@ -315,10 +330,29 @@ def sinkhorn_random(n: int, rng: np.random.Generator) -> InteractionMatrix:
         if np.abs(r * kc - 1.0).max() < SINKHORN_TOL:
             w *= r[:, None]
             w *= c
-            return InteractionMatrix._from_dense(w)
+            _transpose_in_place(w)
+            return InteractionMatrix._from_dense(w.T)
     raise RuntimeError(
         f"sinkhorn normalization did not reach {SINKHORN_TOL:g} in {SINKHORN_MAX_ITERS} iterations"
     )
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose the square C-ordered `a` in place, so that `a.T` holds the
+    matrix in column-major order, by swapping 256 x 256 tiles through one
+    buffer. The tiles stay in cache, and they are few: each numpy call
+    releases the GIL and may wait to win it back from another thread."""
+    n = a.shape[0]
+    tile = min(n, 256)
+    buf = np.empty((tile, tile))
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            upper, lower = a[i : i + tile, j : j + tile], a[j : j + tile, i : i + tile]
+            saved = buf[: upper.shape[0], : upper.shape[1]]
+            np.copyto(saved, upper)
+            if i != j:
+                upper[...] = lower.T
+            lower[...] = saved.T
 
 
 def _require_doubly_stochastic(row_sums, col_sums, min_entry: float, max_entry: float) -> None:

@@ -32,6 +32,11 @@ Three builders only the tests use live here too: `point_mass`, a `Simplex`
 with all its mass on one index, `ring_symmetric`, a symmetric circulant W
 built from its nonzeros, and `irregular_matrix`, a W built from nonzeros
 whose rows differ in length.
+
+So do the dense W's row-major forms from before it was kept column-major:
+`sinkhorn_row_major`, the Sinkhorn build with its scaling over the
+row-major array, and `column_update`, the rank-m view update reading the
+movers' columns of a row-major W.
 """
 
 import itertools
@@ -39,6 +44,7 @@ import types
 
 import numpy as np
 
+from mfmarl import interaction
 from mfmarl.interaction import InteractionMatrix
 from mfmarl.meanfield import _mean_rewards, _recursion, mf_path
 from mfmarl.model import AffineRewardSpec, EnvModel
@@ -93,6 +99,36 @@ def irregular_matrix(n: int, rng: np.random.Generator) -> InteractionMatrix:
     perm = rng.permutation(n)
     rows, cols, data = rows + [np.arange(n)] * 2, cols + [perm] * 2, data + [np.full(n, 0.25)] * 2
     return InteractionMatrix.from_nonzeros(n, np.concatenate(rows), np.concatenate(cols), np.concatenate(data))
+
+
+def sinkhorn_row_major(n: int, rng: np.random.Generator) -> np.ndarray:
+    """`interaction.sinkhorn_random`'s W as a row-major (n, n) array, scaled
+    as it was before W was kept column-major: the same draw and rounds of
+    the scaling vectors, then `w *= r[:, None]; w *= c` over the whole
+    array. Reads the module's `SINKHORN_TOL` and `SINKHORN_MAX_ITERS`."""
+    w = rng.uniform(0.1, 1.1, size=(n, n))
+    kc = w @ np.ones(n)
+    for _ in range(interaction.SINKHORN_MAX_ITERS):
+        r = 1.0 / kc
+        c = 1.0 / (r @ w)
+        kc = w @ c
+        if np.abs(r * kc - 1.0).max() < interaction.SINKHORN_TOL:
+            w *= r[:, None]
+            w *= c
+            return w
+    raise RuntimeError("sinkhorn normalization did not converge")
+
+
+def column_update(w: np.ndarray, views, moved, old_items, items, set_size: int) -> np.ndarray:
+    """The rank-m view update on the row-major array `w`: `views + w[:, moved]
+    @ (E_new - E_old)`, 32 movers' columns at a time, clamped at 0."""
+    delta = np.zeros((moved.size, set_size))
+    delta[np.arange(moved.size), items[moved]] = 1.0
+    delta[np.arange(moved.size), old_items[moved]] = -1.0
+    out = views.copy()
+    for start in range(0, moved.size, 32):
+        out += w[:, moved[start : start + 32]] @ delta[start : start + 32]
+    return np.maximum(out, 0.0, out=out)
 
 
 def estimate_lipschitz_lq(cfg, phi, trials: int, rng: np.random.Generator) -> float:

@@ -7,10 +7,12 @@ import pytest
 
 from oracles import (
     changed_rows,
+    column_update,
     empirical_distribution,
     irregular_matrix,
     l1_distance,
     ring_symmetric,
+    sinkhorn_row_major,
     weighted_view,
 )
 from mfmarl import interaction
@@ -454,3 +456,72 @@ class TestCopies:
                 assert not b.flags.writeable
             with pytest.raises(AttributeError, match="immutable"):
                 clone.n_agents = 3
+
+
+DENSE_BUILDERS = {
+    "uniform": lambda rng: uniform(6),
+    "sinkhorn": lambda rng: sinkhorn_random(130, rng),
+    "from list": lambda rng: InteractionMatrix([[0.25, 0.75], [0.75, 0.25]]),
+    "from C array": lambda rng: InteractionMatrix(np.eye(5)[rng.permutation(5)]),
+    "from F array": lambda rng: InteractionMatrix(np.asfortranarray(sinkhorn_row_major(7, rng))),
+    "one agent": lambda rng: uniform(1),
+}
+
+
+class TestDenseLayout:
+    """A dense W is kept column-major: the same matrix as the row-major
+    builds before it, its columns contiguous rows of `weights.T`."""
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 511, 513, 600])
+    def test_sinkhorn_is_the_row_major_scaling_byte_for_byte(self, n):
+        # The scaling is the row-major one and the in-place transpose moves
+        # bytes; n covers the 256-wide tiles' edges.
+        w = sinkhorn_random(n, np.random.default_rng([7, n])).weights
+        assert w.tobytes() == sinkhorn_row_major(n, np.random.default_rng([7, n])).tobytes()
+
+    def test_a_bad_scaling_fails_with_the_dense_check_message(self, monkeypatch):
+        # Stopped after one round, W's row sums are off, and the build fails
+        # with the message the constructor gives for the row-major scaling.
+        monkeypatch.setattr(interaction, "SINKHORN_TOL", 1.0)
+        ref = sinkhorn_row_major(300, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="not doubly stochastic: max row dev") as expected:
+            InteractionMatrix(ref)
+        with pytest.raises(ValueError) as got:
+            sinkhorn_random(300, np.random.default_rng(8))
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("n", [200, 600, 2000])
+    def test_rank_update_agrees_with_the_row_major_column_formula(self, n):
+        # k updates in a row, each of 1 to N/4 movers (one and several
+        # 32-column chunks), from the same views: within (k + 1) * eps.
+        rng = np.random.default_rng(n)
+        w = sinkhorn_random(n, rng)
+        row_major = np.ascontiguousarray(w.weights)
+        items = rng.integers(0, 10, size=n)
+        ours = theirs = w.views(items, 10)
+        for k, movers in enumerate((1, 5, 32, 33, n // 8, n // 4), start=1):
+            moved = np.sort(rng.choice(n, movers, replace=False))
+            new = items.copy()
+            new[moved] = (new[moved] + rng.integers(1, 10, size=movers)) % 10
+            ours = w._rank_update(ours, moved, items, new, 10)
+            theirs = column_update(row_major, theirs, moved, items, new, 10)
+            assert np.abs(ours - theirs).max() <= (k + 1) * np.finfo(float).eps
+            items = new
+
+    @pytest.mark.parametrize("make_w", DENSE_BUILDERS.values(), ids=DENSE_BUILDERS.keys())
+    def test_weights_are_column_major_and_read_only(self, make_w):
+        w = make_w(np.random.default_rng(9))
+        for m in (w, pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            a = m.weights
+            assert a.flags.f_contiguous and a.T.flags.c_contiguous and not a.flags.writeable
+            assert m.weights is a and m.nonzeros is None
+            assert np.array_equal(a, w.weights)
+            items = np.arange(m.n_agents) % 3
+            assert m.views(items, 3).flags.c_contiguous
+
+    def test_the_constructor_copies_its_input(self):
+        for src in (np.eye(4), np.asfortranarray(np.eye(4)), uniform(4).weights):
+            writeable = src.flags.writeable
+            w = InteractionMatrix(src)
+            assert not np.shares_memory(w.weights, src)
+            assert src.flags.writeable == writeable
